@@ -13,9 +13,9 @@
 //!   consumes (stop at `k·p = 100` clusters, workspace compaction on)
 //!   against the full non-compacting build at n ∈ {2000, 5000, 10000},
 //!   asserting the capped `cut(100)` is *identical* to the full build's;
-//! * **end to end** — the DUST diversifier with the engine and
-//!   full-dendrogram toggle threaded through [`DustConfig`], asserting the
-//!   selection is engine- and cap-independent.
+//! * **end to end** — the DUST diversifier with the engine threaded
+//!   through [`DustConfig`], asserting the selection is engine-independent
+//!   and drawn from the medoids of the uncapped dendrogram's `k·p` cut.
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_clustering`.
 
@@ -24,8 +24,8 @@
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::clustered_points;
 use dust_cluster::{
-    agglomerative_params, agglomerative_with, clusters_from_assignment, AgglomerativeAlgorithm,
-    ClusterParams, Compaction, Linkage,
+    agglomerative_params, agglomerative_with, cluster_medoids_from_matrix,
+    clusters_from_assignment, AgglomerativeAlgorithm, ClusterParams, Compaction, Linkage,
 };
 use dust_diversify::{DiversificationInput, Diversifier, DustConfig, DustDiversifier};
 use dust_embed::{Distance, PairwiseMatrix, Vector};
@@ -125,37 +125,46 @@ fn main() {
     let s = 2000;
     let (query, candidates) = synthetic_embeddings(20, s, dim);
     let mut e2e = Report::new(format!(
-        "DUST diversifier (s = {s}, k = 50, pruning off): engine and cap via DustConfig"
+        "DUST diversifier (s = {s}, k = 50, pruning off): engine via DustConfig"
     ))
     .headers(["engine", "dendrogram", "seconds"]);
     let mut selections = Vec::new();
     for (name, algorithm) in ENGINES {
-        for full_dendrogram in [false, true] {
-            let input = DiversificationInput::new(&query, &candidates, Distance::Cosine);
-            let diversifier = DustDiversifier::with_config(DustConfig {
-                prune_to: None,
-                algorithm,
-                full_dendrogram,
-                ..DustConfig::default()
-            });
-            let start = Instant::now();
-            selections.push(diversifier.select(&input, 50));
-            e2e.row([
-                name.to_string(),
-                if full_dendrogram {
-                    "full".to_string()
-                } else {
-                    "capped".to_string()
-                },
-                fmt3(start.elapsed().as_secs_f64()),
-            ]);
-        }
+        let input = DiversificationInput::new(&query, &candidates, Distance::Cosine);
+        let diversifier = DustDiversifier::with_config(DustConfig {
+            prune_to: None,
+            algorithm,
+            ..DustConfig::default()
+        });
+        let start = Instant::now();
+        selections.push(diversifier.select(&input, 50));
+        e2e.row([
+            name.to_string(),
+            "capped".to_string(),
+            fmt3(start.elapsed().as_secs_f64()),
+        ]);
     }
     assert!(
         selections.windows(2).all(|w| w[0] == w[1]),
-        "selection depends on the engine or the dendrogram cap"
+        "selection depends on the engine"
     );
-    e2e.note("identical k = 50 selections verified across engines and caps");
+    // The one "full" row: the diversifier's matrix + clustering + medoid
+    // steps with the dendrogram built all the way up.
+    let input = DiversificationInput::new(&query, &candidates, Distance::Cosine);
+    let start = Instant::now();
+    let matrix = input.pairwise();
+    let full = agglomerative_with(matrix, Linkage::Average, AgglomerativeAlgorithm::Generic, 1);
+    let medoids = cluster_medoids_from_matrix(matrix, &full.cut(K_CAP));
+    e2e.row([
+        "generic".to_string(),
+        "full".to_string(),
+        fmt3(start.elapsed().as_secs_f64()),
+    ]);
+    assert!(
+        selections[0].iter().all(|i| medoids.contains(i)),
+        "capped selection is not drawn from the full dendrogram's medoids"
+    );
+    e2e.note("identical k = 50 selections verified across engines, all medoids of the full cut");
     e2e.print();
 }
 

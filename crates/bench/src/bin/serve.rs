@@ -211,14 +211,13 @@ fn run(args: &[String]) -> Result<(), String> {
     let state = Arc::new(state);
     let stats = state.session.stats();
     eprintln!(
-        "serve: session ready in {:.2}s — {} tuples + {} columns resident across {} shards \
-         (tuple dim {}, column dim {}), search = {}, generation {}",
+        "serve: session ready in {:.2}s — {} tuples resident across {} shards \
+         (tuple dim {}), {} columns, search = {}, generation {}",
         stats.build_secs,
         stats.tuples,
-        stats.columns,
         stats.shards,
         stats.tuple_dim,
-        stats.column_dim,
+        stats.columns,
         state.session.config().search.name(),
         state.session.generation(),
     );

@@ -97,12 +97,6 @@ pub struct DustConfigSerde {
     /// configs persisted before this field existed keep loading.
     #[serde(default)]
     pub algorithm: AgglomerativeAlgorithm,
-    /// Build the full dendrogram instead of the default k-capped one
-    /// (ablation; the selection is identical either way, the capped build
-    /// just skips the merges above DUST's `k·p` cut). Defaults off on
-    /// deserialization so older persisted configs keep the fast path.
-    #[serde(default)]
-    pub full_dendrogram: bool,
 }
 
 impl Default for DustConfigSerde {
@@ -111,7 +105,6 @@ impl Default for DustConfigSerde {
             p: 2,
             prune_to: Some(2500),
             algorithm: AgglomerativeAlgorithm::Auto,
-            full_dendrogram: false,
         }
     }
 }
@@ -124,7 +117,6 @@ impl DustConfigSerde {
             prune_to: self.prune_to,
             linkage: Linkage::Average,
             algorithm: self.algorithm,
-            full_dendrogram: self.full_dendrogram,
         }
     }
 }
@@ -192,13 +184,10 @@ mod tests {
             p: 3,
             prune_to: None,
             algorithm: AgglomerativeAlgorithm::Generic,
-            full_dendrogram: true,
         };
         let config = serde_config.to_dust_config();
         assert_eq!(config.p, 3);
         assert_eq!(config.prune_to, None);
         assert_eq!(config.algorithm, AgglomerativeAlgorithm::Generic);
-        assert!(config.full_dendrogram);
-        assert!(!DustConfigSerde::default().to_dust_config().full_dendrogram);
     }
 }

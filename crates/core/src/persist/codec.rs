@@ -26,7 +26,7 @@ pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"DUSTSEG\0";
 /// Magic prefix of the write-ahead log.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"DUSTWAL\0";
 /// On-disk format version, bumped on any layout change.
-pub(crate) const FORMAT_VERSION: u32 = 1;
+pub(crate) const FORMAT_VERSION: u32 = 2;
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) over `bytes`.
 /// Detects every single-bit error and every burst ≤ 32 bits — which is

@@ -7,19 +7,23 @@
 //! ├── MANIFEST              epoch pointer + config  (atomically replaced)
 //! ├── seg-{e}-lake.bin      the data lake (tables, queries, ground truth)
 //! ├── seg-{e}-shard-{i}.bin tuple embeddings + provenance, one per shard
-//! ├── seg-{e}-columns.bin   TF-IDF corpus + column embedding shards
 //! ├── seg-{e}-search.bin    candidate-search structures for the technique
 //! ├── seg-{e}-model.bin     trained projection head (model sessions only)
 //! └── wal-{e}.log           LSN-stamped mutations since the snapshot
 //! ```
 //!
-//! Every file is magic-tagged, format-versioned, and CRC-32 sealed
-//! ([`codec`]); damage is *detected* and reported as a typed
-//! [`PersistError`], never served. Recovery = load the manifest's epoch,
-//! then replay the WAL through the session's live `add_table` /
-//! `remove_table` delta paths — the restored session answers queries
-//! bit-identically to the one that saved (pinned by
-//! `tests/session_recovery.rs`).
+//! Every file is magic-tagged, format-versioned (currently version 2; any
+//! other version is a typed `UnsupportedVersion`, answered by rebuilding
+//! from the lake), and CRC-32 sealed ([`codec`]); damage is *detected* and
+//! reported as a typed [`PersistError`], never served. The durable set is
+//! exactly what served traffic reads: the column side behind
+//! `similar_columns` is derived from the lake on first use and never
+//! written.
+//!
+//! Recovery = load the manifest's epoch, then replay the WAL through the
+//! session's live `add_table` / `remove_table` delta paths — the restored
+//! session answers queries bit-identically to the one that saved (pinned
+//! by `tests/session_recovery.rs`).
 //!
 //! Checkpointing writes a complete new epoch `e+1` (segments + empty WAL),
 //! atomically swings `MANIFEST`, then deletes epoch `e`'s files. A crash

@@ -18,8 +18,6 @@
 //!   `(table, row)` provenance refs, and its member-table list. Tombstone
 //!   state never round-trips: the snapshot *is* the compacted form, which
 //!   serves identically (pinned by `tests/session_recovery.rs`);
-//! * **columns** — the integer-exact TF-IDF corpus plus the per-shard
-//!   column stores (written from a refreshed, non-stale column side);
 //! * **search** — the configured technique's candidate structures
 //!   ([`InvertedValueIndex`] postings / Starmie / D3L per-table column
 //!   embeddings); the searcher objects themselves are `::new()` defaults
@@ -30,18 +28,25 @@
 //!
 //! Everything floating-point is written via IEEE bit patterns, so a
 //! restored session's scores are **bit-identical** to the saved one's.
+//!
+//! The column side (TF-IDF corpus + column embeddings) is deliberately not
+//! a segment: only `similar_columns` reads it, and each generation derives
+//! it from its lake on first use, so writing a snapshot embeds nothing and
+//! a restored session computes exactly what a live one does. Format
+//! version 1 directories (which carried a `columns` segment and one more
+//! manifest field) answer [`PersistError::UnsupportedVersion`]; callers
+//! take their usual rebuild-from-lake fallback.
 
 use super::codec::{read_segment, write_segment, ByteReader, ByteWriter};
 use super::error::PersistError;
 use crate::config::{DustConfigSerde, PipelineConfig, SearchTechnique, TupleEmbedderKind};
 use crate::session::{
-    ColumnShard, LakeSession, LakeShard, SearchStructures, SessionEmbedder, SessionOptions,
-    SessionView,
+    LakeSession, LakeShard, SearchStructures, SessionEmbedder, SessionOptions, SessionView,
 };
 use dust_cluster::{AgglomerativeAlgorithm, Linkage};
 use dust_embed::{
     ColumnEncoder, ColumnSerialization, Distance, DustModel, EmbeddingStore, FineTuneConfig,
-    PretrainedModel, ProjectionHead, TfIdfCorpus, TupleEncoder, Vector,
+    PretrainedModel, ProjectionHead, TupleEncoder, Vector,
 };
 use dust_search::{
     D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore, StarmieSearch,
@@ -57,7 +62,6 @@ use std::sync::Arc;
 pub(crate) const KIND_MANIFEST: u8 = 0;
 pub(crate) const KIND_LAKE: u8 = 1;
 pub(crate) const KIND_SHARD: u8 = 2;
-pub(crate) const KIND_COLUMNS: u8 = 3;
 pub(crate) const KIND_SEARCH: u8 = 4;
 pub(crate) const KIND_MODEL: u8 = 5;
 
@@ -83,10 +87,6 @@ pub(crate) fn lake_path(dir: &Path, epoch: u64) -> PathBuf {
 
 pub(crate) fn shard_path(dir: &Path, epoch: u64, shard: usize) -> PathBuf {
     dir.join(format!("seg-{epoch}-shard-{shard}.bin"))
-}
-
-pub(crate) fn columns_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("seg-{epoch}-columns.bin"))
 }
 
 pub(crate) fn search_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -338,7 +338,7 @@ fn decode_lake(bytes: &[u8], path: &Path) -> Result<DataLake, PersistError> {
 }
 
 // ---------------------------------------------------------------------------
-// embedding-store / shard / columns codecs
+// embedding-store / shard codecs
 // ---------------------------------------------------------------------------
 
 /// Write the **live rows** of a store (data, norms, inverse norms verbatim
@@ -433,64 +433,6 @@ fn decode_shard(bytes: &[u8], path: &Path) -> Result<LakeShard, PersistError> {
         tuple_store,
         tuple_refs,
     })
-}
-
-fn encode_columns(corpus: &TfIdfCorpus, column_shards: &[ColumnShard]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_usize(corpus.num_documents());
-    let entries = corpus.document_frequencies();
-    w.put_usize(entries.len());
-    for (token, df) in &entries {
-        w.put_str(token);
-        w.put_usize(*df);
-    }
-    w.put_usize(column_shards.len());
-    for shard in column_shards {
-        put_live_store(&mut w, &shard.store);
-        w.put_usize(shard.refs.len());
-        for (table, column) in &shard.refs {
-            w.put_str(table);
-            w.put_str(column);
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_columns(
-    bytes: &[u8],
-    path: &Path,
-) -> Result<(TfIdfCorpus, Vec<ColumnShard>), PersistError> {
-    let mut r = ByteReader::new(bytes, path);
-    let documents = r.get_usize()?;
-    let num_entries = r.get_count()?;
-    let mut entries = Vec::with_capacity(num_entries);
-    for _ in 0..num_entries {
-        let token = r.get_str()?;
-        let df = r.get_usize()?;
-        entries.push((token, df));
-    }
-    let corpus = TfIdfCorpus::from_document_frequencies(documents, entries);
-    let num_shards = r.get_count()?;
-    let mut shards = Vec::with_capacity(num_shards);
-    for _ in 0..num_shards {
-        let store = get_store(&mut r)?;
-        let num_refs = r.get_count()?;
-        if num_refs != store.len() {
-            return Err(r.corrupt(format!(
-                "{num_refs} column refs for {} store rows",
-                store.len()
-            )));
-        }
-        let mut refs = Vec::with_capacity(num_refs);
-        for _ in 0..num_refs {
-            let table = r.get_str()?;
-            let column = r.get_str()?;
-            refs.push((table, column));
-        }
-        shards.push(ColumnShard { store, refs });
-    }
-    r.finish()?;
-    Ok((corpus, shards))
 }
 
 // ---------------------------------------------------------------------------
@@ -755,7 +697,6 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
         None => w.put_bool(false),
     }
     w.put_u8(algorithm_tag(c.diversifier.algorithm));
-    w.put_bool(c.diversifier.full_dendrogram);
     w.into_bytes()
 }
 
@@ -793,7 +734,6 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
         None
     };
     let algorithm = algorithm_from(r.get_u8()?, &r)?;
-    let full_dendrogram = r.get_bool()?;
     r.finish()?;
     if num_shards == 0 {
         return Err(PersistError::corrupt(path, "manifest claims zero shards"));
@@ -822,7 +762,6 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
                 p,
                 prune_to,
                 algorithm,
-                full_dendrogram,
             },
         },
     })
@@ -847,17 +786,6 @@ pub(crate) fn write_epoch_segments(
             &shard_path(dir, epoch, i),
             KIND_SHARD,
             &encode_shard(shard.as_ref()),
-        )?;
-    }
-    {
-        // Materialize the pinned generation's (lazily-built) column side
-        // first: the snapshot always holds the post-mutation,
-        // corpus-consistent embeddings a fresh session would build.
-        let columns = view.columns();
-        write_segment(
-            &columns_path(dir, epoch),
-            KIND_COLUMNS,
-            &encode_columns(view.corpus(), &columns),
         )?;
     }
     write_segment(
@@ -926,9 +854,6 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
         shards.push(decode_shard(&read_segment(&sp, KIND_SHARD)?, &sp)?);
     }
 
-    let cp = columns_path(dir, epoch);
-    let (corpus, column_shards) = decode_columns(&read_segment(&cp, KIND_COLUMNS)?, &cp)?;
-
     let sp = search_path(dir, epoch);
     let search = decode_search(
         &read_segment(&sp, KIND_SEARCH)?,
@@ -940,18 +865,9 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
         let mp = model_path(dir, epoch);
         SessionEmbedder::Model(decode_model(&read_segment(&mp, KIND_MODEL)?, &mp)?)
     } else {
-        match &manifest.config.embedder {
-            TupleEmbedderKind::Pretrained(backbone) => {
-                SessionEmbedder::Encoder(TupleEncoder::new(*backbone))
-            }
-            TupleEmbedderKind::FineTuned { .. } => {
-                // decode_manifest already rejects this combination
-                return Err(PersistError::corrupt(
-                    manifest_path(dir),
-                    "fine-tuned config without a model segment",
-                ));
-            }
-        }
+        // decode_manifest rejects a fine-tuned config without a model
+        // segment, so this never trains
+        SessionEmbedder::from_config(&manifest.config.embedder, &lake)
     };
 
     let aligner_encoder = ColumnEncoder::new(
@@ -973,8 +889,6 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
         manifest.model_injected,
         search,
         shards,
-        corpus,
-        column_shards,
         manifest.generation,
         start.elapsed().as_secs_f64(),
     ))

@@ -9,7 +9,6 @@
 
 use crate::config::{PipelineConfig, SearchTechnique, TupleEmbedderKind};
 use crate::result::{DustResult, StageTimings};
-use crate::session::LakeSession;
 use dust_align::{outer_union, HolisticAligner};
 use dust_cluster::Linkage;
 use dust_diversify::{
@@ -18,7 +17,6 @@ use dust_diversify::{
 use dust_embed::{ColumnEncoder, DustModel, TupleEncoder, Vector};
 use dust_search::{D3lSearch, OverlapSearch, StarmieSearch, TableUnionSearch};
 use dust_table::{DataLake, Table, TableError, Tuple};
-use std::sync::Arc;
 
 /// The end-to-end Diverse Unionable Tuple Search pipeline.
 #[derive(Debug)]
@@ -27,9 +25,6 @@ pub struct DustPipeline {
     /// A pre-trained DUST model injected by the caller (when present, the
     /// pipeline skips its own fine-tuning even if the config asks for one).
     model: Option<DustModel>,
-    /// A resident serving session backing this pipeline (when present,
-    /// `run` delegates search structures and the tuple embedder to it).
-    session: Option<Arc<LakeSession>>,
 }
 
 impl DustPipeline {
@@ -38,7 +33,6 @@ impl DustPipeline {
         DustPipeline {
             config,
             model: None,
-            session: None,
         }
     }
 
@@ -49,21 +43,6 @@ impl DustPipeline {
         DustPipeline {
             config,
             model: Some(model),
-            session: None,
-        }
-    }
-
-    /// Create a session-backed pipeline: `run` serves queries from the
-    /// resident [`LakeSession`] (pre-built candidate indexes, shared tuple
-    /// model) instead of rebuilding them per query. Results are
-    /// byte-identical to a fresh pipeline over the session's lake and
-    /// configuration; the `lake` argument passed to [`Self::run`] is
-    /// ignored in favour of the session's resident lake.
-    pub fn with_session(session: Arc<LakeSession>) -> Self {
-        DustPipeline {
-            config: session.config().clone(),
-            model: None,
-            session: Some(session),
         }
     }
 
@@ -72,28 +51,8 @@ impl DustPipeline {
         &self.config
     }
 
-    /// The backing session, when this pipeline was built with
-    /// [`Self::with_session`].
-    pub fn session(&self) -> Option<&Arc<LakeSession>> {
-        self.session.as_ref()
-    }
-
     /// Run Algorithm 1: search, align, embed, diversify.
     pub fn run(&self, lake: &DataLake, query: &Table, k: usize) -> Result<DustResult, TableError> {
-        if let Some(session) = &self.session {
-            debug_assert!(
-                session.lake().name() == lake.name()
-                    && session.lake().num_tables() == lake.num_tables(),
-                "session-backed pipeline queried with a different lake \
-                 (session holds {:?} with {} tables, caller passed {:?} with {}); \
-                 rebuild the session when the lake changes",
-                session.lake().name(),
-                session.lake().num_tables(),
-                lake.name(),
-                lake.num_tables()
-            );
-            return session.query(query, k);
-        }
         let aligner_encoder = ColumnEncoder::new(
             self.config.alignment_model,
             self.config.alignment_serialization,
@@ -163,6 +122,8 @@ impl DustPipeline {
 /// [`LakeSession`] path — a recipe change here cannot desynchronize them.
 /// Deterministic (seeded RNG, lake-derived dataset), which is what makes
 /// the session's train-once ≡ the pipeline's train-per-query.
+///
+/// [`LakeSession`]: crate::session::LakeSession
 pub(crate) fn train_dust_model(
     lake: &DataLake,
     backbone: dust_embed::PretrainedModel,
@@ -197,6 +158,8 @@ pub(crate) type EmbedFn<'a> = dyn Fn(&[Tuple], &[Tuple]) -> (Vec<Vector>, Vec<Ve
 /// over their own state, so every stage in between — alignment, outer
 /// union, diversification, scoring — is literally the same code on both
 /// paths, and equal search/embed outputs imply byte-identical results.
+///
+/// [`LakeSession::query`]: crate::session::LakeSession::query
 pub(crate) fn run_query(
     lake: &DataLake,
     query: &Table,

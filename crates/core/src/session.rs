@@ -9,10 +9,10 @@
 //! — many queries against one slowly-changing lake — so [`LakeSession`]
 //! hoists everything query-independent out of the per-query path:
 //!
-//! * **per-shard embedding stores** — every lake tuple and every lake
-//!   column embedded once into [`EmbeddingStore`]s, sharded by a stable
-//!   hash of the owning table's name (so splitting shards across hosts is
-//!   a configuration change, not a redesign);
+//! * **per-shard embedding stores** — every lake tuple embedded once into
+//!   [`EmbeddingStore`]s, sharded by a stable hash of the owning table's
+//!   name (so splitting shards across hosts is a configuration change, not
+//!   a redesign);
 //! * **persistent candidate structures** — whichever structures the
 //!   configured search technique needs ([`InvertedValueIndex`], Starmie
 //!   contextualized column stores, D3L per-column signal embeddings),
@@ -68,15 +68,13 @@
 //!   deltas — [`InvertedValueIndex`] postings are sets, Starmie/D3L column
 //!   stores are keyed per table with no cross-table float aggregate, so a
 //!   delta produces structures *structurally equal* to a fresh build;
-//! * the lake-wide TF-IDF column corpus updates by **integer** document-
-//!   frequency deltas (`TfIdfCorpus::remove_document` — exact, no
-//!   floating-point subtraction anywhere), and the corpus-dependent column
-//!   embeddings (every column's embedding depends on every table through
-//!   IDF) are re-derived **lazily**, on the next
-//!   [`LakeSession::similar_columns`] / [`LakeSession::stats`] call
-//!   against the new snapshot — built *off* every lock through the same
-//!   path as construction, so column readers of older generations never
-//!   wait on the rebuild;
+//! * the column side (the lake-wide TF-IDF corpus and the column
+//!   embeddings under it — every column's embedding depends on every table
+//!   through IDF) is never maintained: each generation derives it from its
+//!   own pinned lake on the first [`LakeSession::similar_columns`] call
+//!   against it, *off* every lock, so it is by construction what a fresh
+//!   session computes. Nothing else reads it — `query`, `similar_tuples`,
+//!   `stats` and the persistence layer never build it;
 //! * a fine-tuned session retrains its (lake-derived, deterministically
 //!   seeded) model and re-embeds the tuple shards — the documented
 //!   recompute fallback: training is a function of the whole lake, so no
@@ -173,15 +171,17 @@ impl LakeShard {
     }
 }
 
-/// One shard of resident column embeddings (the corpus-dependent side:
-/// every column embedding depends on every table through IDF, so these are
-/// rebuilt per generation, lazily, rather than delta-maintained).
+/// The column side of one generation: the lake-wide TF-IDF corpus and
+/// every lake column embedded under it. Every column embedding depends on
+/// every table through IDF, so it is derived whole from the generation's
+/// lake, never delta-maintained and never persisted.
 #[derive(Debug)]
-pub(crate) struct ColumnShard {
-    pub(crate) store: EmbeddingStore,
+struct ColumnSide {
+    corpus: TfIdfCorpus,
+    store: EmbeddingStore,
     /// `(table, column header)` per store row (the header is captured at
     /// build time so serving a hit never needs a lake lookup).
-    pub(crate) refs: Vec<(TableId, String)>,
+    refs: Vec<(TableId, String)>,
 }
 
 /// The persistent candidate structures of the configured search technique.
@@ -279,6 +279,27 @@ pub(crate) enum SessionEmbedder {
 }
 
 impl SessionEmbedder {
+    /// The embedder `kind` asks for over `lake`: the pre-trained encoder,
+    /// or a DUST model trained by the identical deterministic recipe
+    /// `DustPipeline::run` performs per query.
+    pub(crate) fn from_config(kind: &TupleEmbedderKind, lake: &DataLake) -> Self {
+        match kind {
+            TupleEmbedderKind::Pretrained(backbone) => {
+                SessionEmbedder::Encoder(TupleEncoder::new(*backbone))
+            }
+            TupleEmbedderKind::FineTuned {
+                backbone,
+                config,
+                training_pairs,
+            } => SessionEmbedder::Model(crate::pipeline::train_dust_model(
+                lake,
+                *backbone,
+                config,
+                *training_pairs,
+            )),
+        }
+    }
+
     fn embed_tuple(&self, tuple: &Tuple) -> Vector {
         match self {
             SessionEmbedder::Model(m) => m.embed_tuple(tuple),
@@ -303,31 +324,35 @@ pub(crate) struct SessionSnapshot {
     /// Untouched shards are shared with the previous generation by `Arc`;
     /// a mutation rebuilds only the FNV-owning shard.
     pub(crate) shards: Vec<Arc<LakeShard>>,
-    /// The lake-wide TF-IDF corpus, maintained by exact integer deltas.
-    pub(crate) corpus: TfIdfCorpus,
-    /// Column embeddings under `corpus`, built lazily on first column read
-    /// of this generation (construction and restore pre-fill it). Built
-    /// through the same path as construction, so the lazy result is
-    /// bit-identical to a fresh session's.
-    pub(crate) columns: OnceLock<Arc<Vec<ColumnShard>>>,
+    /// The column side, derived from `lake` on the first column read of
+    /// this generation — its only origin, so it is bit-identical to a
+    /// fresh session's.
+    columns: OnceLock<ColumnSide>,
 }
 
 impl SessionSnapshot {
     /// The column side, built on first use (off every session lock —
     /// concurrent first readers of the same generation may wait on each
     /// other here, but never on a mutation, and never block tuple reads).
-    fn columns(&self, encoder: &ColumnEncoder) -> Arc<Vec<ColumnShard>> {
+    fn columns(&self, encoder: &ColumnEncoder) -> &ColumnSide {
         // dust-lint: lock(columns-once)
-        self.columns
-            .get_or_init(|| {
-                Arc::new(build_column_shards(
-                    &self.lake,
-                    self.shards.len(),
-                    encoder,
-                    &self.corpus,
-                ))
-            })
-            .clone()
+        self.columns.get_or_init(|| {
+            let corpus =
+                ColumnEncoder::build_corpus(self.lake.tables().flat_map(|t| t.columns().iter()));
+            let mut embeddings: Vec<Vector> = Vec::new();
+            let mut refs = Vec::new();
+            for table in self.lake.tables() {
+                for column in table.columns() {
+                    embeddings.push(encoder.embed_column(column, &corpus));
+                    refs.push((table.name().to_string(), column.name().to_string()));
+                }
+            }
+            ColumnSide {
+                corpus,
+                store: EmbeddingStore::from_vectors(&embeddings),
+                refs,
+            }
+        })
     }
 }
 
@@ -362,7 +387,7 @@ pub struct SessionStats {
     pub tables: usize,
     /// Total resident (live) tuple embeddings.
     pub tuples: usize,
-    /// Total resident column embeddings.
+    /// Total lake columns.
     pub columns: usize,
     /// Number of embedding shards.
     pub shards: usize,
@@ -372,8 +397,6 @@ pub struct SessionStats {
     pub shard_dead: Vec<usize>,
     /// Tuple embedding dimensionality.
     pub tuple_dim: usize,
-    /// Column embedding dimensionality.
-    pub column_dim: usize,
     /// Wall-clock seconds spent building the session.
     pub build_secs: f64,
 }
@@ -444,7 +467,7 @@ pub struct SessionView<'a> {
 
 impl LakeSession {
     /// Build a session over a lake with default options. Pre-embeds every
-    /// lake tuple and column, builds the configured search technique's
+    /// lake tuple, builds the configured search technique's
     /// candidate structures, and (for a fine-tuning configuration) trains
     /// the DUST tuple model — all exactly once.
     pub fn new(lake: DataLake, config: PipelineConfig) -> Self {
@@ -453,26 +476,7 @@ impl LakeSession {
 
     /// [`Self::new`] with explicit [`SessionOptions`].
     pub fn with_options(lake: DataLake, config: PipelineConfig, options: SessionOptions) -> Self {
-        let embedder = match &config.embedder {
-            TupleEmbedderKind::Pretrained(backbone) => {
-                SessionEmbedder::Encoder(TupleEncoder::new(*backbone))
-            }
-            TupleEmbedderKind::FineTuned {
-                backbone,
-                config: ft_config,
-                training_pairs,
-            } => {
-                // The identical training run DustPipeline::run performs per
-                // query (same shared recipe, deterministic), performed once
-                // per session instead.
-                SessionEmbedder::Model(crate::pipeline::train_dust_model(
-                    &lake,
-                    *backbone,
-                    ft_config,
-                    *training_pairs,
-                ))
-            }
-        };
+        let embedder = SessionEmbedder::from_config(&config.embedder, &lake);
         Self::assemble(lake, config, options, embedder, false)
     }
 
@@ -529,10 +533,6 @@ impl LakeSession {
             .into_iter()
             .map(Arc::new)
             .collect();
-        let corpus = ColumnEncoder::build_corpus(lake.tables().flat_map(|t| t.columns().iter()));
-        let column_shards = build_column_shards(&lake, num_shards, &aligner_encoder, &corpus);
-        let columns = OnceLock::new();
-        let _ = columns.set(Arc::new(column_shards));
 
         LakeSession {
             config,
@@ -548,8 +548,7 @@ impl LakeSession {
                 embedder: Arc::new(embedder),
                 search: Arc::new(search),
                 shards,
-                corpus,
-                columns,
+                columns: OnceLock::new(),
             })),
             mutate: Mutex::new(()),
             history: Mutex::new(VecDeque::new()),
@@ -570,13 +569,9 @@ impl LakeSession {
         model_injected: bool,
         search: SearchStructures,
         shards: Vec<LakeShard>,
-        corpus: TfIdfCorpus,
-        column_shards: Vec<ColumnShard>,
         generation: u64,
         build_secs: f64,
     ) -> Self {
-        let columns = OnceLock::new();
-        let _ = columns.set(Arc::new(column_shards));
         LakeSession {
             config,
             options,
@@ -588,8 +583,7 @@ impl LakeSession {
                 embedder: Arc::new(embedder),
                 search: Arc::new(search),
                 shards: shards.into_iter().map(Arc::new).collect(),
-                corpus,
-                columns,
+                columns: OnceLock::new(),
             })),
             mutate: Mutex::new(()),
             history: Mutex::new(VecDeque::new()),
@@ -774,10 +768,9 @@ impl LakeSession {
     /// Add a table to the lake and publish the next generation built from
     /// per-shard deltas instead of a rebuild: the new table's tuples are
     /// embedded and appended to (a copy of) its FNV-owning shard — every
-    /// other shard is shared with the previous generation by `Arc` — the
-    /// search technique's candidate structures take the exact per-table
-    /// delta, the TF-IDF corpus takes the exact integer delta, and the
-    /// corpus-dependent column embeddings are re-derived lazily. A
+    /// other shard is shared with the previous generation by `Arc` — and
+    /// the search technique's candidate structures take the exact
+    /// per-table delta. A
     /// fine-tuned session retrains its lake-derived model and re-embeds
     /// the tuple shards instead — the documented recompute fallback (see
     /// module docs). In-flight reads keep serving the previous generation
@@ -806,11 +799,6 @@ impl LakeSession {
         let mut search = (*snap.search).clone();
         search.add_table(&table);
 
-        let mut corpus = snap.corpus.clone();
-        for col in table.columns() {
-            corpus.add_document(&ColumnEncoder::column_document_tokens(col));
-        }
-
         let (embedder, shards) = if self.retrains_on_mutation() {
             self.retrained_state(&lake)
         } else {
@@ -834,7 +822,6 @@ impl LakeSession {
             embedder,
             search: Arc::new(search),
             shards,
-            corpus,
             columns: OnceLock::new(),
         });
         Ok(())
@@ -843,9 +830,8 @@ impl LakeSession {
     /// Remove a table from the lake and publish the next generation built
     /// from per-shard deltas: the owning shard is copied with the table's
     /// rows tombstoned (and physically compacted once dead rows reach live
-    /// rows) — every other shard is shared by `Arc` — the candidate
-    /// structures and TF-IDF corpus take their exact inverses, and the
-    /// column embeddings are re-derived lazily. Returns the removed table
+    /// rows) — every other shard is shared by `Arc` — and the candidate
+    /// structures take their exact inverse. Returns the removed table
     /// (as [`DataLake::remove_table`], which also scrubs ground-truth
     /// pairs naming it); errors — leaving the session untouched — if no
     /// such table exists. Like a rejected add, a missing name is decided
@@ -863,11 +849,6 @@ impl LakeSession {
 
         let mut search = (*snap.search).clone();
         search.remove_table(&removed);
-
-        let mut corpus = snap.corpus.clone();
-        for col in removed.columns() {
-            corpus.remove_document(&ColumnEncoder::column_document_tokens(col));
-        }
 
         let (embedder, shards) = if self.retrains_on_mutation() {
             self.retrained_state(&lake)
@@ -903,7 +884,6 @@ impl LakeSession {
             embedder,
             search: Arc::new(search),
             shards,
-            corpus,
             columns: OnceLock::new(),
         });
         Ok(removed)
@@ -922,23 +902,7 @@ impl LakeSession {
     /// the mutating thread, off every lock — readers of the previous
     /// generation are unaffected for the whole (expensive) rebuild.
     fn retrained_state(&self, lake: &DataLake) -> (Arc<SessionEmbedder>, Vec<Arc<LakeShard>>) {
-        let embedder = match &self.config.embedder {
-            TupleEmbedderKind::FineTuned {
-                backbone,
-                config: ft_config,
-                training_pairs,
-            } => SessionEmbedder::Model(crate::pipeline::train_dust_model(
-                lake,
-                *backbone,
-                ft_config,
-                *training_pairs,
-            )),
-            // Unreachable in practice: retrains_on_mutation() gates on a
-            // fine-tuned config. Keep the encoder fallback total anyway.
-            TupleEmbedderKind::Pretrained(backbone) => {
-                SessionEmbedder::Encoder(TupleEncoder::new(*backbone))
-            }
-        };
+        let embedder = SessionEmbedder::from_config(&self.config.embedder, lake);
         let shards = build_tuple_shards(lake, self.options.num_shards, &embedder)
             .into_iter()
             .map(Arc::new)
@@ -985,14 +949,14 @@ impl LakeSession {
         self.view().similar_tuples(query, k)
     }
 
-    /// Rank every resident lake column (current generation) by cosine
-    /// similarity to a probe column (embedded under the session's
-    /// alignment encoder and lake corpus) and return the top `k` —
-    /// column-level discovery from the resident shards. The first column
-    /// read after a mutation re-derives the column embeddings (their IDF
-    /// weights depend on the whole lake) — off every lock, so concurrent
-    /// tuple reads and mutations are unaffected — and results are always
-    /// bit-identical to a freshly built session's.
+    /// Rank every lake column (current generation) by cosine similarity to
+    /// a probe column (embedded under the session's alignment encoder and
+    /// lake corpus) and return the top `k` — column-level discovery. The
+    /// first column read of a generation derives the corpus and the column
+    /// embeddings from that generation's lake (their IDF weights depend on
+    /// the whole lake) — off every lock, so concurrent tuple reads and
+    /// mutations are unaffected — and results are always bit-identical to
+    /// a freshly built session's.
     pub fn similar_columns(&self, probe: &Column, k: usize) -> Vec<RankedColumn> {
         self.view().similar_columns(probe, k)
     }
@@ -1023,7 +987,7 @@ impl<'a> SessionView<'a> {
     /// pinned snapshot, keyed by role: `lake-table:NAME` (the lake's
     /// `Arc<Table>` entries), `shard:I` (tuple shards), `columns:NAME`
     /// (per-table search-store embedding blocks), `posting:VALUE`
-    /// (inverted-index posting sets), plus `embedder` and `corpus-base`.
+    /// (inverted-index posting sets), plus `embedder`.
     ///
     /// Diffing the fingerprints of generations *g* and *g+1* shows exactly
     /// what a mutation cloned: every key the mutation didn't touch must map
@@ -1040,10 +1004,6 @@ impl<'a> SessionView<'a> {
         out.insert(
             "embedder".to_string(),
             Arc::as_ptr(&self.snap.embedder) as usize,
-        );
-        out.insert(
-            "corpus-base".to_string(),
-            Arc::as_ptr(self.snap.corpus.base_shared()) as usize,
         );
         self.snap
             .search
@@ -1077,19 +1037,8 @@ impl<'a> SessionView<'a> {
         &self.snap.shards
     }
 
-    /// The pinned generation's TF-IDF corpus.
-    pub(crate) fn corpus(&self) -> &TfIdfCorpus {
-        &self.snap.corpus
-    }
-
-    /// The pinned generation's column side, built on first use.
-    pub(crate) fn columns(&self) -> Arc<Vec<ColumnShard>> {
-        self.snap.columns(&self.session.aligner_encoder)
-    }
-
     /// [`LakeSession::stats`] at the pinned generation.
     pub fn stats(&self) -> SessionStats {
-        let columns = self.columns();
         SessionStats {
             tables: self.snap.lake.num_tables(),
             tuples: self
@@ -1098,7 +1047,7 @@ impl<'a> SessionView<'a> {
                 .iter()
                 .map(|s| s.tuple_store.num_live())
                 .sum(),
-            columns: columns.iter().map(|s| s.store.len()).sum(),
+            columns: self.snap.lake.tables().map(|t| t.num_columns()).sum(),
             shards: self.snap.shards.len(),
             shard_sizes: self
                 .snap
@@ -1118,11 +1067,6 @@ impl<'a> SessionView<'a> {
                 .iter()
                 .filter(|s| s.tuple_store.num_live() > 0)
                 .map(|s| s.tuple_store.dim())
-                .find(|&d| d > 0)
-                .unwrap_or(0),
-            column_dim: columns
-                .iter()
-                .map(|s| s.store.dim())
                 .find(|&d| d > 0)
                 .unwrap_or(0),
             build_secs: self.session.build_secs,
@@ -1238,26 +1182,22 @@ impl<'a> SessionView<'a> {
 
     /// [`LakeSession::similar_columns`] at the pinned generation.
     pub fn similar_columns(&self, probe: &Column, k: usize) -> Vec<RankedColumn> {
-        let columns = self.columns();
-        let probe_embedding = self
-            .session
-            .aligner_encoder
-            .embed_column(probe, &self.snap.corpus);
-        let mut results: Vec<RankedColumn> = Vec::new();
-        for shard in columns.iter() {
-            for i in 0..shard.store.len() {
-                let score = 1.0
-                    - shard
+        let encoder = &self.session.aligner_encoder;
+        let side = self.snap.columns(encoder);
+        let probe_embedding = encoder.embed_column(probe, &side.corpus);
+        let mut results: Vec<RankedColumn> = side
+            .refs
+            .iter()
+            .enumerate()
+            .map(|(i, (table, column))| RankedColumn {
+                table: table.clone(),
+                column: column.clone(),
+                score: 1.0
+                    - side
                         .store
-                        .distance_to_vector(Distance::Cosine, i, &probe_embedding);
-                let (table, column) = shard.refs[i].clone();
-                results.push(RankedColumn {
-                    table,
-                    column,
-                    score,
-                });
-            }
-        }
+                        .distance_to_vector(Distance::Cosine, i, &probe_embedding),
+            })
+            .collect();
         results.sort_by(|a, b| {
             desc_nan_last(a.score, b.score)
                 .then_with(|| a.table.cmp(&b.table))
@@ -1352,38 +1292,6 @@ fn build_tuple_shards(
         .collect()
 }
 
-/// Build the per-shard column stores from scratch under `corpus` — session
-/// construction and the lazy per-generation refresh share this single
-/// path, which is what makes a refreshed column side bit-identical to a
-/// fresh session's.
-fn build_column_shards(
-    lake: &DataLake,
-    num_shards: usize,
-    encoder: &ColumnEncoder,
-    corpus: &TfIdfCorpus,
-) -> Vec<ColumnShard> {
-    let mut shards: Vec<ColumnShard> = (0..num_shards)
-        .map(|_| ColumnShard {
-            store: EmbeddingStore::default(),
-            refs: Vec::new(),
-        })
-        .collect();
-    let mut embeddings: Vec<Vec<Vector>> = vec![Vec::new(); num_shards];
-    for table in lake.tables() {
-        let shard = shard_of(table.name(), num_shards);
-        for column in table.columns() {
-            embeddings[shard].push(encoder.embed_column(column, corpus));
-            shards[shard]
-                .refs
-                .push((table.name().to_string(), column.name().to_string()));
-        }
-    }
-    for (shard, vectors) in shards.iter_mut().zip(&embeddings) {
-        shard.store = EmbeddingStore::from_vectors(vectors);
-    }
-    shards
-}
-
 /// Stable shard assignment: FNV-1a over the table name. The std hasher is
 /// randomly seeded per process, which would scatter tables across shards
 /// differently on every restart — unusable for a multi-host layout.
@@ -1445,7 +1353,6 @@ mod tests {
         assert_eq!(stats.columns, expected_columns);
         assert_eq!(stats.shards, SessionOptions::default().num_shards);
         assert!(stats.tuple_dim > 0);
-        assert!(stats.column_dim > 0);
         assert!(stats.build_secs > 0.0);
         // provenance refs stay parallel to the stores
         for i in 0..session.num_shards() {
@@ -1456,10 +1363,39 @@ mod tests {
                 assert!(session.lake().table(table).unwrap().num_rows() > row);
             }
         }
-        let view = session.view();
-        for shard in view.columns().iter() {
-            assert_eq!(shard.store.len(), shard.refs.len());
-        }
+        let snap = session.snapshot();
+        let side = snap.columns(&session.aligner_encoder);
+        assert_eq!(side.store.len(), expected_columns);
+        assert_eq!(side.refs.len(), expected_columns);
+    }
+
+    #[test]
+    fn stats_and_save_never_build_the_column_side() {
+        let lake = tiny_lake();
+        let probe = lake.queries().next().unwrap().column(0).unwrap().clone();
+        let session = LakeSession::new(lake, PipelineConfig::fast());
+        let table = Table::builder("lazy_parks")
+            .column("Park Name", ["Kilo Park", "Lima Park"])
+            .column("Country", ["USA", "Canada"])
+            .build()
+            .unwrap();
+        session.add_table(table).unwrap();
+        let counted = session.stats().columns;
+        let dir = std::env::temp_dir().join(format!("dust-lazy-columns-{}", std::process::id()));
+        session.save(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert!(
+            session.snapshot().columns.get().is_none(),
+            "a stats probe or a checkpoint embedded the lake's columns"
+        );
+        // the first column read builds it, equal to a fresh session's
+        let fresh = LakeSession::new(session.lake().clone(), PipelineConfig::fast());
+        assert_eq!(fresh.stats().columns, counted);
+        assert_eq!(
+            session.similar_columns(&probe, 6),
+            fresh.similar_columns(&probe, 6)
+        );
+        assert!(session.snapshot().columns.get().is_some());
     }
 
     #[test]

@@ -20,10 +20,6 @@ pub struct CltDiversifier {
     /// Agglomerative engine (kept identical to DUST's for a fair
     /// comparison; `Auto` picks the expected-fastest valid engine).
     pub algorithm: AgglomerativeAlgorithm,
-    /// Build the full dendrogram instead of stopping at `k` clusters
-    /// (ablation/debug) — CLT only ever cuts at `k`, so the default capped
-    /// build selects identically.
-    pub full_dendrogram: bool,
 }
 
 impl CltDiversifier {
@@ -49,10 +45,9 @@ impl Diversifier for CltDiversifier {
         // One shared pairwise matrix drives both the clustering (which
         // mutates an internal working copy) and the medoid selection (which
         // reads the original). The dendrogram is only ever cut at `k`, so
-        // the build is k-capped there by default.
+        // the build is capped there.
         let matrix = input.pairwise();
-        let min_clusters = if self.full_dendrogram { 1 } else { k };
-        let dendrogram = agglomerative_with(matrix, self.linkage, self.algorithm, min_clusters);
+        let dendrogram = agglomerative_with(matrix, self.linkage, self.algorithm, k);
         let assignment = dendrogram.cut(k);
         let medoids = cluster_medoids_from_matrix(matrix, &assignment);
         sanitize_selection(medoids, n, k)
@@ -119,14 +114,16 @@ mod tests {
             })
             .collect();
         let input = DiversificationInput::new(&query, &candidates, Distance::Euclidean);
+        let clt = CltDiversifier::new();
+        let matrix = input.pairwise();
+        let full = agglomerative_with(matrix, clt.linkage, clt.algorithm, 1);
         for k in [2usize, 5, 10] {
-            let capped = CltDiversifier::new().select(&input, k);
-            let full = CltDiversifier {
-                full_dendrogram: true,
-                ..CltDiversifier::new()
-            }
-            .select(&input, k);
-            assert_eq!(capped, full, "k={k}");
+            let expected = sanitize_selection(
+                cluster_medoids_from_matrix(matrix, &full.cut(k)),
+                candidates.len(),
+                k,
+            );
+            assert_eq!(clt.select(&input, k), expected, "k={k}");
         }
     }
 

@@ -31,12 +31,6 @@ pub struct DustConfig {
     /// Agglomerative engine for the clustering step (`Auto` picks the
     /// expected-fastest valid engine for the linkage and input size).
     pub algorithm: AgglomerativeAlgorithm,
-    /// Build the full dendrogram instead of stopping at `k · p` clusters
-    /// (ablation/debug). DUST only ever cuts at `k · p`, so the default
-    /// k-capped build produces the identical selection — pinned by the
-    /// clustering equivalence suite and the `exp_clustering` bin — while
-    /// skipping the merges above the cut.
-    pub full_dendrogram: bool,
 }
 
 impl Default for DustConfig {
@@ -46,7 +40,6 @@ impl Default for DustConfig {
             prune_to: Some(2500),
             linkage: Linkage::Average,
             algorithm: AgglomerativeAlgorithm::Auto,
-            full_dendrogram: false,
         }
     }
 }
@@ -117,18 +110,14 @@ impl Diversifier for DustDiversifier {
                 &subset_matrix
             };
             // The dendrogram is only ever cut at `num_clusters`, so cap the
-            // build there — identical cut, fewer merges (and a compacting
-            // workspace at large kept counts).
-            let min_clusters = if self.config.full_dendrogram {
-                1
-            } else {
-                num_clusters
-            };
+            // build there — a cut identical to the full build's (pinned by
+            // the clustering equivalence suite), fewer merges, and a
+            // compacting workspace at large kept counts.
             let dendrogram = agglomerative_with(
                 matrix,
                 self.config.linkage,
                 self.config.algorithm,
-                min_clusters,
+                num_clusters,
             );
             let assignment = dendrogram.cut(num_clusters);
             cluster_medoids_from_matrix(matrix, &assignment)
@@ -258,35 +247,6 @@ mod tests {
         let selection = DustDiversifier::new().select(&input, 5);
         assert_eq!(selection, vec![0, 1]);
         assert!(DustDiversifier::new().select(&input, 0).is_empty());
-    }
-
-    #[test]
-    fn capped_and_full_dendrogram_builds_select_identically() {
-        // DUST only cuts at k·p, so the default k-capped clustering must
-        // select exactly what the full-dendrogram ablation selects.
-        let mut rng = StdRng::seed_from_u64(23);
-        let query: Vec<Vector> = (0..10)
-            .map(|_| v(rng.gen_range(-1.0..1.0), rng.gen_range(-1.0..1.0)))
-            .collect();
-        let candidates: Vec<Vector> = (0..600)
-            .map(|_| v(rng.gen_range(-30.0..30.0), rng.gen_range(-30.0..30.0)))
-            .collect();
-        let input = DiversificationInput::new(&query, &candidates, Distance::Euclidean);
-        for algorithm in [
-            dust_cluster::AgglomerativeAlgorithm::NnChain,
-            dust_cluster::AgglomerativeAlgorithm::Generic,
-        ] {
-            let select = |full_dendrogram: bool| {
-                DustDiversifier::with_config(DustConfig {
-                    prune_to: None,
-                    algorithm,
-                    full_dendrogram,
-                    ..DustConfig::default()
-                })
-                .select(&input, 25)
-            };
-            assert_eq!(select(false), select(true), "{algorithm:?}");
-        }
     }
 
     #[test]

@@ -244,10 +244,7 @@ impl ColumnEncoder {
     }
 
     /// The corpus "document" a column contributes to [`Self::build_corpus`]:
-    /// its non-null values concatenated and word-tokenized. Exposed so
-    /// incremental corpus maintenance (`TfIdfCorpus::add_document` /
-    /// `remove_document` per added/removed table) tokenizes exactly the way
-    /// the full build does — the two cannot drift.
+    /// its non-null values concatenated and word-tokenized.
     pub fn column_document_tokens(column: &Column) -> Vec<String> {
         let mut text = String::new();
         for v in column.values() {
@@ -265,10 +262,6 @@ impl ColumnEncoder {
         for col in columns {
             corpus.add_document(&Self::column_document_tokens(col));
         }
-        // One deliberate collapse after the bulk add loop: the first
-        // mutation applied to a clone of this corpus then shares the whole
-        // baseline by pointer instead of starting from a half-full overlay.
-        corpus.collapse();
         corpus
     }
 }

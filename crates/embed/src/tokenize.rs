@@ -54,21 +54,12 @@ pub fn term_frequencies(tokens: &[String]) -> HashMap<String, usize> {
 ///
 /// A "document" is whatever unit the caller chooses (a column, a tuple, a
 /// table); the paper uses columns when selecting representative tokens.
-///
-/// Internally the counts are two-level: a shared baseline map behind an
-/// `Arc` plus a small per-instance overlay of exact integer deltas (df `0`
-/// = token dropped). Cloning the corpus shares the baseline by pointer and
-/// copies only the overlay, so consecutive session snapshots share the bulk
-/// of the vocabulary; when the overlay outgrows half the baseline it is
-/// collapsed into a new baseline (amortized O(1) per mutation). The split
-/// is invisible from outside: [`Self::idf`] stays a pure function of the
-/// merged integer counts and [`Self::document_frequencies`] exports the
-/// merged view, bit-identical to a corpus built fresh.
+/// Documents are only ever added: every user builds a corpus over a fixed
+/// document set, then reads it.
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfCorpus {
     documents: usize,
-    base: std::sync::Arc<HashMap<String, usize>>,
-    overlay: HashMap<String, usize>,
+    df: HashMap<String, usize>,
 }
 
 impl TfIdfCorpus {
@@ -77,96 +68,15 @@ impl TfIdfCorpus {
         Self::default()
     }
 
-    /// The merged document frequency of one token (0 = not in the corpus).
-    fn df(&self, token: &str) -> usize {
-        match self.overlay.get(token) {
-            Some(&df) => df,
-            None => self.base.get(token).copied().unwrap_or(0),
-        }
-    }
-
-    /// Fold the overlay into a fresh baseline once it stops being "small".
-    /// The threshold doubles the baseline geometrically, so a long mutation
-    /// stream pays amortized O(1) per touched token while clones taken
-    /// between collapses share the entire baseline by pointer.
-    fn maybe_collapse(&mut self) {
-        if self.overlay.len() < 64 || self.overlay.len() <= self.base.len() / 2 {
-            return;
-        }
-        self.collapse();
-    }
-
-    /// Fold the overlay into the baseline unconditionally, leaving the
-    /// overlay empty. Bulk builders call this once after their add loop so
-    /// that the *next* small mutation shares the entire baseline by
-    /// pointer; observable state (exports, `idf`) is unchanged.
-    pub fn collapse(&mut self) {
-        if self.overlay.is_empty() {
-            return;
-        }
-        let mut merged = (*self.base).clone();
-        for (t, df) in self.overlay.drain() {
-            if df == 0 {
-                merged.remove(&t);
-            } else {
-                merged.insert(t, df);
-            }
-        }
-        self.base = std::sync::Arc::new(merged);
-    }
-
-    /// The shared baseline handle, for sharing diagnostics: clones taken
-    /// between overlay collapses are `Arc::ptr_eq` on it.
-    pub fn base_shared(&self) -> &std::sync::Arc<HashMap<String, usize>> {
-        &self.base
-    }
-
     /// Add one document's tokens to the corpus statistics.
     pub fn add_document(&mut self, tokens: &[String]) {
         self.documents += 1;
         let mut seen = std::collections::HashSet::new();
         for t in tokens {
             if seen.insert(t) {
-                self.overlay.insert(t.clone(), self.df(t) + 1);
+                *self.df.entry(t.clone()).or_insert(0) += 1;
             }
         }
-        self.maybe_collapse();
-    }
-
-    /// Remove one previously-added document's tokens from the corpus
-    /// statistics — the exact inverse of [`Self::add_document`].
-    ///
-    /// Document frequencies are integer counts, so the subtraction is
-    /// *exact* (no floating-point drift is possible; this is what lets a
-    /// mutated corpus stay bit-identical to one rebuilt from scratch —
-    /// [`Self::idf`] is a pure function of the integer counts). Entries
-    /// that reach zero are dropped so the corpus is structurally equal to
-    /// a fresh build over the surviving documents. Panics if the tokens
-    /// were never added — removal must mirror a prior add exactly.
-    pub fn remove_document(&mut self, tokens: &[String]) {
-        assert!(
-            self.documents > 0,
-            "remove_document on an empty corpus (document was never added)"
-        );
-        self.documents -= 1;
-        let mut seen = std::collections::HashSet::new();
-        for t in tokens {
-            if !seen.insert(t) {
-                continue;
-            }
-            let df = self.df(t);
-            if df == 0 {
-                panic!("removing token {t:?} that was never added");
-            }
-            if df == 1 && !self.base.contains_key(t.as_str()) {
-                // Never in the baseline: dropping the overlay entry is the
-                // same as a 0-tombstone, without growing the overlay.
-                self.overlay.remove(t);
-            } else {
-                self.overlay.insert(t.clone(), df - 1);
-            }
-        }
-        self.maybe_collapse();
     }
 
     /// Number of documents added.
@@ -174,36 +84,9 @@ impl TfIdfCorpus {
         self.documents
     }
 
-    /// Export the corpus statistics as `(token, document-frequency)` pairs
-    /// in sorted token order (deterministic — suitable for checksummed
-    /// snapshots). Together with [`Self::num_documents`] this is the whole
-    /// corpus state: [`Self::idf`] is a pure function of these integers.
-    pub fn document_frequencies(&self) -> Vec<(String, usize)> {
-        let mut entries: Vec<(String, usize)> = self
-            .base
-            .iter()
-            .filter(|(t, _)| !self.overlay.contains_key(t.as_str()))
-            .chain(self.overlay.iter().filter(|(_, &df)| df > 0))
-            .map(|(t, &df)| (t.clone(), df))
-            .collect();
-        entries.sort_unstable();
-        entries
-    }
-
-    /// Reassemble a corpus from exported statistics — the exact inverse of
-    /// [`Self::document_frequencies`]. Integer counts round-trip exactly,
-    /// so every `idf` of the restored corpus is bit-identical.
-    pub fn from_document_frequencies(documents: usize, entries: Vec<(String, usize)>) -> Self {
-        TfIdfCorpus {
-            documents,
-            base: std::sync::Arc::new(entries.into_iter().collect()),
-            overlay: HashMap::new(),
-        }
-    }
-
     /// Smoothed inverse document frequency of a token.
     pub fn idf(&self, token: &str) -> f64 {
-        let df = self.df(token);
+        let df = self.df.get(token).copied().unwrap_or(0);
         (((self.documents + 1) as f64) / ((df + 1) as f64)).ln() + 1.0
     }
 
@@ -295,97 +178,6 @@ mod tests {
         corpus.add_document(&rare);
         assert!(corpus.idf("chippewa") > corpus.idf("usa"));
         assert_eq!(corpus.num_documents(), 11);
-    }
-
-    #[test]
-    fn remove_document_is_the_exact_inverse_of_add() {
-        // add A, B, C then remove B: every idf must be bit-identical to a
-        // corpus that only ever saw A and C
-        let a = word_tokens("river park usa");
-        let b = word_tokens("hyde park uk uk");
-        let c = word_tokens("chippewa park usa");
-        let mut mutated = TfIdfCorpus::new();
-        mutated.add_document(&a);
-        mutated.add_document(&b);
-        mutated.add_document(&c);
-        mutated.remove_document(&b);
-        let mut fresh = TfIdfCorpus::new();
-        fresh.add_document(&a);
-        fresh.add_document(&c);
-        assert_eq!(mutated.num_documents(), fresh.num_documents());
-        for token in ["river", "park", "usa", "uk", "hyde", "chippewa", "absent"] {
-            assert_eq!(
-                mutated.idf(token).to_bits(),
-                fresh.idf(token).to_bits(),
-                "idf({token}) drifted after remove"
-            );
-        }
-        // removing the rest returns to the pristine empty corpus
-        mutated.remove_document(&a);
-        mutated.remove_document(&c);
-        assert_eq!(mutated.num_documents(), 0);
-        assert_eq!(
-            mutated.idf("park").to_bits(),
-            TfIdfCorpus::new().idf("park").to_bits()
-        );
-    }
-
-    #[test]
-    fn overlay_is_invisible_and_clones_share_the_baseline() {
-        // Drive enough distinct tokens through add/remove to cross the
-        // overlay-collapse threshold repeatedly; exports and idf must stay
-        // bit-identical to a corpus built fresh over the surviving docs.
-        let docs: Vec<Vec<String>> = (0..200)
-            .map(|i| word_tokens(&format!("common tok{} tok{}", i, i + 1)))
-            .collect();
-        let mut mutated = TfIdfCorpus::new();
-        for d in &docs {
-            mutated.add_document(d);
-        }
-        for d in docs.iter().skip(100) {
-            mutated.remove_document(d);
-        }
-        let mut fresh = TfIdfCorpus::new();
-        for d in docs.iter().take(100) {
-            fresh.add_document(d);
-        }
-        assert_eq!(mutated.document_frequencies(), fresh.document_frequencies());
-        for token in ["common", "tok0", "tok100", "tok199", "absent"] {
-            assert_eq!(mutated.idf(token).to_bits(), fresh.idf(token).to_bits());
-        }
-        // A clone mutated by one small document keeps sharing the baseline
-        // by pointer — only the overlay diverges.
-        let mut clone = mutated.clone();
-        clone.add_document(&word_tokens("common brand_new"));
-        assert!(std::sync::Arc::ptr_eq(
-            mutated.base_shared(),
-            clone.base_shared()
-        ));
-        assert_ne!(
-            mutated.idf("brand_new").to_bits(),
-            clone.idf("brand_new").to_bits()
-        );
-        // Round-trip through the exported form erases the split entirely.
-        let restored = TfIdfCorpus::from_document_frequencies(
-            clone.num_documents(),
-            clone.document_frequencies(),
-        );
-        assert_eq!(
-            restored.document_frequencies(),
-            clone.document_frequencies()
-        );
-        assert_eq!(
-            restored.idf("common").to_bits(),
-            clone.idf("common").to_bits()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "never added")]
-    fn remove_unknown_document_panics() {
-        let mut corpus = TfIdfCorpus::new();
-        corpus.add_document(&word_tokens("river park"));
-        corpus.remove_document(&word_tokens("something else"));
     }
 
     #[test]

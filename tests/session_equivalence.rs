@@ -7,8 +7,7 @@
 //!   identical `DustResult` including tuple order, retrieved tables,
 //!   alignment, and bit-identical diversity scores;
 //! * `LakeSession::query_batch` ≡ sequential `LakeSession::query`, result
-//!   `i` for query `i`;
-//! * a `DustPipeline::with_session` pipeline ≡ the session it wraps.
+//!   `i` for query `i`.
 
 use dust_core::{DustPipeline, DustResult, LakeSession, PipelineConfig, SearchTechnique};
 use dust_datagen::BenchmarkConfig;
@@ -149,20 +148,5 @@ fn query_batch_matches_sequential_queries() {
             &sequential,
             &format!("batch slot {i}"),
         );
-    }
-}
-
-#[test]
-fn session_backed_pipeline_delegates_to_its_session() {
-    let lake = tiny_lake();
-    let qs = queries(&lake, 2);
-    let session = std::sync::Arc::new(LakeSession::new(lake.clone(), PipelineConfig::fast()));
-    let pipeline = DustPipeline::with_session(session.clone());
-    assert!(pipeline.session().is_some());
-    assert_eq!(pipeline.config(), session.config());
-    for query in &qs {
-        let via_pipeline = pipeline.run(&lake, query, 5).unwrap();
-        let via_session = session.query(query, 5).unwrap();
-        assert_same_result(&via_pipeline, &via_session, "session-backed pipeline");
     }
 }

@@ -132,10 +132,6 @@ fn assert_session_matches_rebuild(mutated: &LakeSession, probes: &[Table], conte
         "{context}: shard occupancy differs"
     );
     assert_eq!(ms.tuple_dim, fs.tuple_dim, "{context}: tuple dim differs");
-    assert_eq!(
-        ms.column_dim, fs.column_dim,
-        "{context}: column dim differs"
-    );
 
     for (qi, probe) in probes.iter().enumerate() {
         // Algorithm 1, end to end

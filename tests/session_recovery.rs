@@ -99,6 +99,25 @@ fn apply_logged(session: &LakeSession, store: &mut SnapshotStore, table: &Table)
     }
 }
 
+/// A fine-tuned configuration small enough to train in a test.
+fn tiny_fine_tuned_config() -> PipelineConfig {
+    PipelineConfig {
+        embedder: dust_core::TupleEmbedderKind::FineTuned {
+            backbone: PretrainedModel::Bert,
+            config: FineTuneConfig {
+                hidden_dim: 16,
+                output_dim: 8,
+                max_epochs: 2,
+                patience: 1,
+                ..FineTuneConfig::default()
+            },
+            training_pairs: 40,
+        },
+        tables_per_query: 5,
+        ..PipelineConfig::default()
+    }
+}
+
 fn probes(lake: &DataLake, n: usize) -> Vec<Table> {
     lake.query_names()
         .iter()
@@ -244,22 +263,7 @@ proptest! {
         ops in prop::collection::vec(0usize..12, 0..3),
     ) {
         let tmp = TempDir::new("finetune");
-        let config = PipelineConfig {
-            embedder: dust_core::TupleEmbedderKind::FineTuned {
-                backbone: PretrainedModel::Bert,
-                config: FineTuneConfig {
-                    hidden_dim: 16,
-                    output_dim: 8,
-                    max_epochs: 2,
-                    patience: 1,
-                    ..FineTuneConfig::default()
-                },
-                training_pairs: 40,
-            },
-            tables_per_query: 5,
-            ..PipelineConfig::default()
-        };
-        let session = LakeSession::new(tiny_lake(), config);
+        let session = LakeSession::new(tiny_lake(), tiny_fine_tuned_config());
         let pool = table_pool(&session.lake());
         let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
         for &op in &ops {
@@ -418,7 +422,7 @@ fn missing_segment_is_typed_and_distinct_from_empty_dir() {
     let tmp = TempDir::new("missing");
     let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
     session.save(&tmp.0).unwrap();
-    let victim = tmp.0.join("seg-1-columns.bin");
+    let victim = tmp.0.join("seg-1-search.bin");
     std::fs::remove_file(&victim).unwrap();
     match SnapshotStore::open(&tmp.0) {
         Err(PersistError::Io { path, .. }) => assert_eq!(path, victim),
@@ -429,6 +433,83 @@ fn missing_segment_is_typed_and_distinct_from_empty_dir() {
     match SnapshotStore::open(&empty.0) {
         Err(PersistError::NoSnapshot { dir }) => assert_eq!(dir, empty.0),
         other => panic!("expected NoSnapshot, got {:?}", other.err()),
+    }
+}
+
+fn file_names(dir: &std::path::Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    names
+}
+
+/// The durable set is exactly lake + tuple shards + search structures
+/// (+ the model iff one was trained) + WAL: nothing the served paths never
+/// read — in particular no `columns` segment — reaches the disk.
+#[test]
+fn a_fresh_snapshot_directory_holds_exactly_the_served_segments() {
+    for (config, has_model) in [
+        (PipelineConfig::fast(), false),
+        (tiny_fine_tuned_config(), true),
+    ] {
+        let tmp = TempDir::new("file-set");
+        let session = LakeSession::with_options(
+            tiny_lake(),
+            config,
+            SessionOptions {
+                num_shards: 3,
+                ..SessionOptions::default()
+            },
+        );
+        session.save(&tmp.0).unwrap();
+        let mut expected: Vec<String> = [
+            "MANIFEST",
+            "seg-1-lake.bin",
+            "seg-1-search.bin",
+            "seg-1-shard-0.bin",
+            "seg-1-shard-1.bin",
+            "seg-1-shard-2.bin",
+            "wal-1.log",
+        ]
+        .map(String::from)
+        .to_vec();
+        if has_model {
+            expected.push("seg-1-model.bin".to_string());
+            expected.sort();
+        }
+        assert_eq!(file_names(&tmp.0), expected, "model segment: {has_model}");
+    }
+}
+
+/// A directory written under format version 1 (which carried a `columns`
+/// segment) is refused with the typed version error — the caller's cue to
+/// rebuild from the lake — never decoded on a guess, never a panic.
+#[test]
+fn a_format_version_1_directory_is_a_typed_unsupported_version() {
+    let tmp = TempDir::new("v1");
+    let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
+    session.save(&tmp.0).unwrap();
+    // every file shares one frame: 8 magic bytes, then the version as a
+    // little-endian u32 (validated before anything after it is read)
+    for name in file_names(&tmp.0) {
+        let path = tmp.0.join(name);
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+    }
+    match SnapshotStore::open(&tmp.0) {
+        Err(
+            e @ PersistError::UnsupportedVersion {
+                found: 1,
+                expected: 2,
+                ..
+            },
+        ) => {
+            assert_eq!(e.kind(), "unsupported_version")
+        }
+        other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
     }
 }
 

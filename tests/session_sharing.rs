@@ -8,8 +8,8 @@
 //! O(1 table + 1 shard) — the lake's untouched `Arc<Table>` entries, every
 //! non-owning shard, every untouched per-table search-store entry (all
 //! three techniques), every posting set for values the table doesn't
-//! contain, the embedder, and the TF-IDF baseline are all the *same
-//! allocations* in both snapshots. And a **failed** mutation publishes
+//! contain, and the embedder are all the *same allocations* in both
+//! snapshots. And a **failed** mutation publishes
 //! nothing at all: the root snapshot pointer itself is unchanged.
 
 use dust_core::{LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
@@ -102,8 +102,8 @@ fn add_table_shares_every_untouched_component_across_techniques() {
 
         // Everything the add didn't touch is the same allocation: untouched
         // lake tables, non-owning shards, untouched per-table search
-        // entries, postings of values the table doesn't contain, the
-        // embedder, and the TF-IDF baseline.
+        // entries, postings of values the table doesn't contain, and the
+        // embedder.
         assert_shared(
             &before,
             &after,
