@@ -15,7 +15,7 @@ use dust_bench::report::Report;
 use dust_bench::setup::{scale, Scale};
 use dust_core::{DustPipeline, PipelineConfig, RetrievalSystem, TupleRetrievalBaseline};
 use dust_datagen::{generate_imdb, ImdbConfig};
-use dust_table::{Table, Tuple, Value};
+use dust_table::{Tuple, ValueSet};
 use std::collections::HashSet;
 
 fn main() {
@@ -62,17 +62,17 @@ fn main() {
             "Figure 8: new distinct values added to query column '{column}'"
         ))
         .headers(["k", "D3L", "D3L-D", "Starmie", "Starmie-D", "DUST"]);
-        let existing = query_values(&query, column);
+        let existing = query.column_by_name(column).map(|c| c.value_set());
         for &k in &k_values {
             let mut cells = vec![k.to_string()];
             for baseline in &baselines {
                 let tuples = baseline.top_k(&study.lake, &query, k);
-                cells.push(novel_values(&tuples, column, &existing).to_string());
+                cells.push(novel_values(&tuples, column, existing).to_string());
             }
             let dust_result = pipeline
                 .run(&study.lake, &query, k)
                 .expect("pipeline runs on the case study");
-            cells.push(novel_values(&dust_result.tuples, column, &existing).to_string());
+            cells.push(novel_values(&dust_result.tuples, column, existing).to_string());
             report.row(cells);
         }
         report.note("paper: DUST adds ~25% more unique movie titles than Starmie-D; D3L and Starmie overlap heavily");
@@ -80,25 +80,11 @@ fn main() {
     }
 }
 
-fn query_values(query: &Table, column: &str) -> HashSet<String> {
-    query
-        .column_by_name(column)
-        .map(|c| c.normalized_value_set())
-        .unwrap_or_default()
-}
-
-fn novel_values(tuples: &[Tuple], column: &str, existing: &HashSet<String>) -> usize {
-    let mut novel: HashSet<String> = HashSet::new();
-    for tuple in tuples {
-        if let Some(value) = tuple.value_for(column) {
-            if let Value::Null = value {
-                continue;
-            }
-            let rendered = value.render().trim().to_ascii_lowercase();
-            if !rendered.is_empty() && !existing.contains(&rendered) {
-                novel.insert(rendered);
-            }
-        }
-    }
+fn novel_values(tuples: &[Tuple], column: &str, existing: Option<&ValueSet>) -> usize {
+    let novel: HashSet<String> = tuples
+        .iter()
+        .filter_map(|tuple| tuple.value_for(column)?.normalized())
+        .filter(|value| !existing.is_some_and(|e| e.contains(value)))
+        .collect();
     novel.len()
 }

@@ -171,9 +171,9 @@ mod tests {
         assert_eq!(derived.name(), "schools_1");
         // every derived row exists in the base subject column (modulo projection)
         if let Some(subject) = derived.column_by_name("School Name") {
-            let base_values = base.column(0).unwrap().normalized_value_set();
-            for v in subject.normalized_value_set() {
-                assert!(base_values.contains(&v));
+            let base_values = base.column(0).unwrap().value_set();
+            for v in subject.value_set().iter() {
+                assert!(base_values.contains(v));
             }
         }
     }

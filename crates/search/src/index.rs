@@ -6,7 +6,7 @@
 //! containing them and returns candidate tables ordered by the number of
 //! overlapping distinct values.
 
-use dust_table::{DataLake, Table, TableId};
+use dust_table::{DataLake, Table, TableId, Value};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -41,8 +41,8 @@ impl InvertedValueIndex {
     pub fn add_table(&mut self, table: &Table) {
         self.indexed_tables += 1;
         for column in table.columns() {
-            for value in column.normalized_value_set() {
-                match self.postings.get_mut(value.as_str()) {
+            for value in column.value_set().iter() {
+                match self.postings.get_mut(value) {
                     Some(tables) => {
                         Arc::make_mut(tables).insert(table.name().to_string());
                     }
@@ -72,15 +72,15 @@ impl InvertedValueIndex {
         );
         self.indexed_tables -= 1;
         for column in table.columns() {
-            for value in column.normalized_value_set() {
-                if let Some(tables) = self.postings.get_mut(value.as_str()) {
+            for value in column.value_set().iter() {
+                if let Some(tables) = self.postings.get_mut(value) {
                     if !tables.contains(table.name()) {
                         continue;
                     }
                     let tables = Arc::make_mut(tables);
                     tables.remove(table.name());
                     if tables.is_empty() {
-                        self.postings.remove(value.as_str());
+                        self.postings.remove(value);
                     }
                 }
             }
@@ -135,10 +135,9 @@ impl InvertedValueIndex {
 
     /// Tables containing a (normalized) value.
     pub fn tables_with_value(&self, value: &str) -> Vec<TableId> {
-        let key = value.trim().to_ascii_lowercase();
-        let mut out: Vec<TableId> = self
-            .postings
-            .get(key.as_str())
+        let mut out: Vec<TableId> = Value::text(value)
+            .normalized()
+            .and_then(|key| self.postings.get(key.as_str()))
             .map(|s| s.iter().cloned().collect())
             .unwrap_or_default();
         out.sort();
@@ -149,22 +148,28 @@ impl InvertedValueIndex {
     /// shared distinct values (ties broken by name). Tables sharing no value
     /// with the query are omitted.
     pub fn candidates(&self, query: &Table, limit: usize) -> Vec<(TableId, usize)> {
-        let mut counts: HashMap<TableId, usize> = HashMap::new();
-        let mut query_values: HashSet<String> = HashSet::new();
-        for column in query.columns() {
-            query_values.extend(column.normalized_value_set());
-        }
-        for value in &query_values {
-            if let Some(tables) = self.postings.get(value.as_str()) {
-                for t in tables.iter() {
-                    *counts.entry(t.clone()).or_insert(0) += 1;
+        // Counted against borrowed keys (the query's cached sets, the
+        // postings' table names); only the `limit` survivors are cloned.
+        let query_values: HashSet<&str> = query
+            .columns()
+            .iter()
+            .flat_map(|column| column.value_set().iter())
+            .collect();
+        let mut counts: HashMap<&str, usize> = HashMap::new();
+        for value in query_values {
+            if let Some(tables) = self.postings.get(value) {
+                for table in tables.iter() {
+                    *counts.entry(table.as_str()).or_insert(0) += 1;
                 }
             }
         }
-        let mut ranked: Vec<(TableId, usize)> = counts.into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut ranked: Vec<(&str, usize)> = counts.into_iter().collect();
+        ranked.sort_unstable_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(b.0)));
         ranked.truncate(limit);
         ranked
+            .into_iter()
+            .map(|(table, shared)| (table.to_string(), shared))
+            .collect()
     }
 }
 

@@ -15,6 +15,11 @@
 //! * [`signals`] — individual column-pair unionability signals;
 //! * [`index`] — an inverted value index for candidate pruning;
 //! * [`metrics`] — MAP / precision@k / recall@k over search results.
+//!
+//! Every value-overlap computation here (the overlap score, D3L's
+//! value-overlap signal, the index's keys) reads
+//! [`dust_table::Column::value_set`], the per-column cached set; nothing in
+//! this crate normalises a cell.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

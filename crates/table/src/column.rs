@@ -2,7 +2,9 @@
 
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 use std::collections::HashSet;
+use std::sync::OnceLock;
 
 /// Inferred type of a column, used by the alignment and search substrates to
 /// treat numeric and textual columns differently (the paper notes that
@@ -20,11 +22,111 @@ pub enum ColumnType {
     AllNull,
 }
 
+/// The distinct [normalised](Value::normalized) values of one column,
+/// sorted, packed into one arena plus end offsets (no allocation per value).
+/// Value-overlap signals are merges over two of these; index keys are read
+/// from them.
+#[derive(Debug, Clone, Default)]
+pub struct ValueSet {
+    arena: Box<str>,
+    ends: Box<[usize]>,
+}
+
+impl ValueSet {
+    fn of(values: &[Value]) -> Self {
+        let mut distinct: Vec<String> = values.iter().filter_map(Value::normalized).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut arena = String::with_capacity(distinct.iter().map(String::len).sum());
+        let ends = distinct
+            .iter()
+            .map(|value| {
+                arena.push_str(value);
+                arena.len()
+            })
+            .collect();
+        ValueSet {
+            arena: arena.into_boxed_str(),
+            ends,
+        }
+    }
+
+    /// Number of distinct values.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether the column has no non-null, non-blank value.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The values in ascending byte order.
+    pub fn iter(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.ends.iter().map(move |&end| {
+            let value = &self.arena[start..end];
+            start = end;
+            value
+        })
+    }
+
+    /// Whether an already-normalised value is in the set.
+    pub fn contains(&self, normalized: &str) -> bool {
+        let start = |i: usize| if i == 0 { 0 } else { self.ends[i - 1] };
+        let (mut lo, mut hi) = (0, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.arena[start(mid)..self.ends[mid]].cmp(normalized) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return true,
+            }
+        }
+        false
+    }
+
+    /// |self ∩ other| by one merge pass over the two sorted sets.
+    pub fn intersection_len(&self, other: &ValueSet) -> usize {
+        let (mut left, mut right) = (self.iter(), other.iter());
+        let (mut l, mut r) = (left.next(), right.next());
+        let mut shared = 0;
+        while let (Some(a), Some(b)) = (l, r) {
+            match a.cmp(b) {
+                Ordering::Less => l = left.next(),
+                Ordering::Greater => r = right.next(),
+                Ordering::Equal => {
+                    shared += 1;
+                    l = left.next();
+                    r = right.next();
+                }
+            }
+        }
+        shared
+    }
+
+    /// Address of the packed values: equal across two reads exactly when the
+    /// set was not rebuilt in between (sharing diagnostics).
+    pub fn as_ptr(&self) -> *const u8 {
+        self.arena.as_ptr()
+    }
+}
+
 /// A named column of values.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Column {
     name: String,
     values: Vec<Value>,
+    /// Derived from `values` on first read and dropped by every mutator;
+    /// never compared, never persisted.
+    #[serde(skip)]
+    value_set: OnceLock<ValueSet>,
+}
+
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.values == other.values
+    }
 }
 
 impl Column {
@@ -33,6 +135,7 @@ impl Column {
         Column {
             name: name.into(),
             values,
+            value_set: OnceLock::new(),
         }
     }
 
@@ -64,6 +167,7 @@ impl Column {
 
     /// Mutable access to values.
     pub fn values_mut(&mut self) -> &mut Vec<Value> {
+        self.value_set.take();
         &mut self.values
     }
 
@@ -84,6 +188,7 @@ impl Column {
 
     /// Append a value.
     pub fn push(&mut self, value: Value) {
+        self.value_set.take();
         self.values.push(value);
     }
 
@@ -146,27 +251,19 @@ impl Column {
         self.distinct_values().len()
     }
 
-    /// Set of distinct, lower-cased textual renderings of non-null values.
-    ///
-    /// This is the representation used by value-overlap unionability signals
-    /// (Jaccard over normalised value sets), matching the TUS / D3L setup.
-    pub fn normalized_value_set(&self) -> HashSet<String> {
-        self.values
-            .iter()
-            .filter(|v| !v.is_null())
-            .map(|v| v.render().trim().to_ascii_lowercase())
-            .filter(|s| !s.is_empty())
-            .collect()
+    /// The column's distinct normalised values — the representation every
+    /// value-overlap unionability signal compares (Jaccard over normalised
+    /// value sets, matching the TUS / D3L setup). Built on first read and
+    /// kept until the values change, so a lake column is normalised once
+    /// for as long as its table lives.
+    pub fn value_set(&self) -> &ValueSet {
+        self.value_set.get_or_init(|| ValueSet::of(&self.values))
     }
 
     /// Jaccard similarity between the normalised value sets of two columns.
     pub fn jaccard(&self, other: &Column) -> f64 {
-        let a = self.normalized_value_set();
-        let b = other.normalized_value_set();
-        if a.is_empty() && b.is_empty() {
-            return 0.0;
-        }
-        let inter = a.intersection(&b).count();
+        let (a, b) = (self.value_set(), other.value_set());
+        let inter = a.intersection_len(b);
         let union = a.len() + b.len() - inter;
         if union == 0 {
             0.0
@@ -178,13 +275,11 @@ impl Column {
     /// Containment of `self`'s value set in `other`'s value set
     /// (|A ∩ B| / |A|), a standard joinability/unionability signal.
     pub fn containment_in(&self, other: &Column) -> f64 {
-        let a = self.normalized_value_set();
+        let a = self.value_set();
         if a.is_empty() {
             return 0.0;
         }
-        let b = other.normalized_value_set();
-        let inter = a.intersection(&b).count();
-        inter as f64 / a.len() as f64
+        a.intersection_len(other.value_set()) as f64 / a.len() as f64
     }
 
     /// Keep only the rows at the given indices (in the given order).
@@ -243,10 +338,10 @@ mod tests {
     fn distinct_and_normalized_values() {
         let col = text_col("c", &["USA", "usa", "UK", "USA"]);
         assert_eq!(col.distinct_count(), 3); // case-sensitive distinct values
-        let norm = col.normalized_value_set();
+        let norm = col.value_set();
         assert_eq!(norm.len(), 2); // normalised to lowercase
-        assert!(norm.contains("usa"));
-        assert!(norm.contains("uk"));
+        assert_eq!(norm.iter().collect::<Vec<_>>(), ["uk", "usa"]);
+        assert!(norm.contains("usa") && norm.contains("uk") && !norm.contains("USA"));
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub mod table;
 pub mod tuple;
 pub mod value;
 
-pub use column::{Column, ColumnType};
+pub use column::{Column, ColumnType, ValueSet};
 pub use csv::{parse_csv, write_csv, CsvOptions};
 pub use error::TableError;
 pub use lake::{DataLake, GroundTruth, TableId};

@@ -238,10 +238,11 @@ impl Table {
             .expect("dedup preserves at least the schema")
     }
 
-    /// Count distinct non-null rendered values in a named column.
+    /// Count the distinct normalised (trimmed, case-folded) non-null values
+    /// of a named column; 0 when there is no such column.
     pub fn distinct_in_column(&self, name: &str) -> usize {
         self.column_by_name(name)
-            .map(|c| c.normalized_value_set().len())
+            .map(|c| c.value_set().len())
             .unwrap_or(0)
     }
 }

@@ -80,6 +80,15 @@ impl Value {
         }
     }
 
+    /// The form every value-overlap signal compares (TUS / D3L setup):
+    /// rendered, trimmed, ASCII-lower-cased. `None` for nulls and blanks.
+    /// The workspace's only normaliser — [`crate::ValueSet`] and the
+    /// inverted index key on it, so they can never disagree.
+    pub fn normalized(&self) -> Option<String> {
+        let normalized = self.render().trim().to_ascii_lowercase();
+        (!normalized.is_empty()).then_some(normalized)
+    }
+
     /// Parse a raw string into the most specific value type.
     ///
     /// Empty strings and a small set of conventional null markers become

@@ -1,8 +1,10 @@
 //! Property-based tests for the table substrate: CSV round-trips, value
-//! parsing totality, tuple permutation invariants, and outer-append shape.
+//! parsing totality, tuple permutation invariants, outer-append shape, and
+//! the cached value sets against a per-call `HashSet` oracle.
 
-use dust_table::{parse_csv, write_csv, CsvOptions, Table, Tuple, Value};
+use dust_table::{parse_csv, write_csv, Column, CsvOptions, Table, Tuple, Value};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Cell strategy: printable text without exotic control characters, or
 /// numeric-looking strings, or empties.
@@ -14,8 +16,162 @@ fn cell() -> impl Strategy<Value = String> {
     ]
 }
 
+/// Values from a tiny alphabet, so two columns overlap and collide after
+/// normalisation: mixed case, stray whitespace, blanks, every typed
+/// rendering, nulls.
+fn overlap_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        "[abAB ]{0,3}".prop_map(Value::text),
+        (-3i64..4).prop_map(Value::Int),
+        (-3i64..4).prop_map(|v| Value::Float(v as f64 / 2.0)),
+        (0u8..2).prop_map(|b| Value::Bool(b == 1)),
+        Just(Value::Null),
+    ]
+}
+
+fn overlap_values() -> impl Strategy<Value = Vec<Value>> {
+    prop::collection::vec(overlap_value(), 0..14)
+}
+
+/// The reference the cached sets must equal: what every `jaccard` call used
+/// to build, restated here on purpose rather than shared with the code
+/// under test.
+fn oracle_set(values: &[Value]) -> HashSet<String> {
+    let mut set = HashSet::new();
+    for value in values.iter().filter(|v| !v.is_null()) {
+        let rendered = value.render();
+        let folded = rendered.trim().to_ascii_lowercase();
+        if !folded.is_empty() {
+            set.insert(folded);
+        }
+    }
+    set
+}
+
+fn oracle_jaccard(a: &[Value], b: &[Value]) -> f64 {
+    let (a, b) = (oracle_set(a), oracle_set(b));
+    let inter = a.intersection(&b).count();
+    let union = a.len() + b.len() - inter;
+    if union == 0 {
+        0.0
+    } else {
+        inter as f64 / union as f64
+    }
+}
+
+fn oracle_containment(a: &[Value], b: &[Value]) -> f64 {
+    let (a, b) = (oracle_set(a), oracle_set(b));
+    if a.is_empty() {
+        0.0
+    } else {
+        a.intersection(&b).count() as f64 / a.len() as f64
+    }
+}
+
+/// The column's cached set holds exactly the oracle's values, ascending.
+fn assert_set_of(column: &Column, values: &[Value]) {
+    let mut expected: Vec<String> = oracle_set(values).into_iter().collect();
+    expected.sort_unstable();
+    let set = column.value_set();
+    assert_eq!(set.iter().collect::<Vec<_>>(), expected);
+    assert_eq!(
+        (set.len(), set.is_empty()),
+        (expected.len(), expected.is_empty())
+    );
+    assert!(expected.iter().all(|v| set.contains(v)));
+    assert!(!set.contains("never generated"));
+}
+
+#[test]
+fn empty_and_all_null_columns_have_empty_sets_and_zero_scores() {
+    let empty = Column::new("e", vec![]);
+    let nulls = Column::new("n", vec![Value::Null, Value::text("  "), Value::Null]);
+    let some = Column::from_strings("s", ["x", "Y"]);
+    for blank in [&empty, &nulls] {
+        assert_set_of(blank, &[]);
+        for (a, b) in [(blank, &some), (&some, blank), (blank, blank)] {
+            assert_eq!(a.jaccard(b).to_bits(), 0f64.to_bits());
+            assert_eq!(a.containment_in(b).to_bits(), 0f64.to_bits());
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The sorted-merge `jaccard` / `containment_in` over cached sets equal
+    /// the per-call `HashSet` oracle to the last bit, from either side, on a
+    /// clone taken before or after the cache was filled, and read twice.
+    #[test]
+    fn merge_scores_equal_the_hashset_oracle(a in overlap_values(), b in overlap_values()) {
+        let (ca, cb) = (Column::new("a", a.clone()), Column::new("b", b.clone()));
+        let cold_clone = ca.clone();
+        for _ in 0..2 {
+            prop_assert_eq!(ca.jaccard(&cb).to_bits(), oracle_jaccard(&a, &b).to_bits());
+            prop_assert_eq!(cb.jaccard(&ca).to_bits(), oracle_jaccard(&b, &a).to_bits());
+            prop_assert_eq!(ca.containment_in(&cb).to_bits(), oracle_containment(&a, &b).to_bits());
+            prop_assert_eq!(cb.containment_in(&ca).to_bits(), oracle_containment(&b, &a).to_bits());
+        }
+        assert_set_of(&ca, &a);
+        let warm_clone = ca.clone();
+        for clone in [&cold_clone, &warm_clone] {
+            assert_set_of(clone, &a);
+            prop_assert_eq!(clone.jaccard(&cb).to_bits(), ca.jaccard(&cb).to_bits());
+        }
+    }
+
+    /// A read followed by `push`, `values_mut` or `Table::append_outer`
+    /// answers for the *new* values: no mutator leaves a stale set behind.
+    #[test]
+    fn every_mutator_drops_the_cached_set(
+        a in overlap_values(),
+        b in overlap_values(),
+        extra in overlap_value(),
+    ) {
+        let mut column = Column::new("shared", a.clone());
+        let mut now = a.clone();
+        assert_set_of(&column, &now);
+        column.push(extra.clone());
+        now.push(extra);
+        assert_set_of(&column, &now);
+        column.values_mut().extend(b.iter().cloned());
+        now.extend(b.iter().cloned());
+        assert_set_of(&column, &now);
+        column.values_mut().clear();
+        assert_set_of(&column, &[]);
+
+        let mut base = Table::from_columns(
+            "base",
+            vec![Column::new("shared", a.clone()), Column::new("only_base", a.clone())],
+        ).unwrap();
+        let other = Table::from_columns("other", vec![Column::new("shared", b.clone())]).unwrap();
+        assert_set_of(&base.columns()[0], &a);
+        assert_set_of(&base.columns()[1], &a);
+        base.append_outer(&other);
+        let appended: Vec<Value> = a.iter().chain(&b).cloned().collect();
+        assert_set_of(&base.columns()[0], &appended);
+        assert_set_of(&base.columns()[1], &a); // padded with nulls only
+    }
+
+    /// `==` on columns and tables never sees the cache, whichever side has
+    /// it filled.
+    #[test]
+    fn equality_ignores_which_side_is_cached(a in overlap_values(), b in overlap_values()) {
+        let build = || Table::from_columns(
+            "t",
+            vec![Column::new("x", a.clone()), Column::new("y", a.clone())],
+        ).unwrap();
+        let (warm, cold) = (build(), build());
+        warm.columns().iter().for_each(|c| { c.value_set(); });
+        prop_assert_eq!(&warm, &cold);
+        prop_assert_eq!(&cold, &warm);
+        prop_assert_eq!(&warm.columns()[0], &cold.columns()[0]);
+        prop_assert_eq!(&cold.columns()[0], &warm.columns()[0]);
+        let other = Column::new("x", b.clone());
+        other.value_set();
+        prop_assert_eq!(warm.columns()[0] == other, a == b);
+        prop_assert_eq!(other == cold.columns()[0], a == b);
+    }
 
     /// Any table built from arbitrary cells survives a CSV write/parse
     /// round-trip with the same shape and the same rendered cell values.

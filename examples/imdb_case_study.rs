@@ -82,21 +82,11 @@ fn print_row(name: &str, tuples: &[Tuple], query: &Table, columns: &[&str]) {
 }
 
 fn novel_values(tuples: &[Tuple], query: &Table, column: &str) -> usize {
-    let existing: HashSet<String> = query
-        .column_by_name(column)
-        .map(|c| c.normalized_value_set())
-        .unwrap_or_default();
-    let mut novel = HashSet::new();
-    for tuple in tuples {
-        if let Some(value) = tuple.value_for(column) {
-            if value.is_null() {
-                continue;
-            }
-            let rendered = value.render().trim().to_ascii_lowercase();
-            if !rendered.is_empty() && !existing.contains(&rendered) {
-                novel.insert(rendered);
-            }
-        }
-    }
+    let existing = query.column_by_name(column).map(|c| c.value_set());
+    let novel: HashSet<String> = tuples
+        .iter()
+        .filter_map(|tuple| tuple.value_for(column)?.normalized())
+        .filter(|value| !existing.is_some_and(|e| e.contains(value)))
+        .collect();
     novel.len()
 }

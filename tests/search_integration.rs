@@ -1,15 +1,20 @@
 //! Integration tests of the table-union-search substrate on generated
 //! benchmarks: retrieval quality (MAP), agreement between techniques, index
-//! pruning consistency, and the tuple-level Starmie baseline's redundancy
-//! behaviour.
+//! pruning consistency, the tuple-level Starmie baseline's redundancy
+//! behaviour, and a ranking oracle that pins the cached value sets to the
+//! per-call `HashSet` scoring they replaced.
 
 use dust_datagen::BenchmarkConfig;
-use dust_search::{
-    mean_average_precision, D3lSearch, InvertedValueIndex, OverlapSearch, StarmieSearch,
-    TableUnionSearch,
+use dust_embed::cosine_similarity;
+use dust_search::signals::{
+    format_similarity, name_similarity, numeric_similarity, SignalComputer,
 };
-use dust_table::DataLake;
-use std::collections::BTreeSet;
+use dust_search::{
+    mean_average_precision, ColumnSignals, D3lSearch, D3lSignalStats, InvertedValueIndex,
+    OverlapSearch, SearchResult, SignalWeights, StarmieSearch, TableUnionSearch,
+};
+use dust_table::{Column, DataLake, Table, Value};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 fn lake() -> DataLake {
     BenchmarkConfig {
@@ -132,5 +137,191 @@ fn search_scores_are_sorted_and_bounded() {
                 search.name()
             );
         }
+    }
+}
+
+/// The benchmark's narrow lake (`benchmark/src/spec.rs`, `NARROW`): 192
+/// tables of ~17 rows, every column kept.
+fn narrow_lake() -> DataLake {
+    BenchmarkConfig {
+        num_domains: 12,
+        lake_tables_per_domain: 16,
+        base_rows: 50,
+        queries_per_domain: 1,
+        min_row_fraction: 0.32,
+        max_row_fraction: 0.38,
+        min_columns: usize::MAX,
+        seed: 7,
+        ..BenchmarkConfig::santos()
+    }
+    .generate()
+    .lake
+}
+
+/// Reference scoring, kept here on purpose: the per-call `HashSet` Jaccard,
+/// a `String`-keyed inverted map and the technique definitions written out
+/// again, sharing nothing with the cached sets but the normaliser.
+struct Reference<'a> {
+    lake: &'a DataLake,
+    postings: HashMap<String, HashSet<String>>,
+    computer: SignalComputer,
+}
+
+fn reference_set(column: &Column) -> HashSet<String> {
+    column
+        .values()
+        .iter()
+        .filter_map(Value::normalized)
+        .collect()
+}
+
+fn reference_jaccard(a: &Column, b: &Column) -> f64 {
+    let (a, b) = (reference_set(a), reference_set(b));
+    if a.is_empty() && b.is_empty() {
+        return 0.0;
+    }
+    let inter = a.intersection(&b).count();
+    inter as f64 / (a.len() + b.len() - inter) as f64
+}
+
+impl<'a> Reference<'a> {
+    fn new(lake: &'a DataLake) -> Self {
+        let mut postings: HashMap<String, HashSet<String>> = HashMap::new();
+        for table in lake.tables() {
+            for value in table.columns().iter().flat_map(reference_set) {
+                postings
+                    .entry(value)
+                    .or_default()
+                    .insert(table.name().to_string());
+            }
+        }
+        Reference {
+            lake,
+            postings,
+            computer: SignalComputer::new(),
+        }
+    }
+
+    /// Tables to score: all of them for `limit` 0 or an empty shortlist,
+    /// else the `limit` tables sharing most distinct values with the query.
+    fn shortlist(&self, query: &Table, limit: usize) -> Vec<String> {
+        let mut counts: HashMap<String, usize> = HashMap::new();
+        let query_values: HashSet<String> =
+            query.columns().iter().flat_map(reference_set).collect();
+        for tables in query_values.iter().filter_map(|v| self.postings.get(v)) {
+            for table in tables {
+                *counts.entry(table.clone()).or_insert(0) += 1;
+            }
+        }
+        let mut ranked: Vec<(String, usize)> = counts.into_iter().collect();
+        ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked.truncate(limit);
+        if limit == 0 || ranked.is_empty() {
+            return self.lake.table_names();
+        }
+        ranked.into_iter().map(|(table, _)| table).collect()
+    }
+
+    /// Mean over query columns of the best `pair` score any candidate
+    /// column reaches, ranked by score then name.
+    fn search(
+        &self,
+        query: &Table,
+        k: usize,
+        limit: usize,
+        pair: impl Fn(&Column, &Column) -> f64,
+    ) -> Vec<SearchResult> {
+        let mut results: Vec<SearchResult> = self
+            .shortlist(query, limit)
+            .into_iter()
+            .map(|name| {
+                let candidate = self.lake.table(&name).unwrap();
+                let total: f64 = query
+                    .columns()
+                    .iter()
+                    .map(|q| {
+                        let scores = candidate.columns().iter().map(|c| pair(q, c));
+                        scores.fold(0.0f64, f64::max)
+                    })
+                    .sum();
+                SearchResult {
+                    score: total / query.num_columns().max(1) as f64,
+                    table: name,
+                }
+            })
+            .collect();
+        results.sort_by(|a, b| {
+            b.score
+                .total_cmp(&a.score)
+                .then_with(|| a.table.cmp(&b.table))
+        });
+        results.truncate(k);
+        results
+    }
+
+    fn d3l_pair(&self, q: &Column, c: &Column) -> f64 {
+        let (qe, ce) = (self.computer.embed_column(q), self.computer.embed_column(c));
+        ColumnSignals {
+            value_overlap: reference_jaccard(q, c),
+            name_similarity: name_similarity(q.name(), c.name()),
+            format_similarity: format_similarity(q, c),
+            embedding_similarity: cosine_similarity(&qe, &ce).max(0.0),
+            numeric_similarity: numeric_similarity(q, c),
+        }
+        .aggregate(&SignalWeights::default())
+    }
+}
+
+fn assert_same_ranking(got: &[SearchResult], want: &[SearchResult], context: &str) {
+    let key = |r: &SearchResult| (r.table.clone(), r.score.to_bits());
+    assert_eq!(
+        got.iter().map(key).collect::<Vec<_>>(),
+        want.iter().map(key).collect::<Vec<_>>(),
+        "{context}"
+    );
+    assert!(!want.is_empty(), "{context}: vacuous");
+}
+
+#[test]
+fn overlap_rankings_match_the_per_call_hashset_reference_bit_for_bit() {
+    let lake = narrow_lake();
+    assert_eq!(lake.num_tables(), 192);
+    let reference = Reference::new(&lake);
+    let index = InvertedValueIndex::build(&lake);
+    for query in lake.queries() {
+        for limit in [0, 200] {
+            let search = OverlapSearch {
+                candidate_limit: limit,
+            };
+            let want = reference.search(query, 10, limit, reference_jaccard);
+            let context = format!("{} limit {limit}", query.name());
+            assert_same_ranking(&search.search(&lake, query, 10), &want, &context);
+            assert_same_ranking(
+                &search.search_with_index(&lake, query, 10, &index),
+                &want,
+                &format!("{context} (resident index)"),
+            );
+        }
+    }
+}
+
+#[test]
+fn d3l_rankings_match_the_per_call_hashset_reference_bit_for_bit() {
+    let lake = narrow_lake();
+    let reference = Reference::new(&lake);
+    let search = D3lSearch::new();
+    let index = InvertedValueIndex::build(&lake);
+    let stats = D3lSignalStats::build(&lake, &search);
+    // three queries keep the embed-per-pair reference inside a debug-build budget
+    for query in lake.queries().take(3) {
+        let want = reference.search(query, 10, search.candidate_limit, |q, c| {
+            reference.d3l_pair(q, c)
+        });
+        assert_same_ranking(&search.search(&lake, query, 10), &want, query.name());
+        assert_same_ranking(
+            &search.search_with_stats(&lake, query, 10, &index, &stats),
+            &want,
+            &format!("{} (resident)", query.name()),
+        );
     }
 }

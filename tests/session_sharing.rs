@@ -11,6 +11,12 @@
 //! contain, and the embedder are all the *same allocations* in both
 //! snapshots. And a **failed** mutation publishes
 //! nothing at all: the root snapshot pointer itself is unchanged.
+//!
+//! The columns' cached value sets ride on that sharing: they belong to the
+//! `Arc<Table>`, so an untouched table's sets are built once and are the
+//! same allocation in every later generation, and a session opened from a
+//! snapshot (which never stores them) derives them again and answers the
+//! same.
 
 use dust_core::{LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
 use dust_datagen::BenchmarkConfig;
@@ -41,7 +47,7 @@ fn value_set(table: &Table) -> HashSet<String> {
     table
         .columns()
         .iter()
-        .flat_map(|c| c.normalized_value_set())
+        .flat_map(|c| c.value_set().iter().map(str::to_string))
         .collect()
 }
 
@@ -267,4 +273,63 @@ fn sharing_survives_a_mutation_chain() {
     // The generation-0 view still serves, pinned to its own snapshot.
     assert_eq!(g0.generation(), 0);
     assert!(g0.lake().table(&victim).is_ok());
+}
+
+/// Address of every column's cached value set, per lake table (reading a
+/// set that is already built returns it; it is never built twice).
+fn value_set_addresses(lake: &DataLake) -> BTreeMap<String, Vec<usize>> {
+    lake.tables()
+        .map(|table| {
+            let columns = table.columns().iter();
+            let addresses = columns.map(|c| c.value_set().as_ptr() as usize).collect();
+            (table.name().to_string(), addresses)
+        })
+        .collect()
+}
+
+#[test]
+fn value_sets_are_built_once_and_shared_across_generations_and_queries() {
+    for technique in [SearchTechnique::Overlap, SearchTechnique::D3l] {
+        let config = PipelineConfig {
+            search: technique,
+            ..PipelineConfig::fast()
+        };
+        let session = LakeSession::new(tiny_lake(), config);
+        // g0 stays pinned, so its tables stay alive: a copied table could
+        // not land on the same addresses.
+        let g0 = session.view();
+        let before = value_set_addresses(g0.lake());
+        let query = g0.lake().queries().next().unwrap().clone();
+        let answer = session.query(&query, 5).unwrap();
+
+        session.add_table(incoming_table()).unwrap();
+        let victim = session.lake().table_names()[0].clone();
+        session.remove_table(&victim).unwrap();
+        session.query(&query, 5).unwrap();
+
+        let g2 = session.view();
+        let after = value_set_addresses(g2.lake());
+        assert_eq!(after.len(), before.len());
+        for (table, addresses) in &before {
+            if *table != victim {
+                assert_eq!(after.get(table), Some(addresses), "{technique:?}: {table}");
+            }
+        }
+        assert_eq!(value_set_addresses(g0.lake()), before, "{technique:?}: g0");
+
+        // Nothing of the sets is persisted: a reopened session derives
+        // them on its first query and answers what the live one did.
+        let dir =
+            std::env::temp_dir().join(format!("dust-sharing-{}-{technique:?}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        LakeSession::new(tiny_lake(), session.config().clone())
+            .save(&dir)
+            .unwrap();
+        let reopened = LakeSession::open(&dir).unwrap();
+        let recovered = reopened.query(&query, 5).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(recovered.tuples, answer.tuples, "{technique:?}");
+        assert_eq!(recovered.retrieved_tables, answer.retrieved_tables);
+        assert_eq!(recovered.candidate_tuples, answer.candidate_tuples);
+    }
 }
