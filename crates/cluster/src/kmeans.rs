@@ -141,15 +141,13 @@ fn plus_plus_init(
     let n = points.len();
     let mut centroids = Vec::with_capacity(k);
     centroids.push(points[rng.gen_range(0..n)].clone());
+    // squared distance from each point to its nearest centroid so far
+    let mut weights = vec![f64::INFINITY; n];
     while centroids.len() < k {
-        let weights: Vec<f64> = (0..n)
-            .map(|i| {
-                centroids
-                    .iter()
-                    .map(|c| store.distance_to_vector(distance, i, c).powi(2))
-                    .fold(f64::INFINITY, f64::min)
-            })
-            .collect();
+        let newest = EmbeddingStore::from_vectors(&centroids[centroids.len() - 1..]);
+        store.cross_distances(distance, 0..n, &newest, |i, d| {
+            weights[i] = weights[i].min(d[0].powi(2));
+        });
         let total: f64 = weights.iter().sum();
         if total <= 1e-15 {
             // all points identical to existing centroids; duplicate one

@@ -1156,55 +1156,61 @@ impl<'a> SessionView<'a> {
             .iter()
             .map(|t| self.snap.embedder.embed_tuple(t))
             .collect();
-        let mut results: Vec<RankedTuple> = Vec::new();
-        for shard in &self.snap.shards {
-            for i in shard.tuple_store.live_indices() {
-                let score = query_embeddings
-                    .iter()
-                    .map(|q| 1.0 - shard.tuple_store.distance_to_vector(Distance::Cosine, i, q))
-                    .fold(f64::NEG_INFINITY, f64::max);
+        // Packed once, so each probe's norm is computed once per request.
+        let probes = EmbeddingStore::from_vectors(&query_embeddings);
+        // Rank borrowed keys; only the k winners get an owned table name.
+        let shards = &self.snap.shards;
+        let live = shards.iter().map(|s| s.tuple_store.num_live()).sum();
+        let mut ranked: Vec<(f64, &str, usize)> = Vec::with_capacity(live);
+        for shard in shards {
+            let store = &shard.tuple_store;
+            store.cross_distances(Distance::Cosine, store.live_indices(), &probes, |i, d| {
+                let score = d.iter().map(|d| 1.0 - d).fold(f64::NEG_INFINITY, f64::max);
                 let (table, row) = &shard.tuple_refs[i];
-                results.push(RankedTuple {
-                    table: table.to_string(),
-                    row: *row,
-                    score,
-                });
-            }
+                ranked.push((score, table, *row));
+            });
         }
-        results.sort_by(|a, b| {
-            desc_nan_last(a.score, b.score)
-                .then_with(|| a.table.cmp(&b.table))
-                .then_with(|| a.row.cmp(&b.row))
+        ranked.sort_by(|a, b| {
+            desc_nan_last(a.0, b.0)
+                .then_with(|| a.1.cmp(b.1))
+                .then_with(|| a.2.cmp(&b.2))
         });
-        results.truncate(k);
-        results
+        ranked
+            .into_iter()
+            .take(k)
+            .map(|(score, table, row)| RankedTuple {
+                table: table.to_string(),
+                row,
+                score,
+            })
+            .collect()
     }
 
     /// [`LakeSession::similar_columns`] at the pinned generation.
     pub fn similar_columns(&self, probe: &Column, k: usize) -> Vec<RankedColumn> {
         let encoder = &self.session.aligner_encoder;
         let side = self.snap.columns(encoder);
-        let probe_embedding = encoder.embed_column(probe, &side.corpus);
-        let mut results: Vec<RankedColumn> = side
-            .refs
-            .iter()
-            .enumerate()
-            .map(|(i, (table, column))| RankedColumn {
-                table: table.clone(),
-                column: column.clone(),
-                score: 1.0
-                    - side
-                        .store
-                        .distance_to_vector(Distance::Cosine, i, &probe_embedding),
-            })
-            .collect();
-        results.sort_by(|a, b| {
-            desc_nan_last(a.score, b.score)
-                .then_with(|| a.table.cmp(&b.table))
-                .then_with(|| a.column.cmp(&b.column))
+        let probe = EmbeddingStore::from_vectors(&[encoder.embed_column(probe, &side.corpus)]);
+        let mut ranked: Vec<(f64, &str, &str)> = Vec::with_capacity(side.refs.len());
+        side.store
+            .cross_distances(Distance::Cosine, 0..side.refs.len(), &probe, |i, d| {
+                let (table, column) = &side.refs[i];
+                ranked.push((1.0 - d[0], table, column));
+            });
+        ranked.sort_by(|a, b| {
+            desc_nan_last(a.0, b.0)
+                .then_with(|| a.1.cmp(b.1))
+                .then_with(|| a.2.cmp(b.2))
         });
-        results.truncate(k);
-        results
+        ranked
+            .into_iter()
+            .take(k)
+            .map(|(score, table, column)| RankedColumn {
+                table: table.to_string(),
+                column: column.to_string(),
+                score,
+            })
+            .collect()
     }
 
     /// The resident `SearchTables` step (same searcher defaults as the

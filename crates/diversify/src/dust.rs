@@ -125,13 +125,13 @@ impl Diversifier for DustDiversifier {
 
         // Step 3: re-rank medoids by min distance to the query (descending),
         // ties broken by average distance to the query (descending), then by
-        // original index for determinism.
+        // original index for determinism. Only the medoids are measured
+        // against the query, not every candidate.
         let mut ranked: Vec<(usize, f64, f64)> = candidate_medoids
             .into_iter()
             .map(|local| {
                 let global = kept[local];
-                let min_d = input.min_distance_to_query(global);
-                let avg_d = input.avg_distance_to_query(global);
+                let (min_d, avg_d) = input.query_distances(global);
                 // With no query tuples, fall back to ranking by the tuple's
                 // average distance to the other medoid candidates' mean —
                 // here simply keep infinite min distances comparable.

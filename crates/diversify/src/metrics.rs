@@ -32,26 +32,23 @@ impl DiversityScores {
 }
 
 /// Sum and minimum over all query-to-selected and selected-to-selected pair
-/// distances, computed through shared [`EmbeddingStore`]s (cached norms).
+/// distances, computed through shared [`EmbeddingStore`]s (cached norms,
+/// the tiled kernel) and accumulated in the fixed order query × selected,
+/// then selected pairs `i < j`.
 fn pair_distance_stats(query: &[Vector], selected: &[Vector], distance: Distance) -> (f64, f64) {
     let qs = EmbeddingStore::from_vectors(query);
     let ss = EmbeddingStore::from_vectors(selected);
     let mut sum = 0.0;
     let mut min = f64::INFINITY;
-    for q in 0..qs.len() {
-        for t in 0..ss.len() {
-            let d = qs.cross_distance(distance, q, &ss, t);
+    let mut add = |distances: &[f64]| {
+        for &d in distances {
             sum += d;
             min = min.min(d);
         }
-    }
-    for i in 0..ss.len() {
-        for j in (i + 1)..ss.len() {
-            let d = ss.distance(distance, i, j);
-            sum += d;
-            min = min.min(d);
-        }
-    }
+    };
+    qs.cross_distances(distance, 0..qs.len(), &ss, |_, d| add(d));
+    // whole rows come back; only the `j > i` half is read (k is small)
+    ss.cross_distances(distance, 0..ss.len(), &ss, |i, d| add(&d[i + 1..]));
     (sum, min)
 }
 

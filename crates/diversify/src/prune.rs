@@ -53,10 +53,10 @@ pub fn prune_tuples_with_store(
     // Score every tuple by its distance from its table's mean embedding.
     let mut scored: Vec<(usize, f64)> = Vec::with_capacity(n);
     for members in groups.values() {
-        let mean = mean_of_rows(store, members);
-        for &i in members {
-            scored.push((i, store.distance_to_vector(distance, i, &mean)));
-        }
+        let mean = EmbeddingStore::from_vectors(&[mean_of_rows(store, members)]);
+        store.cross_distances(distance, members.iter().copied(), &mean, |i, d| {
+            scored.push((i, d[0]))
+        });
     }
     // NaN scores (a NaN embedding poisons its whole table's mean) rank
     // last instead of "equal to everything", which would otherwise leave

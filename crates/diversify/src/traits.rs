@@ -7,8 +7,10 @@
 //! recomputing distances —
 //!
 //! * **query-distance columns**: per-candidate min/avg distance to the query
-//!   tuples, computed in one pass on first use (GMC/GNE relevance, DUST
-//!   re-ranking, MaxMin seeding, SWAP ordering);
+//!   tuples, computed in one tiled pass on first use (GMC/GNE relevance,
+//!   MaxMin seeding, SWAP ordering); DUST, which re-ranks only its `k · p`
+//!   medoids, asks for those rows alone
+//!   ([`DiversificationInput::query_distances`]);
 //! * **candidate pairwise matrix**: the condensed [`PairwiseMatrix`] over
 //!   all candidates, built in parallel on first use (GMC's O(s²) max-dist
 //!   scan, GNE/SWAP objectives, CLT clustering + medoids).
@@ -110,25 +112,15 @@ impl<'a> DiversificationInput<'a> {
     fn query_columns(&self) -> &QueryColumns {
         self.query_columns.get_or_init(|| {
             let n = self.candidates.len();
-            let q = self.query_store.len();
-            let mut min = vec![f64::INFINITY; n];
-            let mut avg = vec![0.0f64; n];
-            for i in 0..n {
-                let mut lo = f64::INFINITY;
-                let mut sum = 0.0f64;
-                for j in 0..q {
-                    let d = self
-                        .store
-                        .cross_distance(self.distance, i, &self.query_store, j);
-                    lo = lo.min(d);
-                    sum += d;
-                }
-                min[i] = lo;
-                if q > 0 {
-                    avg[i] = sum / q as f64;
-                }
-            }
-            QueryColumns { min, avg }
+            let mut columns = QueryColumns {
+                min: vec![f64::INFINITY; n],
+                avg: vec![0.0f64; n],
+            };
+            self.store
+                .cross_distances(self.distance, 0..n, &self.query_store, |i, d| {
+                    (columns.min[i], columns.avg[i]) = min_and_avg(d);
+                });
+            columns
         })
     }
 
@@ -144,6 +136,25 @@ impl<'a> DiversificationInput<'a> {
         self.query_columns().avg[idx]
     }
 
+    /// `(min, avg)` distance from candidate `idx` to the query tuples —
+    /// the same bits as [`Self::min_distance_to_query`] and
+    /// [`Self::avg_distance_to_query`] — without building the columns for
+    /// every candidate: a lookup when they are already built, otherwise
+    /// one row of kernel calls (the shape [`Self::candidate_distance`] has
+    /// for the pairwise matrix). For algorithms that rank a handful of
+    /// candidates against the query (DUST's medoids).
+    pub fn query_distances(&self, idx: usize) -> (f64, f64) {
+        if let Some(columns) = self.query_columns.get() {
+            return (columns.min[idx], columns.avg[idx]);
+        }
+        let mut distances = (f64::INFINITY, 0.0);
+        self.store
+            .cross_distances(self.distance, [idx], &self.query_store, |_, d| {
+                distances = min_and_avg(d);
+            });
+        distances
+    }
+
     /// Distance between two candidates: a matrix lookup when the pairwise
     /// cache has been built, otherwise one cached-norm kernel evaluation.
     pub fn candidate_distance(&self, a: usize, b: usize) -> f64 {
@@ -152,6 +163,23 @@ impl<'a> DiversificationInput<'a> {
             None => self.store.distance(self.distance, a, b),
         }
     }
+}
+
+/// Minimum and mean of one candidate's distances to the query tuples, in
+/// query order (`(f64::INFINITY, 0.0)` with no query tuples).
+fn min_and_avg(distances: &[f64]) -> (f64, f64) {
+    let mut lo = f64::INFINITY;
+    let mut sum = 0.0f64;
+    for &d in distances {
+        lo = lo.min(d);
+        sum += d;
+    }
+    let avg = if distances.is_empty() {
+        0.0
+    } else {
+        sum / distances.len() as f64
+    };
+    (lo, avg)
 }
 
 /// A tuple-diversification algorithm.

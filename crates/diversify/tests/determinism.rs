@@ -6,9 +6,12 @@
 //! * Every diversifier must return the same selection whether distances are
 //!   served lazily from the store kernel or from a pre-forced pairwise
 //!   matrix — the caches are transparent.
+//! * The same holds for the query side: the distances DUST asks for medoid
+//!   by medoid are the bits the per-candidate query columns hold, so its
+//!   selection cannot depend on whether anything built those columns first.
 
 use dust_diversify::{
-    CltDiversifier, DiversificationInput, Diversifier, DustDiversifier, GmcDiversifier,
+    CltDiversifier, DiversificationInput, Diversifier, DustConfig, DustDiversifier, GmcDiversifier,
     GneDiversifier, MaxMinDiversifier, SwapDiversifier,
 };
 use dust_embed::{Distance, Vector};
@@ -98,6 +101,85 @@ fn all_diversifiers_are_unchanged_by_forcing_the_pairwise_cache() {
                 "{} changed its selection when the matrix was pre-built ({metric:?})",
                 algorithm.name()
             );
+        }
+    }
+}
+
+/// Query/candidate sets that stress the query side: a plain one, one with
+/// no query tuples and one with a NaN query tuple (the cases
+/// `nan_scores.rs` covers for DUST's re-ranking).
+fn query_side_cases() -> Vec<(&'static str, Vec<Vector>, Vec<Vector>)> {
+    let (query, candidates) = (embeddings(9, 12, 21), embeddings(90, 12, 22));
+    let mut nan_query = query.clone();
+    nan_query[3].as_mut_slice()[5] = f32::NAN;
+    vec![
+        ("plain", query, candidates.clone()),
+        ("empty query", Vec::new(), candidates.clone()),
+        ("NaN query tuple", nan_query, candidates),
+    ]
+}
+
+#[test]
+fn query_distances_are_the_query_columns_bit_for_bit() {
+    let mut cases = query_side_cases();
+    // a NaN candidate too (not a DUST case: clustering rejects NaN distances)
+    let (_, query, mut candidates) = cases[0].clone();
+    candidates[17].as_mut_slice()[0] = f32::NAN;
+    cases.push(("NaN candidate", query, candidates));
+    for (case, query, candidates) in cases {
+        for metric in [Distance::Cosine, Distance::Euclidean, Distance::Manhattan] {
+            let columns = DiversificationInput::new(&query, &candidates, metric);
+            let rows = DiversificationInput::new(&query, &candidates, metric);
+            for i in 0..candidates.len() {
+                // `rows` never builds its columns: one row of kernel calls
+                let (min, avg) = rows.query_distances(i);
+                assert_eq!(
+                    (min.to_bits(), avg.to_bits()),
+                    (
+                        columns.min_distance_to_query(i).to_bits(),
+                        columns.avg_distance_to_query(i).to_bits()
+                    ),
+                    "{case}, {metric:?}, candidate {i}"
+                );
+                // ... and once they are built, the same call is a lookup
+                let (min, avg) = columns.query_distances(i);
+                assert_eq!(min.to_bits(), columns.min_distance_to_query(i).to_bits());
+                assert_eq!(avg.to_bits(), columns.avg_distance_to_query(i).to_bits());
+            }
+        }
+    }
+}
+
+#[test]
+fn dust_is_unchanged_by_forcing_the_query_columns_or_the_matrix() {
+    let k = 7;
+    // pruning off (clusters off the shared full matrix) and on (a subset matrix)
+    for prune_to in [None, Some(40)] {
+        let dust = DustDiversifier::with_config(DustConfig {
+            prune_to,
+            ..DustConfig::default()
+        });
+        for (case, query, candidates) in query_side_cases() {
+            for metric in [Distance::Cosine, Distance::Euclidean, Distance::Manhattan] {
+                let fresh = DiversificationInput::new(&query, &candidates, metric);
+                let lazy = dust.select(&fresh, k);
+                assert_eq!(lazy.len(), k);
+                for (force_columns, force_matrix) in [(true, false), (false, true), (true, true)] {
+                    let forced = DiversificationInput::new(&query, &candidates, metric);
+                    if force_columns {
+                        let _ = forced.min_distance_to_query(0);
+                    }
+                    if force_matrix {
+                        let _ = forced.pairwise();
+                    }
+                    assert_eq!(
+                        dust.select(&forced, k),
+                        lazy,
+                        "{case}, {metric:?}, prune_to {prune_to:?}: columns forced \
+                         {force_columns}, matrix forced {force_matrix}"
+                    );
+                }
+            }
         }
     }
 }

@@ -10,12 +10,12 @@
 //! compare the optimized kernels against an independent implementation.
 //! Hot paths go through [`EmbeddingStore`] (cached norms, vectorizable
 //! kernels) and [`PairwiseMatrix`], which materializes the condensed
-//! upper-triangle matrix once — in parallel row chunks for large inputs —
+//! upper-triangle matrix once — in parallel row blocks for large inputs —
 //! so every downstream stage (pruning, clustering, medoids, GMC/CLT
 //! scoring, re-ranking) shares the same cache instead of recomputing.
 //! Cached results are within 1e-6 of the reference path.
 
-use crate::store::EmbeddingStore;
+use crate::store::{EmbeddingStore, TILE_ROWS};
 use crate::vector::Vector;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -105,84 +105,75 @@ impl PairwiseMatrix {
         Self::from_store(&EmbeddingStore::from_vectors(vectors), metric)
     }
 
-    /// Compute the matrix over all rows of `store`, in parallel row chunks
+    /// Compute the matrix over all rows of `store`, in parallel row blocks
     /// for large inputs.
     pub fn from_store(store: &EmbeddingStore, metric: Distance) -> Self {
-        Self::build_from_store(store, None, metric)
+        Self::build(store, None, metric)
     }
 
     /// Compute the matrix over `subset` (indices into `store`): entry
     /// `(r, c)` is the distance between `store[subset[r]]` and
     /// `store[subset[c]]`.
     pub fn from_store_subset(store: &EmbeddingStore, subset: &[usize], metric: Distance) -> Self {
-        Self::build_from_store(store, Some(subset), metric)
+        Self::build(store, Some(subset), metric)
     }
 
-    /// Store-backed builder. The metric dispatch is hoisted out of the pair
-    /// loops (each metric monomorphizes its own fill), the left row is
-    /// derived once per row, and the right rows stream through a contiguous
-    /// chunk iterator in the no-subset case. Parallel over rows above
+    /// Store-backed builder. A work item is a block of [`TILE_ROWS`]
+    /// consecutive matrix rows — contiguous in the condensed buffer —
+    /// filled through the store's tiled kernel, so every entry is the
+    /// `f32` rounding of exactly what [`EmbeddingStore::distance`] returns
+    /// for that pair. Parallel over blocks above
     /// [`PARALLEL_PAIR_THRESHOLD`].
-    fn build_from_store(
-        store: &EmbeddingStore,
-        subset: Option<&[usize]>,
-        metric: Distance,
-    ) -> Self {
-        match metric {
-            Distance::Cosine => Self::build_with(store, subset, |a, inv_a, b, inv_b| {
-                crate::store::kernel(Distance::Cosine, a, inv_a, b, inv_b)
-            }),
-            Distance::Euclidean => Self::build_with(store, subset, |a, inv_a, b, inv_b| {
-                crate::store::kernel(Distance::Euclidean, a, inv_a, b, inv_b)
-            }),
-            Distance::Manhattan => Self::build_with(store, subset, |a, inv_a, b, inv_b| {
-                crate::store::kernel(Distance::Manhattan, a, inv_a, b, inv_b)
-            }),
-        }
-    }
-
-    fn build_with<F>(store: &EmbeddingStore, subset: Option<&[usize]>, pair: F) -> Self
-    where
-        F: Fn(&[f32], f64, &[f32], f64) -> f64 + Sync,
-    {
-        let n = subset.map(<[usize]>::len).unwrap_or_else(|| store.len());
-        let pairs = condensed_len(n);
-        let fill_row = |i: usize, row: &mut [f32]| {
-            let si = subset.map(|s| s[i]).unwrap_or(i);
-            let (ri, inv_i) = (store.row(si), store.inv_norm(si));
-            match subset {
-                None => {
-                    // rows i+1.. are contiguous: stream them chunk by chunk
-                    for ((slot, rj), j) in row.iter_mut().zip(store.rows_from(i + 1)).zip(i + 1..) {
-                        *slot = pair(ri, inv_i, rj, store.inv_norm(j)) as f32;
-                    }
-                }
-                Some(s) => {
-                    for (offset, slot) in row.iter_mut().enumerate() {
-                        let sj = s[i + 1 + offset];
-                        *slot = pair(ri, inv_i, store.row(sj), store.inv_norm(sj)) as f32;
-                    }
-                }
+    fn build(store: &EmbeddingStore, subset: Option<&[usize]>, metric: Distance) -> Self {
+        debug_assert_eq!(
+            store.num_live(),
+            store.len(),
+            "a pairwise matrix needs an all-live store: compact it first"
+        );
+        let n = subset.map_or(store.len(), <[usize]>::len);
+        // matrix point -> store row; the identity for a full build
+        let at = |point: usize| subset.map_or(point, |s| s[point]);
+        let fill_block = |first: usize, block: &mut [f32]| {
+            let height = TILE_ROWS.min(n - first);
+            // Matrix row `first + r` starts `starts[r]` entries into the
+            // block and holds columns `first + r + 1 .. n`.
+            let mut starts = [0usize; TILE_ROWS];
+            for r in 1..height {
+                starts[r] = starts[r - 1] + (n - (first + r));
+            }
+            let slot = |r: usize, j: usize| starts[r] + j - (first + r) - 1;
+            for r in 0..height {
+                let within = first + r + 1..first + height;
+                store.block(metric, [at(first + r)], store, within, at, |_, j, d| {
+                    block[slot(r, j)] = d as f32
+                });
+            }
+            if height == TILE_ROWS {
+                let rows: [usize; TILE_ROWS] = std::array::from_fn(|r| at(first + r));
+                store.block(metric, rows, store, first + height..n, at, |r, j, d| {
+                    block[slot(r, j)] = d as f32
+                });
             }
         };
+        let pairs = condensed_len(n);
         let mut data = vec![0.0f32; pairs];
-        if pairs < PARALLEL_PAIR_THRESHOLD || rayon::current_num_threads() <= 1 {
-            let mut rest = data.as_mut_slice();
-            for i in 0..n.saturating_sub(1) {
-                let (row, tail) = rest.split_at_mut(n - 1 - i);
-                fill_row(i, row);
-                rest = tail;
-            }
-            return PairwiseMatrix { n, data };
-        }
-        let mut rows: Vec<(usize, &mut [f32])> = Vec::with_capacity(n.saturating_sub(1));
+        let mut blocks: Vec<(usize, &mut [f32])> = Vec::with_capacity(n.div_ceil(TILE_ROWS));
         let mut rest = data.as_mut_slice();
-        for i in 0..n.saturating_sub(1) {
-            let (row, tail) = rest.split_at_mut(n - 1 - i);
-            rows.push((i, row));
+        for first in (0..n).step_by(TILE_ROWS) {
+            let entries = (first..n.min(first + TILE_ROWS)).map(|i| n - 1 - i).sum();
+            let (block, tail) = rest.split_at_mut(entries);
+            blocks.push((first, block));
             rest = tail;
         }
-        rows.into_par_iter().for_each(|(i, row)| fill_row(i, row));
+        if pairs < PARALLEL_PAIR_THRESHOLD {
+            for (first, block) in blocks {
+                fill_block(first, block);
+            }
+        } else {
+            blocks
+                .into_par_iter()
+                .for_each(|(first, block)| fill_block(first, block));
+        }
         PairwiseMatrix { n, data }
     }
 

@@ -43,6 +43,6 @@ pub use models::{ColumnEncoder, ColumnSerialization, PretrainedModel, TupleEncod
 pub use order::{asc_nan_last, desc_nan_last};
 pub use pca::Pca;
 pub use serialize::{serialize_default, serialize_tuple, SerializeOptions, CLS, SEP};
-pub use store::{EmbeddingStore, NormalizedView};
+pub use store::EmbeddingStore;
 pub use tokenize::{char_ngrams, term_frequencies, word_tokens, TfIdfCorpus};
 pub use vector::Vector;

@@ -4,17 +4,26 @@
 //! [`EmbeddingStore`] packs a set of equal-dimension vectors into one
 //! row-major `f32` buffer and caches each row's L2 norm at construction.
 //! The cosine hot path then needs **no per-call norm work**: a distance is
-//! one dot product plus one division by the cached norm product. The inner
-//! loops accumulate in unrolled lanes (letting the compiler vectorize),
-//! which reorders the floating-point sums relative to the reference
-//! [`Distance::between`] path — kernel results are guaranteed within 1e-6
-//! of the reference (property-tested), and identical across every cached
-//! entry point, so all cache paths always agree with each other exactly.
+//! one dot product and two multiplies by cached inverse norms.
 //!
-//! [`NormalizedView`] additionally pre-normalizes every row so cosine
-//! distance degenerates to `1 − dot`. Batch/ANN-style serving can take the
-//! extra speed; the diversification pipeline uses the cached-norm kernel,
-//! whose zero-vector convention matches the reference path exactly.
+//! ## One kernel: the register tile
+//!
+//! Every distance in the workspace is accumulated by one loop
+//! (`accumulate`; the metrics — cosine's dot product, squared Euclidean,
+//! Manhattan — differ only in the step they fold with), const-generic over
+//! a tile of `R` left rows × `C` right rows. A tile loads each chunk of its
+//! `R + C` rows once and feeds all `R · C` pairs from it, where a per-pair
+//! loop reloads both rows for every pair. Each pair keeps its own unrolled
+//! lanes (which the compiler vectorizes), its own tail sum and its own
+//! reduction tree, in the same order whatever `R` and `C` are, so a
+//! distance is the same bits whether it was computed alone
+//! ([`EmbeddingStore::distance`], the `1 × 1` tile), as one of many
+//! ([`EmbeddingStore::cross_distances`]) or inside a
+//! [`crate::PairwiseMatrix`] build — results never depend on which path
+//! or which tile produced them (property-tested bit for bit). The lanes
+//! reorder the floating-point sums relative to the reference
+//! [`Distance::between`] path; results stay within 1e-6 of it
+//! (property-tested), zero-vector convention included.
 //!
 //! ## Mutation: tombstones + compaction
 //!
@@ -29,11 +38,13 @@
 //! moved **verbatim**, so every distance computed through the store is
 //! bit-identical before and after compaction (property-tested) — and
 //! returns an old-index → new-index remap for the caller's parallel
-//! arrays. Dense consumers ([`crate::PairwiseMatrix`], [`Self::rows_from`])
-//! assume an all-live store; compact first if rows were removed.
+//! arrays. The dense consumer ([`crate::PairwiseMatrix`]) assumes an
+//! all-live store; compact first if rows were removed.
 
 use crate::distance::Distance;
 use crate::vector::Vector;
+use std::array;
+use std::ops::Range;
 
 /// A set of equal-dimension vectors in one contiguous row-major buffer,
 /// with per-row L2 norms cached at construction.
@@ -223,13 +234,6 @@ impl EmbeddingStore {
         &self.data[i * self.dim..(i + 1) * self.dim]
     }
 
-    /// Iterate rows `start..n` as contiguous slices (one pointer bump per
-    /// row, no per-row index arithmetic — the matrix build's inner stream).
-    pub fn rows_from(&self, start: usize) -> impl Iterator<Item = &[f32]> {
-        let dim = self.dim.max(1);
-        self.data[(start * self.dim).min(self.data.len())..].chunks_exact(dim)
-    }
-
     /// Cached L2 norm of row `i`.
     pub fn norm(&self, i: usize) -> f32 {
         self.norms[i]
@@ -244,13 +248,7 @@ impl EmbeddingStore {
     /// (inverse) norms — no per-call norm work. Within 1e-6 of
     /// [`Distance::between`] on the same vectors.
     pub fn distance(&self, metric: Distance, i: usize, j: usize) -> f64 {
-        kernel(
-            metric,
-            self.row(i),
-            self.inv_norms[i],
-            self.row(j),
-            self.inv_norms[j],
-        )
+        tile(metric, self, [i], self, [j])[0][0]
     }
 
     /// Distance between row `i` of `self` and row `j` of `other`.
@@ -261,27 +259,95 @@ impl EmbeddingStore {
         other: &EmbeddingStore,
         j: usize,
     ) -> f64 {
-        assert_eq!(self.dim, other.dim, "dimension mismatch in distance");
-        kernel(
-            metric,
-            self.row(i),
-            self.inv_norms[i],
-            other.row(j),
-            other.inv_norms[j],
-        )
+        tile(metric, self, [i], other, [j])[0][0]
     }
 
-    /// Distance between row `i` and an external vector (the vector's norm is
-    /// computed once per call; the row's norm comes from the cache).
-    pub fn distance_to_vector(&self, metric: Distance, i: usize, v: &Vector) -> f64 {
-        assert_eq!(self.dim, v.dim(), "dimension mismatch in distance");
-        kernel(
-            metric,
-            self.row(i),
-            self.inv_norms[i],
-            v.as_slice(),
-            inverse_norm(v.norm()),
-        )
+    /// Distances from many rows of `self` to **every** row of `other`:
+    /// `visit(i, d)` runs once per `i` in `rows`, in order, with
+    /// `d[j] == self.cross_distance(metric, i, other, j)` bit for bit. Rows
+    /// are taken [`TILE_ROWS`] at a time so each is loaded once per
+    /// [`TILE_COLS`] rows of `other` instead of once per pair. To measure
+    /// against loose vectors (probes, a mean, centroids), pack them into a
+    /// store once and pass it as `other`: their norms are then computed
+    /// once, not once per pair.
+    pub fn cross_distances(
+        &self,
+        metric: Distance,
+        rows: impl IntoIterator<Item = usize>,
+        other: &EmbeddingStore,
+        mut visit: impl FnMut(usize, &[f64]),
+    ) {
+        let width = other.len();
+        let mut rows = rows.into_iter();
+        let mut out = vec![0.0f64; TILE_ROWS * width];
+        loop {
+            let mut block = [0usize; TILE_ROWS];
+            let mut taken = 0;
+            for (slot, i) in block.iter_mut().zip(rows.by_ref()) {
+                *slot = i;
+                taken += 1;
+            }
+            if taken == TILE_ROWS {
+                self.block(
+                    metric,
+                    block,
+                    other,
+                    0..width,
+                    |j| j,
+                    |r, j, d| out[r * width + j] = d,
+                );
+            } else {
+                for (r, &i) in block[..taken].iter().enumerate() {
+                    self.block(
+                        metric,
+                        [i],
+                        other,
+                        0..width,
+                        |j| j,
+                        |_, j, d| out[r * width + j] = d,
+                    );
+                }
+            }
+            for (r, &i) in block[..taken].iter().enumerate() {
+                visit(i, &out[r * width..(r + 1) * width]);
+            }
+            if taken < TILE_ROWS {
+                return;
+            }
+        }
+    }
+
+    /// `emit(r, j, d)` for each of the `R` given rows of `self` and each
+    /// `j` in `cols`, where `d` is the distance from row `rows[r]` to row
+    /// `col_at(j)` of `other`: full [`TILE_COLS`]-wide tiles, then single
+    /// columns. The one driver behind [`Self::cross_distances`] and the
+    /// [`crate::PairwiseMatrix`] build.
+    pub(crate) fn block<const R: usize>(
+        &self,
+        metric: Distance,
+        rows: [usize; R],
+        other: &EmbeddingStore,
+        cols: Range<usize>,
+        col_at: impl Fn(usize) -> usize,
+        mut emit: impl FnMut(usize, usize, f64),
+    ) {
+        let mut j = cols.start;
+        while j + TILE_COLS <= cols.end {
+            let at: [usize; TILE_COLS] = array::from_fn(|c| col_at(j + c));
+            let d = tile(metric, self, rows, other, at);
+            for (r, row) in d.iter().enumerate() {
+                for (c, &d) in row.iter().enumerate() {
+                    emit(r, j + c, d);
+                }
+            }
+            j += TILE_COLS;
+        }
+        for j in j..cols.end {
+            let d = tile(metric, self, rows, other, [col_at(j)]);
+            for (r, row) in d.iter().enumerate() {
+                emit(r, j, row[0]);
+            }
+        }
     }
 
     /// Maximum cosine similarity between any row and `v` (the re-ranking
@@ -289,129 +355,133 @@ impl EmbeddingStore {
     pub fn max_cosine_similarity(&self, v: &Vector) -> f64 {
         let inv_nv = inverse_norm(v.norm());
         (0..self.n)
-            .map(|i| cosine_similarity_slices(self.row(i), self.inv_norms[i], v.as_slice(), inv_nv))
+            .map(|i| {
+                let dot = dot_tile(self.dim, [self.row(i)], [v.as_slice()])[0][0];
+                cosine_similarity(dot, self.inv_norms[i], inv_nv)
+            })
             .fold(f64::NEG_INFINITY, f64::max)
     }
+}
 
-    /// Pre-normalized copy of the store (see [`NormalizedView`]).
-    pub fn normalized_view(&self) -> NormalizedView {
-        let mut data = self.data.clone();
-        for i in 0..self.n {
-            let norm = self.norms[i];
-            if norm > 1e-12 {
-                for c in &mut data[i * self.dim..(i + 1) * self.dim] {
-                    *c /= norm;
+/// Shape of the register tile the batch paths use: [`TILE_ROWS`] left rows
+/// × [`TILE_COLS`] right rows per accumulation pass. Any shape gives the
+/// same bits (see the module docs), so this is purely a speed choice; the
+/// sweep behind it is recorded in `crates/bench/benches/distance_kernels.rs`.
+pub(crate) const TILE_ROWS: usize = 2;
+/// See [`TILE_ROWS`].
+pub(crate) const TILE_COLS: usize = 2;
+
+/// The accumulation loop — the only one in the workspace. For each of the
+/// `R × C` pairs of an `a` row with a `b` row (all `dim` components long)
+/// it folds the whole `L`-component chunks of the two rows, in order, into
+/// `L` lanes of the pair's own: `lane[l] = step(lane[l], x[l], y[l])`.
+/// Each row chunk is loaded once and serves every pair it is part of; the
+/// lanes are independent, so the compiler vectorizes them (the reference
+/// path's strictly sequential sum cannot be). The `dim % L` trailing
+/// components and the reduction of the lanes are the caller's.
+///
+/// Never inlined: the optimizer then sees this loop alone, whatever the
+/// caller does with the lanes afterwards. (Inlined, the shape of the
+/// caller's reduction tree decides how the vectorizer groups the lanes
+/// *inside* the loop, and a shuffle per load makes it 2–4× slower.) One
+/// call per `R · C` pairs costs nothing next to the loop.
+#[inline(never)]
+fn accumulate<T: Copy + Default, const L: usize, const R: usize, const C: usize>(
+    dim: usize,
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+    step: impl Fn(T, f32, f32) -> T,
+) -> [[[T; L]; C]; R] {
+    // Every row cut to the same explicit chunk count: no bounds check in
+    // the loop.
+    let chunks = dim / L;
+    let a = a.map(|row| &row[..dim].as_chunks::<L>().0[..chunks]);
+    let b = b.map(|row| &row[..dim].as_chunks::<L>().0[..chunks]);
+    let mut lanes = [[[T::default(); L]; C]; R];
+    for k in 0..chunks {
+        let ca: [[f32; L]; R] = array::from_fn(|r| a[r][k]);
+        let cb: [[f32; L]; C] = array::from_fn(|c| b[c][k]);
+        for r in 0..R {
+            for c in 0..C {
+                for l in 0..L {
+                    lanes[r][c][l] = step(lanes[r][c][l], ca[r][l], cb[c][l]);
                 }
             }
         }
-        NormalizedView {
-            n: self.n,
-            dim: self.dim,
-            data,
-            zero: self.norms.iter().map(|&n| n <= 1e-12).collect(),
-        }
     }
+    lanes
 }
 
-/// A store view whose rows are L2-normalized, making cosine distance a bare
-/// `1 − dot`. Within ~1e-6 of the exact path (unit rounding in `f32`).
-#[derive(Debug, Clone)]
-pub struct NormalizedView {
-    n: usize,
+/// What [`accumulate`] leaves of two rows: their last `dim % L` components,
+/// paired up.
+#[inline]
+fn tails<'a, const L: usize>(
     dim: usize,
-    data: Vec<f32>,
-    /// Rows that were zero vectors (cosine convention: similarity 0).
-    zero: Vec<bool>,
+    x: &'a [f32],
+    y: &'a [f32],
+) -> impl Iterator<Item = (&'a f32, &'a f32)> {
+    let done = dim - dim % L;
+    x[done..dim].iter().zip(&y[done..dim])
 }
 
-impl NormalizedView {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// True when the view holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
-    }
-
-    /// Unit row `i` as a slice.
-    pub fn row(&self, i: usize) -> &[f32] {
-        &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Cosine distance `1 − dot(unit_i, unit_j)`, clamped to `[0, 2]`.
-    pub fn cosine_distance(&self, i: usize, j: usize) -> f64 {
-        if self.zero[i] || self.zero[j] {
-            return 1.0;
-        }
-        let dot = dot_slices(self.row(i), self.row(j));
-        (1.0 - (dot as f64)).clamp(0.0, 2.0)
-    }
-}
-
-/// Unrolled dot product: eight parallel `f32` accumulators so the compiler
-/// can vectorize (the reference path's strictly sequential sum cannot be).
+/// `R × C` dot products: eight `f32` lanes per pair.
 #[inline]
-fn dot_slices(a: &[f32], b: &[f32]) -> f32 {
-    let mut lanes = [0.0f32; 8];
-    let mut chunks_a = a.chunks_exact(8);
-    let mut chunks_b = b.chunks_exact(8);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        for l in 0..8 {
-            lanes[l] += ca[l] * cb[l];
-        }
-    }
-    let tail: f32 = chunks_a
-        .remainder()
-        .iter()
-        .zip(chunks_b.remainder())
-        .map(|(x, y)| x * y)
-        .sum();
-    ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
-        + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
-        + tail
+fn dot_tile<const R: usize, const C: usize>(
+    dim: usize,
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+) -> [[f32; C]; R] {
+    let lanes = accumulate::<f32, 8, R, C>(dim, a, b, |sum, x, y| sum + x * y);
+    array::from_fn(|r| {
+        array::from_fn(|c| {
+            let lanes = lanes[r][c];
+            let tail: f32 = tails::<8>(dim, a[r], b[c]).map(|(x, y)| x * y).sum();
+            ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3]))
+                + ((lanes[4] + lanes[5]) + (lanes[6] + lanes[7]))
+                + tail
+        })
+    })
 }
 
-/// Unrolled squared-Euclidean accumulation (`f64`, four lanes).
+/// `R × C` squared-Euclidean accumulations: four `f64` lanes per pair.
 #[inline]
-fn squared_diff_slices(a: &[f32], b: &[f32]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        for l in 0..4 {
-            let d = (ca[l] - cb[l]) as f64;
-            lanes[l] += d * d;
-        }
-    }
-    let tail: f64 = chunks_a
-        .remainder()
-        .iter()
-        .zip(chunks_b.remainder())
-        .map(|(x, y)| ((x - y) as f64).powi(2))
-        .sum();
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+fn squared_diff_tile<const R: usize, const C: usize>(
+    dim: usize,
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+) -> [[f64; C]; R] {
+    let lanes = accumulate::<f64, 4, R, C>(dim, a, b, |sum, x, y| {
+        let d = (x - y) as f64;
+        sum + d * d
+    });
+    array::from_fn(|r| {
+        array::from_fn(|c| {
+            let lanes = lanes[r][c];
+            let tail: f64 = tails::<4>(dim, a[r], b[c])
+                .map(|(x, y)| ((x - y) as f64).powi(2))
+                .sum();
+            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+        })
+    })
 }
 
-/// Unrolled absolute-difference accumulation (`f64`, four lanes).
+/// `R × C` absolute-difference accumulations: four `f64` lanes per pair.
 #[inline]
-fn abs_diff_slices(a: &[f32], b: &[f32]) -> f64 {
-    let mut lanes = [0.0f64; 4];
-    let mut chunks_a = a.chunks_exact(4);
-    let mut chunks_b = b.chunks_exact(4);
-    for (ca, cb) in chunks_a.by_ref().zip(chunks_b.by_ref()) {
-        for l in 0..4 {
-            lanes[l] += ((ca[l] - cb[l]) as f64).abs();
-        }
-    }
-    let tail: f64 = chunks_a
-        .remainder()
-        .iter()
-        .zip(chunks_b.remainder())
-        .map(|(x, y)| ((x - y) as f64).abs())
-        .sum();
-    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+fn abs_diff_tile<const R: usize, const C: usize>(
+    dim: usize,
+    a: [&[f32]; R],
+    b: [&[f32]; C],
+) -> [[f64; C]; R] {
+    let lanes = accumulate::<f64, 4, R, C>(dim, a, b, |sum, x, y| sum + ((x - y) as f64).abs());
+    array::from_fn(|r| {
+        array::from_fn(|c| {
+            let lanes = lanes[r][c];
+            let tail: f64 = tails::<4>(dim, a[r], b[c])
+                .map(|(x, y)| ((x - y) as f64).abs())
+                .sum();
+            (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
+        })
+    })
 }
 
 /// `1 / norm`, with the reference path's `< 1e-12` zero-norm convention
@@ -428,21 +498,38 @@ pub(crate) fn inverse_norm(norm: f32) -> f64 {
 }
 
 #[inline]
-fn cosine_similarity_slices(a: &[f32], inv_na: f64, b: &[f32], inv_nb: f64) -> f64 {
-    (dot_slices(a, b) as f64 * (inv_na * inv_nb)).clamp(-1.0, 1.0)
+fn cosine_similarity(dot: f32, inv_na: f64, inv_nb: f64) -> f64 {
+    (dot as f64 * (inv_na * inv_nb)).clamp(-1.0, 1.0)
 }
 
-/// The shared distance kernel over raw rows with cached inverse norms (the
-/// cosine hot path is one dot product and two multiplies — zero per-call
-/// norm work and no division). Within 1e-6 of the reference
-/// [`Distance::between`] path (see module docs).
+/// The shared distance kernel: distances between rows `rows` of `a` and
+/// rows `cols` of `b`, one accumulation pass over all `R + C` rows (the
+/// cosine path is a dot product and two multiplies by cached inverse
+/// norms — zero per-call norm work and no division). Within 1e-6 of the
+/// reference [`Distance::between`] path, and the same bits for a pair
+/// whatever tile it is computed in (see the module docs).
 #[inline]
-pub(crate) fn kernel(metric: Distance, a: &[f32], inv_na: f64, b: &[f32], inv_nb: f64) -> f64 {
-    debug_assert_eq!(a.len(), b.len(), "dimension mismatch in distance kernel");
+fn tile<const R: usize, const C: usize>(
+    metric: Distance,
+    a: &EmbeddingStore,
+    rows: [usize; R],
+    b: &EmbeddingStore,
+    cols: [usize; C],
+) -> [[f64; C]; R] {
+    assert_eq!(a.dim, b.dim, "dimension mismatch in distance");
+    let (left, right) = (rows.map(|i| a.row(i)), cols.map(|j| b.row(j)));
     match metric {
-        Distance::Cosine => 1.0 - cosine_similarity_slices(a, inv_na, b, inv_nb),
-        Distance::Euclidean => squared_diff_slices(a, b).sqrt(),
-        Distance::Manhattan => abs_diff_slices(a, b),
+        Distance::Cosine => {
+            let dots = dot_tile(a.dim, left, right);
+            array::from_fn(|r| {
+                array::from_fn(|c| {
+                    let (inv_na, inv_nb) = (a.inv_norms[rows[r]], b.inv_norms[cols[c]]);
+                    1.0 - cosine_similarity(dots[r][c], inv_na, inv_nb)
+                })
+            })
+        }
+        Distance::Euclidean => squared_diff_tile(a.dim, left, right).map(|row| row.map(f64::sqrt)),
+        Distance::Manhattan => abs_diff_tile(a.dim, left, right),
     }
 }
 
@@ -501,11 +588,14 @@ mod tests {
                 for (j, rv) in right.iter().enumerate() {
                     let reference = metric.between(lv, rv);
                     let cross = ls.cross_distance(metric, i, &rs, j);
-                    // Every kernel entry point computes the identical value;
-                    // all are within 1e-6 of the reference path.
+                    // A loose vector packed into a store of its own gets
+                    // the norm `Vector::norm` computes, so every entry
+                    // point computes the identical value; all are within
+                    // 1e-6 of the reference path.
+                    let packed = EmbeddingStore::from_vectors(std::slice::from_ref(rv));
                     assert_eq!(
                         cross.to_bits(),
-                        ls.distance_to_vector(metric, i, rv).to_bits()
+                        ls.cross_distance(metric, i, &packed, 0).to_bits()
                     );
                     assert!((cross - reference).abs() <= 1e-6, "{metric:?} {i},{j}");
                 }
@@ -514,20 +604,39 @@ mod tests {
     }
 
     #[test]
-    fn normalized_view_is_close_and_handles_zero_rows() {
-        let vs = vectors();
-        let store = EmbeddingStore::from_vectors(&vs);
-        let view = store.normalized_view();
-        assert_eq!(view.len(), 4);
-        for i in 0..vs.len() {
-            for j in 0..vs.len() {
-                let exact = Distance::Cosine.between(&vs[i], &vs[j]);
-                let fast = view.cosine_distance(i, j);
-                assert!((exact - fast).abs() < 1e-6, "{i},{j}: {exact} vs {fast}");
-            }
+    fn cross_distances_visit_the_given_rows_in_order() {
+        // 11 rows × 6 columns: two full row blocks plus a remainder, one
+        // full column tile plus a remainder.
+        let vs: Vec<Vector> = (0..11)
+            .map(|i| Vector::new((0..9).map(|c| ((i * 9 + c) as f32 * 0.37).sin()).collect()))
+            .collect();
+        let left = EmbeddingStore::from_vectors(&vs);
+        let right = EmbeddingStore::from_vectors(&vs[3..9]);
+        let rows = [7usize, 0, 3, 3, 10, 1, 9, 2, 8, 4, 6];
+        for metric in [Distance::Cosine, Distance::Euclidean, Distance::Manhattan] {
+            let mut visited = Vec::new();
+            left.cross_distances(metric, rows, &right, |i, d| {
+                assert_eq!(d.len(), right.len());
+                for (j, d) in d.iter().enumerate() {
+                    let single = left.cross_distance(metric, i, &right, j);
+                    assert_eq!(d.to_bits(), single.to_bits(), "{metric:?} {i},{j}");
+                }
+                visited.push(i);
+            });
+            assert_eq!(visited, rows);
         }
-        // zero row: similarity convention 0 => distance 1
-        assert_eq!(view.cosine_distance(2, 0), 1.0);
+        // nothing to measure against: every row is still visited
+        let mut visited = 0;
+        left.cross_distances(
+            Distance::Cosine,
+            0..vs.len(),
+            &EmbeddingStore::default(),
+            |_, d| {
+                assert!(d.is_empty());
+                visited += 1;
+            },
+        );
+        assert_eq!(visited, vs.len());
     }
 
     #[test]
@@ -558,7 +667,6 @@ mod tests {
         let store = EmbeddingStore::from_vectors(&[]);
         assert!(store.is_empty());
         assert_eq!(store.dim(), 0);
-        assert!(store.normalized_view().is_empty());
     }
 
     #[test]

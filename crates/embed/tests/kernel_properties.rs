@@ -1,8 +1,10 @@
-//! Property tests: every cached distance path (store kernel, condensed
-//! pairwise matrix, normalized view) agrees with the naive
+//! Property tests: every cached distance path (store kernel, batched cross
+//! distances, condensed pairwise matrix) agrees with the naive
 //! `Distance::between` path within 1e-6 for all three metrics, across
-//! arbitrary dimensions (including dimension 1) and degenerate inputs
-//! (including zero vectors).
+//! arbitrary dimensions (dimension 1, dimensions below, at and past the
+//! kernel's 4- and 8-lane chunks, and 768) and degenerate inputs (including
+//! zero vectors) — and the tiled paths agree with the one-pair kernel
+//! **bit for bit**, whatever the matrix size, subset, or thread count.
 
 use dust_embed::{Distance, EmbeddingStore, PairwiseMatrix, Vector};
 use proptest::prelude::*;
@@ -35,8 +37,8 @@ proptest! {
     /// differs only in floating-point summation order).
     #[test]
     fn store_distances_match_naive(
-        dim in 1usize..8,
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 8), 1..24),
+        dim in 1usize..41,
+        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 40), 1..24),
     ) {
         let pts = points_of_dim(dim, rows);
         let store = EmbeddingStore::from_vectors(&pts);
@@ -59,8 +61,8 @@ proptest! {
     /// scaled by magnitude for the `f32`-stored entries.
     #[test]
     fn pairwise_matrix_matches_naive(
-        dim in 1usize..6,
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 6), 2..32),
+        dim in 1usize..41,
+        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 40), 2..32),
     ) {
         let pts = points_of_dim(dim, rows);
         for metric in METRICS {
@@ -80,26 +82,85 @@ proptest! {
         }
     }
 
-    /// The pre-normalized view's `1 − dot` cosine distance stays within
-    /// 1e-6 of the naive cosine path (unit rounding is its only error).
+    /// The tiled matrix is the `f32` rounding of the one-pair kernel, bit
+    /// for bit, for every `n` in 2..=19 — every remainder of the row-block
+    /// and column-tile loops — full and over an unsorted subset with a
+    /// repeated index, zero vector included.
     #[test]
-    fn normalized_view_cosine_matches_naive(
-        dim in 1usize..8,
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 8), 1..24),
+    fn tiled_matrix_is_the_one_pair_kernel_bit_for_bit(
+        dim in 1usize..41,
+        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 40), 18),
+        picks in prop::collection::vec(0usize..19, 2..20),
     ) {
         let pts = points_of_dim(dim, rows);
-        let view = EmbeddingStore::from_vectors(&pts).normalized_view();
-        for i in 0..pts.len() {
-            for j in 0..pts.len() {
-                if i == j {
-                    continue;
+        prop_assert_eq!(pts.len(), 19);
+        for n in 2..=pts.len() {
+            // keep the zero vector (last) in every prefix
+            let mut prefix = pts[..n - 1].to_vec();
+            prefix.push(pts[pts.len() - 1].clone());
+            let store = EmbeddingStore::from_vectors(&prefix);
+            for metric in METRICS {
+                let matrix = PairwiseMatrix::from_store(&store, metric);
+                prop_assert_eq!(matrix.len(), n);
+                for i in 0..n {
+                    for j in (i + 1)..n {
+                        let single = store.distance(metric, i, j) as f32 as f64;
+                        prop_assert!(
+                            matrix.get(i, j).to_bits() == single.to_bits(),
+                            "{metric:?} n={n} ({i},{j}): matrix {} vs kernel {single}",
+                            matrix.get(i, j)
+                        );
+                    }
                 }
-                let naive = Distance::Cosine.between(&pts[i], &pts[j]);
-                let fast = view.cosine_distance(i, j);
-                prop_assert!(
-                    (naive - fast).abs() <= 1e-6,
-                    "({i},{j}): naive {naive} vs normalized {fast}"
-                );
+            }
+        }
+        let store = EmbeddingStore::from_vectors(&pts);
+        let mut subset = picks;
+        subset.push(subset[0]); // a repeated index
+        for metric in METRICS {
+            let matrix = PairwiseMatrix::from_store_subset(&store, &subset, metric);
+            prop_assert_eq!(matrix.len(), subset.len());
+            for r in 0..subset.len() {
+                for c in (r + 1)..subset.len() {
+                    let single = store.distance(metric, subset[r], subset[c]) as f32 as f64;
+                    prop_assert!(
+                        matrix.get(r, c).to_bits() == single.to_bits(),
+                        "{metric:?} subset ({r},{c}) -> ({},{})", subset[r], subset[c]
+                    );
+                }
+            }
+        }
+    }
+
+    /// Batched cross distances (any row list: unsorted, repeated, every
+    /// block remainder) are the one-pair kernel bit for bit.
+    #[test]
+    fn cross_distances_are_the_one_pair_kernel_bit_for_bit(
+        dim in 1usize..41,
+        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 40), 1..14),
+        others in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 40), 0..11),
+        picks in prop::collection::vec(0usize..64, 0..20),
+    ) {
+        let left = EmbeddingStore::from_vectors(&points_of_dim(dim, rows));
+        // 1..=11 columns: one short of a tile through two tiles and a rest
+        let right = EmbeddingStore::from_vectors(&points_of_dim(dim, others));
+        let picks: Vec<usize> = picks.into_iter().map(|p| p % left.len()).collect();
+        for metric in METRICS {
+            let mut visited = Vec::new();
+            left.cross_distances(metric, picks.iter().copied(), &right, |i, d| {
+                visited.push((i, d.to_vec()));
+            });
+            prop_assert_eq!(visited.len(), picks.len());
+            for ((i, d), &pick) in visited.iter().zip(&picks) {
+                prop_assert_eq!(*i, pick);
+                prop_assert_eq!(d.len(), right.len());
+                for (j, d) in d.iter().enumerate() {
+                    let single = left.cross_distance(metric, pick, &right, j);
+                    prop_assert!(
+                        d.to_bits() == single.to_bits(),
+                        "{metric:?} ({pick},{j}): batched {d} vs kernel {single}"
+                    );
+                }
             }
         }
     }
@@ -217,15 +278,98 @@ proptest! {
 }
 
 /// The zero-vector cosine convention is identical across all paths: the
-/// naive path, the store kernel, and the normalized view all report
+/// naive path, the store kernel, and the tiled matrix all report
 /// similarity 0 (distance 1) against a zero vector.
 #[test]
 fn zero_vector_convention_is_shared() {
     let pts = vec![Vector::zeros(3), Vector::new(vec![1.0, 2.0, -1.0])];
     let store = EmbeddingStore::from_vectors(&pts);
-    let view = store.normalized_view();
     let naive = Distance::Cosine.between(&pts[0], &pts[1]);
     assert_eq!(naive, 1.0);
     assert_eq!(store.distance(Distance::Cosine, 0, 1), 1.0);
-    assert_eq!(view.cosine_distance(0, 1), 1.0);
+    assert_eq!(
+        PairwiseMatrix::from_store(&store, Distance::Cosine).get(0, 1),
+        1.0
+    );
+}
+
+/// Deterministic pseudo-embeddings at the served dimension.
+fn served_points(n: usize, dim: usize) -> Vec<Vector> {
+    (0..n)
+        .map(|i| {
+            Vector::new(
+                (0..dim)
+                    .map(|c| ((i * dim + c) as f32 * 0.618).sin() + (i % 7) as f32 * 0.1)
+                    .collect(),
+            )
+        })
+        .collect()
+}
+
+/// At the served dimension (768: 96 eight-lane chunks, no tail) and one
+/// past it (a tail on every metric), every tiled entry is the one-pair
+/// kernel bit for bit and within 1e-6 of `Distance::between`.
+#[test]
+fn dimension_768_tiles_match_the_kernel_and_the_naive_path() {
+    for dim in [768usize, 769] {
+        let mut pts = served_points(11, dim);
+        pts.push(Vector::zeros(dim));
+        let store = EmbeddingStore::from_vectors(&pts);
+        for metric in METRICS {
+            let matrix = PairwiseMatrix::from_store(&store, metric);
+            for i in 0..pts.len() {
+                for j in (i + 1)..pts.len() {
+                    let single = store.distance(metric, i, j);
+                    assert_eq!(
+                        matrix.get(i, j).to_bits(),
+                        (single as f32 as f64).to_bits(),
+                        "{metric:?} dim={dim} ({i},{j})"
+                    );
+                    let naive = metric.between(&pts[i], &pts[j]);
+                    let tolerance = 1e-6 * naive.abs().max(1.0);
+                    assert!(
+                        (single - naive).abs() <= tolerance,
+                        "{metric:?} dim={dim} ({i},{j}): kernel {single} vs naive {naive}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// n = 300 crosses the parallel-build threshold (44 850 pairs): the
+/// parallel tiled build, full and over a shuffled subset, is the one-pair
+/// kernel bit for bit on all three metrics.
+#[test]
+fn parallel_tiled_builds_match_the_kernel_bit_for_bit() {
+    let mut pts = served_points(299, 19);
+    pts.push(Vector::zeros(19));
+    let store = EmbeddingStore::from_vectors(&pts);
+    // a permutation (7 is coprime to 300) with one index repeated
+    let mut subset: Vec<usize> = (0..pts.len()).map(|i| (i * 7 + 3) % pts.len()).collect();
+    subset.push(subset[5]);
+    for metric in METRICS {
+        let full = PairwiseMatrix::from_store(&store, metric);
+        let sub = PairwiseMatrix::from_store_subset(&store, &subset, metric);
+        for i in 0..pts.len() {
+            for j in (i + 1)..pts.len() {
+                let single = store.distance(metric, i, j) as f32 as f64;
+                assert_eq!(
+                    full.get(i, j).to_bits(),
+                    single.to_bits(),
+                    "{metric:?} {i},{j}"
+                );
+            }
+        }
+        for r in 0..subset.len() {
+            for c in (r + 1)..subset.len() {
+                let single = store.distance(metric, subset[r], subset[c]) as f32 as f64;
+                assert_eq!(
+                    sub.get(r, c).to_bits(),
+                    single.to_bits(),
+                    "{metric:?} {r},{c}"
+                );
+            }
+        }
+    }
 }

@@ -17,7 +17,9 @@
 
 use dust_core::{DustResult, LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
 use dust_datagen::BenchmarkConfig;
-use dust_embed::{FineTuneConfig, PretrainedModel};
+use dust_embed::{
+    desc_nan_last, Distance, EmbeddingStore, FineTuneConfig, PretrainedModel, TupleEncoder, Vector,
+};
 use dust_table::{DataLake, Table};
 use proptest::prelude::*;
 
@@ -327,4 +329,91 @@ fn add_to_empty_lake() {
     assert_eq!(session.generation(), 3);
     let query_probes = probes(&donor, 2);
     assert_session_matches_rebuild(&session, &query_probes, "grown from empty");
+}
+
+/// `similar_tuples` against an oracle kept here, for every `k`: the oracle
+/// scores one (lake tuple, probe tuple) pair at a time — both norms
+/// recomputed for every pair, similarity as `1 − cosine distance` — and
+/// ranks by a full sort over owned table names, where the session packs the
+/// probes once, scores lake rows in tiles and ranks borrowed keys. Table,
+/// row and `score.to_bits()` must agree. The lake holds the same tuples
+/// under two table names (exactly tied scores, so the table → row
+/// tie-break decides) and has been through an add and a remove (so the
+/// shard carries tombstoned rows the ranking must skip).
+#[test]
+fn similar_tuples_matches_a_per_pair_oracle_for_every_k() {
+    let twin = |name: &str| {
+        Table::builder(name)
+            .column("Park Name", ["Delta Park", "Echo Park", "Foxtrot Park"])
+            .column("Country", ["USA", "USA", "Canada"])
+            .build()
+            .unwrap()
+    };
+    let lake = tiny_lake();
+    let victim = lake.table_names()[1].clone();
+    let session = LakeSession::with_options(
+        lake,
+        PipelineConfig::fast(),
+        SessionOptions {
+            num_shards: 1,
+            ..SessionOptions::default()
+        },
+    );
+    session.add_table(twin("twin_b")).unwrap();
+    session.add_table(twin("twin_a")).unwrap();
+    session.remove_table(&victim).unwrap();
+    let store_rows = session.shard(0).tuple_store().len();
+    let live_rows = session.shard(0).tuple_store().num_live();
+    assert!(live_rows < store_rows, "the removal left no tombstones");
+
+    // two probe tuples, one of them an exact copy of a twin row
+    let probe = Table::builder("probe")
+        .column("Park Name", ["Echo Park", "Golf Park"])
+        .column("Country", ["USA", "Mexico"])
+        .build()
+        .unwrap();
+
+    let encoder = TupleEncoder::new(PretrainedModel::Roberta);
+    let probe_embeddings: Vec<Vector> = (probe.tuples().iter())
+        .map(|t| encoder.embed_tuple(t))
+        .collect();
+    let mut expected: Vec<(String, usize, f64)> = Vec::new();
+    for table in session.lake().tables() {
+        for (row, tuple) in table.tuples().iter().enumerate() {
+            let lake_side = EmbeddingStore::from_vectors(&[encoder.embed_tuple(tuple)]);
+            let score = (probe_embeddings.iter())
+                .map(|q| {
+                    let probe_side = EmbeddingStore::from_vectors(std::slice::from_ref(q));
+                    1.0 - lake_side.cross_distance(Distance::Cosine, 0, &probe_side, 0)
+                })
+                .fold(f64::NEG_INFINITY, f64::max);
+            expected.push((table.name().to_string(), row, score));
+        }
+    }
+    assert_eq!(expected.len(), live_rows);
+    expected.sort_by(|a, b| {
+        desc_nan_last(a.2, b.2)
+            .then_with(|| a.0.cmp(&b.0))
+            .then_with(|| a.1.cmp(&b.1))
+    });
+    // the copied row ties across the twins, and the tie-break orders them
+    assert_eq!(
+        (expected[0].0.as_str(), expected[0].1),
+        ("twin_a", 1),
+        "the exact copy should rank first, under the smaller table name"
+    );
+    assert_eq!((expected[1].0.as_str(), expected[1].1), ("twin_b", 1));
+    assert_eq!(expected[0].2.to_bits(), expected[1].2.to_bits());
+
+    for k in 0..=expected.len() + 1 {
+        let ranked = session.similar_tuples(&probe, k);
+        assert_eq!(ranked.len(), k.min(expected.len()), "k = {k}");
+        for (position, (got, want)) in ranked.iter().zip(&expected).enumerate() {
+            assert_eq!(
+                (got.table.as_str(), got.row, got.score.to_bits()),
+                (want.0.as_str(), want.1, want.2.to_bits()),
+                "k = {k}, position {position}"
+            );
+        }
+    }
 }
