@@ -595,10 +595,9 @@ fn encode_model(model: &DustModel) -> Vec<u8> {
     put_finetune_config(&mut w, head.config());
     w.put_usize(head.input_dim());
     let (w1, b1, w2, b2) = head.raw_weights();
-    w.put_f32s(w1);
-    w.put_f32s(b1);
-    w.put_f32s(w2);
-    w.put_f32s(b2);
+    for part in [w1, b1, w2, b2] {
+        w.put_f32s(&part);
+    }
     match model.center() {
         Some(center) => {
             w.put_bool(true);
@@ -912,5 +911,44 @@ pub(crate) fn sweep_stale_epochs(dir: &Path, keep_epoch: u64) {
         if stale {
             let _ = std::fs::remove_file(entry.path());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use dust_table::Tuple;
+
+    /// `fixtures/seg-model-v2.bin` is a format-v2 model segment written by
+    /// commit `be41721`, when the head still held its weights in the
+    /// persisted `output × input` form: Bert (192) → 5 → 3, four epochs on
+    /// nine toy pairs. Whatever the resident layout is now, the file must
+    /// keep meaning the same model and the model the same file.
+    #[test]
+    fn golden_v2_model_segment_decodes_embeds_and_re_encodes_verbatim() {
+        let path = Path::new(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/fixtures/seg-model-v2.bin"
+        ));
+        let payload = read_segment(path, KIND_MODEL).expect("an intact model segment");
+        let model = decode_model(&payload, path).expect("a decodable model");
+        let tuple = Tuple::new(
+            vec!["Name".into(), "Kind".into(), "Place".into()],
+            vec![
+                Value::text("Lawler Park"),
+                Value::text("park"),
+                Value::text("Chicago"),
+            ],
+            "park_table",
+            0,
+        );
+        let bits: Vec<u32> = model
+            .embed_tuple(&tuple)
+            .as_slice()
+            .iter()
+            .map(|v| v.to_bits())
+            .collect();
+        assert_eq!(bits, [0x3efa_6d7a, 0xbd19_959c, 0x3ee4_39e8]);
+        assert_eq!(encode_model(&model), payload);
     }
 }

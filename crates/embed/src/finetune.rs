@@ -14,6 +14,23 @@
 //! window — exactly the training loop the paper describes, with the
 //! transformer backbone replaced by the deterministic hashing encoder
 //! (DESIGN.md §2).
+//!
+//! ## One layout, lane-tiled kernels
+//!
+//! Both weight matrices are held **input-major** (`w[k][j]`: row `k` holds
+//! the weight of input `k` into every output unit `j`), the transpose of
+//! the `output × input` rows the persisted format and the textbook loop
+//! use. A layer is then `acc[j] += w[k][j] · x[k]` for `k` ascending over a
+//! block of [`LANES`] adjacent units that starts at `b[j]`: every unit
+//! keeps the single accumulator, start value and summation order of the
+//! per-unit serial loop — so each `f32` is the same bits — but the lanes of
+//! a block are independent, which is what lets the compiler vectorize a sum
+//! whose per-unit form is one latency-bound chain. The SGD update runs on
+//! the same layout with the same expression order, so trained weights are
+//! the same bits too (`crates/embed/tests/head_properties.rs` keeps the
+//! serial loops as its oracle). Row-major `output × input` exists only at
+//! the import/export boundary ([`ProjectionHead::from_raw_weights`] /
+//! [`ProjectionHead::raw_weights`]); there is no second resident copy.
 
 use crate::distance::cosine_similarity;
 use crate::models::{PretrainedModel, TupleEncoder};
@@ -22,6 +39,7 @@ use dust_table::Tuple;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::array;
 
 /// One training example: a pair of base embeddings and a unionability label.
 #[derive(Debug, Clone)]
@@ -98,12 +116,29 @@ pub fn cosine_embedding_loss(e1: &Vector, e2: &Vector, unionable: bool, margin: 
 pub struct ProjectionHead {
     input_dim: usize,
     config: FineTuneConfig,
-    /// `hidden_dim × input_dim`, row-major.
+    /// `input_dim × hidden_dim`, row-major (see the module docs).
     w1: Vec<f32>,
     b1: Vec<f32>,
-    /// `output_dim × hidden_dim`, row-major.
+    /// `hidden_dim × output_dim`, row-major.
     w2: Vec<f32>,
     b2: Vec<f32>,
+}
+
+/// Activation and gradient buffers of one training run (or one loss
+/// evaluation), allocated once and reused for every pair.
+struct Scratch {
+    sides: [Side; 2],
+    grad_out: Vec<f32>,
+    grad_hidden: Vec<f32>,
+}
+
+/// What one side of a pair leaves behind for its backward pass.
+struct Side {
+    /// The input after dropout.
+    x: Vec<f32>,
+    /// Hidden activations (after tanh).
+    hidden: Vec<f32>,
+    out: Vector,
 }
 
 impl ProjectionHead {
@@ -113,20 +148,15 @@ impl ProjectionHead {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let scale1 = (1.0 / input_dim as f32).sqrt();
         let scale2 = (1.0 / config.hidden_dim as f32).sqrt();
+        // Drawn in `output × input` order, the order of the exported form.
         let w1 = (0..config.hidden_dim * input_dim)
             .map(|_| rng.gen_range(-scale1..scale1))
             .collect();
         let w2 = (0..config.output_dim * config.hidden_dim)
             .map(|_| rng.gen_range(-scale2..scale2))
             .collect();
-        ProjectionHead {
-            input_dim,
-            b1: vec![0.0; config.hidden_dim],
-            b2: vec![0.0; config.output_dim],
-            config,
-            w1,
-            w2,
-        }
+        let (b1, b2) = (vec![0.0; config.hidden_dim], vec![0.0; config.output_dim]);
+        Self::from_raw_weights(input_dim, config, w1, b1, w2, b2)
     }
 
     /// Input dimensionality expected by the head.
@@ -144,12 +174,19 @@ impl ProjectionHead {
         &self.config
     }
 
-    /// Export the trained weights: `(w1, b1, w2, b2)` exactly as stored
-    /// (`w1` is `hidden_dim × input_dim` row-major, `w2` is `output_dim ×
-    /// hidden_dim` row-major). Together with [`Self::input_dim`] and
+    /// Export the trained weights: `(w1, b1, w2, b2)` with `w1` as
+    /// `hidden_dim × input_dim` row-major and `w2` as `output_dim ×
+    /// hidden_dim` row-major — the persisted form, transposed out of the
+    /// resident layout (hence owned). Together with [`Self::input_dim`] and
     /// [`Self::config`] this is the head's whole state.
-    pub fn raw_weights(&self) -> (&[f32], &[f32], &[f32], &[f32]) {
-        (&self.w1, &self.b1, &self.w2, &self.b2)
+    pub fn raw_weights(&self) -> (Vec<f32>, Vec<f32>, Vec<f32>, Vec<f32>) {
+        let (h_dim, o_dim) = (self.config.hidden_dim, self.config.output_dim);
+        (
+            transposed(&self.w1, self.input_dim, h_dim),
+            self.b1.clone(),
+            transposed(&self.w2, h_dim, o_dim),
+            self.b2.clone(),
+        )
     }
 
     /// Reassemble a head from exported weights — the exact inverse of
@@ -164,76 +201,75 @@ impl ProjectionHead {
         w2: Vec<f32>,
         b2: Vec<f32>,
     ) -> Self {
-        assert_eq!(w1.len(), config.hidden_dim * input_dim, "w1 shape mismatch");
-        assert_eq!(b1.len(), config.hidden_dim, "b1 shape mismatch");
-        assert_eq!(
-            w2.len(),
-            config.output_dim * config.hidden_dim,
-            "w2 shape mismatch"
-        );
-        assert_eq!(b2.len(), config.output_dim, "b2 shape mismatch");
+        let (h_dim, o_dim) = (config.hidden_dim, config.output_dim);
+        assert_eq!(w1.len(), h_dim * input_dim, "w1 shape mismatch");
+        assert_eq!(b1.len(), h_dim, "b1 shape mismatch");
+        assert_eq!(w2.len(), o_dim * h_dim, "w2 shape mismatch");
+        assert_eq!(b2.len(), o_dim, "b2 shape mismatch");
         ProjectionHead {
             input_dim,
-            config,
-            w1,
+            w1: transposed(&w1, h_dim, input_dim),
             b1,
-            w2,
+            w2: transposed(&w2, o_dim, h_dim),
             b2,
+            config,
         }
     }
 
     /// Forward pass in evaluation mode (no dropout).
     pub fn embed(&self, x: &Vector) -> Vector {
-        let (_, _, out) = self.forward(x.as_slice(), None);
+        self.embed_with(x.as_slice(), &mut vec![0.0; self.config.hidden_dim])
+    }
+
+    /// [`Self::embed`] with the caller's hidden-layer buffer, so a batch
+    /// allocates nothing per input but the embedding it returns.
+    fn embed_with(&self, x: &[f32], hidden: &mut [f32]) -> Vector {
+        let mut out = vec![0.0; self.config.output_dim];
+        self.forward(x, hidden, &mut out);
         Vector::new(out)
     }
 
-    /// Forward pass; `dropout_mask` (parallel to the input) zeroes dropped
-    /// components during training.
-    fn forward(&self, x: &[f32], dropout_mask: Option<&[f32]>) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+    /// The forward pass, for evaluation and training alike (training feeds
+    /// it the input after dropout): leaves the hidden activations in
+    /// `hidden` and the embedding in `out`.
+    fn forward(&self, x: &[f32], hidden: &mut [f32], out: &mut [f32]) {
         assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
-        let h_dim = self.config.hidden_dim;
-        let o_dim = self.config.output_dim;
-        let dropped: Vec<f32> = match dropout_mask {
-            Some(mask) => x.iter().zip(mask).map(|(v, m)| v * m).collect(),
-            None => x.to_vec(),
+        layer(&self.w1, &self.b1, x, hidden);
+        for h in hidden.iter_mut() {
+            *h = h.tanh();
+        }
+        layer(&self.w2, &self.b2, hidden, out);
+    }
+
+    fn scratch(&self) -> Scratch {
+        let side = || Side {
+            x: vec![0.0; self.input_dim],
+            hidden: vec![0.0; self.config.hidden_dim],
+            out: Vector::zeros(self.config.output_dim),
         };
-        let mut z1 = vec![0.0f32; h_dim];
-        for (i, slot) in z1.iter_mut().enumerate() {
-            let row = &self.w1[i * self.input_dim..(i + 1) * self.input_dim];
-            let mut acc = self.b1[i];
-            for (w, v) in row.iter().zip(&dropped) {
-                acc += w * v;
-            }
-            *slot = acc;
+        Scratch {
+            sides: [side(), side()],
+            grad_out: vec![0.0; self.config.output_dim],
+            grad_hidden: vec![0.0; self.config.hidden_dim],
         }
-        let h: Vec<f32> = z1.iter().map(|v| v.tanh()).collect();
-        let mut out = vec![0.0f32; o_dim];
-        for (i, slot) in out.iter_mut().enumerate() {
-            let row = &self.w2[i * h_dim..(i + 1) * h_dim];
-            let mut acc = self.b2[i];
-            for (w, v) in row.iter().zip(&h) {
-                acc += w * v;
-            }
-            *slot = acc;
-        }
-        (dropped, h, out)
     }
 
     /// Average loss over a set of pairs (evaluation mode).
     pub fn evaluate_loss(&self, pairs: &[PairExample]) -> f64 {
+        self.evaluate_loss_with(pairs, &mut self.scratch())
+    }
+
+    fn evaluate_loss_with(&self, pairs: &[PairExample], scratch: &mut Scratch) -> f64 {
         if pairs.is_empty() {
             return 0.0;
         }
+        let [a, b] = &mut scratch.sides;
         let total: f64 = pairs
             .iter()
             .map(|p| {
-                cosine_embedding_loss(
-                    &self.embed(&p.a),
-                    &self.embed(&p.b),
-                    p.unionable,
-                    self.config.margin,
-                )
+                self.forward(p.a.as_slice(), &mut a.hidden, a.out.as_mut_slice());
+                self.forward(p.b.as_slice(), &mut b.hidden, b.out.as_mut_slice());
+                cosine_embedding_loss(&a.out, &b.out, p.unionable, self.config.margin)
             })
             .sum();
         total / pairs.len() as f64
@@ -242,6 +278,7 @@ impl ProjectionHead {
     /// Train with SGD and early stopping; returns a training report.
     pub fn train(&mut self, train: &[PairExample], validation: &[PairExample]) -> TrainReport {
         let mut rng = StdRng::seed_from_u64(self.config.seed.wrapping_add(1));
+        let mut scratch = self.scratch();
         let mut best_val = f64::INFINITY;
         let mut best_weights = (
             self.w1.clone(),
@@ -261,7 +298,7 @@ impl ProjectionHead {
             let mut epoch_loss = 0.0;
             for &idx in &order {
                 let pair = &train[idx];
-                epoch_loss += self.sgd_step(pair, &mut rng);
+                epoch_loss += self.sgd_step(pair, &mut rng, &mut scratch);
             }
             final_train_loss = if train.is_empty() {
                 0.0
@@ -271,7 +308,7 @@ impl ProjectionHead {
             let val_loss = if validation.is_empty() {
                 final_train_loss
             } else {
-                self.evaluate_loss(validation)
+                self.evaluate_loss_with(validation, &mut scratch)
             };
             val_losses.push(val_loss);
             if val_loss + 1e-9 < best_val {
@@ -308,14 +345,17 @@ impl ProjectionHead {
     }
 
     /// One SGD step on a single pair; returns the pair's loss before update.
-    fn sgd_step(&mut self, pair: &PairExample, rng: &mut StdRng) -> f64 {
-        let mask_a = self.dropout_mask(rng);
-        let mask_b = self.dropout_mask(rng);
-        let (xa, ha, ea) = self.forward(pair.a.as_slice(), Some(&mask_a));
-        let (xb, hb, eb) = self.forward(pair.b.as_slice(), Some(&mask_b));
-        let ea_v = Vector::new(ea.clone());
-        let eb_v = Vector::new(eb.clone());
-        let cos = cosine_similarity(&ea_v, &eb_v);
+    fn sgd_step(&mut self, pair: &PairExample, rng: &mut StdRng, scratch: &mut Scratch) -> f64 {
+        let Scratch {
+            sides: [a, b],
+            grad_out,
+            grad_hidden,
+        } = scratch;
+        self.dropout(pair.a.as_slice(), rng, &mut a.x);
+        self.dropout(pair.b.as_slice(), rng, &mut b.x);
+        self.forward(&a.x, &mut a.hidden, a.out.as_mut_slice());
+        self.forward(&b.x, &mut b.hidden, b.out.as_mut_slice());
+        let cos = cosine_similarity(&a.out, &b.out);
         let loss = if pair.unionable {
             1.0 - cos
         } else {
@@ -346,94 +386,203 @@ impl ProjectionHead {
         // with 1/||e||, which is huge right after initialization (the head's
         // outputs start near zero) and would otherwise blow the weights into
         // tanh saturation on the very first steps.
-        let grad_ea = clip_norm(cosine_grad(&ea, &eb, cos, dcos), 1.0);
-        let grad_eb = clip_norm(cosine_grad(&eb, &ea, cos, dcos), 1.0);
-        self.backprop(&xa, &ha, &grad_ea);
-        self.backprop(&xb, &hb, &grad_eb);
+        for (side, other) in [(&*a, &*b), (&*b, &*a)] {
+            cosine_grad(
+                side.out.as_slice(),
+                other.out.as_slice(),
+                cos,
+                dcos,
+                grad_out,
+            );
+            clip_norm(grad_out, 1.0);
+            self.backprop(&side.x, &side.hidden, grad_out, grad_hidden);
+        }
         loss
     }
 
     /// Backpropagate an output gradient through both linear layers and apply
     /// the SGD update in place.
-    fn backprop(&mut self, x: &[f32], h: &[f32], grad_out: &[f32]) {
+    fn backprop(&mut self, x: &[f32], hidden: &[f32], grad_out: &[f32], grad_hidden: &mut [f32]) {
         let lr = self.config.learning_rate;
-        let h_dim = self.config.hidden_dim;
-        // gradient wrt hidden activations
-        let mut grad_h = vec![0.0f32; h_dim];
-        for (i, &g) in grad_out.iter().enumerate() {
-            if g == 0.0 {
-                continue;
-            }
-            let row = &mut self.w2[i * h_dim..(i + 1) * h_dim];
-            for (j, w) in row.iter_mut().enumerate() {
-                grad_h[j] += *w * g;
-                *w -= lr * g * h[j];
-            }
-            self.b2[i] -= lr * g;
-        }
+        // gradient wrt hidden activations, from the weights as they are
+        // before this step
+        input_gradient(&self.w2, grad_out, grad_hidden);
+        descend(&mut self.w2, &mut self.b2, hidden, grad_out, lr);
         // through tanh
-        for (j, g) in grad_h.iter_mut().enumerate() {
-            *g *= 1.0 - h[j] * h[j];
+        for (g, h) in grad_hidden.iter_mut().zip(hidden) {
+            *g *= 1.0 - h * h;
         }
-        for (j, g) in grad_h.iter().enumerate() {
-            if *g == 0.0 {
-                continue;
-            }
-            let row = &mut self.w1[j * self.input_dim..(j + 1) * self.input_dim];
-            for (k, w) in row.iter_mut().enumerate() {
-                *w -= lr * g * x[k];
-            }
-            self.b1[j] -= lr * g;
-        }
+        descend(&mut self.w1, &mut self.b1, x, grad_hidden, lr);
     }
 
-    fn dropout_mask(&self, rng: &mut StdRng) -> Vec<f32> {
+    /// Training-time dropout: `dropped` is `x` with each component zeroed
+    /// with probability `p` and the survivors scaled by `1 / (1 - p)`.
+    fn dropout(&self, x: &[f32], rng: &mut StdRng, dropped: &mut [f32]) {
+        assert_eq!(x.len(), self.input_dim, "input dimension mismatch");
         let p = self.config.dropout;
         if p <= 0.0 {
-            return vec![1.0; self.input_dim];
+            dropped.copy_from_slice(x);
+            return;
         }
-        let keep = 1.0 - p;
-        (0..self.input_dim)
-            .map(|_| {
-                if rng.gen::<f32>() < p {
-                    0.0
-                } else {
-                    1.0 / keep
-                }
-            })
-            .collect()
+        let kept = 1.0 / (1.0 - p);
+        for (d, v) in dropped.iter_mut().zip(x) {
+            *d = v * if rng.gen::<f32>() < p { 0.0 } else { kept };
+        }
     }
+}
+
+/// Output units per register block of the layer kernels: 16 `f32` lanes
+/// (four SSE registers of accumulators, one cache line of each weight row).
+/// Any width gives the same bits, so this is purely a speed choice; the
+/// sweep behind it is recorded in `crates/bench/benches/embedding.rs`.
+const LANES: usize = 16;
+
+/// One linear layer: `out[j] = b[j] + Σₖ w[k][j] · x[k]`, each unit summed
+/// in ascending `k` from its bias, with `w` held `x.len() × out.len()`.
+fn layer(w: &[f32], b: &[f32], x: &[f32], out: &mut [f32]) {
+    assert!(b.len() == out.len() && w.len() == x.len() * out.len());
+    for j in (0..out.len()).step_by(LANES) {
+        if j + LANES <= out.len() {
+            layer_block::<LANES>(w, b, x, out, j);
+        } else {
+            for unit in j..out.len() {
+                layer_block::<1>(w, b, x, out, unit);
+            }
+        }
+    }
+}
+
+/// Units `j..j + L` of [`layer`]. The `L` accumulators are independent, so
+/// the compiler vectorizes them; the per-unit form (`L = 1`, which serves
+/// the units past the last whole block of [`LANES`]) is one
+/// add-latency-bound chain.
+///
+/// Never inlined, like `accumulate` in `store.rs`: compiled alone, the loop
+/// is packed SIMD whatever the caller does around it.
+#[inline(never)]
+fn layer_block<const L: usize>(w: &[f32], b: &[f32], x: &[f32], out: &mut [f32], j: usize) {
+    let width = out.len();
+    let mut acc = [0.0f32; L];
+    acc.copy_from_slice(&b[j..j + L]);
+    for (row, &v) in w.chunks_exact(width).zip(x) {
+        for (acc, w) in acc.iter_mut().zip(&row[j..j + L]) {
+            *acc += w * v;
+        }
+    }
+    out[j..j + L].copy_from_slice(&acc);
+}
+
+/// Gradient of a layer's output with respect to its input: `gx[k] = Σⱼ
+/// w[k][j] · g[j]`, each summed in ascending `j` from `0.0` over the units
+/// whose gradient is not exactly zero. This is the direction the layout
+/// does not favour (a unit's weights are a stride apart): lanes here are
+/// `LANES` inputs, each reading its own row.
+fn input_gradient(w: &[f32], g: &[f32], gx: &mut [f32]) {
+    assert_eq!(w.len(), gx.len() * g.len());
+    for k in (0..gx.len()).step_by(LANES) {
+        if k + LANES <= gx.len() {
+            input_gradient_block::<LANES>(w, g, gx, k);
+        } else {
+            for input in k..gx.len() {
+                input_gradient_block::<1>(w, g, gx, input);
+            }
+        }
+    }
+}
+
+/// Inputs `k..k + L` of [`input_gradient`].
+#[inline(never)]
+fn input_gradient_block<const L: usize>(w: &[f32], g: &[f32], gx: &mut [f32], k: usize) {
+    let width = g.len();
+    let rows: [&[f32]; L] = array::from_fn(|l| &w[(k + l) * width..][..width]);
+    let mut acc = [0.0f32; L];
+    for (j, &g) in g.iter().enumerate() {
+        if g == 0.0 {
+            continue;
+        }
+        for l in 0..L {
+            acc[l] += rows[l][j] * g;
+        }
+    }
+    gx[k..k + L].copy_from_slice(&acc);
+}
+
+/// The SGD update of one layer: `w[k][j] -= (lr · g[j]) · x[k]` and `b[j] -=
+/// lr · g[j]` for every unit `j` whose gradient `g[j]` is not exactly zero.
+/// Such a unit is left untouched rather than updated by zero (`-0.0 - -0.0`
+/// is `+0.0`: even a zero step can move a bit), so a block holding one goes
+/// unit by unit.
+fn descend(w: &mut [f32], b: &mut [f32], x: &[f32], g: &[f32], lr: f32) {
+    assert!(b.len() == g.len() && w.len() == x.len() * g.len());
+    for j in (0..g.len()).step_by(LANES) {
+        let end = (j + LANES).min(g.len());
+        if end - j == LANES && !g[j..end].contains(&0.0) {
+            descend_block::<LANES>(w, b, x, g, lr, j);
+        } else {
+            for unit in (j..end).filter(|&unit| g[unit] != 0.0) {
+                descend_block::<1>(w, b, x, g, lr, unit);
+            }
+        }
+    }
+}
+
+/// Units `j..j + L` of [`descend`].
+#[inline(never)]
+fn descend_block<const L: usize>(
+    w: &mut [f32],
+    b: &mut [f32],
+    x: &[f32],
+    g: &[f32],
+    lr: f32,
+    j: usize,
+) {
+    let width = g.len();
+    let step: [f32; L] = array::from_fn(|l| lr * g[j + l]);
+    for (row, &v) in w.chunks_exact_mut(width).zip(x) {
+        for (w, step) in row[j..j + L].iter_mut().zip(step) {
+            *w -= step * v;
+        }
+    }
+    for (b, step) in b[j..j + L].iter_mut().zip(step) {
+        *b -= step;
+    }
+}
+
+/// `m` (`rows × cols`, row-major) transposed.
+fn transposed(m: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0; m.len()];
+    for (r, row) in m.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
 }
 
 /// Scale a gradient vector down so its L2 norm does not exceed `max_norm`.
-fn clip_norm(mut grad: Vec<f32>, max_norm: f32) -> Vec<f32> {
+fn clip_norm(grad: &mut [f32], max_norm: f32) {
     let norm = grad.iter().map(|v| v * v).sum::<f32>().sqrt();
     if norm > max_norm && norm > 0.0 {
         let scale = max_norm / norm;
-        for g in &mut grad {
+        for g in grad {
             *g *= scale;
         }
     }
-    grad
 }
 
 /// Gradient of `dL/d e_self` for the cosine similarity term.
-fn cosine_grad(e_self: &[f32], e_other: &[f32], cos: f64, dcos: f64) -> Vec<f32> {
+fn cosine_grad(e_self: &[f32], e_other: &[f32], cos: f64, dcos: f64, grad: &mut [f32]) {
     let norm_self = (e_self.iter().map(|v| (*v as f64).powi(2)).sum::<f64>())
         .sqrt()
         .max(1e-9);
     let norm_other = (e_other.iter().map(|v| (*v as f64).powi(2)).sum::<f64>())
         .sqrt()
         .max(1e-9);
-    e_self
-        .iter()
-        .zip(e_other)
-        .map(|(s, o)| {
-            let d = (*o as f64) / (norm_self * norm_other)
-                - cos * (*s as f64) / (norm_self * norm_self);
-            (dcos * d) as f32
-        })
-        .collect()
+    for ((g, s), o) in grad.iter_mut().zip(e_self).zip(e_other) {
+        let d =
+            (*o as f64) / (norm_self * norm_other) - cos * (*s as f64) / (norm_self * norm_self);
+        *g = (dcos * d) as f32;
+    }
 }
 
 /// Fisher–Yates shuffle (kept local to avoid a `rand` trait import dance).
@@ -519,34 +668,56 @@ impl DustModel {
 
     /// Fine-tuned embedding of a tuple.
     pub fn embed_tuple(&self, tuple: &Tuple) -> Vector {
-        self.head
-            .embed(&self.centered(self.base.embed_tuple(tuple)))
-    }
-
-    /// Apply the training-time centering (no-op before training).
-    fn centered(&self, mut embedding: Vector) -> Vector {
-        if let Some(center) = &self.center {
-            embedding = embedding.sub(center);
-        }
-        embedding
+        self.embed_with(tuple, &mut vec![0.0; self.head.config.hidden_dim])
     }
 
     /// Embed many tuples.
     pub fn embed_tuples(&self, tuples: &[Tuple]) -> Vec<Vector> {
-        tuples.iter().map(|t| self.embed_tuple(t)).collect()
+        let mut hidden = vec![0.0; self.head.config.hidden_dim];
+        tuples
+            .iter()
+            .map(|t| self.embed_with(t, &mut hidden))
+            .collect()
+    }
+
+    fn embed_with(&self, tuple: &Tuple, hidden: &mut [f32]) -> Vector {
+        let mut base = self.base.embed_tuple(tuple);
+        self.apply_center(&mut base);
+        self.head.embed_with(base.as_slice(), hidden)
+    }
+
+    /// Apply the training-time centering in place (no-op before training).
+    fn apply_center(&self, embedding: &mut Vector) {
+        if let Some(center) = &self.center {
+            embedding.sub_assign(center);
+        }
+    }
+
+    fn center_pairs(&self, pairs: &mut [PairExample]) {
+        for pair in pairs {
+            self.apply_center(&mut pair.a);
+            self.apply_center(&mut pair.b);
+        }
+    }
+
+    /// Base embeddings of labelled tuple pairs, not yet centered.
+    fn base_pairs(&self, pairs: &[(Tuple, Tuple, bool)]) -> Vec<PairExample> {
+        pairs
+            .iter()
+            .map(|(a, b, label)| PairExample {
+                a: self.base.embed_tuple(a),
+                b: self.base.embed_tuple(b),
+                unionable: *label,
+            })
+            .collect()
     }
 
     /// Convert labelled tuple pairs into head training examples (applying the
     /// current centering, if any).
     pub fn prepare_pairs(&self, pairs: &[(Tuple, Tuple, bool)]) -> Vec<PairExample> {
-        pairs
-            .iter()
-            .map(|(a, b, label)| PairExample {
-                a: self.centered(self.base.embed_tuple(a)),
-                b: self.centered(self.base.embed_tuple(b)),
-                unionable: *label,
-            })
-            .collect()
+        let mut examples = self.base_pairs(pairs);
+        self.center_pairs(&mut examples);
+        examples
     }
 
     /// Fine-tune the projection head on labelled tuple pairs. The training
@@ -556,15 +727,13 @@ impl DustModel {
         train_pairs: &[(Tuple, Tuple, bool)],
         validation_pairs: &[(Tuple, Tuple, bool)],
     ) -> TrainReport {
-        // Estimate the anisotropy direction from the training pairs.
-        if !train_pairs.is_empty() {
-            let all: Vec<Vector> = train_pairs
-                .iter()
-                .flat_map(|(a, b, _)| [self.base.embed_tuple(a), self.base.embed_tuple(b)])
-                .collect();
-            self.center = Vector::mean(all.iter());
+        // Estimate the anisotropy direction from the training pairs (kept
+        // as it was when there are none), then remove it from them.
+        let mut train = self.base_pairs(train_pairs);
+        if let Some(center) = Vector::mean(train.iter().flat_map(|p| [&p.a, &p.b])) {
+            self.center = Some(center);
         }
-        let train = self.prepare_pairs(train_pairs);
+        self.center_pairs(&mut train);
         let val = self.prepare_pairs(validation_pairs);
         self.head.train(&train, &val)
     }
@@ -753,10 +922,11 @@ mod tests {
         };
         let head = ProjectionHead::new(100, cfg);
         let mut rng = StdRng::seed_from_u64(1);
-        let mask = head.dropout_mask(&mut rng);
-        assert_eq!(mask.len(), 100);
-        assert!(mask.contains(&0.0));
-        assert!(mask.iter().any(|&m| (m - 2.0).abs() < 1e-6));
+        let mut dropped = vec![f32::NAN; 100];
+        head.dropout(&[1.0; 100], &mut rng, &mut dropped);
+        assert!(dropped.contains(&0.0));
+        assert!(dropped.iter().any(|&d| (d - 2.0).abs() < 1e-6));
+        assert!(dropped.iter().all(|&d| d == 0.0 || (d - 2.0).abs() < 1e-6));
     }
 
     #[test]

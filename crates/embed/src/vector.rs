@@ -52,10 +52,19 @@ impl Vector {
         }
     }
 
+    /// Subtract another vector in place.
+    pub fn sub_assign(&mut self, other: &Vector) {
+        assert_eq!(self.dim(), other.dim(), "dimension mismatch in sub");
+        for (a, b) in self.0.iter_mut().zip(&other.0) {
+            *a -= b;
+        }
+    }
+
     /// Subtract another vector, returning a new vector.
     pub fn sub(&self, other: &Vector) -> Vector {
-        assert_eq!(self.dim(), other.dim(), "dimension mismatch in sub");
-        Vector(self.0.iter().zip(&other.0).map(|(a, b)| a - b).collect())
+        let mut out = self.clone();
+        out.sub_assign(other);
+        out
     }
 
     /// Scale in place.

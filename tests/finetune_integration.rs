@@ -1,7 +1,10 @@
 //! Integration tests of the tuple-representation stack (Fig. 6 / Fig. 10
 //! behaviour): fine-tuning on a generated benchmark's pair dataset must beat
 //! the pre-trained baselines, and the resulting embeddings must be robust to
-//! column-order shuffling.
+//! column-order shuffling. The training goldens at the bottom pin the
+//! trained weights and every lake-tuple embedding to the bits the per-unit
+//! serial head produced (computed at commit `be41721`, before the
+//! lane-tiled kernels), so no later kernel or layout change can move them.
 
 use dust_datagen::{
     build_finetune_dataset, BenchmarkConfig, FineTuneDataset, FineTuneDatasetConfig,
@@ -132,5 +135,88 @@ fn bert_and_roberta_backbones_both_fine_tune_successfully() {
             "DUST ({}) accuracy {accuracy:.3} too low",
             backbone.name()
         );
+    }
+}
+
+/// FNV-1a-64 over the little-endian bytes of each value's bit pattern.
+fn fnv1a(hash: &mut u64, values: &[f32]) {
+    for byte in values.iter().flat_map(|v| v.to_bits().to_le_bytes()) {
+        *hash = (*hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// The serving recipe (`serve --finetune`) on a generated lake: `(epochs
+/// run, hash of w1 · b1 · w2 · b2 in the exported row-major form, hash of
+/// the embedding of every lake tuple, number of lake tuples)`.
+fn training_golden(benchmark: BenchmarkConfig) -> (usize, u64, u64, usize) {
+    let lake = benchmark.generate().lake;
+    let dataset = build_finetune_dataset(
+        &lake,
+        &FineTuneDatasetConfig {
+            total_pairs: 150,
+            ..FineTuneDatasetConfig::default()
+        },
+    );
+    let mut model = DustModel::new(
+        PretrainedModel::Roberta,
+        FineTuneConfig {
+            max_epochs: 15,
+            patience: 3,
+            ..FineTuneConfig::default()
+        },
+    );
+    let report = model.train(
+        &FineTuneDataset::triples(&dataset.train),
+        &FineTuneDataset::triples(&dataset.validation),
+    );
+    let (w1, b1, w2, b2) = model.head().raw_weights();
+    let mut weights = FNV_OFFSET;
+    for part in [w1, b1, w2, b2] {
+        fnv1a(&mut weights, &part);
+    }
+    let mut embeddings = FNV_OFFSET;
+    let mut tuples = 0;
+    for table in lake.tables() {
+        for embedding in model.embed_tuples(&table.tuples()) {
+            fnv1a(&mut embeddings, embedding.as_slice());
+            tuples += 1;
+        }
+    }
+    (report.epochs_run, weights, embeddings, tuples)
+}
+
+#[test]
+fn training_goldens_match_the_serial_head() {
+    assert_eq!(
+        training_golden(BenchmarkConfig::tiny()),
+        (6, 0x1e3b_7b6b_3554_d015, 0x7c92_ba7a_548a_3496, 128)
+    );
+    let (epochs, weights, embeddings, _) = training_golden(BenchmarkConfig::ugen_v1());
+    assert_eq!(
+        (epochs, weights, embeddings),
+        (12, 0xf8c3_b795_c230_944e, 0xaa0d_17ca_ce0f_9812)
+    );
+}
+
+/// The same on the benchmark's lake shape at three seeds — minutes in a
+/// debug build, so run it as `cargo test --release --test
+/// finetune_integration -- --ignored`.
+#[test]
+#[ignore = "slow in a debug build"]
+fn training_goldens_match_the_serial_head_on_santos() {
+    let expected = [
+        (1447, 4, 0x63b5_4146_2560_7885, 0x4c2d_05a1_48bf_6486),
+        (7, 4, 0xb7bb_feaa_6f0b_8612, 0xb366_9c02_df3c_24a5),
+        (31, 8, 0x3e16_9035_7a31_3062, 0x14ae_7e85_ca30_f036),
+    ];
+    for (seed, epochs, weights, embeddings) in expected {
+        let benchmark = BenchmarkConfig {
+            seed,
+            ..BenchmarkConfig::santos()
+        };
+        let (e, w, x, _) = training_golden(benchmark);
+        assert_eq!((e, w, x), (epochs, weights, embeddings), "seed {seed}");
     }
 }
