@@ -7,7 +7,7 @@ use dust_cluster::{
 use dust_embed::{
     ColumnEncoder, ColumnSerialization, Distance, PairwiseMatrix, PretrainedModel, Vector,
 };
-use dust_table::Table;
+use dust_table::{Column, Table};
 use serde::{Deserialize, Serialize};
 
 /// A reference to one column of one table.
@@ -120,29 +120,27 @@ impl HolisticAligner {
     }
 
     /// Align the columns of `tables` to the columns of `query` using the
-    /// configured encoder.
+    /// configured encoder, with the query's and the tables' columns as the
+    /// TF-IDF corpus.
     pub fn align(&self, query: &Table, tables: &[&Table]) -> Alignment {
-        let corpus = ColumnEncoder::build_corpus(
-            query
-                .columns()
-                .iter()
-                .chain(tables.iter().flat_map(|t| t.columns().iter())),
-        );
+        let columns: Vec<&Column> = query
+            .columns()
+            .iter()
+            .chain(tables.iter().flat_map(|t| t.columns().iter()))
+            .collect();
+        let mut embeddings = self.encoder.embed_columns(&columns).into_iter();
         self.align_with(query, tables, |table| {
-            table
-                .columns()
-                .iter()
-                .map(|c| self.encoder.embed_column(c, &corpus))
-                .collect()
+            embeddings.by_ref().take(table.num_columns()).collect()
         })
     }
 
     /// Align using caller-provided column embeddings (one vector per column
-    /// per table, in column order). Used to plug in Starmie's contextualized
-    /// embeddings ("Starmie (H)" in Table 1).
-    pub fn align_with<F>(&self, query: &Table, tables: &[&Table], embed_table: F) -> Alignment
+    /// per table, in column order). `embed_table` is called once per table:
+    /// the query first, then `tables` in order. Used to plug in Starmie's
+    /// contextualized embeddings ("Starmie (H)" in Table 1).
+    pub fn align_with<F>(&self, query: &Table, tables: &[&Table], mut embed_table: F) -> Alignment
     where
-        F: Fn(&Table) -> Vec<Vector>,
+        F: FnMut(&Table) -> Vec<Vector>,
     {
         // Collect (column reference, owning table index, embedding) for the
         // query (table index 0) and every data-lake table (1..).

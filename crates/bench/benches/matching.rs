@@ -1,13 +1,52 @@
-//! Criterion microbenchmarks for the search substrate: maximum-weight
-//! bipartite matching, the inverted value index, and end-to-end table
-//! scoring for the overlap, D3L, and Starmie searchers.
+//! Criterion microbenchmarks for the search and matching substrate:
+//! maximum-weight bipartite matching, the inverted value index, end-to-end
+//! table scoring for the overlap, D3L, and Starmie searchers, and holistic
+//! column alignment on the benchmark's two lake shapes.
+//!
+//! `holistic_align/{narrow,wide}` aligns every query of the benchmark's
+//! `NARROW` / `WIDE` lake (`benchmark/src/spec.rs`, seed 1447, two queries
+//! per domain: 24 and 8 queries) with the five tables the overlap search
+//! retrieves for it — the shape a served query aligns, ~36 columns — one
+//! iteration per whole query set. Before timing, every alignment is checked
+//! against the per-column path (`build_corpus` over the same columns, then
+//! `embed_column` per column) — a failed guard aborts the bench.
+//!
+//! ## Where an alignment's time went
+//!
+//! In-process split of `HolisticAligner::align` on those inputs (median
+//! n = 36 columns, at most 42), ms per query, 20 repetitions, one core of a
+//! shared 2-vCPU Sapphire Rapids box; before = the member-list constraint
+//! scan and the `String`-keyed TF-IDF path, after = the conflict matrix
+//! and `ColumnEncoder::embed_columns`, every alignment bit-identical:
+//!
+//! | | narrow before | narrow after | wide before | wide after |
+//! |---|---|---|---|---|
+//! | **`align`, total** | **2.94–3.00** | **0.62** | **7.68–7.74** | **1.67–1.75** |
+//! | `build_corpus` (tokenise, `String` per token) | 0.25 | — | 1.82–1.84 | — |
+//! | embed columns (tokenise again, select, weight, hash) | 0.48–0.49 | 0.18 | 3.74–3.75 | 1.26–1.32 |
+//! | pairwise matrix | 0.19 | 0.20 | 0.18–0.19 | 0.17 |
+//! | constrained clustering | 1.83–1.87 | 0.044 | 1.72 | 0.047–0.048 |
+//! | silhouette sweep | 0.16 | 0.15 | 0.15 | 0.15–0.16 |
+//! | cannot-link list | 0.002 | 0.002 | 0.002 | 0.002 |
+//!
+//! The clustering was an admissibility test that rescanned the whole
+//! cannot-link list (every same-table pair, ~100 of them) with `contains`
+//! on two member lists for every candidate pair of every round; it is now
+//! one lookup in an `n × n` conflict matrix. The column side tokenised each
+//! column twice with one `String` per token; `embed_columns` tokenises it
+//! once into term ids and computes each term's IDF once. The wide lake's
+//! columns are ~10× longer (36 of its 216 columns exceed the 512-token
+//! budget, up to 763 tokens), so its text side stays the larger part.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use dust_align::HolisticAligner;
 use dust_datagen::BenchmarkConfig;
+use dust_embed::ColumnEncoder;
 use dust_search::{
     max_weight_matching, D3lSearch, InvertedValueIndex, OverlapSearch, StarmieSearch,
     TableUnionSearch,
 };
+use dust_table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -73,9 +112,88 @@ fn bench_search(c: &mut Criterion) {
     });
 }
 
+/// Every query of a benchmark-shaped lake with the tables the overlap
+/// search retrieves for it (the five a served query aligns).
+fn alignment_inputs(wide: bool) -> Vec<(Table, Vec<Table>)> {
+    let (name, num_domains, lake_tables_per_domain, base_rows, min_row_fraction, max_row_fraction) =
+        if wide {
+            ("wide", 4, 5, 480, 0.34, 0.36)
+        } else {
+            ("narrow", 12, 16, 50, 0.32, 0.38)
+        };
+    let lake = BenchmarkConfig {
+        name: name.into(),
+        num_domains,
+        lake_tables_per_domain,
+        base_rows,
+        queries_per_domain: 2,
+        min_row_fraction,
+        max_row_fraction,
+        min_columns: usize::MAX,
+        seed: 1447,
+        ..BenchmarkConfig::santos()
+    }
+    .generate()
+    .lake;
+    let index = InvertedValueIndex::build(&lake);
+    let search = OverlapSearch::new();
+    lake.queries()
+        .map(|query| {
+            let tables = search
+                .search_with_index(&lake, query, 5, &index)
+                .into_iter()
+                .map(|hit| lake.table(&hit.table).unwrap().clone())
+                .collect();
+            (query.clone(), tables)
+        })
+        .collect()
+}
+
+fn bench_holistic_align(c: &mut Criterion) {
+    let aligner = HolisticAligner::new();
+    let mut group = c.benchmark_group("holistic_align");
+    for (shape, wide) in [("narrow", false), ("wide", true)] {
+        let inputs = alignment_inputs(wide);
+        let cases: Vec<(&Table, Vec<&Table>)> = inputs
+            .iter()
+            .map(|(query, tables)| (query, tables.iter().collect()))
+            .collect();
+        for (query, tables) in &cases {
+            let corpus = ColumnEncoder::build_corpus(
+                query
+                    .columns()
+                    .iter()
+                    .chain(tables.iter().flat_map(|t| t.columns().iter())),
+            );
+            let per_column = aligner.align_with(query, tables, |table| {
+                table
+                    .columns()
+                    .iter()
+                    .map(|c| aligner.encoder.embed_column(c, &corpus))
+                    .collect()
+            });
+            assert_eq!(
+                aligner.align(query, tables),
+                per_column,
+                "the batch column side left the per-column path on {}",
+                query.name()
+            );
+        }
+        group.bench_function(shape, |b| {
+            b.iter(|| {
+                cases
+                    .iter()
+                    .map(|(query, tables)| aligner.align(black_box(query), tables))
+                    .collect::<Vec<_>>()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_bipartite, bench_search
+    targets = bench_bipartite, bench_search, bench_holistic_align
 }
 criterion_main!(benches);

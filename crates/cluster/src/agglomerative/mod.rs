@@ -42,7 +42,8 @@
 //!   n ≫ 2000.
 //!
 //! [`agglomerative_constrained`] is a straightforward O(n³) greedy variant
-//! that honours cannot-link constraints, used by holistic column alignment
+//! that honours cannot-link constraints (a pair's admissibility is one
+//! lookup in a cluster-conflict matrix), used by holistic column alignment
 //! where `n` is the (small) number of columns and two columns of the same
 //! table must never be clustered together. It doubles as the naive
 //! reference implementation the engine equivalence tests compare against;
@@ -587,13 +588,16 @@ pub fn agglomerative_constrained(
 /// Constrained agglomerative clustering over a precomputed pairwise matrix.
 ///
 /// `cannot_link` lists pairs of leaf indices that must never end up in the
-/// same cluster; merges that would violate a constraint are skipped. The
+/// same cluster (pairs naming a leaf `≥ n`, or one leaf twice, constrain
+/// nothing); merges that would violate a constraint are skipped. The
 /// resulting dendrogram may therefore be incomplete (fewer than `n - 1`
 /// merges) even without a cap. Intended for small `n` (column alignment),
 /// complexity O(n³): every round greedily merges the closest admissible
 /// pair (lexicographic `(distance, i, j)` tie-break) and applies the same
 /// Lance–Williams updates as the fast engines — without constraints it is
-/// their naive reference implementation.
+/// their naive reference implementation. Admissibility is one lookup in an
+/// `n × n` conflict matrix over cluster slots, seeded from `cannot_link`
+/// and OR-folded on every merge, so the list is read once.
 ///
 /// `min_clusters` is the same k-cap as [`ClusterParams::min_clusters`]:
 /// since the greedy loop merges admissible pairs in ascending order (the
@@ -616,20 +620,21 @@ pub fn agglomerative_constrained_from_matrix(
     } else {
         1
     };
-    // Compaction is skipped here: the constrained scan indexes its member
-    // lists by slot and n is small (table columns) by contract.
+    // Compaction is skipped here: the conflict matrix is indexed by slot and
+    // n is small (table columns) by contract.
     let mut ws = LinkageWorkspace::from_matrix(matrix, false);
-    // members of each cluster slot, for constraint checks
-    let mut members: Vec<Vec<usize>> = (0..n).map(|i| vec![i]).collect();
+    // conflict[i * n + j]: some leaf of slot i's cluster cannot link with
+    // some leaf of slot j's (the diagonal is never read)
+    let mut conflict = vec![false; n * n];
+    for &(x, y) in cannot_link {
+        if x < n && y < n {
+            conflict[x * n + y] = true;
+            conflict[y * n + x] = true;
+        }
+    }
     let mut merges = Vec::new();
     let mut max_height = f64::NEG_INFINITY;
     let mut capped_stop = false;
-
-    let conflicts = |a: &[usize], b: &[usize]| -> bool {
-        cannot_link
-            .iter()
-            .any(|&(x, y)| (a.contains(&x) && b.contains(&y)) || (a.contains(&y) && b.contains(&x)))
-    };
 
     loop {
         // find the closest admissible pair of active clusters
@@ -637,7 +642,7 @@ pub fn agglomerative_constrained_from_matrix(
         let active: Vec<usize> = ws.active_slots().collect();
         for (ai, &i) in active.iter().enumerate() {
             for &j in active.iter().skip(ai + 1) {
-                if conflicts(&members[i], &members[j]) {
+                if conflict[i * n + j] {
                     continue;
                 }
                 let d = ws.get32(i, j);
@@ -657,8 +662,13 @@ pub fn agglomerative_constrained_from_matrix(
         let merge = ws.merge(i, j, linkage, |_, _| {});
         max_height = max_height.max(merge.distance);
         merges.push(merge);
-        let moved = std::mem::take(&mut members[i]);
-        members[j].extend(moved);
+        // A ∪ B conflicts with C iff A or B does: fold row/column i into j.
+        for k in 0..n {
+            if conflict[i * n + k] {
+                conflict[j * n + k] = true;
+                conflict[k * n + j] = true;
+            }
+        }
     }
 
     let min_clusters = if capped_stop { n - merges.len() } else { 1 };

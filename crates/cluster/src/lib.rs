@@ -15,7 +15,8 @@
 //!   The tuple-diversification step of DUST relies on these for
 //!   scalability; the constrained variant (cannot-link pairs, used by
 //!   holistic column alignment so that two columns of the same table are
-//!   never merged) is a small-n implementation.
+//!   never merged) is a small-n greedy scan that reads admissibility from
+//!   an `n × n` cluster-conflict matrix, OR-folded on every merge.
 //! * [`silhouette`] — Silhouette coefficient for model selection
 //!   (choosing the number of clusters, Sec. 3.3); builds one pairwise
 //!   matrix per sweep, not one per candidate cut.

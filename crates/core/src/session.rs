@@ -337,19 +337,17 @@ impl SessionSnapshot {
     fn columns(&self, encoder: &ColumnEncoder) -> &ColumnSide {
         // dust-lint: lock(columns-once)
         self.columns.get_or_init(|| {
-            let corpus =
-                ColumnEncoder::build_corpus(self.lake.tables().flat_map(|t| t.columns().iter()));
-            let mut embeddings: Vec<Vector> = Vec::new();
+            let mut columns: Vec<&Column> = Vec::new();
             let mut refs = Vec::new();
             for table in self.lake.tables() {
                 for column in table.columns() {
-                    embeddings.push(encoder.embed_column(column, &corpus));
+                    columns.push(column);
                     refs.push((table.name().to_string(), column.name().to_string()));
                 }
             }
             ColumnSide {
-                corpus,
-                store: EmbeddingStore::from_vectors(&embeddings),
+                corpus: ColumnEncoder::build_corpus(columns.iter().copied()),
+                store: EmbeddingStore::from_vectors(&encoder.embed_columns(&columns)),
                 refs,
             }
         })

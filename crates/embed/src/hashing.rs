@@ -18,7 +18,7 @@
 //! * `dim` and `hashes_per_token` control representational capacity
 //!   (collisions make a model "blurrier").
 
-use crate::tokenize::{char_ngrams, word_tokens, TfIdfCorpus};
+use crate::tokenize::{char_ngrams, select_representative, tf_idf, word_tokens, Terms};
 use crate::vector::Vector;
 use serde::{Deserialize, Serialize};
 
@@ -87,15 +87,47 @@ impl HashingEncoder {
         self.config.dim
     }
 
-    /// Embed a list of `(token, weight)` pairs.
-    pub fn embed_weighted_tokens(&self, tokens: &[(String, f32)]) -> Vector {
+    /// Embed free text using uniform token weights.
+    pub fn embed_text(&self, text: &str) -> Vector {
+        let tokens = word_tokens(text);
+        let limited = tokens.iter().take(self.config.token_limit);
+        self.hash_tokens(limited.map(|t| (t.as_str(), 1.0)))
+    }
+
+    /// Embed each document of `terms` with TF-IDF token weights (`idf[t]` is
+    /// term `t`'s IDF) — the one weighting-and-hashing core of the
+    /// column-level serialization: select the token budget, weight each
+    /// kept token by its TF-IDF among them (or uniformly), floor at `1e-3`.
+    pub(crate) fn embed_documents(&self, terms: &Terms, idf: &[f64]) -> Vec<Vector> {
+        let mut counts = vec![0; terms.text.len()];
+        terms
+            .documents()
+            .map(|document| {
+                let selected =
+                    select_representative(document, idf, self.config.token_limit, &mut counts);
+                let weights = tf_idf(&selected, idf, &mut counts);
+                self.hash_tokens(selected.iter().zip(weights).map(|(&t, weight)| {
+                    let w = if self.config.idf_weighting {
+                        weight as f32
+                    } else {
+                        1.0
+                    };
+                    (terms.text[t], w.max(1e-3))
+                }))
+            })
+            .collect()
+    }
+
+    /// The hashing core: add each `(token, weight)` in order — and, for
+    /// subword models, each of the token's character n-grams at half weight
+    /// — into one vector, then normalize it and apply the anisotropy bias.
+    fn hash_tokens<'t>(&self, tokens: impl Iterator<Item = (&'t str, f32)>) -> Vector {
         let mut out = Vector::zeros(self.config.dim);
-        let limited = &tokens[..tokens.len().min(self.config.token_limit)];
-        for (token, weight) in limited {
-            self.add_token(&mut out, token, *weight);
+        for (token, weight) in tokens {
+            self.add_token(&mut out, token, weight);
             if self.config.use_char_ngrams {
                 for gram in char_ngrams(token, self.config.char_ngram_size) {
-                    self.add_token(&mut out, &gram, *weight * 0.5);
+                    self.add_token(&mut out, &gram, weight * 0.5);
                 }
             }
         }
@@ -108,31 +140,6 @@ impl HashingEncoder {
         } else {
             out
         }
-    }
-
-    /// Embed free text using uniform token weights.
-    pub fn embed_text(&self, text: &str) -> Vector {
-        let tokens: Vec<(String, f32)> = word_tokens(text).into_iter().map(|t| (t, 1.0)).collect();
-        self.embed_weighted_tokens(&tokens)
-    }
-
-    /// Embed free text with TF-IDF token weights drawn from `corpus`.
-    pub fn embed_text_with_corpus(&self, text: &str, corpus: &TfIdfCorpus) -> Vector {
-        let tokens = word_tokens(text);
-        let selected = corpus.select_representative(&tokens, self.config.token_limit);
-        let weights = corpus.tf_idf(&selected);
-        let weighted: Vec<(String, f32)> = selected
-            .into_iter()
-            .map(|t| {
-                let w = if self.config.idf_weighting {
-                    *weights.get(&t).unwrap_or(&1.0) as f32
-                } else {
-                    1.0
-                };
-                (t, w.max(1e-3))
-            })
-            .collect();
-        self.embed_weighted_tokens(&weighted)
     }
 
     fn add_token(&self, out: &mut Vector, token: &str, weight: f32) {
@@ -185,6 +192,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 mod tests {
     use super::*;
     use crate::distance::cosine_similarity;
+    use crate::tokenize::{Documents, TfIdfCorpus};
 
     fn encoder(anisotropy: f32) -> HashingEncoder {
         HashingEncoder::new(HashingEncoderConfig {
@@ -262,16 +270,24 @@ mod tests {
 
     #[test]
     fn idf_weighting_uses_corpus() {
-        let mut corpus = TfIdfCorpus::new();
+        let mut lake = Documents::default();
         for doc in ["usa park", "usa museum", "usa library", "usa chippewa"] {
-            corpus.add_document(&word_tokens(doc));
+            lake.extend(doc);
+            lake.finish_document();
         }
+        let corpus = TfIdfCorpus::of(&lake);
         let enc = HashingEncoder::new(HashingEncoderConfig {
             idf_weighting: true,
             ..HashingEncoderConfig::default()
         });
         // the rare token should dominate the weighted embedding
-        let v = enc.embed_text_with_corpus("usa chippewa", &corpus);
+        let mut probe = Documents::default();
+        probe.extend("usa chippewa");
+        probe.finish_document();
+        let terms = probe.terms();
+        let v = enc
+            .embed_documents(&terms, &terms.idf_in(&corpus))
+            .remove(0);
         let chippewa_only = enc.embed_text("chippewa");
         let usa_only = enc.embed_text("usa");
         assert!(cosine_similarity(&v, &chippewa_only) > cosine_similarity(&v, &usa_only));

@@ -44,5 +44,5 @@ pub use order::{asc_nan_last, desc_nan_last};
 pub use pca::Pca;
 pub use serialize::{serialize_default, serialize_tuple, SerializeOptions, CLS, SEP};
 pub use store::EmbeddingStore;
-pub use tokenize::{char_ngrams, term_frequencies, word_tokens, TfIdfCorpus};
+pub use tokenize::{char_ngrams, word_tokens, TfIdfCorpus};
 pub use vector::Vector;

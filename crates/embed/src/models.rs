@@ -17,7 +17,7 @@
 
 use crate::hashing::{HashingEncoder, HashingEncoderConfig};
 use crate::serialize::{serialize_tuple, SerializeOptions};
-use crate::tokenize::{word_tokens, TfIdfCorpus};
+use crate::tokenize::{Documents, TfIdfCorpus};
 use crate::vector::Vector;
 use dust_table::{Column, Tuple};
 use serde::{Deserialize, Serialize};
@@ -230,40 +230,52 @@ impl ColumnEncoder {
                 }
             }
             ColumnSerialization::ColumnLevel => {
-                let mut sentence = String::new();
-                for value in column.values() {
-                    if value.is_null() {
-                        continue;
-                    }
-                    sentence.push_str(&value.render());
-                    sentence.push(' ');
-                }
-                self.encoder.embed_text_with_corpus(&sentence, corpus)
+                let documents = column_documents([column]);
+                let terms = documents.terms();
+                let idf = terms.idf_in(corpus);
+                self.encoder.embed_documents(&terms, &idf).remove(0)
             }
         }
     }
 
-    /// The corpus "document" a column contributes to [`Self::build_corpus`]:
-    /// its non-null values concatenated and word-tokenized.
-    pub fn column_document_tokens(column: &Column) -> Vec<String> {
-        let mut text = String::new();
-        for v in column.values() {
-            if !v.is_null() {
-                text.push_str(&v.render());
-                text.push(' ');
-            }
+    /// Embed columns that are their own TF-IDF corpus: bit-identical to
+    /// [`Self::build_corpus`] over `columns` and then [`Self::embed_column`]
+    /// per column, with each column tokenised once and each IDF computed
+    /// once.
+    pub fn embed_columns(&self, columns: &[&Column]) -> Vec<Vector> {
+        if self.serialization == ColumnSerialization::CellLevel {
+            // the cell-level serialization reads no corpus
+            let empty = TfIdfCorpus::new();
+            return columns
+                .iter()
+                .map(|c| self.embed_column(c, &empty))
+                .collect();
         }
-        word_tokens(&text)
+        let documents = column_documents(columns.iter().copied());
+        let terms = documents.terms();
+        self.encoder.embed_documents(&terms, &terms.idf())
     }
 
     /// Build a TF-IDF corpus where each document is one column's values.
     pub fn build_corpus<'a>(columns: impl IntoIterator<Item = &'a Column>) -> TfIdfCorpus {
-        let mut corpus = TfIdfCorpus::new();
-        for col in columns {
-            corpus.add_document(&Self::column_document_tokens(col));
-        }
-        corpus
+        TfIdfCorpus::of(&column_documents(columns))
     }
+}
+
+/// One document per column: its non-null values, each rendered and
+/// tokenised — what the column-level serialization embeds and the TF-IDF
+/// corpus counts.
+fn column_documents<'a>(columns: impl IntoIterator<Item = &'a Column>) -> Documents {
+    let mut documents = Documents::default();
+    for column in columns {
+        for value in column.values() {
+            if !value.is_null() {
+                documents.extend(&value.render());
+            }
+        }
+        documents.finish_document();
+    }
+    documents
 }
 
 /// Embeds serialized tuples with a pre-trained (non-fine-tuned) model.

@@ -4,25 +4,23 @@
 //! "sentence" and select at most 512 representative tokens by TF-IDF
 //! (following Starmie / DeepJoin). The tokenizer here is intentionally
 //! simple: lower-cased word tokens plus optional character n-grams (used by
-//! the FastText-like encoder).
+//! the FastText-like encoder). Column text is tokenised once into
+//! [`Documents`] and weighted as term ids ([`Terms`]), so a token is never a
+//! `String` of its own and a term's IDF is computed once per corpus.
 
+use crate::order::desc_nan_last;
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Split text into lower-cased alphanumeric word tokens.
 pub fn word_tokens(text: &str) -> Vec<String> {
-    let mut tokens = Vec::new();
-    let mut current = String::new();
-    for ch in text.chars() {
-        if ch.is_alphanumeric() {
-            current.extend(ch.to_lowercase());
-        } else if !current.is_empty() {
-            tokens.push(std::mem::take(&mut current));
-        }
-    }
-    if !current.is_empty() {
-        tokens.push(current);
-    }
-    tokens
+    // lower-casing seldom changes a text's length: one arena allocation
+    let mut documents = Documents {
+        arena: String::with_capacity(text.len()),
+        ..Documents::default()
+    };
+    documents.extend(text);
+    documents.tokens().map(str::to_string).collect()
 }
 
 /// Character n-grams of a token, padded with `<` and `>` boundary markers
@@ -41,25 +39,179 @@ pub fn char_ngrams(token: &str, n: usize) -> Vec<String> {
     padded.windows(n).map(|w| w.iter().collect()).collect()
 }
 
-/// Term-frequency map of a token sequence.
-pub fn term_frequencies(tokens: &[String]) -> HashMap<String, usize> {
-    let mut tf = HashMap::new();
-    for t in tokens {
-        *tf.entry(t.clone()).or_insert(0) += 1;
-    }
-    tf
+/// Smoothed inverse document frequency of a term found in `df` of
+/// `documents` documents.
+fn smoothed_idf(documents: usize, df: usize) -> f64 {
+    (((documents + 1) as f64) / ((df + 1) as f64)).ln() + 1.0
 }
 
-/// Corpus-level document frequencies, used to compute TF-IDF weights.
+/// Texts tokenised once: every token's lower-cased bytes back to back in one
+/// arena, each document a run of tokens. A document's texts are tokenised
+/// one by one, which yields the tokens of [`word_tokens`] over the texts
+/// joined by spaces.
+#[derive(Debug, Default)]
+pub(crate) struct Documents {
+    arena: String,
+    /// End offset in `arena` of each token.
+    token_ends: Vec<usize>,
+    /// End index in `token_ends` of each finished document.
+    doc_ends: Vec<usize>,
+}
+
+impl Documents {
+    /// Append the word tokens of `text` to the open document.
+    pub(crate) fn extend(&mut self, text: &str) {
+        let mut open = false;
+        for ch in text.chars() {
+            if ch.is_alphanumeric() {
+                if ch.is_ascii() {
+                    self.arena.push(ch.to_ascii_lowercase());
+                } else {
+                    self.arena.extend(ch.to_lowercase());
+                }
+                open = true;
+            } else if open {
+                self.token_ends.push(self.arena.len());
+                open = false;
+            }
+        }
+        if open {
+            self.token_ends.push(self.arena.len());
+        }
+    }
+
+    /// Finish the open document (which may be empty).
+    pub(crate) fn finish_document(&mut self) {
+        self.doc_ends.push(self.token_ends.len());
+    }
+
+    fn tokens(&self) -> impl Iterator<Item = &str> {
+        let mut start = 0;
+        self.token_ends.iter().map(move |&end| {
+            let token = &self.arena[start..end];
+            start = end;
+            token
+        })
+    }
+
+    /// Intern every token to a term id, terms numbered in order of first
+    /// occurrence.
+    pub(crate) fn terms(&self) -> Terms<'_> {
+        let mut index: HashMap<&str, usize> = HashMap::new();
+        let mut text = Vec::new();
+        let ids = self
+            .tokens()
+            .map(|token| {
+                *index.entry(token).or_insert_with(|| {
+                    text.push(token);
+                    text.len() - 1
+                })
+            })
+            .collect();
+        Terms {
+            text,
+            ids,
+            doc_ends: &self.doc_ends,
+        }
+    }
+}
+
+/// [`Documents`] as term ids; each term's text is borrowed from the arena.
+#[derive(Debug)]
+pub(crate) struct Terms<'a> {
+    /// The text of each term id.
+    pub(crate) text: Vec<&'a str>,
+    /// Every token's term id, documents back to back.
+    ids: Vec<usize>,
+    doc_ends: &'a [usize],
+}
+
+impl Terms<'_> {
+    /// Each document's term ids.
+    pub(crate) fn documents(&self) -> impl Iterator<Item = &[usize]> {
+        let mut start = 0;
+        self.doc_ends.iter().map(move |&end| {
+            let document = &self.ids[start..end];
+            start = end;
+            document
+        })
+    }
+
+    /// Each term's IDF with these documents as the corpus.
+    pub(crate) fn idf(&self) -> Vec<f64> {
+        // document frequencies: count each term once per document
+        let mut df = vec![0; self.text.len()];
+        let mut last_seen = vec![usize::MAX; self.text.len()];
+        for (d, document) in self.documents().enumerate() {
+            for &t in document {
+                if last_seen[t] != d {
+                    last_seen[t] = d;
+                    df[t] += 1;
+                }
+            }
+        }
+        let documents = self.doc_ends.len();
+        df.into_iter()
+            .map(|df| smoothed_idf(documents, df))
+            .collect()
+    }
+
+    /// Each term's IDF in `corpus`.
+    pub(crate) fn idf_in(&self, corpus: &TfIdfCorpus) -> Vec<f64> {
+        self.text.iter().map(|t| corpus.idf(t)).collect()
+    }
+}
+
+/// TF-IDF weight of every token of one document of term ids. `counts` is
+/// scratch indexed by term id, all zero on entry and on return.
+pub(crate) fn tf_idf(tokens: &[usize], idf: &[f64], counts: &mut [usize]) -> Vec<f64> {
+    for &t in tokens {
+        counts[t] += 1;
+    }
+    let len = tokens.len().max(1) as f64;
+    let weights = tokens
+        .iter()
+        .map(|&t| (counts[t] as f64 / len) * idf[t])
+        .collect();
+    for &t in tokens {
+        counts[t] = 0;
+    }
+    weights
+}
+
+/// Select up to `limit` tokens with the highest TF-IDF weights,
+/// preserving the original token order (mirrors the 512-token budget of
+/// the column-level serializations).
+pub(crate) fn select_representative<'t>(
+    tokens: &'t [usize],
+    idf: &[f64],
+    limit: usize,
+    counts: &mut [usize],
+) -> Cow<'t, [usize]> {
+    if tokens.len() <= limit {
+        return Cow::Borrowed(tokens);
+    }
+    let weights = tf_idf(tokens, idf, counts);
+    let mut keep: Vec<usize> = (0..tokens.len()).collect();
+    // NaN-safe total order: an undefined weight must never displace a real
+    // one (and `sort_by` is stable, so equal weights keep their original
+    // token order).
+    keep.sort_by(|&a, &b| desc_nan_last(weights[a], weights[b]));
+    keep.truncate(limit);
+    keep.sort_unstable();
+    Cow::Owned(keep.into_iter().map(|i| tokens[i]).collect())
+}
+
+/// Corpus-level inverse document frequencies, used to compute TF-IDF
+/// weights.
 ///
 /// A "document" is whatever unit the caller chooses (a column, a tuple, a
 /// table); the paper uses columns when selecting representative tokens.
-/// Documents are only ever added: every user builds a corpus over a fixed
-/// document set, then reads it.
+/// A corpus is built once over a fixed document set, then read.
 #[derive(Debug, Clone, Default)]
 pub struct TfIdfCorpus {
     documents: usize,
-    df: HashMap<String, usize>,
+    idf: HashMap<String, f64>,
 }
 
 impl TfIdfCorpus {
@@ -68,70 +220,46 @@ impl TfIdfCorpus {
         Self::default()
     }
 
-    /// Add one document's tokens to the corpus statistics.
-    pub fn add_document(&mut self, tokens: &[String]) {
-        self.documents += 1;
-        let mut seen = std::collections::HashSet::new();
-        for t in tokens {
-            if seen.insert(t) {
-                *self.df.entry(t.clone()).or_insert(0) += 1;
-            }
+    /// The corpus of `documents`.
+    pub(crate) fn of(documents: &Documents) -> Self {
+        let terms = documents.terms();
+        let idf = terms.idf();
+        TfIdfCorpus {
+            documents: documents.doc_ends.len(),
+            idf: terms.text.iter().map(|t| t.to_string()).zip(idf).collect(),
         }
-    }
-
-    /// Number of documents added.
-    pub fn num_documents(&self) -> usize {
-        self.documents
     }
 
     /// Smoothed inverse document frequency of a token.
     pub fn idf(&self, token: &str) -> f64 {
-        let df = self.df.get(token).copied().unwrap_or(0);
-        (((self.documents + 1) as f64) / ((df + 1) as f64)).ln() + 1.0
-    }
-
-    /// TF-IDF weights for a document's tokens.
-    pub fn tf_idf(&self, tokens: &[String]) -> HashMap<String, f64> {
-        let tf = term_frequencies(tokens);
-        let len = tokens.len().max(1) as f64;
-        tf.into_iter()
-            .map(|(t, c)| {
-                let idf = self.idf(&t);
-                (t, (c as f64 / len) * idf)
-            })
-            .collect()
-    }
-
-    /// Select up to `limit` tokens with the highest TF-IDF weights,
-    /// preserving the original token order (mirrors the 512-token budget of
-    /// the column-level serializations).
-    pub fn select_representative(&self, tokens: &[String], limit: usize) -> Vec<String> {
-        if tokens.len() <= limit {
-            return tokens.to_vec();
+        match self.idf.get(token) {
+            Some(&idf) => idf,
+            None => smoothed_idf(self.documents, 0),
         }
-        let weights = self.tf_idf(tokens);
-        let mut scored: Vec<(usize, &String, f64)> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (i, t, *weights.get(t).unwrap_or(&0.0)))
-            .collect();
-        // NaN-safe total order: an undefined weight must never displace a
-        // real one (and `sort_by` is stable, so equal weights keep their
-        // original token order).
-        scored.sort_by(|a, b| crate::order::desc_nan_last(a.2, b.2));
-        let mut keep: Vec<(usize, &String)> = scored
-            .into_iter()
-            .take(limit)
-            .map(|(i, t, _)| (i, t))
-            .collect();
-        keep.sort_by_key(|(i, _)| *i);
-        keep.into_iter().map(|(_, t)| t.clone()).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One document per text.
+    fn documents(texts: &[&str]) -> Documents {
+        let mut documents = Documents::default();
+        for text in texts {
+            documents.extend(text);
+            documents.finish_document();
+        }
+        documents
+    }
+
+    /// The term ids of `text` under `terms`' vocabulary.
+    fn ids(terms: &Terms, text: &str) -> Vec<usize> {
+        word_tokens(text)
+            .iter()
+            .map(|t| terms.text.iter().position(|x| x == t).unwrap())
+            .collect()
+    }
 
     #[test]
     fn word_tokens_lowercase_and_split_on_punctuation() {
@@ -142,6 +270,29 @@ mod tests {
     #[test]
     fn word_tokens_empty_input() {
         assert!(word_tokens("  ,,, ").is_empty());
+    }
+
+    #[test]
+    fn documents_tokenise_each_text_like_word_tokens_over_the_joined_text() {
+        // Case folding that changes length (İ → i̇, Σ → σ) and a token at the
+        // end of one text next to one at the start of the next.
+        let mut documents = Documents::default();
+        for text in ["İstanbul ΣΟΦΙΑ", "straße", "", "7 x"] {
+            documents.extend(text);
+        }
+        documents.finish_document();
+        documents.finish_document();
+        let terms = documents.terms();
+        let mut parts = terms.documents();
+        let joined: Vec<&str> = parts
+            .next()
+            .unwrap()
+            .iter()
+            .map(|&t| terms.text[t])
+            .collect();
+        assert_eq!(joined, word_tokens("İstanbul ΣΟΦΙΑ straße  7 x "));
+        assert!(parts.next().unwrap().is_empty());
+        assert!(parts.next().is_none());
     }
 
     #[test]
@@ -161,33 +312,45 @@ mod tests {
 
     #[test]
     fn term_frequencies_count_repeats() {
-        let toks: Vec<String> = ["a", "b", "a"].iter().map(|s| s.to_string()).collect();
-        let tf = term_frequencies(&toks);
-        assert_eq!(tf["a"], 2);
-        assert_eq!(tf["b"], 1);
+        let documents = documents(&["a b a", "b"]);
+        let terms = documents.terms();
+        assert_eq!(terms.text, ["a", "b"]);
+        let docs: Vec<&[usize]> = terms.documents().collect();
+        assert_eq!(docs, [&[0, 1, 0][..], &[1][..]]);
+        // term frequency 2/3 vs 1/3 under equal IDF
+        let weights = tf_idf(docs[0], &[1.0, 1.0], &mut [0, 0]);
+        assert_eq!(weights, [2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0]);
     }
 
     #[test]
     fn idf_rewards_rare_tokens() {
-        let mut corpus = TfIdfCorpus::new();
-        let common: Vec<String> = vec!["usa".into()];
-        let rare: Vec<String> = vec!["chippewa".into()];
-        for _ in 0..10 {
-            corpus.add_document(&common);
-        }
-        corpus.add_document(&rare);
+        let mut texts = vec!["usa"; 10];
+        texts.push("chippewa");
+        let corpus = TfIdfCorpus::of(&documents(&texts));
         assert!(corpus.idf("chippewa") > corpus.idf("usa"));
-        assert_eq!(corpus.num_documents(), 11);
+        assert_eq!(corpus.idf("usa"), (12.0f64 / 11.0).ln() + 1.0);
+    }
+
+    #[test]
+    fn corpus_counts_each_term_once_per_document() {
+        let documents = documents(&["usa usa park", "usa", ""]);
+        let corpus = TfIdfCorpus::of(&documents);
+        for (term, df) in [("usa", 2.0f64), ("park", 1.0), ("absent", 0.0)] {
+            assert_eq!(corpus.idf(term), (4.0 / (df + 1.0)).ln() + 1.0, "{term}");
+        }
+        let terms = documents.terms();
+        assert_eq!(terms.idf(), terms.idf_in(&corpus));
     }
 
     #[test]
     fn tf_idf_weights_are_positive() {
-        let mut corpus = TfIdfCorpus::new();
-        let doc: Vec<String> = word_tokens("river park usa river");
-        corpus.add_document(&doc);
-        let weights = corpus.tf_idf(&doc);
-        assert!(weights.values().all(|w| *w > 0.0));
-        assert!(weights["river"] > weights["usa"]);
+        let documents = documents(&["river park usa river"]);
+        let terms = documents.terms();
+        let doc = terms.documents().next().unwrap();
+        let weights = tf_idf(doc, &terms.idf(), &mut vec![0; terms.text.len()]);
+        assert!(weights.iter().all(|w| *w > 0.0));
+        // "river" (twice) outweighs "usa" (once)
+        assert!(weights[0] > weights[2]);
     }
 
     #[test]
@@ -195,14 +358,16 @@ mod tests {
         // Every token distinct but all weights equal (one document, each
         // token once): the stable sort must preserve original order, so the
         // selection is exactly the prefix — on every run.
-        let mut corpus = TfIdfCorpus::new();
-        let tokens = word_tokens("alpha beta gamma delta epsilon");
-        corpus.add_document(&tokens);
-        let selected = corpus.select_representative(&tokens, 3);
-        assert_eq!(selected, word_tokens("alpha beta gamma"));
+        let documents = documents(&["alpha beta gamma delta epsilon"]);
+        let terms = documents.terms();
+        let (doc, idf) = (terms.documents().next().unwrap(), terms.idf());
+        let mut counts = vec![0; terms.text.len()];
+        let selected = select_representative(doc, &idf, 3, &mut counts).into_owned();
+        assert_eq!(selected, ids(&terms, "alpha beta gamma"));
         for _ in 0..10 {
-            assert_eq!(corpus.select_representative(&tokens, 3), selected);
+            assert_eq!(select_representative(doc, &idf, 3, &mut counts), selected);
         }
+        assert!(counts.iter().all(|&c| c == 0));
     }
 
     #[test]
@@ -219,22 +384,18 @@ mod tests {
 
     #[test]
     fn representative_selection_respects_limit_and_order() {
-        let mut corpus = TfIdfCorpus::new();
-        for doc in ["usa usa usa", "uk usa", "canada usa"] {
-            corpus.add_document(&word_tokens(doc));
-        }
-        let tokens = word_tokens("chippewa park usa brandon");
-        let selected = corpus.select_representative(&tokens, 3);
-        assert_eq!(selected.len(), 3);
+        let corpus = TfIdfCorpus::of(&documents(&["usa usa usa", "uk usa", "canada usa"]));
+        let documents = documents(&["chippewa park usa brandon", "one two"]);
+        let terms = documents.terms();
+        let idf = terms.idf_in(&corpus);
+        let mut counts = vec![0; terms.text.len()];
+        let mut docs = terms.documents();
+        let selected = select_representative(docs.next().unwrap(), &idf, 3, &mut counts);
         // rare informative tokens survive (the ubiquitous "usa" is dropped),
         // and original order is preserved
-        assert!(selected.contains(&"chippewa".to_string()));
-        assert!(!selected.contains(&"usa".to_string()));
-        let idx_c = selected.iter().position(|t| t == "chippewa").unwrap();
-        let idx_b = selected.iter().position(|t| t == "brandon").unwrap();
-        assert!(idx_c < idx_b);
+        assert_eq!(selected.into_owned(), ids(&terms, "chippewa park brandon"));
         // short documents pass through untouched
-        let short = word_tokens("one two");
-        assert_eq!(corpus.select_representative(&short, 10), short);
+        let short = docs.next().unwrap();
+        assert_eq!(select_representative(short, &idf, 10, &mut counts), short);
     }
 }

@@ -23,7 +23,7 @@ use dust_embed::{
     cosine_similarity, ColumnEncoder, ColumnSerialization, EmbeddingStore, PretrainedModel,
     TupleEncoder, Vector,
 };
-use dust_table::{DataLake, Table, Tuple};
+use dust_table::{Column, DataLake, Table, Tuple};
 
 /// Starmie-style union search over tables.
 #[derive(Debug, Clone)]
@@ -61,12 +61,8 @@ impl StarmieSearch {
     /// in column order). Exposed so the column-alignment experiment can use
     /// Starmie embeddings with both bipartite and holistic matching.
     pub fn contextual_column_embeddings(&self, table: &Table) -> Vec<Vector> {
-        let corpus = ColumnEncoder::build_corpus(table.columns());
-        let raw: Vec<Vector> = table
-            .columns()
-            .iter()
-            .map(|c| self.encoder.embed_column(c, &corpus))
-            .collect();
+        let columns: Vec<&Column> = table.columns().iter().collect();
+        let raw = self.encoder.embed_columns(&columns);
         let centroid =
             Vector::mean(raw.iter()).unwrap_or_else(|| Vector::zeros(self.encoder.dim()));
         raw.into_iter()

@@ -161,6 +161,117 @@ fn alignment_works_across_generated_benchmark_queries() {
     }
 }
 
+/// FNV-1a-64 over a canonical byte encoding of every query's alignment and
+/// selection: a string is its bytes plus `0x00`, a `u64` its 8
+/// little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x100000001b3);
+        }
+    }
+
+    fn str(&mut self, s: &str) {
+        self.bytes(s.as_bytes());
+        self.bytes(&[0]);
+    }
+
+    fn u64(&mut self, v: u64) {
+        self.bytes(&v.to_le_bytes());
+    }
+}
+
+/// Digest of `LakeSession::query(q, 10)` over every query of one
+/// benchmark-shaped lake (`benchmark/src/spec.rs`'s `NARROW` / `WIDE`, four
+/// queries per domain): per query, each cluster's query column, members and
+/// a `0xFF` terminator, the discarded columns, the silhouette and cluster
+/// count, then every selected tuple's provenance and the average
+/// diversity. Returns the digest and the number of queries.
+fn alignment_selection_digest(wide: bool, seed: u64) -> (u64, usize) {
+    use dust_core::{LakeSession, PipelineConfig};
+    let (name, num_domains, lake_tables_per_domain, base_rows, min_row_fraction, max_row_fraction) =
+        if wide {
+            ("wide", 4, 5, 480, 0.34, 0.36)
+        } else {
+            ("narrow", 12, 16, 50, 0.32, 0.38)
+        };
+    let lake = BenchmarkConfig {
+        name: name.into(),
+        num_domains,
+        lake_tables_per_domain,
+        base_rows,
+        queries_per_domain: 4,
+        min_row_fraction,
+        max_row_fraction,
+        min_columns: usize::MAX,
+        seed,
+        ..BenchmarkConfig::santos()
+    }
+    .generate()
+    .lake;
+    let queries: Vec<Table> = lake.queries().cloned().collect();
+    let session = LakeSession::new(lake, PipelineConfig::fast());
+    let mut h = Fnv(0xcbf29ce484222325);
+    for query in &queries {
+        let result = session.query(query, 10).expect("benchmark query");
+        let alignment = &result.alignment;
+        for cluster in &alignment.clusters {
+            h.str(&cluster.query_column);
+            for member in &cluster.members {
+                h.str(&member.table);
+                h.str(&member.column);
+            }
+            h.bytes(&[0xFF]);
+        }
+        for discarded in &alignment.discarded {
+            h.str(&discarded.table);
+            h.str(&discarded.column);
+        }
+        h.u64(alignment.silhouette.map_or(u64::MAX, f64::to_bits));
+        h.u64(alignment.num_clusters as u64);
+        for tuple in &result.tuples {
+            h.str(tuple.source_table());
+            h.u64(tuple.source_row() as u64);
+        }
+        h.u64(result.diversity.average.to_bits());
+    }
+    (h.0, queries.len())
+}
+
+/// Alignment + selection goldens computed before the constrained
+/// clustering's conflict matrix and the column side's one-pass tokeniser
+/// replaced the member-list scan and the `String`-keyed TF-IDF path: both
+/// must leave every alignment and every selected tuple where it was.
+#[test]
+fn alignment_and_selection_goldens_narrow() {
+    assert_eq!(
+        alignment_selection_digest(false, 1447),
+        (0xa1a28d7e3ffb5082, 48)
+    );
+    assert_eq!(
+        alignment_selection_digest(false, 7),
+        (0xb5ee03ecc3a23e3b, 48)
+    );
+}
+
+/// The wide lake's goldens (about a minute and a half unoptimised; run with
+/// `cargo test --release --test alignment_integration -- --ignored`).
+#[test]
+#[ignore]
+fn alignment_and_selection_goldens_wide() {
+    assert_eq!(
+        alignment_selection_digest(true, 1447),
+        (0x46823f33ac6cc938, 16)
+    );
+    assert_eq!(
+        alignment_selection_digest(true, 7),
+        (0x0135de6b3b6e3b9b, 16)
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
