@@ -18,7 +18,7 @@
 
 use super::error::PersistError;
 use std::fs::File;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::Path;
 
 /// Magic prefix of every snapshot segment file.
@@ -28,17 +28,49 @@ pub(crate) const WAL_MAGIC: &[u8; 8] = b"DUSTWAL\0";
 /// On-disk format version, bumped on any layout change.
 pub(crate) const FORMAT_VERSION: u32 = 2;
 
-/// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) over `bytes`.
-/// Detects every single-bit error and every burst ≤ 32 bits — which is
-/// exactly the fault classes the recovery suite injects.
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
+/// Slicing-by-16 tables for the reflected 0xEDB88320 polynomial, built at
+/// compile time: `CRC_TABLES[0][b]` is the CRC register after shifting byte
+/// `b` through it, and `CRC_TABLES[k][b]` is that register after `k` more
+/// zero bytes, so one 16-byte block folds in with 16 independent lookups.
+static CRC_TABLES: [[u32; 256]; 16] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 16] {
+    let mut tables = [[0u32; 256]; 16];
+    let (mut k, mut b) = (0, 0);
+    while k < 16 {
+        // byte `b`, then `k` zero bytes, shifted through bit by bit
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 * (k + 1) {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
         }
+        tables[k][b] = crc;
+        (k, b) = if b == 255 { (k + 1, 0) } else { (k, b + 1) };
+    }
+    tables
+}
+
+/// CRC-32 (IEEE 802.3, reflected 0xEDB88320 polynomial) over `bytes`,
+/// sixteen bytes per step. Detects every single-bit error and every burst
+/// ≤ 32 bits — which is exactly the fault classes the recovery suite
+/// injects.
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    let (blocks, tail) = bytes.as_chunks::<16>();
+    for block in blocks {
+        let mut block = *block;
+        for (b, c) in block.iter_mut().zip(crc.to_le_bytes()) {
+            *b ^= c;
+        }
+        // byte i of the block still has 15 - i bytes to pass through
+        crc = block
+            .iter()
+            .zip(CRC_TABLES.iter().rev())
+            .fold(0, |acc, (&b, table)| acc ^ table[usize::from(b)]);
+    }
+    for &b in tail {
+        crc = (crc >> 8) ^ CRC_TABLES[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -92,13 +124,21 @@ impl ByteWriter {
 
     pub(crate) fn put_f32s(&mut self, vs: &[f32]) {
         self.put_usize(vs.len());
-        for v in vs {
-            self.put_f32(*v);
+        self.put_f32_run(vs);
+    }
+
+    /// `vs` without a length prefix, into space grown once.
+    pub(crate) fn put_f32_run(&mut self, vs: &[f32]) {
+        let start = self.buf.len();
+        self.buf.resize(start + 4 * vs.len(), 0);
+        for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
+            dst.copy_from_slice(&v.to_le_bytes());
         }
     }
 
     pub(crate) fn put_f64s(&mut self, vs: &[f64]) {
         self.put_usize(vs.len());
+        self.buf.reserve(8 * vs.len());
         for v in vs {
             self.put_f64(*v);
         }
@@ -241,30 +281,40 @@ impl<'a> ByteReader<'a> {
     }
 }
 
-/// Write a framed, checksummed segment file and fsync it.
-pub(crate) fn write_segment(path: &Path, kind: u8, payload: &[u8]) -> Result<(), PersistError> {
-    let mut bytes = Vec::with_capacity(SEGMENT_MAGIC.len() + 4 + 1 + payload.len() + 4);
-    bytes.extend_from_slice(SEGMENT_MAGIC);
-    bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    bytes.push(kind);
-    bytes.extend_from_slice(payload);
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
+/// Write a framed, checksummed segment file and fsync it. The frame header,
+/// the payload `encode` appends after it and the CRC32 trailer share `w`'s
+/// one buffer: nothing is copied into a frame, and a writer passed from
+/// segment to segment (it is emptied first) keeps its one allocation.
+pub(crate) fn write_segment(
+    path: &Path,
+    kind: u8,
+    w: &mut ByteWriter,
+    encode: impl FnOnce(&mut ByteWriter),
+) -> Result<(), PersistError> {
+    w.buf.clear();
+    w.buf.extend_from_slice(SEGMENT_MAGIC);
+    w.put_u32(FORMAT_VERSION);
+    w.put_u8(kind);
+    encode(w);
+    w.put_u32(crc32(&w.buf));
     let mut file = File::create(path).map_err(|e| PersistError::io(path, e))?;
-    file.write_all(&bytes)
+    file.write_all(&w.buf)
         .map_err(|e| PersistError::io(path, e))?;
     file.sync_all().map_err(|e| PersistError::io(path, e))?;
     Ok(())
 }
 
-/// Read and validate a segment file: magic, format version, kind byte, and
-/// the CRC32 trailer. Returns the payload bytes. Any mismatch — including
-/// a file shorter than the frame itself — is a typed error.
-pub(crate) fn read_segment(path: &Path, expected_kind: u8) -> Result<Vec<u8>, PersistError> {
-    let mut file = File::open(path).map_err(|e| PersistError::io(path, e))?;
-    let mut bytes = Vec::new();
-    file.read_to_end(&mut bytes)
-        .map_err(|e| PersistError::io(path, e))?;
+/// Read and validate a segment file — magic, format version, the CRC32
+/// trailer, kind byte — and hand its payload to `decode` as a slice of the
+/// file's one buffer. Any mismatch — including a file shorter than the
+/// frame itself — is a typed error.
+pub(crate) fn read_segment<T>(
+    path: &Path,
+    expected_kind: u8,
+    decode: impl FnOnce(&[u8]) -> Result<T, PersistError>,
+) -> Result<T, PersistError> {
+    // sized from the file length: one allocation, no regrowth
+    let bytes = std::fs::read(path).map_err(|e| PersistError::io(path, e))?;
     let header = SEGMENT_MAGIC.len() + 4 + 1;
     if bytes.len() < header + 4 {
         return Err(PersistError::corrupt(
@@ -301,9 +351,7 @@ pub(crate) fn read_segment(path: &Path, expected_kind: u8) -> Result<Vec<u8>, Pe
             format!("segment kind {kind} where {expected_kind} was expected"),
         ));
     }
-    bytes.truncate(body_end);
-    bytes.drain(..header);
-    Ok(bytes)
+    decode(&bytes[header..body_end])
 }
 
 /// Fsync a directory so a just-renamed file inside it survives a crash
@@ -317,12 +365,147 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), PersistError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// One byte through the bit-serial CRC-32 register — the loop the
+    /// table-driven [`crc32`] replaced, kept as its oracle.
+    fn bit_serial_step(mut crc: u32, byte: u8) -> u32 {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+        crc
+    }
+
+    fn bit_serial_crc32(bytes: &[u8]) -> u32 {
+        !bytes.iter().fold(!0, |crc, &b| bit_serial_step(crc, b))
+    }
+
+    /// xorshift64 bytes: deterministic, and no byte value is favoured.
+    fn noise(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect()
+    }
+
+    fn read_payload(path: &Path, kind: u8) -> Result<Vec<u8>, PersistError> {
+        read_segment(path, kind, |payload| Ok(payload.to_vec()))
+    }
+
+    fn temp_segment(tag: &str) -> (PathBuf, PathBuf) {
+        let dir = std::env::temp_dir().join(format!("dust-codec-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.bin");
+        (dir, path)
+    }
+
+    /// Write a segment of exactly `len` bytes — frame header, noise
+    /// payload, CRC trailer — to `path` and return its bytes.
+    fn sealed_segment(path: &Path, kind: u8, len: usize) -> Vec<u8> {
+        write_segment(path, kind, &mut ByteWriter::new(), |w| {
+            w.buf.extend(noise(len - 13 - 4, 0x5EED))
+        })
+        .unwrap();
+        std::fs::read(path).unwrap()
+    }
 
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE CRC-32 check value for "123456789".
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(bit_serial_crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(bit_serial_crc32(b""), 0);
+    }
+
+    /// Every length 0..=4096 at every start offset 0..16: each remainder of
+    /// the 16-byte blocks, each alignment of the slice, and the empty input.
+    #[test]
+    fn table_driven_crc_equals_the_bit_serial_oracle() {
+        let data = noise(4096 + 16, 0x9E37_79B9_7F4A_7C15);
+        for offset in 0..16 {
+            let window = &data[offset..offset + 4096];
+            // the oracle streams, so one pass yields the CRC of every prefix
+            let mut crc = !0;
+            let mut prefix_crcs = vec![0];
+            for &b in window {
+                crc = bit_serial_step(crc, b);
+                prefix_crcs.push(!crc);
+            }
+            for (len, &expected) in prefix_crcs.iter().enumerate() {
+                assert_eq!(
+                    crc32(&window[..len]),
+                    expected,
+                    "length {len} at offset {offset}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn every_single_bit_flip_in_a_framed_segment_is_detected() {
+        let (dir, path) = temp_segment("flip");
+        let sealed = sealed_segment(&path, 3, 256);
+        assert_eq!(sealed.len(), 256);
+        assert_eq!(read_payload(&path, 3).unwrap(), sealed[13..252]);
+        for bit in 0..8 * sealed.len() {
+            let mut corrupted = sealed.clone();
+            corrupted[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &corrupted).unwrap();
+            assert!(
+                read_payload(&path, 3).is_err(),
+                "flip of bit {bit} went undetected"
+            );
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A burst of length `len` flips its first and last bit and any bits
+    /// between. The CRC alone — not the magic or version check — must catch
+    /// every burst of up to 32 bits: at the start of the frame, inside the
+    /// payload off any byte boundary, and ending on the trailer's last bit.
+    #[test]
+    fn every_burst_of_at_most_32_bits_fails_the_crc() {
+        let (dir, path) = temp_segment("burst");
+        let sealed = sealed_segment(&path, 3, 256);
+        std::fs::remove_dir_all(&dir).unwrap();
+        let bits = 8 * sealed.len();
+        let crc_holds = |bytes: &[u8]| {
+            let body_end = bytes.len() - 4;
+            crc32(&bytes[..body_end]).to_le_bytes() == bytes[body_end..]
+        };
+        assert!(crc_holds(&sealed));
+        let noise = noise(16 * 4, 0xB0B5);
+        let (interiors, _) = noise.as_chunks::<4>();
+        for len in 1..=32usize {
+            let ends = 1u32 | (1u32 << (len - 1));
+            let solid = u32::MAX >> (32 - len);
+            let patterns = [ends, solid, ends | (0x5555_5555 & solid)]
+                .into_iter()
+                .chain(
+                    interiors
+                        .iter()
+                        .map(|&c| ends | (u32::from_le_bytes(c) & solid)),
+                );
+            for pattern in patterns {
+                for start in [0, 13 * 8 + 3, bits - len] {
+                    let mut corrupted = sealed.clone();
+                    for i in (0..len).filter(|i| pattern >> i & 1 == 1) {
+                        let bit = start + i;
+                        corrupted[bit / 8] ^= 1 << (bit % 8);
+                    }
+                    assert!(
+                        !crc_holds(&corrupted),
+                        "burst {pattern:#x} of {len} bits at bit {start} went undetected"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -371,33 +554,30 @@ mod tests {
 
     #[test]
     fn segment_round_trip_and_fault_detection() {
-        let dir = std::env::temp_dir().join(format!("dust-codec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("seg.bin");
-        let payload = b"hello segment".to_vec();
-        write_segment(&path, 3, &payload).unwrap();
-        assert_eq!(read_segment(&path, 3).unwrap(), payload);
+        let (dir, path) = temp_segment("round-trip");
+        // a writer reused from a longer segment must leave none of it behind
+        let w = &mut ByteWriter::new();
+        write_segment(&path, 3, w, |w| w.put_str(&"x".repeat(1000))).unwrap();
+        write_segment(&path, 3, w, |w| w.put_str("hello segment")).unwrap();
+        let decoded = read_segment(&path, 3, |payload| {
+            let mut r = ByteReader::new(payload, &path);
+            let s = r.get_str()?;
+            r.finish().map(|()| s)
+        });
+        assert_eq!(decoded.unwrap(), "hello segment");
         // wrong kind
         assert!(matches!(
-            read_segment(&path, 4),
+            read_payload(&path, 4),
             Err(PersistError::Corrupt { .. })
         ));
-        // flip one bit anywhere → CRC catches it
-        let mut bytes = std::fs::read(&path).unwrap();
-        for offset in [0, 9, 13, bytes.len() - 1] {
-            let mut corrupted = bytes.clone();
-            corrupted[offset] ^= 0x10;
-            std::fs::write(&path, &corrupted).unwrap();
-            let err = read_segment(&path, 3);
-            assert!(err.is_err(), "bit flip at {offset} went undetected");
-        }
         // truncation → typed error
+        let mut bytes = std::fs::read(&path).unwrap();
         bytes.truncate(bytes.len() - 1);
         std::fs::write(&path, &bytes).unwrap();
-        assert!(read_segment(&path, 3).is_err());
+        assert!(read_payload(&path, 3).is_err());
         std::fs::write(&path, b"short").unwrap();
         assert!(matches!(
-            read_segment(&path, 3),
+            read_payload(&path, 3),
             Err(PersistError::Corrupt { .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();
@@ -405,10 +585,8 @@ mod tests {
 
     #[test]
     fn version_skew_is_reported_as_such() {
-        let dir = std::env::temp_dir().join(format!("dust-codec-ver-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("seg.bin");
-        write_segment(&path, 1, b"x").unwrap();
+        let (dir, path) = temp_segment("ver");
+        write_segment(&path, 1, &mut ByteWriter::new(), |_| {}).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
         // bump the version field and re-seal the CRC so only the version
         // check can fail
@@ -418,7 +596,7 @@ mod tests {
         bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(
-            read_segment(&path, 1),
+            read_payload(&path, 1),
             Err(PersistError::UnsupportedVersion { found: 99, .. })
         ));
         std::fs::remove_dir_all(&dir).unwrap();

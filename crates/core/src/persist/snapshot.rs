@@ -283,16 +283,15 @@ pub(crate) fn get_table(r: &mut ByteReader<'_>) -> Result<Table, PersistError> {
         .map_err(|e| r.corrupt(format!("decoded table is invalid: {e}")))
 }
 
-fn encode_lake(lake: &DataLake) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_lake(w: &mut ByteWriter, lake: &DataLake) {
     w.put_str(lake.name());
     w.put_usize(lake.num_queries());
     for query in lake.queries() {
-        put_table(&mut w, query);
+        put_table(w, query);
     }
     w.put_usize(lake.num_tables());
     for table in lake.tables() {
-        put_table(&mut w, table);
+        put_table(w, table);
     }
     let gt = lake.ground_truth();
     let queries: Vec<&TableId> = gt.queries().collect();
@@ -305,7 +304,6 @@ fn encode_lake(lake: &DataLake) -> Vec<u8> {
             w.put_str(table);
         }
     }
-    w.into_bytes()
 }
 
 fn decode_lake(bytes: &[u8], path: &Path) -> Result<DataLake, PersistError> {
@@ -349,15 +347,15 @@ fn put_live_store(w: &mut ByteWriter, store: &EmbeddingStore) {
     w.put_usize(dim);
     let live: Vec<usize> = store.live_indices().collect();
     w.put_usize(live.len());
-    let mut data = Vec::with_capacity(live.len() * dim);
     let mut norms = Vec::with_capacity(live.len());
     let mut inv_norms = Vec::with_capacity(live.len());
+    // the live rows as one length-prefixed f32 buffer, written row by row
+    w.put_usize(live.len() * dim);
     for &i in &live {
-        data.extend_from_slice(store.row(i));
+        w.put_f32_run(store.row(i));
         norms.push(store.norm(i));
         inv_norms.push(store.inv_norm(i));
     }
-    w.put_f32s(&data);
     w.put_f32s(&norms);
     w.put_f64s(&inv_norms);
 }
@@ -379,13 +377,12 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, PersistError> {
     Ok(EmbeddingStore::from_raw_parts(dim, data, norms, inv_norms))
 }
 
-fn encode_shard(shard: &LakeShard) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_shard(w: &mut ByteWriter, shard: &LakeShard) {
     w.put_usize(shard.tables.len());
     for table in &shard.tables {
         w.put_str(table);
     }
-    put_live_store(&mut w, &shard.tuple_store);
+    put_live_store(w, &shard.tuple_store);
     // refs of the live rows only, in live order — parallel to the store
     // rows just written
     let live: Vec<usize> = shard.tuple_store.live_indices().collect();
@@ -395,7 +392,6 @@ fn encode_shard(shard: &LakeShard) -> Vec<u8> {
         w.put_str(table);
         w.put_usize(*row);
     }
-    w.into_bytes()
 }
 
 fn decode_shard(bytes: &[u8], path: &Path) -> Result<LakeShard, PersistError> {
@@ -494,24 +490,22 @@ fn get_column_entries(r: &mut ByteReader<'_>) -> Result<Vec<(String, Vec<Vector>
     Ok(entries)
 }
 
-fn encode_search(search: &SearchStructures) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_search(w: &mut ByteWriter, search: &SearchStructures) {
     match search {
         SearchStructures::Overlap { index, .. } => {
             w.put_u8(technique_tag(SearchTechnique::Overlap));
-            put_index(&mut w, index);
+            put_index(w, index);
         }
         SearchStructures::D3l { index, stats, .. } => {
             w.put_u8(technique_tag(SearchTechnique::D3l));
-            put_index(&mut w, index);
-            put_column_entries(&mut w, &stats.entries());
+            put_index(w, index);
+            put_column_entries(w, &stats.entries());
         }
         SearchStructures::Starmie { store, .. } => {
             w.put_u8(technique_tag(SearchTechnique::Starmie));
-            put_column_entries(&mut w, &store.entries());
+            put_column_entries(w, &store.entries());
         }
     }
-    w.into_bytes()
 }
 
 /// Decode the search segment. The searcher objects are the same `::new()`
@@ -588,11 +582,10 @@ fn get_finetune_config(r: &mut ByteReader<'_>) -> Result<FineTuneConfig, Persist
     })
 }
 
-fn encode_model(model: &DustModel) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_model(w: &mut ByteWriter, model: &DustModel) {
     w.put_u8(model_tag(model.backbone()));
     let head = model.head();
-    put_finetune_config(&mut w, head.config());
+    put_finetune_config(w, head.config());
     w.put_usize(head.input_dim());
     let (w1, b1, w2, b2) = head.raw_weights();
     for part in [w1, b1, w2, b2] {
@@ -605,7 +598,6 @@ fn encode_model(model: &DustModel) -> Vec<u8> {
         }
         None => w.put_bool(false),
     }
-    w.into_bytes()
 }
 
 fn decode_model(bytes: &[u8], path: &Path) -> Result<DustModel, PersistError> {
@@ -657,8 +649,7 @@ fn decode_model(bytes: &[u8], path: &Path) -> Result<DustModel, PersistError> {
 // manifest codec
 // ---------------------------------------------------------------------------
 
-fn encode_manifest(m: &Manifest) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn encode_manifest(w: &mut ByteWriter, m: &Manifest) {
     w.put_u64(m.epoch);
     w.put_u64(m.generation);
     w.put_usize(m.num_shards);
@@ -682,7 +673,7 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
         } => {
             w.put_u8(1);
             w.put_u8(model_tag(*backbone));
-            put_finetune_config(&mut w, config);
+            put_finetune_config(w, config);
             w.put_usize(*training_pairs);
         }
     }
@@ -696,7 +687,6 @@ fn encode_manifest(m: &Manifest) -> Vec<u8> {
         None => w.put_bool(false),
     }
     w.put_u8(algorithm_tag(c.diversifier.algorithm));
-    w.into_bytes()
 }
 
 fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> {
@@ -779,21 +769,25 @@ pub(crate) fn write_epoch_segments(
     view: &SessionView<'_>,
     epoch: u64,
 ) -> Result<(), PersistError> {
-    write_segment(&lake_path(dir, epoch), KIND_LAKE, &encode_lake(view.lake()))?;
+    // One buffer for the whole epoch, written one segment after another:
+    // a checkpoint's transient memory is one allocation the size of its
+    // largest segment, not one freed and regrown per segment.
+    let w = &mut ByteWriter::new();
+    write_segment(&lake_path(dir, epoch), KIND_LAKE, w, |w| {
+        encode_lake(w, view.lake())
+    })?;
     for (i, shard) in view.shards().iter().enumerate() {
-        write_segment(
-            &shard_path(dir, epoch, i),
-            KIND_SHARD,
-            &encode_shard(shard.as_ref()),
-        )?;
+        write_segment(&shard_path(dir, epoch, i), KIND_SHARD, w, |w| {
+            encode_shard(w, shard)
+        })?;
     }
-    write_segment(
-        &search_path(dir, epoch),
-        KIND_SEARCH,
-        &encode_search(view.search_structures()),
-    )?;
+    write_segment(&search_path(dir, epoch), KIND_SEARCH, w, |w| {
+        encode_search(w, view.search_structures())
+    })?;
     if let SessionEmbedder::Model(model) = view.session_embedder() {
-        write_segment(&model_path(dir, epoch), KIND_MODEL, &encode_model(model))?;
+        write_segment(&model_path(dir, epoch), KIND_MODEL, w, |w| {
+            encode_model(w, model)
+        })?;
     }
     Ok(())
 }
@@ -816,7 +810,9 @@ pub(crate) fn manifest_for(view: &SessionView<'_>, epoch: u64) -> Manifest {
 /// old manifest (and its epoch files) fully intact.
 pub(crate) fn publish_manifest(dir: &Path, manifest: &Manifest) -> Result<(), PersistError> {
     let tmp = dir.join("MANIFEST.tmp");
-    write_segment(&tmp, KIND_MANIFEST, &encode_manifest(manifest))?;
+    write_segment(&tmp, KIND_MANIFEST, &mut ByteWriter::new(), |w| {
+        encode_manifest(w, manifest)
+    })?;
     let target = manifest_path(dir);
     std::fs::rename(&tmp, &target).map_err(|e| PersistError::io(&target, e))?;
     super::codec::sync_dir(dir)?;
@@ -833,8 +829,9 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest, PersistError> {
             dir: dir.to_path_buf(),
         });
     }
-    let bytes = read_segment(&path, KIND_MANIFEST)?;
-    decode_manifest(&bytes, &path)
+    read_segment(&path, KIND_MANIFEST, |payload| {
+        decode_manifest(payload, &path)
+    })
 }
 
 /// Load a full session from the manifest's epoch segments. The WAL is NOT
@@ -845,24 +842,26 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
     let epoch = manifest.epoch;
 
     let lp = lake_path(dir, epoch);
-    let lake = decode_lake(&read_segment(&lp, KIND_LAKE)?, &lp)?;
+    let lake = read_segment(&lp, KIND_LAKE, |payload| decode_lake(payload, &lp))?;
 
     let mut shards = Vec::with_capacity(manifest.num_shards);
     for i in 0..manifest.num_shards {
         let sp = shard_path(dir, epoch, i);
-        shards.push(decode_shard(&read_segment(&sp, KIND_SHARD)?, &sp)?);
+        shards.push(read_segment(&sp, KIND_SHARD, |payload| {
+            decode_shard(payload, &sp)
+        })?);
     }
 
     let sp = search_path(dir, epoch);
-    let search = decode_search(
-        &read_segment(&sp, KIND_SEARCH)?,
-        &sp,
-        manifest.config.search,
-    )?;
+    let search = read_segment(&sp, KIND_SEARCH, |payload| {
+        decode_search(payload, &sp, manifest.config.search)
+    })?;
 
     let embedder = if manifest.has_model {
         let mp = model_path(dir, epoch);
-        SessionEmbedder::Model(decode_model(&read_segment(&mp, KIND_MODEL)?, &mp)?)
+        SessionEmbedder::Model(read_segment(&mp, KIND_MODEL, |payload| {
+            decode_model(payload, &mp)
+        })?)
     } else {
         // decode_manifest rejects a fine-tuned config without a model
         // segment, so this never trains
@@ -930,8 +929,8 @@ mod tests {
             env!("CARGO_MANIFEST_DIR"),
             "/fixtures/seg-model-v2.bin"
         ));
-        let payload = read_segment(path, KIND_MODEL).expect("an intact model segment");
-        let model = decode_model(&payload, path).expect("a decodable model");
+        let model = read_segment(path, KIND_MODEL, |payload| decode_model(payload, path))
+            .expect("an intact, decodable model segment");
         let tuple = Tuple::new(
             vec!["Name".into(), "Kind".into(), "Place".into()],
             vec![
@@ -949,6 +948,17 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(bits, [0x3efa_6d7a, 0xbd19_959c, 0x3ee4_39e8]);
-        assert_eq!(encode_model(&model), payload);
+        let dir = std::env::temp_dir().join(format!("dust-golden-v2-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rewritten = dir.join("seg-model.bin");
+        write_segment(&rewritten, KIND_MODEL, &mut ByteWriter::new(), |w| {
+            encode_model(w, &model)
+        })
+        .unwrap();
+        assert_eq!(
+            std::fs::read(&rewritten).unwrap(),
+            std::fs::read(path).unwrap()
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

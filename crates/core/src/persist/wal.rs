@@ -31,7 +31,7 @@ use super::error::PersistError;
 use super::snapshot::{get_table, put_table};
 use dust_table::Table;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4;
@@ -140,15 +140,12 @@ impl WalWriter {
                 (KIND_REMOVE_TABLE, w.into_bytes())
             }
         };
+        let payload_len = record_payload_len(payload.len(), &self.path)?;
         let lsn = self.next_lsn;
         let mut rec = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + 4);
         rec.extend_from_slice(&lsn.to_le_bytes());
         rec.push(kind);
-        rec.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("payload < 4 GiB")
-                .to_le_bytes(),
-        );
+        rec.extend_from_slice(&payload_len.to_le_bytes());
         let header_crc = crc32(&rec);
         rec.extend_from_slice(&header_crc.to_le_bytes());
         rec.extend_from_slice(&payload);
@@ -163,13 +160,21 @@ impl WalWriter {
     }
 }
 
+/// A record's payload length as the `u32` its header stores. A payload of
+/// 4 GiB or more cannot be framed: it is refused before anything is
+/// written, so the log and its next LSN stay as they were.
+fn record_payload_len(len: usize, path: &Path) -> Result<u32, PersistError> {
+    u32::try_from(len).map_err(|_| {
+        let detail = format!("WAL record payload of {len} bytes exceeds the 4 GiB record limit");
+        PersistError::io(path, io::Error::new(io::ErrorKind::FileTooLarge, detail))
+    })
+}
+
 /// Read and validate a WAL file, returning its records plus the byte
 /// length of the valid prefix (for truncating a torn tail on reopen).
 pub(crate) fn read_wal(path: &Path) -> Result<(WalContents, u64), PersistError> {
-    let mut bytes = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut bytes))
-        .map_err(|e| PersistError::io(path, e))?;
+    // sized from the file length: one allocation, no regrowth
+    let bytes = std::fs::read(path).map_err(|e| PersistError::io(path, e))?;
 
     if bytes.len() < HEADER_LEN {
         return Err(PersistError::corrupt(
@@ -274,4 +279,23 @@ pub(crate) fn read_wal(path: &Path) -> Result<(WalContents, u64), PersistError> 
         },
         valid_len,
     ))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `append` sizes the record through this check before it builds or
+    /// writes a byte, so an oversized payload leaves the log untouched.
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn an_oversized_record_payload_is_a_typed_error_not_a_panic() {
+        let path = Path::new("wal-1.log");
+        assert_eq!(record_payload_len(0, path).unwrap(), 0);
+        let max = u32::MAX as usize;
+        assert_eq!(record_payload_len(max, path).unwrap(), u32::MAX);
+        let err = record_payload_len(max + 1, path).unwrap_err();
+        assert_eq!(err.kind(), "io");
+        assert!(err.to_string().contains("4 GiB record limit"), "{err}");
+    }
 }

@@ -134,6 +134,10 @@ fn assert_same_result(a: &DustResult, b: &DustResult, context: &str) {
         a.retrieved_tables, b.retrieved_tables,
         "{context}: retrieved tables differ"
     );
+    assert_eq!(
+        a.dropped_tables, b.dropped_tables,
+        "{context}: dropped-table diagnostics differ"
+    );
     assert_eq!(a.alignment, b.alignment, "{context}: alignment differs");
     assert_eq!(
         a.candidate_tuples, b.candidate_tuples,
@@ -510,6 +514,77 @@ fn a_format_version_1_directory_is_a_typed_unsupported_version() {
             assert_eq!(e.kind(), "unsupported_version")
         }
         other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
+    }
+}
+
+/// FNV-1a-64 of a byte string, with the constants
+/// `tests/finetune_integration.rs` pins its training goldens with.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Every stored byte is pinned: a `tiny` session is saved, mutated once,
+/// checkpointed (epoch 2) and mutated twice more (two WAL records), and
+/// each file in the directory is hashed. The hashes were computed before
+/// the table-driven CRC-32 and the one-buffer segment framing replaced the
+/// bit-serial checksum and the payload copy, so they hold the codec to the
+/// format it has always written — segments, manifest and WAL alike.
+#[test]
+fn snapshot_directory_bytes_match_the_format_v2_goldens() {
+    let pretrained: [(&str, u64); 7] = [
+        ("MANIFEST", 0x6eaa_1e99_bd2c_fbcd),
+        ("seg-2-lake.bin", 0xb9f7_53fe_79be_3046),
+        ("seg-2-search.bin", 0x08ab_9b55_1da9_0534),
+        ("seg-2-shard-0.bin", 0xcb61_e10a_fde5_3e79),
+        ("seg-2-shard-1.bin", 0x4504_f255_5805_195a),
+        ("seg-2-shard-2.bin", 0x751d_1e84_aae6_8918),
+        ("wal-2.log", 0xb99d_dfe1_b673_afd3),
+    ];
+    let fine_tuned: [(&str, u64); 8] = [
+        ("MANIFEST", 0xaa3e_6f61_e5e7_f602),
+        ("seg-2-lake.bin", 0xb9f7_53fe_79be_3046),
+        ("seg-2-model.bin", 0x7c0f_0f81_eecd_0261),
+        ("seg-2-search.bin", 0x08ab_9b55_1da9_0534),
+        ("seg-2-shard-0.bin", 0x7ed4_1842_648e_b3ef),
+        ("seg-2-shard-1.bin", 0x1005_8d4a_a714_140f),
+        ("seg-2-shard-2.bin", 0xa0b9_44f2_b5da_98e2),
+        ("wal-2.log", 0xb99d_dfe1_b673_afd3),
+    ];
+    for (config, golden) in [
+        (PipelineConfig::fast(), &pretrained[..]),
+        (tiny_fine_tuned_config(), &fine_tuned[..]),
+    ] {
+        let tmp = TempDir::new("golden");
+        let session = LakeSession::with_options(
+            tiny_lake(),
+            config,
+            SessionOptions {
+                num_shards: 3,
+                ..SessionOptions::default()
+            },
+        );
+        let pool = table_pool(&session.lake());
+        let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
+        apply_logged(&session, &mut store, &pool[pool.len() - 2]);
+        store.checkpoint(&session).unwrap();
+        apply_logged(&session, &mut store, &pool[0]);
+        apply_logged(&session, &mut store, &pool[pool.len() - 1]);
+        drop(store);
+
+        let actual: Vec<(String, u64)> = file_names(&tmp.0)
+            .into_iter()
+            .map(|name| {
+                let hash = fnv1a(&std::fs::read(tmp.0.join(&name)).unwrap());
+                (name, hash)
+            })
+            .collect();
+        let expected: Vec<(String, u64)> = golden
+            .iter()
+            .map(|&(name, hash)| (name.to_string(), hash))
+            .collect();
+        assert_eq!(actual, expected, "{:?}", session.config().embedder);
     }
 }
 
