@@ -4,8 +4,8 @@
 //!
 //! `checkpoint/{narrow,wide}` rewrites every segment of a pre-trained
 //! session over the benchmark's `NARROW` / `WIDE` lake
-//! (`benchmark/src/spec.rs`, seed 1447, four queries per domain, the
-//! default four shards) and swings the manifest; `open/{narrow,wide}`
+//! (`benchmark/src/spec.rs`, seed 1447, four queries per domain) and
+//! swings the manifest; `open/{narrow,wide}`
 //! reads, checks and decodes that directory back into a session (its WAL
 //! is empty). Before timing, the opened session is checked against the one
 //! that was saved — a failed guard aborts the bench.
@@ -39,7 +39,7 @@
 //! The bit-serial loop shifted one bit per step, ≈ 175 MB/s, over the
 //! ≈ 11 MB every checkpoint writes and every open reads back; sixteen
 //! table lookups per 16-byte block run at ≈ 2 GB/s. The encoder writes
-//! the frame header first and the shard rows straight into the buffer, so
+//! the frame header first and the embedding rows straight into the buffer, so
 //! neither the payload nor the embedding rows are copied a second time.
 //! This bench, three alternating runs per tree on the same core, median
 //! sample: `checkpoint/narrow` 99.1–113.3 → 22.2–25.2 ms,
@@ -104,8 +104,8 @@ fn bench_persist(c: &mut Criterion) {
             "the {shape} directory did not reopen at the saved generation"
         );
         assert_eq!(
-            (restored.tables, restored.tuples, restored.shard_sizes),
-            (saved.tables, saved.tuples, saved.shard_sizes),
+            (restored.tables, restored.tuples),
+            (saved.tables, saved.tuples),
             "the {shape} session did not reopen with the saved tables and tuples"
         );
         group.bench_function(*shape, |b| {

@@ -8,7 +8,7 @@
 //! session side pays all of that once, at construction, **and the
 //! construction cost is included in its measured time**, so the comparison
 //! is end-to-end honest: at B = 1 the session can lose (it also pre-embeds
-//! the whole lake into its shards); the break-even is where amortization
+//! the whole lake, one block per table); the break-even is where amortization
 //! starts paying.
 //!
 //! Per-query results are asserted identical between the two paths (tuple
@@ -16,7 +16,7 @@
 //! behaviour change would be a bug, not a result.
 //!
 //! The **mutation** scenario measures the incremental-mutation claim the
-//! same way: a single-table `add_table` on a resident session (per-shard
+//! same way: a single-table `add_table` on a resident session (per-table
 //! delta) vs building a fresh session over the grown lake, and an
 //! interleaved workload (queries between adds/drops) vs the
 //! rebuild-per-mutation strategy. Results after every mutation are
@@ -44,7 +44,7 @@ use std::time::Instant;
 
 /// Counting wrapper around the system allocator. The mutation scenario
 /// reads the counters around each publish, so the structural-sharing claim
-/// ("a mutation clones O(1 table + 1 shard), not the snapshot") is
+/// ("a mutation clones O(1 table), not the snapshot") is
 /// reported as measured bytes, not asserted prose. Frees are not tracked:
 /// the interesting number is how much a publish *writes*, not its net
 /// footprint.
@@ -246,7 +246,7 @@ fn main() {
     }
 }
 
-/// The incremental-mutation scenario: per-shard `add_table`/`remove_table`
+/// The incremental-mutation scenario: per-table `add_table`/`remove_table`
 /// deltas on one resident session vs rebuilding a fresh session per
 /// mutation. Uses the fast overlap+pretrained configuration (the mutation
 /// machinery is identical across techniques; the fine-tuned configuration
@@ -273,7 +273,7 @@ fn mutation_benchmark(full_lake: &dust_table::DataLake, queries: &[Table], json:
     // ---- single-table add: delta vs fresh rebuild -------------------------
     // Allocation counters bracket each publish: the structural-sharing
     // refactor's claim is that the incremental path allocates the delta
-    // (one table + one shard + touched postings), not a snapshot copy.
+    // (one table + its embedding block + touched postings), not a snapshot copy.
     let session = LakeSession::new(base_lake.clone(), config.clone());
     let counters = alloc_counters();
     let start = Instant::now();
@@ -352,7 +352,7 @@ fn mutation_benchmark(full_lake: &dust_table::DataLake, queries: &[Table], json:
     let interleaved_speedup = interleaved_rebuild_secs / interleaved_incremental_secs;
 
     let mut report = Report::new(
-        "Lake mutation: incremental per-shard deltas vs rebuild-per-mutation (overlap+pretrained)",
+        "Lake mutation: incremental per-table deltas vs rebuild-per-mutation (overlap+pretrained)",
     )
     .headers([
         "scenario",
@@ -386,7 +386,7 @@ fn mutation_benchmark(full_lake: &dust_table::DataLake, queries: &[Table], json:
     let _ = writeln!(json, "  \"mutation\": {{");
     let _ = writeln!(
         json,
-        "    \"note\": \"incremental LakeSession::add_table/remove_table (per-shard deltas) vs \
+        "    \"note\": \"incremental LakeSession::add_table/remove_table (per-table deltas) vs \
          a fresh LakeSession::new per mutation, SANTOS-small, overlap+pretrained, k = {K}; \
          results asserted identical between strategies\","
     );

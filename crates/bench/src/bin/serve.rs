@@ -1,6 +1,6 @@
 //! `serve` — the zero-to-server demo of the resident [`LakeSession`] layer.
 //!
-//! Builds a session over a data lake **once** (pre-embedded shards, warm
+//! Builds a session over a data lake **once** (pre-embedded tables, warm
 //! candidate indexes, one shared tuple model), then answers JSONL requests
 //! with JSONL responses — from stdin (or a file) on stdout, or from many
 //! concurrent TCP clients with `--listen`. Logs go to stderr so the
@@ -20,7 +20,7 @@
 //! Request fields: `query` (name of a lake query table) **or** `csv` (an
 //! inline CSV table); optional `id` (echoed back), `k` (default 10),
 //! `mode` (`"diverse"` — full Algorithm 1, the default — or `"similar"` —
-//! nearest lake tuples from the resident shards, the Sec. 6.5 retrieval
+//! nearest lake tuples from the resident embeddings, the Sec. 6.5 retrieval
 //! shape). Batched requests: `{"queries": ["name1", "name2"], "k": 5}`
 //! runs the whole array through `query_batch` in one go. Error responses
 //! keep the request `id` and carry a stable machine-readable `kind`
@@ -61,7 +61,7 @@
 //! session writes a final checkpoint so the next recovery replays
 //! nothing.
 //!
-//! The lake can be mutated in place — incremental per-shard deltas, no
+//! The lake can be mutated in place — incremental per-table deltas, no
 //! session rebuild (results stay bit-identical to a rebuild; see
 //! `tests/session_mutation.rs`):
 //!
@@ -91,9 +91,8 @@
 //! compacts long before the record counter would fire.
 //!
 //! `{"mode":"stats"}` is the operability probe: it reports the pinned
-//! generation, lake-wide table/tuple/column counts, per-shard
-//! `{tables, live, dead}` rows (dead = tombstoned, awaiting compaction),
-//! the generation-history window (`depth`/`retained`/`oldest`/`newest`),
+//! generation, lake-wide `tables`/`tuples`/`columns` counts, the
+//! generation-history window (`depth`/`retained`/`oldest`/`newest`),
 //! the worker-pool counters for a TCP server (`workers`, live
 //! `connections`, `accepted`, `rejected_overloaded`, `lines_too_long`;
 //! `"server":null` on the stdio path), and — for a durable session — the
@@ -103,7 +102,7 @@
 //! Flags: `--benchmark tiny|santos|ugen` (generated lake, default tiny),
 //! `--lake-dir <dir>` (load every `*.csv` file as a lake table),
 //! `--search overlap|d3l|starmie`, `--finetune` (train the DUST model at
-//! startup instead of serving pre-trained embeddings), `--shards N`,
+//! startup instead of serving pre-trained embeddings),
 //! `--listen ADDR` (TCP worker-pool mode; takes precedence over
 //! stdin/`--requests`), `--workers K`, `--max-connections N`,
 //! `--history N` (pinnable generations retained), `--snapshot-dir <dir>`
@@ -211,19 +210,16 @@ fn run(args: &[String]) -> Result<(), String> {
     let state = Arc::new(state);
     let stats = state.session.stats();
     eprintln!(
-        "serve: session ready in {:.2}s — {} tuples resident across {} shards \
+        "serve: session ready in {:.2}s — {} tuples resident across {} tables \
          (tuple dim {}), {} columns, search = {}, generation {}",
         stats.build_secs,
         stats.tuples,
-        stats.shards,
+        stats.tables,
         stats.tuple_dim,
         stats.columns,
         state.session.config().search.name(),
         state.session.generation(),
     );
-    for (i, (tables, tuples)) in stats.shard_sizes.iter().enumerate() {
-        eprintln!("serve:   shard {i}: {tables} tables, {tuples} tuples");
-    }
 
     if let Some(addr) = &options.listen {
         let listener =
@@ -430,7 +426,6 @@ fn build_session(options: &CliOptions) -> Result<LakeSession, String> {
         lake,
         options.pipeline_config(),
         dust_core::SessionOptions {
-            num_shards: options.shards,
             history: options.history,
         },
     ))
@@ -441,7 +436,6 @@ struct CliOptions {
     lake_dir: Option<String>,
     search: SearchTechnique,
     finetune: bool,
-    shards: usize,
     listen: Option<String>,
     workers: usize,
     max_connections: usize,
@@ -460,7 +454,6 @@ impl CliOptions {
             lake_dir: None,
             search: SearchTechnique::Overlap,
             finetune: false,
-            shards: 4,
             listen: None,
             workers: 4,
             max_connections: 256,
@@ -490,11 +483,6 @@ impl CliOptions {
                     }
                 }
                 "--finetune" => options.finetune = true,
-                "--shards" => {
-                    options.shards = value("--shards")?
-                        .parse()
-                        .map_err(|e| format!("--shards: {e}"))?
-                }
                 "--listen" => options.listen = Some(value("--listen")?),
                 "--workers" => {
                     options.workers = value("--workers")?
@@ -529,7 +517,7 @@ impl CliOptions {
                 "--help" | "-h" => {
                     return Err("see the module docs: serve [--benchmark tiny|santos|ugen] \
                                 [--lake-dir DIR] [--search overlap|d3l|starmie] [--finetune] \
-                                [--shards N] [--listen ADDR] [--workers K] \
+                                [--listen ADDR] [--workers K] \
                                 [--max-connections N] [--history N] [--snapshot-dir DIR] \
                                 [--checkpoint-after N] [--checkpoint-bytes N] \
                                 [--requests FILE] [--selftest]"
@@ -695,7 +683,7 @@ fn serve_line(state: &ServerState, line: &str) -> Result<String, ServeError> {
         ));
     }
 
-    // mutation modes: incremental per-shard deltas on the resident session
+    // mutation modes: incremental per-table deltas on the resident session
     // (no rebuild; results afterwards are bit-identical to one). The
     // durability lock is held across apply + WAL append + auto-checkpoint:
     // concurrent mutating clients serialize here, so the fsynced record's
@@ -808,20 +796,13 @@ fn serve_line(state: &ServerState, line: &str) -> Result<String, ServeError> {
         ));
     }
 
-    // operability probe: one pinned view's resource picture — per-shard
-    // live/dead rows, the generation it answers from, and how much WAL has
-    // accumulated since the last checkpoint (null without --snapshot-dir)
+    // operability probe: one pinned view's resource picture — resident
+    // tables, tuples and columns, the generation it answers from, and how
+    // much WAL has accumulated since the last checkpoint (null without
+    // --snapshot-dir)
     if mode == "stats" {
         let view = state.session.view();
         let stats = view.stats();
-        let shards: Vec<String> = stats
-            .shard_sizes
-            .iter()
-            .zip(&stats.shard_dead)
-            .map(|(&(tables, live), &dead)| {
-                format!("{{\"tables\":{tables},\"live\":{live},\"dead\":{dead}}}")
-            })
-            .collect();
         let wal = {
             // dust-lint: lock(durability)
             let durable = state.durable.lock().unwrap_or_else(|e| e.into_inner());
@@ -857,13 +838,12 @@ fn serve_line(state: &ServerState, line: &str) -> Result<String, ServeError> {
             None => "null".to_string(),
         };
         return Ok(format!(
-            "{{\"id\":\"{}\",\"generation\":{},\"result\":{{\"tables\":{},\"tuples\":{},\"columns\":{},\"shards\":[{}],\"history\":{history},\"server\":{server},\"wal\":{wal}}}}}",
+            "{{\"id\":\"{}\",\"generation\":{},\"result\":{{\"tables\":{},\"tuples\":{},\"columns\":{},\"history\":{history},\"server\":{server},\"wal\":{wal}}}}}",
             json::escape(&id),
             view.generation(),
             stats.tables,
             stats.tuples,
             stats.columns,
-            shards.join(","),
         ));
     }
 
@@ -1060,20 +1040,6 @@ fn selftest(options: &CliOptions) -> Result<(), String> {
                 let result = parsed
                     .get("result")
                     .ok_or_else(|| format!("selftest: no result in {response}"))?;
-                match result.get("shards") {
-                    Some(JsonValue::Array(items)) if !items.is_empty() => {
-                        for shard in items {
-                            if shard.get("live").and_then(JsonValue::as_usize).is_none()
-                                || shard.get("dead").and_then(JsonValue::as_usize).is_none()
-                            {
-                                return Err(format!(
-                                    "selftest: shard stats lack live/dead: {response}"
-                                ));
-                            }
-                        }
-                    }
-                    _ => return Err(format!("selftest: no shard stats: {response}")),
-                }
                 if result.get("wal") != Some(&JsonValue::Null) {
                     return Err(format!(
                         "selftest: wal must be null without --snapshot-dir: {response}"
@@ -1166,6 +1132,18 @@ fn selftest(options: &CliOptions) -> Result<(), String> {
     if before != after {
         return Err(format!(
             "selftest: post-remove result differs from pre-add result\n  before: {before:?}\n  after: {after:?}"
+        ));
+    }
+    // ...and exactly the lake's rows stay resident
+    let stats = result_of(&handle_request(
+        &state,
+        "{\"id\":\"rows\",\"mode\":\"stats\"}",
+    ))?;
+    let rows: usize = state.session.lake().tables().map(|t| t.num_rows()).sum();
+    if stats.get("tuples").and_then(JsonValue::as_usize) != Some(rows) {
+        return Err(format!(
+            "selftest: stats must report the lake's {rows} tuples after the add/remove cycle: \
+             {stats:?}"
         ));
     }
 

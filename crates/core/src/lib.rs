@@ -58,6 +58,5 @@ pub use persist::{PersistError, RecoveryReport, SessionError, SnapshotStore, Sto
 pub use pipeline::DustPipeline;
 pub use result::{DustResult, StageTimings};
 pub use session::{
-    LakeRef, LakeSession, LakeShard, RankedColumn, RankedTuple, SessionOptions, SessionStats,
-    SessionView,
+    LakeRef, LakeSession, RankedColumn, RankedTuple, SessionOptions, SessionStats, SessionView,
 };

@@ -19,6 +19,7 @@
 use super::error::PersistError;
 use std::fs::File;
 use std::io::Write;
+use std::ops::{Deref, DerefMut};
 use std::path::Path;
 
 /// Magic prefix of every snapshot segment file.
@@ -26,7 +27,7 @@ pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"DUSTSEG\0";
 /// Magic prefix of the write-ahead log.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"DUSTWAL\0";
 /// On-disk format version, bumped on any layout change.
-pub(crate) const FORMAT_VERSION: u32 = 2;
+pub(crate) const FORMAT_VERSION: u32 = 3;
 
 /// Slicing-by-16 tables for the reflected 0xEDB88320 polynomial, built at
 /// compile time: `CRC_TABLES[0][b]` is the CRC register after shifting byte
@@ -56,7 +57,13 @@ const fn crc_tables() -> [[u32; 256]; 16] {
 /// ≤ 32 bits — which is exactly the fault classes the recovery suite
 /// injects.
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+    !crc32_update(!0, bytes)
+}
+
+/// The CRC-32 register after shifting `bytes` through `crc`: starting from
+/// `!0` and inverting at the end, any split of the input into consecutive
+/// updates gives [`crc32`] of the whole, bit for bit.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     let (blocks, tail) = bytes.as_chunks::<16>();
     for block in blocks {
         let mut block = *block;
@@ -72,7 +79,7 @@ pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     for &b in tail {
         crc = (crc >> 8) ^ CRC_TABLES[0][usize::from(crc as u8 ^ b)];
     }
-    !crc
+    crc
 }
 
 /// Append-only byte buffer with typed little-endian writers.
@@ -122,13 +129,9 @@ impl ByteWriter {
         self.put_u64(v.to_bits());
     }
 
+    /// `vs` after its length, into space grown once.
     pub(crate) fn put_f32s(&mut self, vs: &[f32]) {
         self.put_usize(vs.len());
-        self.put_f32_run(vs);
-    }
-
-    /// `vs` without a length prefix, into space grown once.
-    pub(crate) fn put_f32_run(&mut self, vs: &[f32]) {
         let start = self.buf.len();
         self.buf.resize(start + 4 * vs.len(), 0);
         for (dst, v) in self.buf[start..].chunks_exact_mut(4).zip(vs) {
@@ -281,27 +284,79 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// The writer [`write_segment`] hands its encoder: a [`ByteWriter`] that
+/// can also [`flush`](Self::flush) what it holds to the segment's file.
+pub(crate) struct SegmentWriter<'a> {
+    w: &'a mut ByteWriter,
+    file: File,
+    /// CRC-32 register over every byte already flushed.
+    crc: u32,
+    /// The first failed write, reported when the segment is sealed.
+    written: std::io::Result<()>,
+}
+
+impl SegmentWriter<'_> {
+    /// Fold the buffered bytes into the checksum and write them out, so a
+    /// segment of many parts never sits whole in memory. The file's bytes
+    /// are the same wherever the encoder flushes.
+    pub(crate) fn flush(&mut self) {
+        self.crc = crc32_update(self.crc, &self.w.buf);
+        if self.written.is_ok() {
+            self.written = self.file.write_all(&self.w.buf);
+        }
+        self.w.buf.clear();
+    }
+}
+
+impl Deref for SegmentWriter<'_> {
+    type Target = ByteWriter;
+
+    fn deref(&self) -> &ByteWriter {
+        self.w
+    }
+}
+
+impl DerefMut for SegmentWriter<'_> {
+    fn deref_mut(&mut self) -> &mut ByteWriter {
+        self.w
+    }
+}
+
 /// Write a framed, checksummed segment file and fsync it. The frame header,
 /// the payload `encode` appends after it and the CRC32 trailer share `w`'s
 /// one buffer: nothing is copied into a frame, and a writer passed from
-/// segment to segment (it is emptied first) keeps its one allocation.
+/// segment to segment (it is emptied first) keeps its one allocation. An
+/// encoder that [flushes](SegmentWriter::flush) between parts bounds that
+/// buffer by its largest part instead of the whole segment.
 pub(crate) fn write_segment(
     path: &Path,
     kind: u8,
     w: &mut ByteWriter,
-    encode: impl FnOnce(&mut ByteWriter),
+    encode: impl FnOnce(&mut SegmentWriter<'_>),
 ) -> Result<(), PersistError> {
+    let file = File::create(path).map_err(|e| PersistError::io(path, e))?;
     w.buf.clear();
     w.buf.extend_from_slice(SEGMENT_MAGIC);
     w.put_u32(FORMAT_VERSION);
     w.put_u8(kind);
-    encode(w);
-    w.put_u32(crc32(&w.buf));
-    let mut file = File::create(path).map_err(|e| PersistError::io(path, e))?;
-    file.write_all(&w.buf)
-        .map_err(|e| PersistError::io(path, e))?;
-    file.sync_all().map_err(|e| PersistError::io(path, e))?;
-    Ok(())
+    let mut segment = SegmentWriter {
+        w,
+        file,
+        crc: !0,
+        written: Ok(()),
+    };
+    encode(&mut segment);
+    let SegmentWriter {
+        w,
+        mut file,
+        crc,
+        written,
+    } = segment;
+    w.put_u32(!crc32_update(crc, &w.buf));
+    written
+        .and_then(|()| file.write_all(&w.buf))
+        .and_then(|()| file.sync_all())
+        .map_err(|e| PersistError::io(path, e))
 }
 
 /// Read and validate a segment file — magic, format version, the CRC32
@@ -445,6 +500,26 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Flushing after any prefix of the payload — the CRC folded in two
+    /// updates, the file written in two parts — seals the same file as
+    /// writing it whole.
+    #[test]
+    fn a_flushed_segment_is_the_same_bytes_as_a_whole_one() {
+        let (dir, path) = temp_segment("flush");
+        let sealed = sealed_segment(&path, 3, 256);
+        let payload = &sealed[13..252];
+        for cut in (0..=payload.len()).step_by(7).chain([payload.len()]) {
+            write_segment(&path, 3, &mut ByteWriter::new(), |s| {
+                s.buf.extend_from_slice(&payload[..cut]);
+                s.flush();
+                s.buf.extend_from_slice(&payload[cut..]);
+            })
+            .unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), sealed, "flushed at {cut}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! snapshot-dir/
 //! ├── MANIFEST              epoch pointer + config  (atomically replaced)
 //! ├── seg-{e}-lake.bin      the data lake (tables, queries, ground truth)
-//! ├── seg-{e}-shard-{i}.bin tuple embeddings + provenance, one per shard
+//! ├── seg-{e}-tuples.bin    tuple embeddings, one block per lake table
 //! ├── seg-{e}-search.bin    candidate-search structures for the technique
 //! ├── seg-{e}-model.bin     trained projection head (model sessions only)
 //! └── wal-{e}.log           LSN-stamped mutations since the snapshot
 //! ```
 //!
-//! Every file is magic-tagged, format-versioned (currently version 2; any
+//! Every file is magic-tagged, format-versioned (currently version 3; any
 //! other version is a typed `UnsupportedVersion`, answered by rebuilding
 //! from the lake), and CRC-32 sealed ([`codec`]); damage is *detected* and
 //! reported as a typed [`PersistError`], never served. The durable set is
@@ -332,7 +332,6 @@ mod tests {
             (sa.tables, sa.tuples, sa.columns),
             (sb.tables, sb.tuples, sb.columns)
         );
-        assert_eq!(sa.shard_sizes, sb.shard_sizes);
         let probe = a
             .lake()
             .queries()

@@ -9,15 +9,16 @@
 //!
 //! Segments (each framed and CRC32-sealed by [`super::codec`]):
 //!
-//! * **manifest** — epoch, generation, shard count, the full
-//!   [`PipelineConfig`], and whether a trained model segment exists;
+//! * **manifest** — epoch, generation, the full [`PipelineConfig`], and
+//!   whether a trained model segment exists;
 //! * **lake** — the [`DataLake`] itself (tables, queries, ground truth),
 //!   required both for query execution and for replaying WAL adds;
-//! * **shard-i** — one per tuple shard: the compacted live rows of its
-//!   [`EmbeddingStore`] (data + norms + inverse norms, bit-exact), its
-//!   `(table, row)` provenance refs, and its member-table list. Tombstone
-//!   state never round-trips: the snapshot *is* the compacted form, which
-//!   serves identically (pinned by `tests/session_recovery.rs`);
+//! * **tuples** — every lake table's tuple-embedding block, in lake name
+//!   order: dim, rows, data, norms and inverse norms, bit-exact. No names
+//!   and no per-row provenance: decoding pairs block *t* with the decoded
+//!   lake's table *t*, and a block count or row count that disagrees with
+//!   the lake (or a dimension that is not the embedder's) is a typed
+//!   [`PersistError::Corrupt`];
 //! * **search** — the configured technique's candidate structures
 //!   ([`InvertedValueIndex`] postings / Starmie / D3L per-table column
 //!   embeddings); the searcher objects themselves are `::new()` defaults
@@ -32,17 +33,17 @@
 //! The column side (TF-IDF corpus + column embeddings) is deliberately not
 //! a segment: only `similar_columns` reads it, and each generation derives
 //! it from its lake on first use, so writing a snapshot embeds nothing and
-//! a restored session computes exactly what a live one does. Format
-//! version 1 directories (which carried a `columns` segment and one more
-//! manifest field) answer [`PersistError::UnsupportedVersion`]; callers
-//! take their usual rebuild-from-lake fallback.
+//! a restored session computes exactly what a live one does. Directories
+//! of an older format version — 1 (a `columns` segment and one more
+//! manifest field) or 2 (one hashed `shard-i` segment per tuple shard with
+//! per-row provenance, and a shard count in the manifest) — answer
+//! [`PersistError::UnsupportedVersion`]; callers take their usual
+//! rebuild-from-lake fallback.
 
-use super::codec::{read_segment, write_segment, ByteReader, ByteWriter};
+use super::codec::{read_segment, write_segment, ByteReader, ByteWriter, SegmentWriter};
 use super::error::PersistError;
 use crate::config::{DustConfigSerde, PipelineConfig, SearchTechnique, TupleEmbedderKind};
-use crate::session::{
-    LakeSession, LakeShard, SearchStructures, SessionEmbedder, SessionOptions, SessionView,
-};
+use crate::session::{LakeSession, SearchStructures, SessionEmbedder, SessionView, TupleBlocks};
 use dust_cluster::{AgglomerativeAlgorithm, Linkage};
 use dust_embed::{
     ColumnEncoder, ColumnSerialization, Distance, DustModel, EmbeddingStore, FineTuneConfig,
@@ -52,8 +53,6 @@ use dust_search::{
     D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore, StarmieSearch,
 };
 use dust_table::{Column, DataLake, Table, TableId, Value};
-// dust-lint: allow(deterministic-encode) -- decode-side string interning only; never feeds encoded bytes
-use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -61,7 +60,7 @@ use std::sync::Arc;
 /// file means manifest/segment skew, not bit rot).
 pub(crate) const KIND_MANIFEST: u8 = 0;
 pub(crate) const KIND_LAKE: u8 = 1;
-pub(crate) const KIND_SHARD: u8 = 2;
+pub(crate) const KIND_TUPLES: u8 = 2;
 pub(crate) const KIND_SEARCH: u8 = 4;
 pub(crate) const KIND_MODEL: u8 = 5;
 
@@ -71,7 +70,6 @@ pub(crate) const KIND_MODEL: u8 = 5;
 pub(crate) struct Manifest {
     pub(crate) epoch: u64,
     pub(crate) generation: u64,
-    pub(crate) num_shards: usize,
     pub(crate) model_injected: bool,
     pub(crate) has_model: bool,
     pub(crate) config: PipelineConfig,
@@ -85,8 +83,8 @@ pub(crate) fn lake_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("seg-{epoch}-lake.bin"))
 }
 
-pub(crate) fn shard_path(dir: &Path, epoch: u64, shard: usize) -> PathBuf {
-    dir.join(format!("seg-{epoch}-shard-{shard}.bin"))
+pub(crate) fn tuples_path(dir: &Path, epoch: u64) -> PathBuf {
+    dir.join(format!("seg-{epoch}-tuples.bin"))
 }
 
 pub(crate) fn search_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -336,28 +334,17 @@ fn decode_lake(bytes: &[u8], path: &Path) -> Result<DataLake, PersistError> {
 }
 
 // ---------------------------------------------------------------------------
-// embedding-store / shard codecs
+// tuple-block codec
 // ---------------------------------------------------------------------------
 
-/// Write the **live rows** of a store (data, norms, inverse norms verbatim
-/// — bit-exact). Tombstoned rows are filtered out here, so the on-disk
-/// form is always the compacted one.
-fn put_live_store(w: &mut ByteWriter, store: &EmbeddingStore) {
-    let dim = store.dim();
-    w.put_usize(dim);
-    let live: Vec<usize> = store.live_indices().collect();
-    w.put_usize(live.len());
-    let mut norms = Vec::with_capacity(live.len());
-    let mut inv_norms = Vec::with_capacity(live.len());
-    // the live rows as one length-prefixed f32 buffer, written row by row
-    w.put_usize(live.len() * dim);
-    for &i in &live {
-        w.put_f32_run(store.row(i));
-        norms.push(store.norm(i));
-        inv_norms.push(store.inv_norm(i));
-    }
-    w.put_f32s(&norms);
-    w.put_f64s(&inv_norms);
+/// Write a store's buffers verbatim (bit-exact norms: never recomputed).
+fn put_store(w: &mut ByteWriter, store: &EmbeddingStore) {
+    let (data, norms, inv_norms) = store.raw_parts();
+    w.put_usize(store.dim());
+    w.put_usize(store.len());
+    w.put_f32s(data);
+    w.put_f32s(norms);
+    w.put_f64s(inv_norms);
 }
 
 fn get_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, PersistError> {
@@ -377,58 +364,61 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, PersistError> {
     Ok(EmbeddingStore::from_raw_parts(dim, data, norms, inv_norms))
 }
 
-fn encode_shard(w: &mut ByteWriter, shard: &LakeShard) {
-    w.put_usize(shard.tables.len());
-    for table in &shard.tables {
-        w.put_str(table);
-    }
-    put_live_store(w, &shard.tuple_store);
-    // refs of the live rows only, in live order — parallel to the store
-    // rows just written
-    let live: Vec<usize> = shard.tuple_store.live_indices().collect();
-    w.put_usize(live.len());
-    for &i in &live {
-        let (table, row) = &shard.tuple_refs[i];
-        w.put_str(table);
-        w.put_usize(*row);
+/// Every table's block in lake name order (the map's order), after their
+/// count. Block *t* belongs to the lake's table *t*; nothing else names it.
+/// Each block goes to the file as soon as it is encoded: the segment holds
+/// the whole lake's embeddings, the buffer only one table's.
+fn encode_tuples(s: &mut SegmentWriter<'_>, blocks: &TupleBlocks) {
+    s.put_usize(blocks.len());
+    for block in blocks.values() {
+        put_store(s, block);
+        s.flush();
     }
 }
 
-fn decode_shard(bytes: &[u8], path: &Path) -> Result<LakeShard, PersistError> {
+/// Decode the tuple segment against the already-decoded `lake` and the
+/// session's embedding dimension `dim`, pairing block *t* with table *t*
+/// in name order. A block count that is not the lake's table count, a
+/// block whose rows are not its table's rows, or a non-empty block of
+/// another dimension (which a probe could not be scored against) is a
+/// typed corruption — never a panic, never a row credited to the wrong
+/// table.
+fn decode_tuples(
+    bytes: &[u8],
+    path: &Path,
+    lake: &DataLake,
+    dim: usize,
+) -> Result<TupleBlocks, PersistError> {
     let mut r = ByteReader::new(bytes, path);
-    let num_tables = r.get_count()?;
-    let mut tables = Vec::with_capacity(num_tables);
-    for _ in 0..num_tables {
-        tables.push(r.get_str()?);
-    }
-    let tuple_store = get_store(&mut r)?;
-    let num_refs = r.get_count()?;
-    if num_refs != tuple_store.len() {
+    let count = r.get_count()?;
+    if count != lake.num_tables() {
         return Err(r.corrupt(format!(
-            "{num_refs} tuple refs for {} store rows",
-            tuple_store.len()
+            "{count} tuple blocks for a lake of {} tables",
+            lake.num_tables()
         )));
     }
-    // intern one Arc<str> per member table so the decoded shard, like a
-    // freshly built one, carries one name allocation per table (not per row)
-    // dust-lint: allow(deterministic-encode) -- decode-side interning map; iteration order never observed
-    let mut interned: HashMap<String, Arc<str>> = HashMap::new();
-    let mut tuple_refs: Vec<(Arc<str>, usize)> = Vec::with_capacity(num_refs);
-    for _ in 0..num_refs {
-        let table = r.get_str()?;
-        let row = r.get_usize()?;
-        let table = interned
-            .entry(table.clone())
-            .or_insert_with(|| Arc::from(table.as_str()))
-            .clone();
-        tuple_refs.push((table, row));
+    let mut blocks = TupleBlocks::new();
+    for table in lake.tables() {
+        let block = get_store(&mut r)?;
+        if block.len() != table.num_rows() {
+            return Err(r.corrupt(format!(
+                "the block of table {:?} holds {} rows, the table {}",
+                table.name(),
+                block.len(),
+                table.num_rows()
+            )));
+        }
+        if !block.is_empty() && block.dim() != dim {
+            return Err(r.corrupt(format!(
+                "the block of table {:?} is {}-dimensional, the tuple embedder {dim}",
+                table.name(),
+                block.dim()
+            )));
+        }
+        blocks.insert(Arc::from(table.name()), Arc::new(block));
     }
     r.finish()?;
-    Ok(LakeShard {
-        tables,
-        tuple_store,
-        tuple_refs,
-    })
+    Ok(blocks)
 }
 
 // ---------------------------------------------------------------------------
@@ -652,7 +642,6 @@ fn decode_model(bytes: &[u8], path: &Path) -> Result<DustModel, PersistError> {
 fn encode_manifest(w: &mut ByteWriter, m: &Manifest) {
     w.put_u64(m.epoch);
     w.put_u64(m.generation);
-    w.put_usize(m.num_shards);
     w.put_bool(m.model_injected);
     w.put_bool(m.has_model);
     let c = &m.config;
@@ -693,7 +682,6 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
     let mut r = ByteReader::new(bytes, path);
     let epoch = r.get_u64()?;
     let generation = r.get_u64()?;
-    let num_shards = r.get_usize()?;
     let model_injected = r.get_bool()?;
     let has_model = r.get_bool()?;
     let search = technique_from(r.get_u8()?, &r)?;
@@ -724,9 +712,6 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
     };
     let algorithm = algorithm_from(r.get_u8()?, &r)?;
     r.finish()?;
-    if num_shards == 0 {
-        return Err(PersistError::corrupt(path, "manifest claims zero shards"));
-    }
     if !has_model && matches!(embedder, TupleEmbedderKind::FineTuned { .. }) {
         return Err(PersistError::corrupt(
             path,
@@ -736,7 +721,6 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
     Ok(Manifest {
         epoch,
         generation,
-        num_shards,
         model_injected,
         has_model,
         config: PipelineConfig {
@@ -771,16 +755,15 @@ pub(crate) fn write_epoch_segments(
 ) -> Result<(), PersistError> {
     // One buffer for the whole epoch, written one segment after another:
     // a checkpoint's transient memory is one allocation the size of its
-    // largest segment, not one freed and regrown per segment.
+    // largest segment (or, for the tuple segment, its largest table's
+    // block), not one freed and regrown per segment.
     let w = &mut ByteWriter::new();
     write_segment(&lake_path(dir, epoch), KIND_LAKE, w, |w| {
         encode_lake(w, view.lake())
     })?;
-    for (i, shard) in view.shards().iter().enumerate() {
-        write_segment(&shard_path(dir, epoch, i), KIND_SHARD, w, |w| {
-            encode_shard(w, shard)
-        })?;
-    }
+    write_segment(&tuples_path(dir, epoch), KIND_TUPLES, w, |s| {
+        encode_tuples(s, view.tuple_blocks())
+    })?;
     write_segment(&search_path(dir, epoch), KIND_SEARCH, w, |w| {
         encode_search(w, view.search_structures())
     })?;
@@ -798,7 +781,6 @@ pub(crate) fn manifest_for(view: &SessionView<'_>, epoch: u64) -> Manifest {
     Manifest {
         epoch,
         generation: view.generation(),
-        num_shards: session.num_shards(),
         model_injected: session.model_injected,
         has_model: matches!(view.session_embedder(), SessionEmbedder::Model(_)),
         config: session.config().clone(),
@@ -844,19 +826,6 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
     let lp = lake_path(dir, epoch);
     let lake = read_segment(&lp, KIND_LAKE, |payload| decode_lake(payload, &lp))?;
 
-    let mut shards = Vec::with_capacity(manifest.num_shards);
-    for i in 0..manifest.num_shards {
-        let sp = shard_path(dir, epoch, i);
-        shards.push(read_segment(&sp, KIND_SHARD, |payload| {
-            decode_shard(payload, &sp)
-        })?);
-    }
-
-    let sp = search_path(dir, epoch);
-    let search = read_segment(&sp, KIND_SEARCH, |payload| {
-        decode_search(payload, &sp, manifest.config.search)
-    })?;
-
     let embedder = if manifest.has_model {
         let mp = model_path(dir, epoch);
         SessionEmbedder::Model(read_segment(&mp, KIND_MODEL, |payload| {
@@ -868,6 +837,16 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
         SessionEmbedder::from_config(&manifest.config.embedder, &lake)
     };
 
+    let tp = tuples_path(dir, epoch);
+    let tuples = read_segment(&tp, KIND_TUPLES, |payload| {
+        decode_tuples(payload, &tp, &lake, embedder.dim())
+    })?;
+
+    let sp = search_path(dir, epoch);
+    let search = read_segment(&sp, KIND_SEARCH, |payload| {
+        decode_search(payload, &sp, manifest.config.search)
+    })?;
+
     let aligner_encoder = ColumnEncoder::new(
         manifest.config.alignment_model,
         manifest.config.alignment_serialization,
@@ -875,18 +854,11 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
     Ok(LakeSession::from_restored(
         lake,
         manifest.config.clone(),
-        // History depth is a serving-time knob, not part of the persisted
-        // format: a restored session takes the default (callers re-tune it
-        // with `set_history_depth`) and its ring starts empty.
-        SessionOptions {
-            num_shards: manifest.num_shards,
-            ..SessionOptions::default()
-        },
         aligner_encoder,
         embedder,
         manifest.model_injected,
         search,
-        shards,
+        tuples,
         manifest.generation,
         start.elapsed().as_secs_f64(),
     ))
@@ -921,16 +893,23 @@ mod tests {
     /// `fixtures/seg-model-v2.bin` is a format-v2 model segment written by
     /// commit `be41721`, when the head still held its weights in the
     /// persisted `output × input` form: Bert (192) → 5 → 3, four epochs on
-    /// nine toy pairs. Whatever the resident layout is now, the file must
-    /// keep meaning the same model and the model the same file.
+    /// nine toy pairs. Format 3 left the model payload as it was, so the
+    /// file as a whole is a typed version skew while its payload (between
+    /// the 13-byte frame header and the CRC trailer) must keep meaning the
+    /// same model and the model the same payload.
     #[test]
     fn golden_v2_model_segment_decodes_embeds_and_re_encodes_verbatim() {
         let path = Path::new(concat!(
             env!("CARGO_MANIFEST_DIR"),
             "/fixtures/seg-model-v2.bin"
         ));
-        let model = read_segment(path, KIND_MODEL, |payload| decode_model(payload, path))
-            .expect("an intact, decodable model segment");
+        match read_segment(path, KIND_MODEL, |payload| decode_model(payload, path)) {
+            Err(PersistError::UnsupportedVersion { found: 2, .. }) => {}
+            other => panic!("expected UnsupportedVersion {{ found: 2 }}, got {other:?}"),
+        }
+        let file = std::fs::read(path).unwrap();
+        let payload = &file[13..file.len() - 4];
+        let model = decode_model(payload, path).expect("a decodable model payload");
         let tuple = Tuple::new(
             vec!["Name".into(), "Kind".into(), "Place".into()],
             vec![
@@ -948,17 +927,99 @@ mod tests {
             .map(|v| v.to_bits())
             .collect();
         assert_eq!(bits, [0x3efa_6d7a, 0xbd19_959c, 0x3ee4_39e8]);
-        let dir = std::env::temp_dir().join(format!("dust-golden-v2-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let rewritten = dir.join("seg-model.bin");
-        write_segment(&rewritten, KIND_MODEL, &mut ByteWriter::new(), |w| {
-            encode_model(w, &model)
-        })
-        .unwrap();
-        assert_eq!(
-            std::fs::read(&rewritten).unwrap(),
-            std::fs::read(path).unwrap()
+        let mut rewritten = ByteWriter::new();
+        encode_model(&mut rewritten, &model);
+        assert_eq!(rewritten.into_bytes(), payload);
+    }
+
+    /// Lake tables `a` (two rows) and `b` (one row), in name order.
+    fn two_table_lake() -> DataLake {
+        let mut lake = DataLake::new("pair");
+        for (name, rows) in [("a", &["1", "2"][..]), ("b", &["3"][..])] {
+            let table = Table::builder(name).column("x", rows.iter().copied());
+            lake.add_table(table.build().unwrap()).unwrap();
+        }
+        lake
+    }
+
+    /// A `rows × dim` block of arbitrary non-zero values.
+    fn block(rows: usize, dim: usize) -> EmbeddingStore {
+        let vectors: Vec<Vector> = (0..rows)
+            .map(|i| Vector::new((0..dim).map(|c| (i * dim + c) as f32 + 0.5).collect()))
+            .collect();
+        EmbeddingStore::from_vectors(&vectors)
+    }
+
+    /// A tuple-segment payload holding `blocks`, in order.
+    fn tuple_payload(blocks: &[EmbeddingStore]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_usize(blocks.len());
+        for block in blocks {
+            put_store(&mut w, block);
+        }
+        w.into_bytes()
+    }
+
+    /// Decode `blocks` against [`two_table_lake`] and a 3-d embedder.
+    fn decode(blocks: &[EmbeddingStore]) -> Result<TupleBlocks, PersistError> {
+        let path = Path::new("seg-1-tuples.bin");
+        decode_tuples(&tuple_payload(blocks), path, &two_table_lake(), 3)
+    }
+
+    fn assert_corrupt(blocks: &[EmbeddingStore], detail: &str) {
+        match decode(blocks) {
+            Err(e @ PersistError::Corrupt { .. }) => {
+                assert!(e.to_string().contains(detail), "{e}")
+            }
+            other => panic!("expected Corrupt ({detail}), got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tuple_blocks_decode_onto_their_tables_bit_for_bit() {
+        let blocks = [block(2, 3), block(1, 3)];
+        let decoded = decode(&blocks).unwrap();
+        let names: Vec<&str> = decoded.keys().map(|name| &**name).collect();
+        assert_eq!(names, ["a", "b"]);
+        for (decoded, block) in decoded.values().zip(&blocks) {
+            assert_eq!(decoded.raw_parts(), block.raw_parts());
+        }
+    }
+
+    #[test]
+    fn a_tuple_block_count_other_than_the_lakes_tables_is_corrupt() {
+        assert_corrupt(&[block(2, 3)], "1 tuple blocks for a lake of 2 tables");
+        let three = [block(2, 3), block(1, 3), block(1, 3)];
+        assert_corrupt(&three, "3 tuple blocks for a lake of 2 tables");
+    }
+
+    #[test]
+    fn a_tuple_block_whose_rows_are_not_its_tables_is_corrupt() {
+        // the right total, credited to the wrong tables
+        let swapped = [block(1, 3), block(2, 3)];
+        assert_corrupt(&swapped, "table \"a\" holds 1 rows, the table 2");
+    }
+
+    #[test]
+    fn a_tuple_block_of_another_dimension_is_corrupt() {
+        // blocks that disagree with each other...
+        let mixed = [block(2, 3), block(1, 4)];
+        assert_corrupt(&mixed, "table \"b\" is 4-dimensional, the tuple embedder 3");
+        // ...or agree with each other but not with the embedder
+        let agreeing = [block(2, 5), block(1, 5)];
+        assert_corrupt(
+            &agreeing,
+            "table \"a\" is 5-dimensional, the tuple embedder 3",
         );
-        std::fs::remove_dir_all(&dir).unwrap();
+        // an empty table's block carries no dimension to check
+        let mut lake = DataLake::new("with_empty");
+        let empty = Table::from_columns("e", vec![Column::new("x", Vec::new())]).unwrap();
+        lake.add_table(empty).unwrap();
+        let payload = tuple_payload(&[EmbeddingStore::from_vectors(&[])]);
+        let path = Path::new("seg-1-tuples.bin");
+        assert_eq!(
+            decode_tuples(&payload, path, &lake, 3).unwrap()["e"].len(),
+            0
+        );
     }
 }

@@ -9,10 +9,10 @@
 //! — many queries against one slowly-changing lake — so [`LakeSession`]
 //! hoists everything query-independent out of the per-query path:
 //!
-//! * **per-shard embedding stores** — every lake tuple embedded once into
-//!   [`EmbeddingStore`]s, sharded by a stable hash of the owning table's
-//!   name (so splitting shards across hosts is a configuration change, not
-//!   a redesign);
+//! * **one embedding block per lake table** — every lake tuple embedded
+//!   once; table *t*'s tuples form one immutable [`EmbeddingStore`] whose
+//!   row *i* is tuple *i* of *t* (its own provenance), shared by `Arc`
+//!   exactly like the lake's `Arc<Table>`;
 //! * **persistent candidate structures** — whichever structures the
 //!   configured search technique needs ([`InvertedValueIndex`], Starmie
 //!   contextualized column stores, D3L per-column signal embeddings),
@@ -35,8 +35,8 @@
 //! any work), then serves entirely from that pinned snapshot. A mutation
 //! takes `&self` too: it serializes against other mutations on a writer
 //! mutex, builds the **next** snapshot off to the side — cloning only the
-//! `Arc`s of untouched shards and rebuilding just the FNV-owning one —
-//! and atomically publishes it. Consequences, pinned by
+//! `Arc`s of untouched tables and their embedding blocks — and atomically
+//! publishes it. Consequences, pinned by
 //! `tests/session_concurrency.rs`:
 //!
 //! * queries and mutations interleave freely; an in-flight `add_table`
@@ -57,13 +57,11 @@
 //!
 //! A slowly-changing lake must not pay a full session rebuild per added or
 //! dropped table. [`LakeSession::add_table`] and
-//! [`LakeSession::remove_table`] apply **per-shard deltas** instead:
+//! [`LakeSession::remove_table`] apply **per-table deltas** instead:
 //!
-//! * the mutation routes to the FNV-owning shard — an add embeds only the
-//!   new table's tuples and appends them to that shard's store; a remove
-//!   tombstones that shard's rows ([`EmbeddingStore::remove_row`]) and
-//!   physically compacts once dead rows reach live rows (the same halving
-//!   rule as the clustering workspace compaction);
+//! * an add embeds only the new table's tuples into one new block and
+//!   inserts its `Arc`; a remove drops the table's `Arc`. Every other
+//!   block is the previous generation's allocation;
 //! * the search technique's candidate structures update by exact per-table
 //!   deltas — [`InvertedValueIndex`] postings are sets, Starmie/D3L column
 //!   stores are keyed per table with no cross-table float aggregate, so a
@@ -76,7 +74,7 @@
 //!   session computes. Nothing else reads it — `query`, `similar_tuples`,
 //!   `stats` and the persistence layer never build it;
 //! * a fine-tuned session retrains its (lake-derived, deterministically
-//!   seeded) model and re-embeds the tuple shards — the documented
+//!   seeded) model and re-embeds every table's block — the documented
 //!   recompute fallback: training is a function of the whole lake, so no
 //!   exact delta exists. Sessions with an *injected* model
 //!   ([`LakeSession::with_model`]) keep it: the model is not lake-derived.
@@ -103,7 +101,7 @@ use dust_search::{
 };
 use dust_table::{Column, DataLake, Table, TableError, TableId, Tuple};
 use rayon::prelude::*;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -112,64 +110,26 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 /// Construction options for a [`LakeSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SessionOptions {
-    /// Number of embedding shards the lake is split into (by table-name
-    /// hash). One shard is fine on a single host; more shards keep the
-    /// layout ready for a multi-host split without re-embedding.
-    pub num_shards: usize,
     /// Number of *previous* published generations retained for
     /// [`LakeSession::view_at`] pinned reads (the current generation is
     /// always servable on top of these). Near-free under structural
     /// sharing: a retained snapshot holds `Arc`s into its successors, so
-    /// the marginal cost is one changed shard/table per mutation. `0`
-    /// disables history — only the current generation can be pinned.
+    /// the marginal cost is one changed table per mutation. `0` disables
+    /// history — only the current generation can be pinned.
     pub history: usize,
 }
 
 impl Default for SessionOptions {
     fn default() -> Self {
-        SessionOptions {
-            num_shards: 4,
-            history: 8,
-        }
+        SessionOptions { history: 8 }
     }
 }
 
-/// One embedding shard: the tuples of the lake tables whose name hashes
-/// into this shard, packed into a contiguous [`EmbeddingStore`]. After a
-/// [`LakeSession::remove_table`] the store may carry tombstoned rows until
-/// the next compaction; `tuple_refs` stays parallel to the *physical* rows,
-/// so provenance lookups never need adjusting between compactions.
-#[derive(Debug, Clone)]
-pub struct LakeShard {
-    /// Names of the member tables, in insertion order (construction inserts
-    /// in lake name order; later [`LakeSession::add_table`] calls append).
-    pub(crate) tables: Vec<TableId>,
-    pub(crate) tuple_store: EmbeddingStore,
-    /// `(table, row)` per tuple-store row, parallel to the store
-    /// (tombstoned rows keep their stale entry until compaction). The
-    /// table name is a shared `Arc<str>` — one allocation per member
-    /// table, so cloning the owning shard on a mutation bumps refcounts
-    /// instead of reallocating a string per row.
-    pub(crate) tuple_refs: Vec<(Arc<str>, usize)>,
-}
-
-impl LakeShard {
-    /// Names of the lake tables assigned to this shard.
-    pub fn tables(&self) -> &[TableId] {
-        &self.tables
-    }
-
-    /// The shard's resident tuple embeddings.
-    pub fn tuple_store(&self) -> &EmbeddingStore {
-        &self.tuple_store
-    }
-
-    /// `(table, row)` provenance of tuple-store row `i`.
-    pub fn tuple_ref(&self, i: usize) -> (&str, usize) {
-        let (table, row) = &self.tuple_refs[i];
-        (table, *row)
-    }
-}
+/// Every lake table's tuple embeddings, keyed by table name: row *i* of a
+/// block is tuple *i* of its table. The keys are `Arc<str>`, so cloning
+/// the map for the next generation bumps refcounts instead of allocating
+/// a string per table.
+pub(crate) type TupleBlocks = BTreeMap<Arc<str>, Arc<EmbeddingStore>>;
 
 /// The column side of one generation: the lake-wide TF-IDF corpus and
 /// every lake column embedded under it. Every column embedding depends on
@@ -306,6 +266,14 @@ impl SessionEmbedder {
             SessionEmbedder::Encoder(e) => e.embed_tuple(tuple),
         }
     }
+
+    /// Dimensionality of the tuple embeddings this embedder produces.
+    pub(crate) fn dim(&self) -> usize {
+        match self {
+            SessionEmbedder::Model(m) => m.dim(),
+            SessionEmbedder::Encoder(e) => e.dim(),
+        }
+    }
 }
 
 /// One immutable generation of resident state. Readers pin a snapshot
@@ -321,9 +289,9 @@ pub(crate) struct SessionSnapshot {
     pub(crate) lake: DataLake,
     pub(crate) embedder: Arc<SessionEmbedder>,
     pub(crate) search: Arc<SearchStructures>,
-    /// Untouched shards are shared with the previous generation by `Arc`;
-    /// a mutation rebuilds only the FNV-owning shard.
-    pub(crate) shards: Vec<Arc<LakeShard>>,
+    /// One block per lake table; a mutation inserts or drops one `Arc` and
+    /// shares every other block with the previous generation.
+    pub(crate) tuples: TupleBlocks,
     /// The column side, derived from `lake` on the first column read of
     /// this generation — its only origin, so it is bit-identical to a
     /// fresh session's.
@@ -377,22 +345,15 @@ pub struct RankedColumn {
 }
 
 /// Size and shape of a session's resident state (for logs and the `serve`
-/// binary's startup banner). Counts are of **live** rows: tombstoned tuple
-/// rows awaiting compaction are excluded.
+/// binary's startup banner).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionStats {
     /// Number of lake tables embedded.
     pub tables: usize,
-    /// Total resident (live) tuple embeddings.
+    /// Total resident tuple embeddings.
     pub tuples: usize,
     /// Total lake columns.
     pub columns: usize,
-    /// Number of embedding shards.
-    pub shards: usize,
-    /// `(tables, live tuples)` per shard.
-    pub shard_sizes: Vec<(usize, usize)>,
-    /// Dead (tombstoned, not yet compacted) tuple rows per shard.
-    pub shard_dead: Vec<usize>,
     /// Tuple embedding dimensionality.
     pub tuple_dim: usize,
     /// Wall-clock seconds spent building the session.
@@ -406,7 +367,6 @@ pub struct SessionStats {
 #[derive(Debug)]
 pub struct LakeSession {
     pub(crate) config: PipelineConfig,
-    pub(crate) options: SessionOptions,
     pub(crate) aligner_encoder: ColumnEncoder,
     /// An injected ([`Self::with_model`]) embedder is not lake-derived and
     /// is therefore kept across mutations; a config-trained fine-tuned
@@ -499,7 +459,6 @@ impl LakeSession {
         model_injected: bool,
     ) -> Self {
         let start = crate::clock::now();
-        let num_shards = options.num_shards.max(1);
         let aligner_encoder =
             ColumnEncoder::new(config.alignment_model, config.alignment_serialization);
 
@@ -527,17 +486,10 @@ impl LakeSession {
             }
         };
 
-        let shards = build_tuple_shards(&lake, num_shards, &embedder)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let tuples = embed_lake(&lake, &embedder);
 
         LakeSession {
             config,
-            options: SessionOptions {
-                num_shards,
-                ..options
-            },
             aligner_encoder,
             model_injected,
             current: RwLock::new(Arc::new(SessionSnapshot {
@@ -545,7 +497,7 @@ impl LakeSession {
                 lake,
                 embedder: Arc::new(embedder),
                 search: Arc::new(search),
-                shards,
+                tuples,
                 columns: OnceLock::new(),
             })),
             mutate: Mutex::new(()),
@@ -557,22 +509,23 @@ impl LakeSession {
 
     /// Reassemble a session from restored (snapshot-decoded) parts — the
     /// persistence layer's constructor, bypassing embedding and training.
+    /// History depth is a serving-time knob, not part of the persisted
+    /// format: a restored session takes the default (callers re-tune it
+    /// with [`Self::set_history_depth`]) and its ring starts empty.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_restored(
         lake: DataLake,
         config: PipelineConfig,
-        options: SessionOptions,
         aligner_encoder: ColumnEncoder,
         embedder: SessionEmbedder,
         model_injected: bool,
         search: SearchStructures,
-        shards: Vec<LakeShard>,
+        tuples: TupleBlocks,
         generation: u64,
         build_secs: f64,
     ) -> Self {
         LakeSession {
             config,
-            options,
             aligner_encoder,
             model_injected,
             current: RwLock::new(Arc::new(SessionSnapshot {
@@ -580,12 +533,12 @@ impl LakeSession {
                 lake,
                 embedder: Arc::new(embedder),
                 search: Arc::new(search),
-                shards: shards.into_iter().map(Arc::new).collect(),
+                tuples,
                 columns: OnceLock::new(),
             })),
             mutate: Mutex::new(()),
             history: Mutex::new(VecDeque::new()),
-            history_depth: AtomicUsize::new(options.history),
+            history_depth: AtomicUsize::new(SessionOptions::default().history),
             build_secs,
         }
     }
@@ -713,24 +666,6 @@ impl LakeSession {
         &self.config
     }
 
-    /// Number of embedding shards.
-    pub fn num_shards(&self) -> usize {
-        self.options.num_shards
-    }
-
-    /// Shard `i` of the current generation (panics out of range). The
-    /// returned `Arc` keeps that shard version alive across later
-    /// mutations.
-    pub fn shard(&self, i: usize) -> Arc<LakeShard> {
-        self.snapshot().shards[i].clone()
-    }
-
-    /// Which shard a table's embeddings live in (stable across processes:
-    /// FNV-1a on the table name, not the std `RandomState`).
-    pub fn shard_of(&self, table: &str) -> usize {
-        shard_of(table, self.options.num_shards)
-    }
-
     /// Number of successful mutations ([`Self::add_table`] /
     /// [`Self::remove_table`]) applied since construction. Failed
     /// mutations leave it — and every resident structure — untouched.
@@ -764,15 +699,13 @@ impl LakeSession {
     }
 
     /// Add a table to the lake and publish the next generation built from
-    /// per-shard deltas instead of a rebuild: the new table's tuples are
-    /// embedded and appended to (a copy of) its FNV-owning shard — every
-    /// other shard is shared with the previous generation by `Arc` — and
-    /// the search technique's candidate structures take the exact
-    /// per-table delta. A
-    /// fine-tuned session retrains its lake-derived model and re-embeds
-    /// the tuple shards instead — the documented recompute fallback (see
-    /// module docs). In-flight reads keep serving the previous generation
-    /// throughout; they never wait.
+    /// per-table deltas instead of a rebuild: the new table's tuples are
+    /// embedded into one new block — every other block is shared with the
+    /// previous generation by `Arc` — and the search technique's candidate
+    /// structures take the exact per-table delta. A fine-tuned session
+    /// retrains its lake-derived model and re-embeds every block instead —
+    /// the documented recompute fallback (see module docs). In-flight reads
+    /// keep serving the previous generation throughout; they never wait.
     ///
     /// Duplicate names follow [`DataLake::add_table`]'s pinned semantics:
     /// an error, never a replace, with the session left untouched (remove
@@ -797,21 +730,12 @@ impl LakeSession {
         let mut search = (*snap.search).clone();
         search.add_table(&table);
 
-        let (embedder, shards) = if self.retrains_on_mutation() {
+        let (embedder, tuples) = if self.retrains_on_mutation() {
             self.retrained_state(&lake)
         } else {
-            let name = table.name().to_string();
-            let mut shards = snap.shards.clone();
-            let idx = shard_of(&name, self.options.num_shards);
-            let mut shard = (*shards[idx]).clone();
-            let name_ref: Arc<str> = Arc::from(name.as_str());
-            for (row, tuple) in table.tuples().iter().enumerate() {
-                shard.tuple_store.push(&snap.embedder.embed_tuple(tuple));
-                shard.tuple_refs.push((name_ref.clone(), row));
-            }
-            shard.tables.push(name);
-            shards[idx] = Arc::new(shard);
-            (snap.embedder.clone(), shards)
+            let mut tuples = snap.tuples.clone();
+            tuples.insert(Arc::from(table.name()), embed_table(&table, &snap.embedder));
+            (snap.embedder.clone(), tuples)
         };
 
         self.publish(SessionSnapshot {
@@ -819,17 +743,16 @@ impl LakeSession {
             lake,
             embedder,
             search: Arc::new(search),
-            shards,
+            tuples,
             columns: OnceLock::new(),
         });
         Ok(())
     }
 
     /// Remove a table from the lake and publish the next generation built
-    /// from per-shard deltas: the owning shard is copied with the table's
-    /// rows tombstoned (and physically compacted once dead rows reach live
-    /// rows) — every other shard is shared by `Arc` — and the candidate
-    /// structures take their exact inverse. Returns the removed table
+    /// from per-table deltas: the table's block is dropped — every other
+    /// block is shared by `Arc` — and the candidate structures take their
+    /// exact inverse. Returns the removed table
     /// (as [`DataLake::remove_table`], which also scrubs ground-truth
     /// pairs naming it); errors — leaving the session untouched — if no
     /// such table exists. Like a rejected add, a missing name is decided
@@ -848,32 +771,12 @@ impl LakeSession {
         let mut search = (*snap.search).clone();
         search.remove_table(&removed);
 
-        let (embedder, shards) = if self.retrains_on_mutation() {
+        let (embedder, tuples) = if self.retrains_on_mutation() {
             self.retrained_state(&lake)
         } else {
-            let mut shards = snap.shards.clone();
-            let idx = shard_of(name, self.options.num_shards);
-            let mut shard = (*shards[idx]).clone();
-            for i in 0..shard.tuple_store.len() {
-                if shard.tuple_store.is_live(i) && shard.tuple_refs[i].0.as_ref() == name {
-                    shard.tuple_store.remove_row(i);
-                }
-            }
-            shard.tables.retain(|t| t != name);
-            if shard.tuple_store.should_compact() {
-                let remap = shard.tuple_store.compact();
-                let placeholder: Arc<str> = Arc::from("");
-                let mut refs: Vec<(Arc<str>, usize)> =
-                    vec![(placeholder, 0); shard.tuple_store.len()];
-                for (old, slot) in remap.iter().enumerate() {
-                    if let Some(new) = slot {
-                        refs[*new] = shard.tuple_refs[old].clone();
-                    }
-                }
-                shard.tuple_refs = refs;
-            }
-            shards[idx] = Arc::new(shard);
-            (snap.embedder.clone(), shards)
+            let mut tuples = snap.tuples.clone();
+            tuples.remove(name);
+            (snap.embedder.clone(), tuples)
         };
 
         self.publish(SessionSnapshot {
@@ -881,7 +784,7 @@ impl LakeSession {
             lake,
             embedder,
             search: Arc::new(search),
-            shards,
+            tuples,
             columns: OnceLock::new(),
         });
         Ok(removed)
@@ -896,16 +799,13 @@ impl LakeSession {
 
     /// The recompute fallback for lake-derived models: retrain on the
     /// mutated lake (the identical deterministic recipe a fresh session
-    /// runs) and re-embed the tuple shards under the new model. Runs on
+    /// runs) and re-embed every table's block under the new model. Runs on
     /// the mutating thread, off every lock — readers of the previous
     /// generation are unaffected for the whole (expensive) rebuild.
-    fn retrained_state(&self, lake: &DataLake) -> (Arc<SessionEmbedder>, Vec<Arc<LakeShard>>) {
+    fn retrained_state(&self, lake: &DataLake) -> (Arc<SessionEmbedder>, TupleBlocks) {
         let embedder = SessionEmbedder::from_config(&self.config.embedder, lake);
-        let shards = build_tuple_shards(lake, self.options.num_shards, &embedder)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        (Arc::new(embedder), shards)
+        let tuples = embed_lake(lake, &embedder);
+        (Arc::new(embedder), tuples)
     }
 
     /// Size/shape summary of the resident state at the current generation.
@@ -940,9 +840,8 @@ impl LakeSession {
     /// Rank every resident lake tuple (current generation) by its maximum
     /// cosine similarity to any query tuple and return the top `k` — the
     /// tuple-as-table serving path (Sec. 6.5's retrieval shape) answered
-    /// entirely from the resident shards, with no per-query lake embedding
-    /// work. Tombstoned rows never score: results reflect exactly the
-    /// observed lake generation.
+    /// entirely from the resident per-table blocks, with no per-query lake
+    /// embedding work. Ties rank by table name, then row.
     pub fn similar_tuples(&self, query: &Table, k: usize) -> Vec<RankedTuple> {
         self.view().similar_tuples(query, k)
     }
@@ -983,7 +882,8 @@ impl<'a> SessionView<'a> {
 
     /// Pointer identities of every independently-shared component of the
     /// pinned snapshot, keyed by role: `lake-table:NAME` (the lake's
-    /// `Arc<Table>` entries), `shard:I` (tuple shards), `columns:NAME`
+    /// `Arc<Table>` entries), `tuples:NAME` (tuple embedding blocks),
+    /// `columns:NAME`
     /// (per-table search-store embedding blocks), `posting:VALUE`
     /// (inverted-index posting sets), plus `embedder`.
     ///
@@ -996,8 +896,8 @@ impl<'a> SessionView<'a> {
         for (id, table) in self.snap.lake.tables_shared() {
             out.insert(format!("lake-table:{id}"), Arc::as_ptr(table) as usize);
         }
-        for (i, shard) in self.snap.shards.iter().enumerate() {
-            out.insert(format!("shard:{i}"), Arc::as_ptr(shard) as usize);
+        for (name, block) in &self.snap.tuples {
+            out.insert(format!("tuples:{name}"), Arc::as_ptr(block) as usize);
         }
         out.insert(
             "embedder".to_string(),
@@ -1014,11 +914,6 @@ impl<'a> SessionView<'a> {
         self.session
     }
 
-    /// Shard `i` of the pinned generation (panics out of range).
-    pub fn shard(&self, i: usize) -> &LakeShard {
-        &self.snap.shards[i]
-    }
-
     /// The pinned generation's candidate structures (persistence reads
     /// them segment by segment).
     pub(crate) fn search_structures(&self) -> &SearchStructures {
@@ -1030,43 +925,19 @@ impl<'a> SessionView<'a> {
         &self.snap.embedder
     }
 
-    /// The pinned generation's tuple shards.
-    pub(crate) fn shards(&self) -> &[Arc<LakeShard>] {
-        &self.snap.shards
+    /// The pinned generation's tuple blocks, in table-name order.
+    pub(crate) fn tuple_blocks(&self) -> &TupleBlocks {
+        &self.snap.tuples
     }
 
     /// [`LakeSession::stats`] at the pinned generation.
     pub fn stats(&self) -> SessionStats {
+        let blocks = &self.snap.tuples;
         SessionStats {
             tables: self.snap.lake.num_tables(),
-            tuples: self
-                .snap
-                .shards
-                .iter()
-                .map(|s| s.tuple_store.num_live())
-                .sum(),
+            tuples: blocks.values().map(|b| b.len()).sum(),
             columns: self.snap.lake.tables().map(|t| t.num_columns()).sum(),
-            shards: self.snap.shards.len(),
-            shard_sizes: self
-                .snap
-                .shards
-                .iter()
-                .map(|s| (s.tables.len(), s.tuple_store.num_live()))
-                .collect(),
-            shard_dead: self
-                .snap
-                .shards
-                .iter()
-                .map(|s| s.tuple_store.len() - s.tuple_store.num_live())
-                .collect(),
-            tuple_dim: self
-                .snap
-                .shards
-                .iter()
-                .filter(|s| s.tuple_store.num_live() > 0)
-                .map(|s| s.tuple_store.dim())
-                .find(|&d| d > 0)
-                .unwrap_or(0),
+            tuple_dim: (blocks.values().find(|b| !b.is_empty())).map_or(0, |b| b.dim()),
             build_secs: self.session.build_secs,
         }
     }
@@ -1157,15 +1028,13 @@ impl<'a> SessionView<'a> {
         // Packed once, so each probe's norm is computed once per request.
         let probes = EmbeddingStore::from_vectors(&query_embeddings);
         // Rank borrowed keys; only the k winners get an owned table name.
-        let shards = &self.snap.shards;
-        let live = shards.iter().map(|s| s.tuple_store.num_live()).sum();
-        let mut ranked: Vec<(f64, &str, usize)> = Vec::with_capacity(live);
-        for shard in shards {
-            let store = &shard.tuple_store;
-            store.cross_distances(Distance::Cosine, store.live_indices(), &probes, |i, d| {
+        let blocks = &self.snap.tuples;
+        let rows = blocks.values().map(|b| b.len()).sum();
+        let mut ranked: Vec<(f64, &str, usize)> = Vec::with_capacity(rows);
+        for (table, block) in blocks {
+            block.cross_distances(Distance::Cosine, 0..block.len(), &probes, |row, d| {
                 let score = d.iter().map(|d| 1.0 - d).fold(f64::NEG_INFINITY, f64::max);
-                let (table, row) = &shard.tuple_refs[i];
-                ranked.push((score, table, *row));
+                ranked.push((score, table, row));
             });
         }
         ranked.sort_by(|a, b| {
@@ -1262,52 +1131,23 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Build the per-shard tuple stores from scratch — session construction
-/// and the fine-tuned recompute fallback share this single path. Lake
-/// tables iterate in name order (BTreeMap), so shard contents and store
-/// row order are deterministic.
-fn build_tuple_shards(
-    lake: &DataLake,
-    num_shards: usize,
-    embedder: &SessionEmbedder,
-) -> Vec<LakeShard> {
-    let mut shard_members: Vec<Vec<&Table>> = vec![Vec::new(); num_shards];
-    for table in lake.tables() {
-        shard_members[shard_of(table.name(), num_shards)].push(table);
-    }
-    shard_members
-        .into_iter()
-        .map(|members| {
-            let mut tuple_embeddings: Vec<Vector> = Vec::new();
-            let mut tuple_refs: Vec<(Arc<str>, usize)> = Vec::new();
-            for table in &members {
-                let name: Arc<str> = Arc::from(table.name());
-                for (row, tuple) in table.tuples().iter().enumerate() {
-                    tuple_embeddings.push(embedder.embed_tuple(tuple));
-                    tuple_refs.push((name.clone(), row));
-                }
-            }
-            LakeShard {
-                tables: members.iter().map(|t| t.name().to_string()).collect(),
-                tuple_store: EmbeddingStore::from_vectors(&tuple_embeddings),
-                tuple_refs,
-            }
-        })
-        .collect()
+/// One table's tuple embeddings as an immutable block, row *i* being tuple
+/// *i* — the single builder behind construction, `add_table` and the
+/// fine-tuned recompute fallback.
+fn embed_table(table: &Table, embedder: &SessionEmbedder) -> Arc<EmbeddingStore> {
+    let rows: Vec<Vector> = table
+        .tuples()
+        .iter()
+        .map(|t| embedder.embed_tuple(t))
+        .collect();
+    Arc::new(EmbeddingStore::from_vectors(&rows))
 }
 
-/// Stable shard assignment: FNV-1a over the table name. The std hasher is
-/// randomly seeded per process, which would scatter tables across shards
-/// differently on every restart — unusable for a multi-host layout.
-fn shard_of(table: &str, num_shards: usize) -> usize {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for byte in table.as_bytes() {
-        hash ^= u64::from(*byte);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    (hash % num_shards.max(1) as u64) as usize
+/// Every lake table's block, built from scratch.
+fn embed_lake(lake: &DataLake, embedder: &SessionEmbedder) -> TupleBlocks {
+    lake.tables()
+        .map(|table| (Arc::from(table.name()), embed_table(table, embedder)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1320,30 +1160,28 @@ mod tests {
     }
 
     #[test]
-    fn shard_assignment_is_stable_and_partitions_the_lake() {
+    fn tuple_blocks_partition_the_lake_by_table() {
         let lake = tiny_lake();
-        let session = LakeSession::with_options(
-            lake.clone(),
-            PipelineConfig::fast(),
-            SessionOptions {
-                num_shards: 3,
-                ..SessionOptions::default()
-            },
-        );
-        assert_eq!(session.num_shards(), 3);
-        // every lake table lands in exactly one shard, at its hash slot
-        let mut seen = std::collections::BTreeSet::new();
-        for i in 0..session.num_shards() {
-            for table in session.shard(i).tables() {
-                assert_eq!(session.shard_of(table), i);
-                assert!(seen.insert(table.clone()), "table {table} in two shards");
+        let session = LakeSession::new(lake.clone(), PipelineConfig::fast());
+        let view = session.view();
+        let blocks = view.tuple_blocks();
+        // one block per lake table, in the lake's name order...
+        let names: Vec<String> = blocks.keys().map(|name| name.to_string()).collect();
+        assert_eq!(names, lake.table_names());
+        // ...whose row i is the table's tuple i, embedded once
+        for table in lake.tables() {
+            let block = &blocks[table.name()];
+            assert_eq!(block.len(), table.num_rows());
+            for (row, tuple) in table.tuples().iter().enumerate() {
+                let embedded = view.session_embedder().embed_tuple(tuple);
+                assert_eq!(
+                    block.row(row),
+                    embedded.as_slice(),
+                    "{}:{row}",
+                    table.name()
+                );
             }
         }
-        assert_eq!(seen.len(), lake.num_tables());
-        // FNV is process-independent: pin a concrete value so a hasher swap
-        // cannot silently reshuffle a multi-host layout.
-        assert_eq!(shard_of("parks_b", 4), shard_of("parks_b", 4));
-        assert_eq!(shard_of("", 1), 0);
     }
 
     #[test]
@@ -1355,18 +1193,8 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.tuples, expected_tuples);
         assert_eq!(stats.columns, expected_columns);
-        assert_eq!(stats.shards, SessionOptions::default().num_shards);
         assert!(stats.tuple_dim > 0);
         assert!(stats.build_secs > 0.0);
-        // provenance refs stay parallel to the stores
-        for i in 0..session.num_shards() {
-            let shard = session.shard(i);
-            assert_eq!(shard.tuple_store().len(), shard.tuple_refs.len());
-            if !shard.tuple_refs.is_empty() {
-                let (table, row) = shard.tuple_ref(0);
-                assert!(session.lake().table(table).unwrap().num_rows() > row);
-            }
-        }
         let snap = session.snapshot();
         let side = snap.columns(&session.aligner_encoder);
         assert_eq!(side.store.len(), expected_columns);
@@ -1505,7 +1333,7 @@ mod tests {
     }
 
     #[test]
-    fn single_shard_session_still_serves() {
+    fn single_table_session_still_serves() {
         let mut lake = DataLake::new("micro");
         lake.add_table(
             Table::builder("parks")
@@ -1520,24 +1348,18 @@ mod tests {
             .column("Country", ["USA"])
             .build()
             .unwrap();
-        let session = LakeSession::with_options(
-            lake,
-            PipelineConfig::fast(),
-            SessionOptions {
-                num_shards: 1,
-                ..SessionOptions::default()
-            },
-        );
+        let session = LakeSession::new(lake, PipelineConfig::fast());
         let result = session.query(&query, 1).unwrap();
         assert_eq!(result.len(), 1);
         assert_eq!(result.tuples[0].headers(), query.headers());
     }
 
     #[test]
-    fn add_table_applies_a_shard_local_delta() {
+    fn add_table_inserts_one_block_and_shares_the_rest() {
         let lake = tiny_lake();
         let session = LakeSession::new(lake, PipelineConfig::fast());
         let before = session.stats();
+        let before_view = session.view();
         assert_eq!(session.generation(), 0);
         let table = Table::builder("new_parks")
             .column("Park Name", ["Delta Park", "Gamma Park"])
@@ -1550,19 +1372,13 @@ mod tests {
         assert_eq!(after.tables, before.tables + 1);
         assert_eq!(after.tuples, before.tuples + 2);
         assert_eq!(after.columns, before.columns + 2);
-        // only the owning shard grew
-        let owner = session.shard_of("new_parks");
-        for (i, (before_shard, after_shard)) in before
-            .shard_sizes
-            .iter()
-            .zip(&after.shard_sizes)
-            .enumerate()
-        {
-            if i == owner {
-                assert_eq!(after_shard.1, before_shard.1 + 2);
-            } else {
-                assert_eq!(after_shard, before_shard, "shard {i} must not change");
-            }
+        // one new block; every other block is the previous allocation
+        let after_view = session.view();
+        let (old, new) = (before_view.tuple_blocks(), after_view.tuple_blocks());
+        assert_eq!(new.len(), old.len() + 1);
+        assert_eq!(new["new_parks"].len(), 2);
+        for (name, block) in old {
+            assert!(Arc::ptr_eq(block, &new[name]), "block {name} was copied");
         }
         // the new rows serve immediately
         let top = session.similar_tuples(&table, 2);
@@ -1627,16 +1443,9 @@ mod tests {
     }
 
     #[test]
-    fn remove_table_tombstones_then_compacts() {
+    fn remove_table_drops_its_block_down_to_an_empty_lake() {
         let lake = tiny_lake();
-        let session = LakeSession::with_options(
-            lake.clone(),
-            PipelineConfig::fast(),
-            SessionOptions {
-                num_shards: 1,
-                ..SessionOptions::default()
-            },
-        );
+        let session = LakeSession::new(lake.clone(), PipelineConfig::fast());
         let names = lake.table_names();
         let total: usize = lake.tables().map(|t| t.num_rows()).sum();
         let first_rows = lake.table(&names[0]).unwrap().num_rows();
@@ -1647,6 +1456,10 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.tables, names.len() - 1);
         assert_eq!(stats.tuples, total - first_rows);
+        assert!(!session
+            .view()
+            .tuple_blocks()
+            .contains_key(names[0].as_str()));
         // a removed table's tuples never appear again
         for hit in session.similar_tuples(&removed, 1000) {
             assert_ne!(hit.table, names[0]);
@@ -1656,7 +1469,7 @@ mod tests {
         assert!(session.remove_table(&names[0]).is_err());
         assert_eq!(session.generation(), 1);
         assert_eq!(session.stats(), before);
-        // keep removing until the shard compacts below half, then empty it
+        // empty the lake
         for name in &names[1..] {
             session.remove_table(name).unwrap();
         }

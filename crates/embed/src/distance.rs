@@ -125,11 +125,6 @@ impl PairwiseMatrix {
     /// for that pair. Parallel over blocks above
     /// [`PARALLEL_PAIR_THRESHOLD`].
     fn build(store: &EmbeddingStore, subset: Option<&[usize]>, metric: Distance) -> Self {
-        debug_assert_eq!(
-            store.num_live(),
-            store.len(),
-            "a pairwise matrix needs an all-live store: compact it first"
-        );
         let n = subset.map_or(store.len(), <[usize]>::len);
         // matrix point -> store row; the identity for a full build
         let at = |point: usize| subset.map_or(point, |s| s[point]);

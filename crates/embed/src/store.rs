@@ -25,21 +25,8 @@
 //! [`Distance::between`] path; results stay within 1e-6 of it
 //! (property-tested), zero-vector convention included.
 //!
-//! ## Mutation: tombstones + compaction
-//!
-//! A resident store (e.g. a `LakeSession` shard) can grow and shrink with
-//! its lake. [`EmbeddingStore::push`] appends a row; [`EmbeddingStore::
-//! remove_row`] marks a row dead (a *tombstone*) without moving any data,
-//! so removal is O(1) and every surviving row keeps its index — parallel
-//! provenance arrays stay valid. When tombstones pile up ([`EmbeddingStore::
-//! should_compact`]: dead ≥ live, mirroring the workspace-compaction
-//! halving rule of the clustering crate), [`EmbeddingStore::compact`]
-//! physically re-packs the live rows — values, norms, and inverse norms
-//! moved **verbatim**, so every distance computed through the store is
-//! bit-identical before and after compaction (property-tested) — and
-//! returns an old-index → new-index remap for the caller's parallel
-//! arrays. The dense consumer ([`crate::PairwiseMatrix`]) assumes an
-//! all-live store; compact first if rows were removed.
+//! A store is immutable once built: a resident lake keeps one store per
+//! table and replaces the whole store (an `Arc`) when the table changes.
 
 use crate::distance::Distance;
 use crate::vector::Vector;
@@ -57,12 +44,6 @@ pub struct EmbeddingStore {
     /// `1 / norm` per row in `f64` (0.0 encodes a zero/sub-threshold norm,
     /// which makes the cosine kernel's zero-vector convention branch-free).
     inv_norms: Vec<f64>,
-    /// Tombstones: `dead[i]` marks row `i` removed but not yet compacted
-    /// away. Empty ⇔ no row was ever removed (the all-live fast path).
-    dead: Vec<bool>,
-    /// Number of live (non-tombstoned) rows; equals `n` when `dead` is
-    /// all-false.
-    live: usize,
 }
 
 impl EmbeddingStore {
@@ -88,18 +69,15 @@ impl EmbeddingStore {
             data,
             norms,
             inv_norms,
-            dead: Vec::new(),
-            live: n,
         }
     }
 
-    /// Reassemble a store from raw parts captured verbatim from a live
-    /// store (row-major `data`, per-row `norms` and `inv_norms` — e.g. by
-    /// a snapshot writer walking [`Self::row`]/[`Self::norm`]/
-    /// [`Self::inv_norm`] over the live rows). Because the cached norms
-    /// round-trip as-is instead of being recomputed, every distance
-    /// computed through the restored store is bit-identical to the
-    /// original. All rows are live. Panics if the buffer lengths disagree.
+    /// Reassemble a store from the raw parts [`Self::raw_parts`] captured
+    /// verbatim (row-major `data`, per-row `norms` and `inv_norms` — e.g.
+    /// by a snapshot writer). Because the cached norms round-trip as-is
+    /// instead of being recomputed, every distance computed through the
+    /// restored store is bit-identical to the original. Panics if the
+    /// buffer lengths disagree.
     pub fn from_raw_parts(
         dim: usize,
         data: Vec<f32>,
@@ -115,106 +93,16 @@ impl EmbeddingStore {
             data,
             norms,
             inv_norms,
-            dead: Vec::new(),
-            live: n,
         }
     }
 
-    /// Append one vector as a new live row at index `len() - 1`. An empty
-    /// store adopts the vector's dimension; afterwards dimensions must
-    /// match (panics otherwise).
-    pub fn push(&mut self, v: &Vector) {
-        if self.n == 0 {
-            self.dim = v.dim();
-        }
-        assert_eq!(v.dim(), self.dim, "dimension mismatch in embedding store");
-        self.data.extend_from_slice(v.as_slice());
-        // Same accumulation as `from_vectors` so pushed rows are
-        // indistinguishable from constructed ones.
-        let norm = v.as_slice().iter().map(|c| c * c).sum::<f32>().sqrt();
-        self.norms.push(norm);
-        self.inv_norms.push(inverse_norm(norm));
-        if !self.dead.is_empty() {
-            self.dead.push(false);
-        }
-        self.n += 1;
-        self.live += 1;
+    /// The store's buffers as [`Self::from_raw_parts`] takes them:
+    /// row-major data, per-row norms and per-row inverse norms.
+    pub fn raw_parts(&self) -> (&[f32], &[f32], &[f64]) {
+        (&self.data, &self.norms, &self.inv_norms)
     }
 
-    /// Tombstone row `i`: the row stays physically in place (indices of
-    /// every other row are unchanged) but no longer counts as live. Panics
-    /// if `i` is out of range or already dead.
-    pub fn remove_row(&mut self, i: usize) {
-        assert!(i < self.n, "row {i} out of range (len {})", self.n);
-        if self.dead.is_empty() {
-            self.dead = vec![false; self.n];
-        }
-        assert!(!self.dead[i], "row {i} removed twice");
-        self.dead[i] = true;
-        self.live -= 1;
-    }
-
-    /// Whether row `i` is live (not tombstoned). Out-of-range indices are
-    /// not live.
-    pub fn is_live(&self, i: usize) -> bool {
-        i < self.n && self.dead.get(i).is_none_or(|&d| !d)
-    }
-
-    /// Number of live rows (`len()` minus tombstones).
-    pub fn num_live(&self) -> usize {
-        self.live
-    }
-
-    /// Indices of the live rows, ascending.
-    pub fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.n).filter(move |&i| self.is_live(i))
-    }
-
-    /// Whether the tombstone count has reached the compaction threshold
-    /// (dead ≥ live — the same halving rule as the clustering workspace's
-    /// compaction policy).
-    pub fn should_compact(&self) -> bool {
-        let dead = self.n - self.live;
-        dead > 0 && dead >= self.live
-    }
-
-    /// Physically re-pack the live rows, dropping every tombstone. Row
-    /// values, norms, and inverse norms move **verbatim**, so distances
-    /// between surviving rows are bit-identical before and after. Returns
-    /// the old-index → new-index remap (`None` for removed rows) so callers
-    /// can re-index parallel provenance arrays.
-    pub fn compact(&mut self) -> Vec<Option<usize>> {
-        let mut remap: Vec<Option<usize>> = Vec::with_capacity(self.n);
-        if self.dead.is_empty() {
-            remap.extend((0..self.n).map(Some));
-            return remap;
-        }
-        let mut next = 0usize;
-        for old in 0..self.n {
-            if self.dead[old] {
-                remap.push(None);
-                continue;
-            }
-            if next != old {
-                let (dst, src) = (next * self.dim, old * self.dim);
-                self.data.copy_within(src..src + self.dim, dst);
-                self.norms[next] = self.norms[old];
-                self.inv_norms[next] = self.inv_norms[old];
-            }
-            remap.push(Some(next));
-            next += 1;
-        }
-        self.n = next;
-        self.live = next;
-        self.data.truncate(next * self.dim);
-        self.norms.truncate(next);
-        self.inv_norms.truncate(next);
-        self.dead = Vec::new();
-        remap
-    }
-
-    /// Number of stored vectors (tombstoned rows included — see
-    /// [`Self::num_live`]).
+    /// Number of stored vectors.
     pub fn len(&self) -> usize {
         self.n
     }
@@ -232,16 +120,6 @@ impl EmbeddingStore {
     /// Row `i` as a slice.
     pub fn row(&self, i: usize) -> &[f32] {
         &self.data[i * self.dim..(i + 1) * self.dim]
-    }
-
-    /// Cached L2 norm of row `i`.
-    pub fn norm(&self, i: usize) -> f32 {
-        self.norms[i]
-    }
-
-    /// Cached inverse L2 norm of row `i` (0.0 for zero/sub-threshold rows).
-    pub fn inv_norm(&self, i: usize) -> f64 {
-        self.inv_norms[i]
     }
 
     /// Distance between rows `i` and `j` under `metric`, using the cached
@@ -553,9 +431,10 @@ mod tests {
         assert_eq!(store.len(), 4);
         assert_eq!(store.dim(), 3);
         assert!(!store.is_empty());
+        let (_, norms, _) = store.raw_parts();
         for (i, v) in vs.iter().enumerate() {
             assert_eq!(store.row(i), v.as_slice());
-            assert_eq!(store.norm(i), v.norm());
+            assert_eq!(norms[i], v.norm());
         }
     }
 
@@ -670,106 +549,25 @@ mod tests {
     }
 
     #[test]
-    fn push_matches_construction() {
-        let vs = vectors();
-        let built = EmbeddingStore::from_vectors(&vs);
-        let mut pushed = EmbeddingStore::from_vectors(&[]);
-        for v in &vs {
-            pushed.push(v);
-        }
-        assert_eq!(pushed.len(), built.len());
-        assert_eq!(pushed.dim(), built.dim());
-        assert_eq!(pushed.num_live(), built.num_live());
+    fn raw_parts_round_trip_bit_for_bit() {
+        let built = EmbeddingStore::from_vectors(&vectors());
+        let (data, norms, inv_norms) = built.raw_parts();
+        let restored = EmbeddingStore::from_raw_parts(
+            built.dim(),
+            data.to_vec(),
+            norms.to_vec(),
+            inv_norms.to_vec(),
+        );
+        assert_eq!(restored.len(), built.len());
         for metric in [Distance::Cosine, Distance::Euclidean, Distance::Manhattan] {
-            for i in 0..vs.len() {
-                assert_eq!(pushed.norm(i), built.norm(i));
-                for j in 0..vs.len() {
+            for i in 0..built.len() {
+                for j in 0..built.len() {
                     assert_eq!(
-                        pushed.distance(metric, i, j).to_bits(),
+                        restored.distance(metric, i, j).to_bits(),
                         built.distance(metric, i, j).to_bits()
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn tombstones_track_liveness_without_moving_rows() {
-        let vs = vectors();
-        let mut store = EmbeddingStore::from_vectors(&vs);
-        store.remove_row(1);
-        assert_eq!(store.len(), 4, "tombstoning keeps physical rows");
-        assert_eq!(store.num_live(), 3);
-        assert!(!store.is_live(1));
-        assert!(store.is_live(0) && store.is_live(2) && store.is_live(3));
-        assert_eq!(store.live_indices().collect::<Vec<_>>(), vec![0, 2, 3]);
-        assert!(!store.is_live(4), "out-of-range rows are not live");
-        // surviving rows keep their indices and exact values
-        for i in [0usize, 2, 3] {
-            assert_eq!(store.row(i), vs[i].as_slice());
-        }
-        assert!(!store.should_compact(), "1 dead vs 3 live: below threshold");
-        store.remove_row(3);
-        assert!(store.should_compact(), "2 dead vs 2 live: at threshold");
-    }
-
-    #[test]
-    #[should_panic(expected = "removed twice")]
-    fn double_remove_panics() {
-        let mut store = EmbeddingStore::from_vectors(&vectors());
-        store.remove_row(0);
-        store.remove_row(0);
-    }
-
-    #[test]
-    fn compaction_is_bit_identical_and_remaps() {
-        let vs = vectors();
-        let mut store = EmbeddingStore::from_vectors(&vs);
-        let reference = store.clone();
-        store.remove_row(0);
-        store.remove_row(2);
-        let remap = store.compact();
-        assert_eq!(remap, vec![None, Some(0), None, Some(1)]);
-        assert_eq!(store.len(), 2);
-        assert_eq!(store.num_live(), 2);
-        assert!(!store.should_compact());
-        // distances among survivors are bit-identical to the pre-removal
-        // store (rows, norms, and inverse norms moved verbatim)
-        let survivors = [1usize, 3];
-        for metric in [Distance::Cosine, Distance::Euclidean, Distance::Manhattan] {
-            for (new_i, &old_i) in survivors.iter().enumerate() {
-                assert_eq!(store.norm(new_i), reference.norm(old_i));
-                for (new_j, &old_j) in survivors.iter().enumerate() {
-                    assert_eq!(
-                        store.distance(metric, new_i, new_j).to_bits(),
-                        reference.distance(metric, old_i, old_j).to_bits()
-                    );
-                }
-            }
-        }
-        // compacting an all-live store is the identity remap
-        let mut dense = EmbeddingStore::from_vectors(&vs);
-        assert_eq!(dense.compact(), vec![Some(0), Some(1), Some(2), Some(3)]);
-        assert_eq!(dense.len(), 4);
-    }
-
-    #[test]
-    fn remove_all_then_repopulate() {
-        let vs = vectors();
-        let mut store = EmbeddingStore::from_vectors(&vs[..2]);
-        store.remove_row(0);
-        store.remove_row(1);
-        assert_eq!(store.num_live(), 0);
-        assert!(store.should_compact());
-        let remap = store.compact();
-        assert_eq!(remap, vec![None, None]);
-        assert!(store.is_empty());
-        // a re-add lands at index 0 and is indistinguishable from a fresh
-        // single-row store
-        store.push(&vs[3]);
-        let fresh = EmbeddingStore::from_vectors(&vs[3..4]);
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.row(0), fresh.row(0));
-        assert_eq!(store.norm(0), fresh.norm(0));
     }
 }

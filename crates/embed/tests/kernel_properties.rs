@@ -188,95 +188,6 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Tombstoning an arbitrary subset of rows and compacting leaves every
-    /// surviving pairwise distance bit-identical to the original store, on
-    /// all three metrics (rows/norms move verbatim — no recomputation).
-    #[test]
-    fn compaction_preserves_distances_bit_for_bit(
-        dim in 1usize..8,
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 8), 2..24),
-        removal_seed in prop::collection::vec(0u8..4, 2..25),
-    ) {
-        let pts = points_of_dim(dim, rows);
-        let reference = EmbeddingStore::from_vectors(&pts);
-        let mut store = reference.clone();
-        // remove roughly a quarter of the rows, pattern driven by the seed
-        let removed: Vec<usize> = (0..pts.len())
-            .filter(|&i| removal_seed[i % removal_seed.len()] == 0)
-            .collect();
-        for &i in &removed {
-            store.remove_row(i);
-        }
-        prop_assert_eq!(store.num_live(), pts.len() - removed.len());
-        // distances among live rows are untouched by tombstoning alone
-        let live: Vec<usize> = store.live_indices().collect();
-        for metric in METRICS {
-            for &i in &live {
-                for &j in &live {
-                    prop_assert!(
-                        store.distance(metric, i, j).to_bits()
-                            == reference.distance(metric, i, j).to_bits()
-                    );
-                }
-            }
-        }
-        // ... and survive physical compaction bit-for-bit
-        let remap = store.compact();
-        prop_assert_eq!(store.len(), live.len());
-        for metric in METRICS {
-            for &i in &live {
-                for &j in &live {
-                    let (ni, nj) = (remap[i].unwrap(), remap[j].unwrap());
-                    prop_assert!(
-                        store.distance(metric, ni, nj).to_bits()
-                            == reference.distance(metric, i, j).to_bits(),
-                        "{metric:?} ({i},{j})→({ni},{nj}) drifted across compaction"
-                    );
-                }
-            }
-        }
-        for &i in &removed {
-            prop_assert!(remap[i].is_none());
-        }
-    }
-
-    /// Remove/re-add round trip: pushing vectors onto a store that was
-    /// emptied by tombstone + compaction produces a store indistinguishable
-    /// (distance-wise) from a fresh `from_vectors` build.
-    #[test]
-    fn remove_readd_round_trip_matches_fresh_build(
-        dim in 1usize..6,
-        rows in prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 6), 2..16),
-    ) {
-        let pts = points_of_dim(dim, rows);
-        let mut store = EmbeddingStore::from_vectors(&pts);
-        for i in 0..pts.len() {
-            store.remove_row(i);
-        }
-        store.compact();
-        prop_assert!(store.is_empty());
-        for p in &pts {
-            store.push(p);
-        }
-        let fresh = EmbeddingStore::from_vectors(&pts);
-        prop_assert_eq!(store.len(), fresh.len());
-        prop_assert_eq!(store.dim(), fresh.dim());
-        for metric in METRICS {
-            for i in 0..pts.len() {
-                for j in 0..pts.len() {
-                    prop_assert!(
-                        store.distance(metric, i, j).to_bits()
-                            == fresh.distance(metric, i, j).to_bits()
-                    );
-                }
-            }
-        }
-    }
-}
-
 /// The zero-vector cosine convention is identical across all paths: the
 /// naive path, the store kernel, and the tiled matrix all report
 /// similarity 0 (distance 1) against a zero vector.

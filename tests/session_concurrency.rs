@@ -102,11 +102,7 @@ fn concurrent_reads_are_linearizable_at_their_observed_generation() {
             let name = lake.query_names()[0].clone();
             lake.query(&name).unwrap().clone()
         };
-        let options = SessionOptions {
-            num_shards: 4,
-            ..SessionOptions::default()
-        };
-        let session = LakeSession::with_options(lake, config.clone(), options);
+        let session = LakeSession::new(lake, config.clone());
 
         // generation → the lake exactly as that generation served it;
         // recorded by the (single) mutator, which is the only writer
@@ -186,7 +182,7 @@ fn concurrent_reads_are_linearizable_at_their_observed_generation() {
                         )
                     })
                     .clone();
-                LakeSession::with_options(lake, config.clone(), options)
+                LakeSession::new(lake, config.clone())
             });
             let context = format!(
                 "{technique:?}: reader {} round {} at generation {}",
@@ -225,10 +221,7 @@ fn pinned_generation_reads_are_bit_identical_to_fresh_rebuilds() {
             let name = lake.query_names()[0].clone();
             lake.query(&name).unwrap().clone()
         };
-        let options = SessionOptions {
-            num_shards: 4,
-            history: 3,
-        };
+        let options = SessionOptions { history: 3 };
         let session = LakeSession::with_options(lake, config.clone(), options);
 
         // Publish 4 generations (two extras toggled in and out),

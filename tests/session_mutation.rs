@@ -11,11 +11,11 @@
 //! Randomized coverage comes from a proptest over mutation sequences drawn
 //! from a table pool (an op *toggles* its table: present → remove, absent
 //! → add, so remove-then-re-add under the same name arises naturally).
-//! Curated cases pin the edges called out in the issue: re-adding a
-//! *different* table under a removed name, removing the last table of a
-//! shard, and growing a session that started over an empty lake.
+//! Curated cases pin the edges: re-adding a *different* table under a
+//! removed name, emptying the lake and growing it again, and growing a
+//! session that started over an empty lake.
 
-use dust_core::{DustResult, LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
+use dust_core::{DustResult, LakeSession, PipelineConfig, SearchTechnique};
 use dust_datagen::BenchmarkConfig;
 use dust_embed::{
     desc_nan_last, Distance, EmbeddingStore, FineTuneConfig, PretrainedModel, TupleEncoder, Vector,
@@ -115,24 +115,13 @@ fn assert_same_result(a: &DustResult, b: &DustResult, context: &str) {
 /// The full equivalence check: mutated session vs a fresh session built
 /// over the mutated lake, compared bit-for-bit on every serving surface.
 fn assert_session_matches_rebuild(mutated: &LakeSession, probes: &[Table], context: &str) {
-    let fresh = LakeSession::with_options(
-        mutated.lake().clone(),
-        mutated.config().clone(),
-        SessionOptions {
-            num_shards: mutated.num_shards(),
-            ..SessionOptions::default()
-        },
-    );
+    let fresh = LakeSession::new(mutated.lake().clone(), mutated.config().clone());
 
     // resident-state shape (excluding wall-clock build time)
     let (ms, fs) = (mutated.stats(), fresh.stats());
     assert_eq!(ms.tables, fs.tables, "{context}: table counts differ");
-    assert_eq!(ms.tuples, fs.tuples, "{context}: live tuple counts differ");
+    assert_eq!(ms.tuples, fs.tuples, "{context}: tuple counts differ");
     assert_eq!(ms.columns, fs.columns, "{context}: column counts differ");
-    assert_eq!(
-        ms.shard_sizes, fs.shard_sizes,
-        "{context}: shard occupancy differs"
-    );
     assert_eq!(ms.tuple_dim, fs.tuple_dim, "{context}: tuple dim differs");
 
     for (qi, probe) in probes.iter().enumerate() {
@@ -194,7 +183,6 @@ proptest! {
     #[test]
     fn random_mutation_sequences_match_rebuild_across_techniques(
         ops in prop::collection::vec(0usize..12, 1..8),
-        shards in 1usize..5,
     ) {
         let lake = tiny_lake();
         let pool = table_pool(&lake);
@@ -204,17 +192,13 @@ proptest! {
                 search: technique,
                 ..PipelineConfig::fast()
             };
-            let session = LakeSession::with_options(
-                lake.clone(),
-                config,
-                SessionOptions { num_shards: shards, ..SessionOptions::default() },
-            );
+            let session = LakeSession::new(lake.clone(), config);
             let applied = apply_ops(&session, &pool, &ops);
             prop_assert_eq!(session.generation(), applied);
             assert_session_matches_rebuild(
                 &session,
                 &query_probes,
-                &format!("{technique:?}, ops {ops:?}, {shards} shard(s)"),
+                &format!("{technique:?}, ops {ops:?}"),
             );
         }
     }
@@ -282,33 +266,28 @@ fn remove_then_readd_same_name_with_different_content() {
     assert_session_matches_rebuild(&session, &query_probes, "replace via remove+add");
 }
 
-/// Removing the last table of a shard leaves an empty shard that must keep
-/// serving (and match a fresh build whose shard is empty from the start).
+/// Removing every table leaves a session with no blocks at all, which must
+/// keep serving; re-adding two tables (in the opposite of name order) must
+/// then be indistinguishable from a fresh build over those two.
 #[test]
-fn remove_last_table_in_a_shard() {
+fn remove_every_table_then_readd_two() {
     let lake = tiny_lake();
     let query_probes = probes(&lake, 2);
-    // enough shards that at least one holds exactly one table
-    let session = LakeSession::with_options(
-        lake,
-        PipelineConfig::fast(),
-        SessionOptions {
-            num_shards: 8,
-            ..SessionOptions::default()
-        },
-    );
-    let lone = (0..session.num_shards())
-        .find_map(|i| {
-            let shard = session.shard(i);
-            let tables = shard.tables();
-            (tables.len() == 1).then(|| tables[0].clone())
-        })
-        .expect("tiny lake over 8 shards should give some shard exactly one table");
-    let owner = session.shard_of(&lone);
-    session.remove_table(&lone).unwrap();
-    assert!(session.shard(owner).tables().is_empty());
-    assert_eq!(session.shard(owner).tuple_store().num_live(), 0);
-    assert_session_matches_rebuild(&session, &query_probes, "emptied shard");
+    let names = lake.table_names();
+    let session = LakeSession::new(lake.clone(), PipelineConfig::fast());
+    for name in &names {
+        session.remove_table(name).unwrap();
+    }
+    let stats = session.stats();
+    assert_eq!((stats.tables, stats.tuples, stats.tuple_dim), (0, 0, 0));
+    assert!(session.similar_tuples(&query_probes[0], 5).is_empty());
+    for name in names.iter().rev().take(2) {
+        session
+            .add_table(lake.table(name).unwrap().clone())
+            .unwrap();
+    }
+    assert_eq!(session.generation(), names.len() as u64 + 2);
+    assert_session_matches_rebuild(&session, &query_probes, "emptied and regrown");
 }
 
 /// A session constructed over a completely empty lake grows table by table
@@ -338,8 +317,8 @@ fn add_to_empty_lake() {
 /// probes once, scores lake rows in tiles and ranks borrowed keys. Table,
 /// row and `score.to_bits()` must agree. The lake holds the same tuples
 /// under two table names (exactly tied scores, so the table → row
-/// tie-break decides) and has been through an add and a remove (so the
-/// shard carries tombstoned rows the ranking must skip).
+/// tie-break decides) and has been through adds and a remove (so the
+/// ranking reads blocks of three generations).
 #[test]
 fn similar_tuples_matches_a_per_pair_oracle_for_every_k() {
     let twin = |name: &str| {
@@ -351,20 +330,11 @@ fn similar_tuples_matches_a_per_pair_oracle_for_every_k() {
     };
     let lake = tiny_lake();
     let victim = lake.table_names()[1].clone();
-    let session = LakeSession::with_options(
-        lake,
-        PipelineConfig::fast(),
-        SessionOptions {
-            num_shards: 1,
-            ..SessionOptions::default()
-        },
-    );
+    let session = LakeSession::new(lake, PipelineConfig::fast());
     session.add_table(twin("twin_b")).unwrap();
     session.add_table(twin("twin_a")).unwrap();
     session.remove_table(&victim).unwrap();
-    let store_rows = session.shard(0).tuple_store().len();
-    let live_rows = session.shard(0).tuple_store().num_live();
-    assert!(live_rows < store_rows, "the removal left no tombstones");
+    let rows = session.stats().tuples;
 
     // two probe tuples, one of them an exact copy of a twin row
     let probe = Table::builder("probe")
@@ -390,7 +360,7 @@ fn similar_tuples_matches_a_per_pair_oracle_for_every_k() {
             expected.push((table.name().to_string(), row, score));
         }
     }
-    assert_eq!(expected.len(), live_rows);
+    assert_eq!(expected.len(), rows);
     expected.sort_by(|a, b| {
         desc_nan_last(a.2, b.2)
             .then_with(|| a.0.cmp(&b.0))

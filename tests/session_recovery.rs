@@ -21,8 +21,7 @@
 //!    from *some* acknowledged generation.
 
 use dust_core::{
-    DustResult, LakeSession, PersistError, PipelineConfig, SearchTechnique, SessionOptions,
-    SnapshotStore,
+    DustResult, LakeSession, PersistError, PipelineConfig, SearchTechnique, SnapshotStore,
 };
 use dust_datagen::BenchmarkConfig;
 use dust_embed::{FineTuneConfig, PretrainedModel};
@@ -160,12 +159,8 @@ fn assert_same_result(a: &DustResult, b: &DustResult, context: &str) {
 fn assert_sessions_match(recovered: &LakeSession, reference: &LakeSession, context: &str) {
     let (rs, fs) = (recovered.stats(), reference.stats());
     assert_eq!(rs.tables, fs.tables, "{context}: table counts differ");
-    assert_eq!(rs.tuples, fs.tuples, "{context}: live tuple counts differ");
+    assert_eq!(rs.tuples, fs.tuples, "{context}: tuple counts differ");
     assert_eq!(rs.columns, fs.columns, "{context}: column counts differ");
-    assert_eq!(
-        rs.shard_sizes, fs.shard_sizes,
-        "{context}: shard occupancy differs"
-    );
 
     for (qi, probe) in probes(&reference.lake(), 2).iter().enumerate() {
         let a = recovered.query(probe, 4).unwrap();
@@ -197,18 +192,11 @@ fn assert_sessions_match(recovered: &LakeSession, reference: &LakeSession, conte
     }
 }
 
-/// A fresh session over the same lake/config/shape — the "never persisted
+/// A fresh session over the same lake and config — the "never persisted
 /// anything" reference the recovered session must be indistinguishable
 /// from.
 fn fresh_rebuild(of: &LakeSession) -> LakeSession {
-    LakeSession::with_options(
-        of.lake().clone(),
-        of.config().clone(),
-        SessionOptions {
-            num_shards: of.num_shards(),
-            ..SessionOptions::default()
-        },
-    )
+    LakeSession::new(of.lake().clone(), of.config().clone())
 }
 
 proptest! {
@@ -221,17 +209,12 @@ proptest! {
     #[test]
     fn recovery_matches_live_session_and_fresh_rebuild(
         ops in prop::collection::vec(0usize..12, 0..6),
-        shards in 1usize..4,
         checkpoint_at in 0usize..8,
     ) {
         for technique in TECHNIQUES {
             let tmp = TempDir::new("equiv");
             let config = PipelineConfig { search: technique, ..PipelineConfig::fast() };
-            let session = LakeSession::with_options(
-                tiny_lake(),
-                config,
-                SessionOptions { num_shards: shards, ..SessionOptions::default() },
-            );
+            let session = LakeSession::new(tiny_lake(), config);
             let pool = table_pool(&session.lake());
             let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
             for (i, &op) in ops.iter().enumerate() {
@@ -252,7 +235,7 @@ proptest! {
                 session.generation()
             );
             prop_assert_eq!(recovered.generation(), session.generation());
-            let context = format!("{technique:?}, ops {ops:?}, {shards} shard(s), ckpt@{checkpoint_at}");
+            let context = format!("{technique:?}, ops {ops:?}, ckpt@{checkpoint_at}");
             assert_sessions_match(&recovered, &session, &context);
             assert_sessions_match(&recovered, &fresh_rebuild(&session), &format!("{context} vs fresh"));
         }
@@ -308,11 +291,7 @@ proptest! {
     ) {
         let truncate = truncate_pick == 1;
         let tmp = TempDir::new("fault");
-        let session = LakeSession::with_options(
-            tiny_lake(),
-            PipelineConfig::fast(),
-            SessionOptions { num_shards: 2, ..SessionOptions::default() },
-        );
+        let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
         let pool = table_pool(&session.lake());
         let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
 
@@ -369,10 +348,9 @@ proptest! {
                     (generation as usize) < lake_states.len(),
                     "recovered generation {generation} was never acknowledged"
                 );
-                let reference = LakeSession::with_options(
+                let reference = LakeSession::new(
                     lake_states[generation as usize].clone(),
                     session.config().clone(),
-                    SessionOptions { num_shards: session.num_shards(), ..SessionOptions::default() },
                 );
                 // generations agree by construction only when no rewind
                 // happened; align them for the comparison helper
@@ -399,7 +377,7 @@ fn assert_recovered_matches_reference(
 ) {
     let (rs, fs) = (recovered.stats(), reference.stats());
     assert_eq!(rs.tables, fs.tables, "{context}: table counts differ");
-    assert_eq!(rs.tuples, fs.tuples, "{context}: live tuple counts differ");
+    assert_eq!(rs.tuples, fs.tuples, "{context}: tuple counts differ");
     assert_eq!(rs.columns, fs.columns, "{context}: column counts differ");
     for (qi, probe) in probes(&reference.lake(), 1).iter().enumerate() {
         let a = recovered.query(probe, 4).unwrap();
@@ -449,7 +427,7 @@ fn file_names(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
-/// The durable set is exactly lake + tuple shards + search structures
+/// The durable set is exactly lake + tuple blocks + search structures
 /// (+ the model iff one was trained) + WAL: nothing the served paths never
 /// read — in particular no `columns` segment — reaches the disk.
 #[test]
@@ -459,22 +437,13 @@ fn a_fresh_snapshot_directory_holds_exactly_the_served_segments() {
         (tiny_fine_tuned_config(), true),
     ] {
         let tmp = TempDir::new("file-set");
-        let session = LakeSession::with_options(
-            tiny_lake(),
-            config,
-            SessionOptions {
-                num_shards: 3,
-                ..SessionOptions::default()
-            },
-        );
+        let session = LakeSession::new(tiny_lake(), config);
         session.save(&tmp.0).unwrap();
         let mut expected: Vec<String> = [
             "MANIFEST",
             "seg-1-lake.bin",
             "seg-1-search.bin",
-            "seg-1-shard-0.bin",
-            "seg-1-shard-1.bin",
-            "seg-1-shard-2.bin",
+            "seg-1-tuples.bin",
             "wal-1.log",
         ]
         .map(String::from)
@@ -487,33 +456,34 @@ fn a_fresh_snapshot_directory_holds_exactly_the_served_segments() {
     }
 }
 
-/// A directory written under format version 1 (which carried a `columns`
-/// segment) is refused with the typed version error — the caller's cue to
-/// rebuild from the lake — never decoded on a guess, never a panic.
+/// A directory written under an older format version — 1 (which carried
+/// a `columns` segment) or 2 (hashed tuple shards with per-row provenance)
+/// — is refused with the typed version error, the caller's cue to rebuild
+/// from the lake: never decoded on a guess, never a panic.
 #[test]
 fn a_format_version_1_directory_is_a_typed_unsupported_version() {
-    let tmp = TempDir::new("v1");
-    let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
-    session.save(&tmp.0).unwrap();
-    // every file shares one frame: 8 magic bytes, then the version as a
-    // little-endian u32 (validated before anything after it is read)
-    for name in file_names(&tmp.0) {
-        let path = tmp.0.join(name);
-        let mut bytes = std::fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-    }
-    match SnapshotStore::open(&tmp.0) {
-        Err(
-            e @ PersistError::UnsupportedVersion {
-                found: 1,
-                expected: 2,
-                ..
-            },
-        ) => {
-            assert_eq!(e.kind(), "unsupported_version")
+    for found in [1u32, 2] {
+        let tmp = TempDir::new(&format!("v{found}"));
+        let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
+        session.save(&tmp.0).unwrap();
+        // every file shares one frame: 8 magic bytes, then the version as
+        // a little-endian u32 (validated before anything after it is read)
+        for name in file_names(&tmp.0) {
+            let path = tmp.0.join(name);
+            let mut bytes = std::fs::read(&path).unwrap();
+            bytes[8..12].copy_from_slice(&found.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
         }
-        other => panic!("expected UnsupportedVersion, got {:?}", other.err()),
+        match &SnapshotStore::open(&tmp.0).err() {
+            Some(
+                e @ PersistError::UnsupportedVersion {
+                    found: f,
+                    expected: 3,
+                    ..
+                },
+            ) if *f == found => assert_eq!(e.kind(), "unsupported_version"),
+            other => panic!("v{found}: expected UnsupportedVersion, got {other:?}"),
+        }
     }
 }
 
@@ -525,46 +495,53 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     })
 }
 
+/// What follows a file's header: a segment's payload (between the 13-byte
+/// frame header and the 4-byte CRC trailer), or a WAL's records (after its
+/// 24-byte header).
+fn payload<'a>(name: &str, bytes: &'a [u8]) -> &'a [u8] {
+    if name.starts_with("wal-") {
+        &bytes[24..]
+    } else {
+        &bytes[13..bytes.len() - 4]
+    }
+}
+
 /// Every stored byte is pinned: a `tiny` session is saved, mutated once,
 /// checkpointed (epoch 2) and mutated twice more (two WAL records), and
-/// each file in the directory is hashed. The hashes were computed before
-/// the table-driven CRC-32 and the one-buffer segment framing replaced the
-/// bit-serial checksum and the payload copy, so they hold the codec to the
-/// format it has always written — segments, manifest and WAL alike.
+/// each file in the directory is hashed whole. Format 3 changed only the
+/// manifest (no shard count) and the tuple segment (one block per table,
+/// no provenance); the payloads of the lake, search and model segments and
+/// the WAL's records are hashed as well, against values computed under
+/// format 2, so the version bump is proven to have moved nothing else.
 #[test]
-fn snapshot_directory_bytes_match_the_format_v2_goldens() {
-    let pretrained: [(&str, u64); 7] = [
-        ("MANIFEST", 0x6eaa_1e99_bd2c_fbcd),
-        ("seg-2-lake.bin", 0xb9f7_53fe_79be_3046),
-        ("seg-2-search.bin", 0x08ab_9b55_1da9_0534),
-        ("seg-2-shard-0.bin", 0xcb61_e10a_fde5_3e79),
-        ("seg-2-shard-1.bin", 0x4504_f255_5805_195a),
-        ("seg-2-shard-2.bin", 0x751d_1e84_aae6_8918),
-        ("wal-2.log", 0xb99d_dfe1_b673_afd3),
+fn snapshot_directory_bytes_match_the_format_v3_goldens() {
+    let pretrained: [(&str, u64); 5] = [
+        ("MANIFEST", 0xc7da_997b_cc44_f5b0),
+        ("seg-2-lake.bin", 0xaf30_2c44_5e4e_54ed),
+        ("seg-2-search.bin", 0x3be3_ce8d_d784_846c),
+        ("seg-2-tuples.bin", 0xfed4_b076_df1e_1b30),
+        ("wal-2.log", 0xe528_d856_010f_18bd),
     ];
-    let fine_tuned: [(&str, u64); 8] = [
-        ("MANIFEST", 0xaa3e_6f61_e5e7_f602),
-        ("seg-2-lake.bin", 0xb9f7_53fe_79be_3046),
-        ("seg-2-model.bin", 0x7c0f_0f81_eecd_0261),
-        ("seg-2-search.bin", 0x08ab_9b55_1da9_0534),
-        ("seg-2-shard-0.bin", 0x7ed4_1842_648e_b3ef),
-        ("seg-2-shard-1.bin", 0x1005_8d4a_a714_140f),
-        ("seg-2-shard-2.bin", 0xa0b9_44f2_b5da_98e2),
-        ("wal-2.log", 0xb99d_dfe1_b673_afd3),
+    let fine_tuned: [(&str, u64); 6] = [
+        ("MANIFEST", 0x33c8_fc8b_a236_7f7c),
+        ("seg-2-lake.bin", 0xaf30_2c44_5e4e_54ed),
+        ("seg-2-model.bin", 0x6041_20a8_2d04_bfa6),
+        ("seg-2-search.bin", 0x3be3_ce8d_d784_846c),
+        ("seg-2-tuples.bin", 0x987e_90d9_78c6_2975),
+        ("wal-2.log", 0xe528_d856_010f_18bd),
+    ];
+    let format_v2_payloads: [(&str, u64); 4] = [
+        ("seg-2-lake.bin", 0x5a7b_d2d0_d98e_22f7),
+        ("seg-2-model.bin", 0x27a2_c159_3e85_41f5),
+        ("seg-2-search.bin", 0x0b21_6f1d_7c35_67c2),
+        ("wal-2.log", 0xc253_2af9_3002_0a57),
     ];
     for (config, golden) in [
         (PipelineConfig::fast(), &pretrained[..]),
         (tiny_fine_tuned_config(), &fine_tuned[..]),
     ] {
         let tmp = TempDir::new("golden");
-        let session = LakeSession::with_options(
-            tiny_lake(),
-            config,
-            SessionOptions {
-                num_shards: 3,
-                ..SessionOptions::default()
-            },
-        );
+        let session = LakeSession::new(tiny_lake(), config);
         let pool = table_pool(&session.lake());
         let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
         apply_logged(&session, &mut store, &pool[pool.len() - 2]);
@@ -573,18 +550,22 @@ fn snapshot_directory_bytes_match_the_format_v2_goldens() {
         apply_logged(&session, &mut store, &pool[pool.len() - 1]);
         drop(store);
 
-        let actual: Vec<(String, u64)> = file_names(&tmp.0)
+        let files: Vec<(String, Vec<u8>)> = file_names(&tmp.0)
             .into_iter()
             .map(|name| {
-                let hash = fnv1a(&std::fs::read(tmp.0.join(&name)).unwrap());
-                (name, hash)
+                let bytes = std::fs::read(tmp.0.join(&name)).unwrap();
+                (name, bytes)
             })
             .collect();
-        let expected: Vec<(String, u64)> = golden
-            .iter()
-            .map(|&(name, hash)| (name.to_string(), hash))
+        let actual: Vec<(&str, u64)> = (files.iter())
+            .map(|(name, bytes)| (name.as_str(), fnv1a(bytes)))
             .collect();
-        assert_eq!(actual, expected, "{:?}", session.config().embedder);
+        assert_eq!(actual, golden, "{:?}", session.config().embedder);
+        for (name, bytes) in &files {
+            if let Some(&(_, hash)) = format_v2_payloads.iter().find(|(n, _)| n == name) {
+                assert_eq!(fnv1a(payload(name, bytes)), hash, "{name} payload moved");
+            }
+        }
     }
 }
 

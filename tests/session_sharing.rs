@@ -3,14 +3,15 @@
 //! copy — sharing is pinned with `Arc::ptr_eq` (via the pointer identities
 //! `SessionView::sharing_fingerprint` exposes), never assumed.
 //!
-//! The contract under test (the tentpole of the structural-sharing PR):
-//! publishing generation *g+1* after `add_table`/`remove_table` clones
-//! O(1 table + 1 shard) — the lake's untouched `Arc<Table>` entries, every
-//! non-owning shard, every untouched per-table search-store entry (all
-//! three techniques), every posting set for values the table doesn't
-//! contain, and the embedder are all the *same allocations* in both
-//! snapshots. And a **failed** mutation publishes
-//! nothing at all: the root snapshot pointer itself is unchanged.
+//! The contract under test: publishing generation *g+1* after
+//! `add_table`/`remove_table` clones O(1 table) — the lake's untouched
+//! `Arc<Table>` entries, every untouched table's tuple-embedding block,
+//! every untouched per-table search-store entry (all three techniques),
+//! every posting set for values the table doesn't contain, and the
+//! embedder are all the *same allocations* in both snapshots. An add
+//! creates exactly one new `tuples:` block and a remove drops exactly one.
+//! And a **failed** mutation publishes nothing at all: the root snapshot
+//! pointer itself is unchanged.
 //!
 //! The columns' cached value sets ride on that sharing: they belong to the
 //! `Arc<Table>`, so an untouched table's sets are built once and are the
@@ -18,7 +19,7 @@
 //! snapshot (which never stores them) derives them again and answers the
 //! same.
 
-use dust_core::{LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
+use dust_core::{LakeSession, PipelineConfig, SearchTechnique};
 use dust_datagen::BenchmarkConfig;
 use dust_table::{DataLake, Table};
 use std::collections::{BTreeMap, HashSet};
@@ -77,6 +78,28 @@ fn assert_shared(
     );
 }
 
+/// The `tuples:` block keys of a fingerprint.
+fn block_keys(fingerprint: &BTreeMap<String, usize>) -> Vec<&str> {
+    let keys = fingerprint.keys().filter(|key| key.starts_with("tuples:"));
+    keys.map(String::as_str).collect()
+}
+
+/// `after` holds `before`'s tuple blocks plus exactly `added` and minus
+/// exactly `dropped`.
+fn assert_one_block_changed(
+    before: &BTreeMap<String, usize>,
+    after: &BTreeMap<String, usize>,
+    added: Option<&str>,
+    dropped: Option<&str>,
+    context: &str,
+) {
+    let mut expected = block_keys(before);
+    expected.retain(|key| Some(*key) != dropped);
+    expected.extend(added);
+    expected.sort_unstable();
+    assert_eq!(block_keys(after), expected, "{context}: tuple blocks");
+}
+
 #[test]
 fn add_table_shares_every_untouched_component_across_techniques() {
     for technique in TECHNIQUES {
@@ -85,20 +108,12 @@ fn add_table_shares_every_untouched_component_across_techniques() {
             search: technique,
             ..PipelineConfig::fast()
         };
-        let session = LakeSession::with_options(
-            tiny_lake(),
-            config,
-            SessionOptions {
-                num_shards: 4,
-                ..SessionOptions::default()
-            },
-        );
+        let session = LakeSession::new(tiny_lake(), config);
         let before_view = session.view();
         let before = before_view.sharing_fingerprint();
 
         let table = incoming_table();
         let touched_values = value_set(&table);
-        let owner = session.shard_of(table.name());
         let new_name = table.name().to_string();
         session.add_table(table).unwrap();
 
@@ -107,28 +122,23 @@ fn add_table_shares_every_untouched_component_across_techniques() {
         let after = after_view.sharing_fingerprint();
 
         // Everything the add didn't touch is the same allocation: untouched
-        // lake tables, non-owning shards, untouched per-table search
-        // entries, postings of values the table doesn't contain, and the
-        // embedder.
+        // lake tables, every other table's tuple block, untouched per-table
+        // search entries, postings of values the table doesn't contain, and
+        // the embedder.
         assert_shared(
             &before,
             &after,
             |key| {
-                key == format!("shard:{owner}")
-                    || key
-                        .strip_prefix("posting:")
-                        .is_some_and(|v| touched_values.contains(v))
+                key.strip_prefix("posting:")
+                    .is_some_and(|v| touched_values.contains(v))
             },
             &context,
         );
 
-        // The owning shard really did change (the delta went somewhere)…
-        assert_ne!(
-            before[&format!("shard:{owner}")],
-            after[&format!("shard:{owner}")],
-            "{context}: the owning shard must be a fresh copy"
-        );
-        // …and the new table's entries exist only in g+1.
+        // The delta is one new tuple block, and the new table's entries
+        // exist only in g+1.
+        let block = format!("tuples:{new_name}");
+        assert_one_block_changed(&before, &after, Some(&block), None, &context);
         assert!(!before.contains_key(&format!("lake-table:{new_name}")));
         assert!(after.contains_key(&format!("lake-table:{new_name}")));
         if !matches!(technique, SearchTechnique::Overlap) {
@@ -148,17 +158,9 @@ fn remove_table_shares_every_untouched_component_across_techniques() {
             search: technique,
             ..PipelineConfig::fast()
         };
-        let session = LakeSession::with_options(
-            tiny_lake(),
-            config,
-            SessionOptions {
-                num_shards: 4,
-                ..SessionOptions::default()
-            },
-        );
+        let session = LakeSession::new(tiny_lake(), config);
         let victim = session.lake().table_names()[0].clone();
         let touched_values = value_set(session.lake().table(&victim).unwrap());
-        let owner = session.shard_of(&victim);
 
         let before_view = session.view();
         let before = before_view.sharing_fingerprint();
@@ -166,11 +168,12 @@ fn remove_table_shares_every_untouched_component_across_techniques() {
         let after_view = session.view();
         let after = after_view.sharing_fingerprint();
 
+        let block = format!("tuples:{victim}");
         assert_shared(
             &before,
             &after,
             |key| {
-                key == format!("shard:{owner}")
+                key == block
                     || key == format!("lake-table:{victim}")
                     || key == format!("columns:{victim}")
                     || key
@@ -179,6 +182,7 @@ fn remove_table_shares_every_untouched_component_across_techniques() {
             },
             &context,
         );
+        assert_one_block_changed(&before, &after, None, Some(&block), &context);
         assert!(
             !after.contains_key(&format!("lake-table:{victim}")),
             "{context}: removed table's lake entry must be gone"
@@ -226,48 +230,40 @@ fn failed_mutations_leave_the_published_snapshot_pointer_identical() {
 /// of them is still the generation-0 allocation at the end.
 #[test]
 fn sharing_survives_a_mutation_chain() {
-    let session = LakeSession::with_options(
-        tiny_lake(),
-        PipelineConfig::fast(),
-        SessionOptions {
-            num_shards: 4,
-            ..SessionOptions::default()
-        },
-    );
+    let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
     let g0 = session.view();
     let fingerprint0 = g0.sharing_fingerprint();
 
     let added = incoming_table();
-    let mut touched_shards = HashSet::new();
-    let mut touched_tables = HashSet::new();
+    let added_block = format!("tuples:{}", added.name());
     let mut touched_values = value_set(&added);
-    touched_shards.insert(session.shard_of(added.name()));
     session.add_table(added).unwrap();
 
     let victim = session.lake().table_names()[0].clone();
     touched_values.extend(value_set(session.lake().table(&victim).unwrap()));
-    touched_shards.insert(session.shard_of(&victim));
-    touched_tables.insert(victim.clone());
     session.remove_table(&victim).unwrap();
 
     let g2 = session.view();
     assert_eq!(g2.generation(), 2);
+    let fingerprint2 = g2.sharing_fingerprint();
     assert_shared(
         &fingerprint0,
-        &g2.sharing_fingerprint(),
+        &fingerprint2,
         |key| {
-            key.strip_prefix("shard:")
-                .is_some_and(|i| touched_shards.contains(&i.parse::<usize>().unwrap()))
-                || key
-                    .strip_prefix("lake-table:")
-                    .is_some_and(|t| touched_tables.contains(t))
-                || key
-                    .strip_prefix("columns:")
-                    .is_some_and(|t| touched_tables.contains(t))
-                || key
-                    .strip_prefix("posting:")
-                    .is_some_and(|v| touched_values.contains(v))
+            key.split_once(':').is_some_and(|(role, name)| {
+                ["tuples", "lake-table", "columns"].contains(&role) && name == victim
+            }) || key
+                .strip_prefix("posting:")
+                .is_some_and(|v| touched_values.contains(v))
         },
+        "two-mutation chain",
+    );
+    let victim_block = format!("tuples:{victim}");
+    assert_one_block_changed(
+        &fingerprint0,
+        &fingerprint2,
+        Some(&added_block),
+        Some(&victim_block),
         "two-mutation chain",
     );
     // The generation-0 view still serves, pinned to its own snapshot.
