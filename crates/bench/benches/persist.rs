@@ -1,50 +1,50 @@
-//! Criterion microbenchmarks for the durable store: one checkpoint and one
-//! open of a session on the benchmark's two lake shapes, through the public
-//! `SnapshotStore::{create_with, checkpoint, open_with}`.
+//! Criterion microbenchmarks for the durable store on the benchmark's two
+//! lake shapes, through the public `SnapshotStore::{create_with,
+//! checkpoint, open_with}`: a pre-trained session over the benchmark's
+//! `NARROW` / `WIDE` lake (`benchmark/src/spec.rs`, seed 1447, four queries
+//! per domain).
 //!
-//! `checkpoint/{narrow,wide}` rewrites every segment of a pre-trained
-//! session over the benchmark's `NARROW` / `WIDE` lake
-//! (`benchmark/src/spec.rs`, seed 1447, four queries per domain) and
-//! swings the manifest; `open/{narrow,wide}`
-//! reads, checks and decodes that directory back into a session (its WAL
-//! is empty). Before timing, the opened session is checked against the one
-//! that was saved — a failed guard aborts the bench.
+//! * `create/{narrow,wide}` — the full write a server's set-up pays: every
+//!   table and its tuple block into a new pack, plus the lake, search and
+//!   manifest files;
+//! * `checkpoint_unchanged/{narrow,wide}` — a checkpoint of a session whose
+//!   every table the pack holds as it is: the lake segment names pack
+//!   indices only;
+//! * `checkpoint_after_churn/{narrow,wide}` — a checkpoint after three
+//!   tables were removed and added back, as the benchmark's writer does:
+//!   their new `Arc`s are written inline, the pack is kept;
+//! * `open/{narrow,wide}` — read, check and decode a fresh directory back
+//!   into a session (its WAL is empty). Before timing, the opened session
+//!   is checked against the one that was saved — a failed guard aborts the
+//!   bench.
 //!
-//! ## Where a checkpoint's and an open's time went
+//! ## Where a checkpoint's time went
 //!
-//! In-process split, ms per call: the range over four alternating rounds
-//! of the median of 20 calls after 3 warm-ups, pinned to one core of a
-//! shared 2-vCPU Xeon VM (ext4 on a virtio disk). Before = the bit-serial
-//! CRC-32, the shard rows gathered into a vector and each payload copied
-//! into its frame; after = the slicing-by-16 CRC-32 and one buffer that
-//! holds each segment's frame, payload and trailer in turn. Every stored
-//! byte is identical (`tests/session_recovery.rs` pins them):
+//! In-process split, ms per call: the range over three alternating rounds
+//! of the mean of 20 calls after 3 warm-ups, pinned to one core of a shared
+//! 2-vCPU Xeon VM (ext4 on a virtio disk). Before = format 3, where every
+//! checkpoint wrote every table into the lake segment and every block into
+//! the tuple segment; after = format 4, where the pack `seg-{b}-pack.bin`
+//! holds them and a checkpoint writes only the tables it does not hold as
+//! they are. After a churn of three tables the pack is kept and those three
+//! go inline (≈ 170 KB narrow, ≈ 1.6 MB wide). Pack, lake and search are
+//! encode + checksum + write; fsync covers every segment, the WAL header
+//! and the directory; sweep deletes the superseded files:
 //!
-//! | | narrow before | narrow after | wide before | wide after |
-//! |---|---|---|---|---|
-//! | **checkpoint, total** | **95.7–110.1** | **23.6–28.7** | **92.7–106.0** | **23.2–26.9** |
-//! | encode | 13.9–16.9 | 5.3–7.5 | 12.9–14.6 | 6.1–7.2 |
-//! | frame (payload → frame copy) | 5.1–5.8 | — | 4.1–4.5 | — |
-//! | checksum | 63.0–69.1 | 5.8–6.7 | 63.3–70.2 | 5.6–6.4 |
-//! | write | 2.6–3.1 | 2.5–3.3 | 2.4–2.9 | 2.4–3.0 |
-//! | fsync (segments, WAL header, directory) | 6.1–7.7 | 6.1–7.4 | 6.1–7.7 | 5.4–6.7 |
-//! | rest (pin a view, sweep the old epoch) | 4.5–5.8 | 3.4–4.4 | 4.0–4.8 | 3.2–4.0 |
-//! | **open, total** | **70.1–78.7** | **12.3–15.6** | **75.8–84.1** | **16.4–18.0** |
-//! | read | 1.6–2.0 | 1.6–2.0 | 2.9–3.2 | 2.8–3.3 |
-//! | checksum | 62.9–67.4 | 5.6–6.4 | 63.8–70.7 | 5.6–6.2 |
-//! | unframe (`drain` of the header) | 0.4–0.6 | — | 0.5 | — |
-//! | decode | 4.9–6.8 | 4.9–7.0 | 7.8–8.6 | 7.6–8.3 |
-//! | rest (WAL, session assembly) | 0.4–0.6 | 0.3–0.5 | 0.5–0.6 | 0.3–0.5 |
+//! | | narrow before | narrow after, unchanged | narrow after, churn | wide before | wide after, unchanged | wide after, churn |
+//! |---|---|---|---|---|---|---|
+//! | **checkpoint, total** | **31.5–37.6** | **5.6–7.1** | **6.8–7.3** | **29.5–39.0** | **6.6–7.4** | **9.8–12.5** |
+//! | pack (before: tuple segment) | 11.7–14.0 | — | — | 10.4–11.8 | — | — |
+//! | lake (tables, or tags + inline entries) | 1.0–1.2 | 0.3 | 0.5 | 1.1–1.4 | 0.5 | 2.0–2.2 |
+//! | search | 5.0–6.2 | 3.4–4.2 | 4.1–4.3 | 5.7–7.6 | 3.9–4.8 | 4.4–4.9 |
+//! | fsync | 7.9–10.3 | 1.1–1.6 | 1.3–1.8 | 7.9–12.3 | 1.1–2.1 | 2.1–3.4 |
+//! | sweep | 4.8–5.4 | 0.3–0.4 | 0.4–0.5 | 4.0–5.2 | 0.4–0.5 | 0.9–1.6 |
+//! | rest (pin a view, WAL, manifest) | 0.4–0.7 | 0.3–0.6 | 0.3–0.4 | 0.4–0.8 | 0.3–0.4 | 0.3–0.4 |
 //!
-//! The bit-serial loop shifted one bit per step, ≈ 175 MB/s, over the
-//! ≈ 11 MB every checkpoint writes and every open reads back; sixteen
-//! table lookups per 16-byte block run at ≈ 2 GB/s. The encoder writes
-//! the frame header first and the embedding rows straight into the buffer, so
-//! neither the payload nor the embedding rows are copied a second time.
-//! This bench, three alternating runs per tree on the same core, median
-//! sample: `checkpoint/narrow` 99.1–113.3 → 22.2–25.2 ms,
-//! `checkpoint/wide` 95.8–112.5 → 23.2–28.2, `open/narrow` 77.8–83.5 →
-//! 15.7–16.8, `open/wide` 78.0–82.8 → 20.1–21.6.
+//! What a checkpoint still pays is mostly the search segment, which is
+//! still rewritten whole; `create` pays what every checkpoint used to.
+//! One file per table was rejected: writing and fsyncing 192 files of 54 KB
+//! took 70–250 ms against 16–22 ms for one 10.4 MB file.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dust_core::{LakeSession, PipelineConfig, SessionOptions, SnapshotStore, StoreOptions};
@@ -75,6 +75,15 @@ fn benchmark_session(wide: bool) -> LakeSession {
     LakeSession::with_options(lake, PipelineConfig::fast(), SessionOptions::default())
 }
 
+/// Remove three tables and add them back, as the benchmark's writer does:
+/// the same rows under new `Arc`s, so the pack no longer holds them.
+fn churn_three_tables(session: &LakeSession) {
+    for name in session.lake().table_names().into_iter().step_by(5).take(3) {
+        let table = session.remove_table(&name).unwrap();
+        session.add_table(table).unwrap();
+    }
+}
+
 fn bench_persist(c: &mut Criterion) {
     let options = StoreOptions::default();
     let shapes: Vec<(&str, LakeSession)> = [("narrow", false), ("wide", true)]
@@ -85,16 +94,43 @@ fn bench_persist(c: &mut Criterion) {
         std::env::temp_dir().join(format!("dust-bench-persist-{shape}-{}", std::process::id()))
     };
 
-    let mut group = c.benchmark_group("checkpoint");
+    let mut group = c.benchmark_group("create");
+    for (shape, session) in &shapes {
+        group.bench_function(*shape, |b| {
+            b.iter(|| SnapshotStore::create_with(&dir(shape), session, options).unwrap())
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("checkpoint_unchanged");
     for (shape, session) in &shapes {
         let mut store = SnapshotStore::create_with(&dir(shape), session, options).unwrap();
         group.bench_function(*shape, |b| b.iter(|| store.checkpoint(session).unwrap()));
+        assert_eq!(
+            store.pack_epoch(),
+            1,
+            "an unchanged {shape} checkpoint rewrote the pack"
+        );
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group("checkpoint_after_churn");
+    for (shape, session) in &shapes {
+        let mut store = SnapshotStore::create_with(&dir(shape), session, options).unwrap();
+        churn_three_tables(session);
+        group.bench_function(*shape, |b| b.iter(|| store.checkpoint(session).unwrap()));
+        assert_eq!(
+            store.pack_epoch(),
+            1,
+            "a {shape} checkpoint after churn rewrote the pack"
+        );
     }
     group.finish();
 
     let mut group = c.benchmark_group("open");
     for (shape, session) in &shapes {
         let dir = dir(shape);
+        drop(SnapshotStore::create_with(&dir, session, options).unwrap());
         let (store, opened, report) = SnapshotStore::open_with(&dir, options).unwrap();
         drop(store);
         let (saved, restored) = (session.stats(), opened.stats());

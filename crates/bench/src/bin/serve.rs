@@ -83,8 +83,11 @@
 //! generations even under concurrent mutating clients). A corrupt or
 //! version-skewed snapshot degrades gracefully: the error is logged with
 //! its kind and the session is rebuilt from the lake, then re-persisted.
-//! `{"mode":"checkpoint"}` forces a snapshot rewrite + WAL truncation on
-//! demand; `--checkpoint-after N` sets the automatic record-count
+//! `{"mode":"checkpoint"}` forces a checkpoint + WAL truncation on demand
+//! and answers the new `epoch`, the `pack_epoch` whose table pack it
+//! indexes, and the `checkpoint_bytes` it wrote (only the tables the pack
+//! does not hold as they are, unless it wrote a new pack);
+//! `--checkpoint-after N` sets the automatic record-count
 //! threshold (default 64 records) and `--checkpoint-bytes N` the
 //! byte-size threshold (default 64 MiB of WAL since the last checkpoint)
 //! — whichever trips first wins, so a burst of huge `add_table` payloads
@@ -96,8 +99,9 @@
 //! the worker-pool counters for a TCP server (`workers`, live
 //! `connections`, `accepted`, `rejected_overloaded`, `lines_too_long`;
 //! `"server":null` on the stdio path), and — for a durable session — the
-//! WAL epoch, record count, and bytes accumulated since the last
-//! checkpoint (`"wal":null` otherwise).
+//! WAL epoch, the pack epoch, record count, bytes accumulated since the
+//! last checkpoint and bytes that checkpoint wrote (`"wal":null`
+//! otherwise).
 //!
 //! Flags: `--benchmark tiny|santos|ugen` (generated lake, default tiny),
 //! `--lake-dir <dir>` (load every `*.csv` file as a lake table),
@@ -763,8 +767,8 @@ fn serve_line(state: &ServerState, line: &str) -> Result<String, ServeError> {
         ));
     }
 
-    // explicit checkpoint: rewrite the snapshot at the current generation
-    // and truncate the WAL
+    // explicit checkpoint: snapshot the current generation (writing only
+    // the tables the pack does not hold as they are) and truncate the WAL
     if mode == "checkpoint" {
         // dust-lint: lock(durability)
         let mut durable = state.durable.lock().unwrap_or_else(|e| e.into_inner());
@@ -777,9 +781,12 @@ fn serve_line(state: &ServerState, line: &str) -> Result<String, ServeError> {
             .map_err(|e| fail(e.kind(), e.to_string()))?;
         let secs = start.elapsed().as_secs_f64();
         return Ok(format!(
-            "{{\"id\":\"{}\",\"result\":{{\"checkpoint\":true,\"epoch\":{},\"generation\":{}}},\"secs\":{}}}",
+            "{{\"id\":\"{}\",\"result\":{{\"checkpoint\":true,\"epoch\":{},\"pack_epoch\":{},\
+             \"checkpoint_bytes\":{},\"generation\":{}}},\"secs\":{}}}",
             json::escape(&id),
             store.epoch(),
+            store.pack_epoch(),
+            store.last_checkpoint_bytes(),
             state.session.generation(),
             json::number(secs)
         ));
@@ -808,10 +815,13 @@ fn serve_line(state: &ServerState, line: &str) -> Result<String, ServeError> {
             let durable = state.durable.lock().unwrap_or_else(|e| e.into_inner());
             match durable.as_ref() {
                 Some(store) => format!(
-                    "{{\"epoch\":{},\"records\":{},\"bytes_since_checkpoint\":{}}}",
+                    "{{\"epoch\":{},\"pack_epoch\":{},\"records\":{},\"bytes_since_checkpoint\":{},\
+                     \"checkpoint_bytes\":{}}}",
                     store.epoch(),
+                    store.pack_epoch(),
                     store.wal_records(),
-                    store.wal_bytes()
+                    store.wal_bytes(),
+                    store.last_checkpoint_bytes()
                 ),
                 None => "null".to_string(),
             }
@@ -1218,11 +1228,11 @@ fn selftest(options: &CliOptions) -> Result<(), String> {
             std::env::temp_dir().join(format!("dust-serve-selftest-{}", std::process::id()))
         });
     let _ = std::fs::remove_dir_all(&snapshot_dir);
+    let store = SnapshotStore::create(&snapshot_dir, &state.session)
+        .map_err(|e| format!("selftest: save failed: {e}"))?;
+    let created_bytes = store.last_checkpoint_bytes();
     // dust-lint: lock(durability)
-    *state.durable.lock().unwrap_or_else(|e| e.into_inner()) = Some(
-        SnapshotStore::create(&snapshot_dir, &state.session)
-            .map_err(|e| format!("selftest: save failed: {e}"))?,
-    );
+    *state.durable.lock().unwrap_or_else(|e| e.into_inner()) = Some(store);
     // mutate through the server so the record lands in the WAL
     let regrow = format!(
         "{{\"id\":\"regrow\",\"mode\":\"add_table\",\"name\":\"selftest_saved\",\"csv\":\"{}\"}}",
@@ -1279,6 +1289,40 @@ fn selftest(options: &CliOptions) -> Result<(), String> {
     if checkpoint.get("epoch").and_then(JsonValue::as_usize) != Some(2) {
         return Err(format!(
             "selftest: checkpoint did not advance epoch: {checkpoint:?}"
+        ));
+    }
+    // one added table: the pack of epoch 1 still holds every other table,
+    // so the checkpoint writes that table inline and little else
+    let written = checkpoint
+        .get("checkpoint_bytes")
+        .and_then(JsonValue::as_usize);
+    if checkpoint.get("pack_epoch").and_then(JsonValue::as_usize) != Some(1)
+        || written.is_none_or(|bytes| 2 * bytes as u64 >= created_bytes)
+    {
+        return Err(format!(
+            "selftest: a checkpoint after one add must keep pack 1 and write under half \
+             of create's {created_bytes} bytes: {checkpoint:?}"
+        ));
+    }
+    let mut files: Vec<String> = std::fs::read_dir(&snapshot_dir)
+        .and_then(|entries| {
+            entries
+                .map(|e| e.map(|e| e.file_name().to_string_lossy().into_owned()))
+                .collect()
+        })
+        .map_err(|e| format!("selftest: cannot list {}: {e}", snapshot_dir.display()))?;
+    files.sort();
+    let named = [
+        "MANIFEST",
+        "seg-1-pack.bin",
+        "seg-2-lake.bin",
+        "seg-2-search.bin",
+        "wal-2.log",
+    ];
+    if files != named {
+        return Err(format!(
+            "selftest: the snapshot directory must hold exactly the manifest's files {named:?}, \
+             holds {files:?}"
         ));
     }
     drop(state);

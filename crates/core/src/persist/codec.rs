@@ -27,7 +27,7 @@ pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"DUSTSEG\0";
 /// Magic prefix of the write-ahead log.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"DUSTWAL\0";
 /// On-disk format version, bumped on any layout change.
-pub(crate) const FORMAT_VERSION: u32 = 3;
+pub(crate) const FORMAT_VERSION: u32 = 4;
 
 /// Slicing-by-16 tables for the reflected 0xEDB88320 polynomial, built at
 /// compile time: `CRC_TABLES[0][b]` is the CRC register after shifting byte
@@ -95,6 +95,11 @@ impl ByteWriter {
 
     pub(crate) fn into_bytes(self) -> Vec<u8> {
         self.buf
+    }
+
+    /// Bytes buffered so far.
+    pub(crate) fn len(&self) -> usize {
+        self.buf.len()
     }
 
     pub(crate) fn put_u8(&mut self, v: u8) {
@@ -170,6 +175,11 @@ impl<'a> ByteReader<'a> {
 
     pub(crate) fn corrupt(&self, detail: impl Into<String>) -> PersistError {
         PersistError::corrupt(self.path, detail)
+    }
+
+    /// Bytes read so far.
+    pub(crate) fn position(&self) -> usize {
+        self.pos
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], PersistError> {
@@ -291,6 +301,8 @@ pub(crate) struct SegmentWriter<'a> {
     file: File,
     /// CRC-32 register over every byte already flushed.
     crc: u32,
+    /// Bytes already flushed.
+    flushed: u64,
     /// The first failed write, reported when the segment is sealed.
     written: std::io::Result<()>,
 }
@@ -301,6 +313,7 @@ impl SegmentWriter<'_> {
     /// are the same wherever the encoder flushes.
     pub(crate) fn flush(&mut self) {
         self.crc = crc32_update(self.crc, &self.w.buf);
+        self.flushed += self.w.buf.len() as u64;
         if self.written.is_ok() {
             self.written = self.file.write_all(&self.w.buf);
         }
@@ -322,7 +335,8 @@ impl DerefMut for SegmentWriter<'_> {
     }
 }
 
-/// Write a framed, checksummed segment file and fsync it. The frame header,
+/// Write a framed, checksummed segment file, fsync it and return its
+/// length in bytes. The frame header,
 /// the payload `encode` appends after it and the CRC32 trailer share `w`'s
 /// one buffer: nothing is copied into a frame, and a writer passed from
 /// segment to segment (it is emptied first) keeps its one allocation. An
@@ -333,7 +347,7 @@ pub(crate) fn write_segment(
     kind: u8,
     w: &mut ByteWriter,
     encode: impl FnOnce(&mut SegmentWriter<'_>),
-) -> Result<(), PersistError> {
+) -> Result<u64, PersistError> {
     let file = File::create(path).map_err(|e| PersistError::io(path, e))?;
     w.buf.clear();
     w.buf.extend_from_slice(SEGMENT_MAGIC);
@@ -343,6 +357,7 @@ pub(crate) fn write_segment(
         w,
         file,
         crc: !0,
+        flushed: 0,
         written: Ok(()),
     };
     encode(&mut segment);
@@ -350,12 +365,14 @@ pub(crate) fn write_segment(
         w,
         mut file,
         crc,
+        flushed,
         written,
     } = segment;
     w.put_u32(!crc32_update(crc, &w.buf));
     written
         .and_then(|()| file.write_all(&w.buf))
         .and_then(|()| file.sync_all())
+        .map(|()| flushed + w.buf.len() as u64)
         .map_err(|e| PersistError::io(path, e))
 }
 
@@ -511,13 +528,14 @@ mod tests {
         let sealed = sealed_segment(&path, 3, 256);
         let payload = &sealed[13..252];
         for cut in (0..=payload.len()).step_by(7).chain([payload.len()]) {
-            write_segment(&path, 3, &mut ByteWriter::new(), |s| {
+            let len = write_segment(&path, 3, &mut ByteWriter::new(), |s| {
                 s.buf.extend_from_slice(&payload[..cut]);
                 s.flush();
                 s.buf.extend_from_slice(&payload[cut..]);
             })
             .unwrap();
             assert_eq!(std::fs::read(&path).unwrap(), sealed, "flushed at {cut}");
+            assert_eq!(len, sealed.len() as u64, "length reported at {cut}");
         }
         std::fs::remove_dir_all(&dir).unwrap();
     }

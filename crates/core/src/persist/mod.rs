@@ -4,15 +4,16 @@
 //!
 //! ```text
 //! snapshot-dir/
-//! ├── MANIFEST              epoch pointer + config  (atomically replaced)
-//! ├── seg-{e}-lake.bin      the data lake (tables, queries, ground truth)
-//! ├── seg-{e}-tuples.bin    tuple embeddings, one block per lake table
+//! ├── MANIFEST              epoch + pack epoch + config  (atomically replaced)
+//! ├── seg-{b}-pack.bin      immutable: each table of epoch b + its tuple block
+//! ├── seg-{e}-lake.bin      name, queries, ground truth; per table a pack
+//! │                         index, or the table + block inline if changed
 //! ├── seg-{e}-search.bin    candidate-search structures for the technique
 //! ├── seg-{e}-model.bin     trained projection head (model sessions only)
 //! └── wal-{e}.log           LSN-stamped mutations since the snapshot
 //! ```
 //!
-//! Every file is magic-tagged, format-versioned (currently version 3; any
+//! Every file is magic-tagged, format-versioned (currently version 4; any
 //! other version is a typed `UnsupportedVersion`, answered by rebuilding
 //! from the lake), and CRC-32 sealed ([`codec`]); damage is *detected* and
 //! reported as a typed [`PersistError`], never served. The durable set is
@@ -20,14 +21,20 @@
 //! `similar_columns` is derived from the lake on first use and never
 //! written.
 //!
-//! Recovery = load the manifest's epoch, then replay the WAL through the
-//! session's live `add_table` / `remove_table` delta paths — the restored
-//! session answers queries bit-identically to the one that saved (pinned
-//! by `tests/session_recovery.rs`).
+//! Recovery = load the manifest's epoch (model, pack, lake, search), then
+//! replay the WAL through the session's live `add_table` / `remove_table`
+//! delta paths — the restored session answers queries bit-identically to
+//! the one that saved (pinned by `tests/session_recovery.rs`).
 //!
-//! Checkpointing writes a complete new epoch `e+1` (segments + empty WAL),
-//! atomically swings `MANIFEST`, then deletes epoch `e`'s files. A crash
-//! anywhere in that sequence leaves a fully consistent directory.
+//! Checkpointing writes epoch `e+1` — its lake, search and model segments
+//! and an empty WAL — and only what changed: a table whose `Arc`s are the
+//! ones the pack was written from or decoded into is named by its pack
+//! index, any other is written inline. A new pack `seg-{e+1}-pack.bin`
+//! holding every table is written instead iff inline bytes + dead pack
+//! bytes ≥ ½ × live bytes (the pack rule in [`snapshot`]), so a restart
+//! reads at most 1.5 × live. Then `MANIFEST` is atomically swung and every
+//! file it does not name is deleted. A crash anywhere in that sequence
+//! leaves a fully consistent directory.
 
 mod codec;
 mod error;
@@ -87,9 +94,13 @@ pub struct RecoveryReport {
 pub struct SnapshotStore {
     dir: PathBuf,
     epoch: u64,
+    /// The pack the current epoch indexes, and what its entries hold.
+    pack: snapshot::Pack,
     wal: wal::WalWriter,
     records_since_checkpoint: usize,
     bytes_since_checkpoint: u64,
+    /// Bytes the last checkpoint (or `create`) wrote; 0 after `open`.
+    last_checkpoint_bytes: u64,
     options: StoreOptions,
 }
 
@@ -107,20 +118,17 @@ impl SnapshotStore {
         options: StoreOptions,
     ) -> Result<SnapshotStore, PersistError> {
         std::fs::create_dir_all(dir).map_err(|e| PersistError::io(dir, e))?;
-        let epoch = 1;
-        // One pinned view for every segment plus the manifest: concurrent
-        // mutations publish newer generations without tearing the snapshot.
-        let view = session.view();
-        snapshot::write_epoch_segments(dir, &view, epoch)?;
-        let wal = wal::WalWriter::create(&snapshot::wal_path(dir, epoch), view.generation())?;
-        snapshot::publish_manifest(dir, &snapshot::manifest_for(&view, epoch))?;
-        snapshot::sweep_stale_epochs(dir, epoch);
+        // no pack yet: the pack rule writes every table into a new one
+        let (epoch, pack) = (1, snapshot::Pack::default());
+        let written = write_epoch(dir, session, epoch, &pack)?;
         Ok(SnapshotStore {
             dir: dir.to_path_buf(),
             epoch,
-            wal,
+            pack: written.new_pack.unwrap_or(pack),
+            wal: written.wal,
             records_since_checkpoint: 0,
             bytes_since_checkpoint: 0,
+            last_checkpoint_bytes: written.bytes,
             options,
         })
     }
@@ -138,7 +146,7 @@ impl SnapshotStore {
         options: StoreOptions,
     ) -> Result<(SnapshotStore, LakeSession, RecoveryReport), PersistError> {
         let manifest = snapshot::read_manifest(dir)?;
-        let session = snapshot::load_session(dir, &manifest)?;
+        let (session, pack) = snapshot::load_session(dir, &manifest)?;
 
         let wal_path = snapshot::wal_path(dir, manifest.epoch);
         let (contents, valid_len) = wal::read_wal(&wal_path)?;
@@ -181,11 +189,13 @@ impl SnapshotStore {
             SnapshotStore {
                 dir: dir.to_path_buf(),
                 epoch: manifest.epoch,
+                pack,
                 wal,
                 records_since_checkpoint: replayed,
                 // Everything after the fixed WAL header is replayed record
                 // bytes — the byte trigger survives restarts exactly.
                 bytes_since_checkpoint: valid_len.saturating_sub(wal::HEADER_LEN as u64),
+                last_checkpoint_bytes: 0,
                 options,
             },
             session,
@@ -221,13 +231,16 @@ impl SnapshotStore {
         Ok(())
     }
 
-    /// Rewrite the snapshot at the session's current generation and start
+    /// Snapshot the session's current generation as a new epoch and start
     /// an empty WAL, bounding future recovery replay to zero. The whole
     /// epoch photographs **one** pinned generation, so a checkpoint is
     /// internally consistent even while readers and the caller's other
-    /// threads keep working. Crash-safe: the new epoch is complete and
-    /// fsynced before `MANIFEST` is atomically swung to it; old-epoch
-    /// files are deleted only afterwards.
+    /// threads keep working. Only what changed is written: tables still
+    /// held by the pack are named by index, the rest inline, unless the
+    /// pack rule (see `snapshot`) calls for a new pack. Crash-safe: the new
+    /// epoch (and pack) is complete and fsynced before `MANIFEST` is
+    /// atomically swung to it; files the new manifest does not name are
+    /// deleted only afterwards.
     ///
     /// The caller must ensure no mutation is applied-but-not-yet-logged
     /// while this runs (the `serve` binary holds its durability lock
@@ -235,15 +248,15 @@ impl SnapshotStore {
     /// neither in the new snapshot nor in the new WAL.
     pub fn checkpoint(&mut self, session: &LakeSession) -> Result<(), PersistError> {
         let epoch = self.epoch + 1;
-        let view = session.view();
-        snapshot::write_epoch_segments(&self.dir, &view, epoch)?;
-        let wal = wal::WalWriter::create(&snapshot::wal_path(&self.dir, epoch), view.generation())?;
-        snapshot::publish_manifest(&self.dir, &snapshot::manifest_for(&view, epoch))?;
-        snapshot::sweep_stale_epochs(&self.dir, epoch);
+        let written = write_epoch(&self.dir, session, epoch, &self.pack)?;
+        if let Some(pack) = written.new_pack {
+            self.pack = pack;
+        }
         self.epoch = epoch;
-        self.wal = wal;
+        self.wal = written.wal;
         self.records_since_checkpoint = 0;
         self.bytes_since_checkpoint = 0;
+        self.last_checkpoint_bytes = written.bytes;
         Ok(())
     }
 
@@ -267,6 +280,19 @@ impl SnapshotStore {
         self.epoch
     }
 
+    /// The epoch whose `seg-{pack_epoch}-pack.bin` the current epoch
+    /// indexes; it moves only when a checkpoint writes a new pack.
+    pub fn pack_epoch(&self) -> u64 {
+        self.pack.epoch
+    }
+
+    /// Bytes the last [`checkpoint`](SnapshotStore::checkpoint) (or
+    /// [`create`](SnapshotStore::create)) wrote — segments, pack if one was
+    /// written, WAL header and manifest; 0 for a store just opened.
+    pub fn last_checkpoint_bytes(&self) -> u64 {
+        self.last_checkpoint_bytes
+    }
+
     /// WAL records appended (or replayed) since the last checkpoint.
     pub fn wal_records(&self) -> usize {
         self.records_since_checkpoint
@@ -278,6 +304,39 @@ impl SnapshotStore {
     pub fn wal_bytes(&self) -> u64 {
         self.bytes_since_checkpoint
     }
+}
+
+/// What [`write_epoch`] left behind: the new epoch's WAL, the pack it
+/// wrote (if the pack rule asked for one) and the bytes it wrote.
+struct WrittenEpoch {
+    wal: wal::WalWriter,
+    new_pack: Option<snapshot::Pack>,
+    bytes: u64,
+}
+
+/// Write `epoch` of `session` beside the current one — its segments (and a
+/// new pack if `pack` is stale), then an empty WAL — swing `MANIFEST` to it
+/// and sweep every file the new manifest does not name.
+fn write_epoch(
+    dir: &Path,
+    session: &LakeSession,
+    epoch: u64,
+    pack: &snapshot::Pack,
+) -> Result<WrittenEpoch, PersistError> {
+    // One pinned view for every segment plus the manifest: concurrent
+    // mutations publish newer generations without tearing the snapshot.
+    let view = session.view();
+    let (new_pack, segment_bytes) = snapshot::write_epoch_segments(dir, &view, epoch, pack)?;
+    let wal = wal::WalWriter::create(&snapshot::wal_path(dir, epoch), view.generation())?;
+    let pack_epoch = new_pack.as_ref().unwrap_or(pack).epoch;
+    let manifest = snapshot::manifest_for(&view, epoch, pack_epoch);
+    let manifest_bytes = snapshot::publish_manifest(dir, &manifest)?;
+    snapshot::sweep_unnamed_files(dir, &manifest);
+    Ok(WrittenEpoch {
+        wal,
+        new_pack,
+        bytes: segment_bytes + wal::HEADER_LEN as u64 + manifest_bytes,
+    })
 }
 
 #[cfg(test)]

@@ -2,23 +2,27 @@
 //! files.
 //!
 //! One snapshot *epoch* is a set of segment files named `seg-{epoch}-*.bin`
-//! plus a WAL `wal-{epoch}.log`, all referenced by the single `MANIFEST`
-//! file. Checkpointing writes a complete new epoch before atomically
-//! renaming the new manifest into place, so a crash at any point leaves
-//! the directory with one consistent epoch (old or new, never a mix).
+//! plus a WAL `wal-{epoch}.log`, and the table *pack* `seg-{b}-pack.bin` of
+//! some epoch `b ≤ epoch`, all referenced by the single `MANIFEST` file.
+//! Checkpointing writes the new epoch's files before atomically renaming
+//! the new manifest into place, so a crash at any point leaves the
+//! directory with one consistent epoch (old or new, never a mix).
 //!
 //! Segments (each framed and CRC32-sealed by [`super::codec`]):
 //!
-//! * **manifest** — epoch, generation, the full [`PipelineConfig`], and
-//!   whether a trained model segment exists;
-//! * **lake** — the [`DataLake`] itself (tables, queries, ground truth),
-//!   required both for query execution and for replaying WAL adds;
-//! * **tuples** — every lake table's tuple-embedding block, in lake name
-//!   order: dim, rows, data, norms and inverse norms, bit-exact. No names
-//!   and no per-row provenance: decoding pairs block *t* with the decoded
-//!   lake's table *t*, and a block count or row count that disagrees with
-//!   the lake (or a dimension that is not the embedder's) is a typed
-//!   [`PersistError::Corrupt`];
+//! * **manifest** — epoch, pack epoch, generation, the full
+//!   [`PipelineConfig`], and whether a trained model segment exists;
+//! * **pack** — immutable once written: one *entry* per lake table of epoch
+//!   `b`, in name order, each the table's rows followed by its
+//!   tuple-embedding block (dim, rows, data, norms and inverse norms,
+//!   bit-exact). Row *i* of a block is tuple *i* of its table;
+//! * **lake** — the [`DataLake`] (name, queries, ground truth) and, for each
+//!   table in name order, either `0` + the index of its pack entry or `1` +
+//!   an inline entry for a table that is not the one the pack holds. A pack
+//!   index out of range or named twice, names out of order, a block whose
+//!   rows are not its table's, or a non-empty block of another dimension
+//!   than the embedder's is a typed [`PersistError::Corrupt`]; pack entries
+//!   no table names are decoded and dropped;
 //! * **search** — the configured technique's candidate structures
 //!   ([`InvertedValueIndex`] postings / Starmie / D3L per-table column
 //!   embeddings); the searcher objects themselves are `::new()` defaults
@@ -30,13 +34,24 @@
 //! Everything floating-point is written via IEEE bit patterns, so a
 //! restored session's scores are **bit-identical** to the saved one's.
 //!
+//! **The pack rule.** A checkpoint reuses pack entry *i* for a table iff
+//! the table's `Arc<Table>` and `Arc<EmbeddingStore>` are the very ones the
+//! entry was written from or decoded into ([`Pack`] remembers them as
+//! `Weak`s); every other table is inline. Let *live* be the encoded bytes
+//! of the current tables' entries: a new pack, naming every table, is
+//! written iff inline bytes + dead pack bytes ≥ ½ × live. So a restart
+//! reads at most 1.5 × live, and a checkpoint that keeps the pack writes
+//! less than ½ × live of table data.
+//!
 //! The column side (TF-IDF corpus + column embeddings) is deliberately not
 //! a segment: only `similar_columns` reads it, and each generation derives
 //! it from its lake on first use, so writing a snapshot embeds nothing and
 //! a restored session computes exactly what a live one does. Directories
 //! of an older format version — 1 (a `columns` segment and one more
-//! manifest field) or 2 (one hashed `shard-i` segment per tuple shard with
-//! per-row provenance, and a shard count in the manifest) — answer
+//! manifest field), 2 (one hashed `shard-i` segment per tuple shard with
+//! per-row provenance, and a shard count in the manifest) or 3 (every
+//! table in the lake segment and every block in one `tuples` segment,
+//! rewritten by each checkpoint) — answer
 //! [`PersistError::UnsupportedVersion`]; callers take their usual
 //! rebuild-from-lake fallback.
 
@@ -53,22 +68,30 @@ use dust_search::{
     D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore, StarmieSearch,
 };
 use dust_table::{Column, DataLake, Table, TableId, Value};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
 /// Segment kind bytes (validated after the CRC, so a mismatch on an intact
 /// file means manifest/segment skew, not bit rot).
 pub(crate) const KIND_MANIFEST: u8 = 0;
 pub(crate) const KIND_LAKE: u8 = 1;
-pub(crate) const KIND_TUPLES: u8 = 2;
+pub(crate) const KIND_PACK: u8 = 2;
 pub(crate) const KIND_SEARCH: u8 = 4;
 pub(crate) const KIND_MODEL: u8 = 5;
+
+/// Lake-segment tags: a table held by the pack, or written inline.
+const TAG_PACKED: u8 = 0;
+const TAG_INLINE: u8 = 1;
 
 /// The manifest: everything needed to locate and interpret the segment
 /// files of the current epoch.
 #[derive(Debug, Clone)]
 pub(crate) struct Manifest {
     pub(crate) epoch: u64,
+    /// The epoch whose `seg-{pack_epoch}-pack.bin` this epoch's lake
+    /// segment indexes into.
+    pub(crate) pack_epoch: u64,
     pub(crate) generation: u64,
     pub(crate) model_injected: bool,
     pub(crate) has_model: bool,
@@ -83,8 +106,8 @@ pub(crate) fn lake_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("seg-{epoch}-lake.bin"))
 }
 
-pub(crate) fn tuples_path(dir: &Path, epoch: u64) -> PathBuf {
-    dir.join(format!("seg-{epoch}-tuples.bin"))
+pub(crate) fn pack_path(dir: &Path, epoch: u64) -> PathBuf {
+    dir.join(format!("seg-{epoch}-pack.bin"))
 }
 
 pub(crate) fn search_path(dir: &Path, epoch: u64) -> PathBuf {
@@ -281,30 +304,53 @@ pub(crate) fn get_table(r: &mut ByteReader<'_>) -> Result<Table, PersistError> {
         .map_err(|e| r.corrupt(format!("decoded table is invalid: {e}")))
 }
 
-fn encode_lake(w: &mut ByteWriter, lake: &DataLake) {
-    w.put_str(lake.name());
-    w.put_usize(lake.num_queries());
+/// The lake segment: name and queries, then one tag per table in name order
+/// — [`TAG_PACKED`] + the table's pack index from `slots`, or
+/// [`TAG_INLINE`] + its entry, flushed to the file as soon as it is
+/// encoded — then the ground truth.
+fn encode_lake(s: &mut SegmentWriter<'_>, lake: &DataLake, tables: &[Shared<'_>], slots: &[Slot]) {
+    s.put_str(lake.name());
+    s.put_usize(lake.num_queries());
     for query in lake.queries() {
-        put_table(w, query);
+        put_table(s, query);
     }
-    w.put_usize(lake.num_tables());
-    for table in lake.tables() {
-        put_table(w, table);
+    s.put_usize(tables.len());
+    for (&(table, block), slot) in tables.iter().zip(slots) {
+        match slot {
+            Some(index) => {
+                s.put_u8(TAG_PACKED);
+                s.put_usize(*index);
+            }
+            None => {
+                s.put_u8(TAG_INLINE);
+                put_entry(s, table, block);
+                s.flush();
+            }
+        }
     }
     let gt = lake.ground_truth();
     let queries: Vec<&TableId> = gt.queries().collect();
-    w.put_usize(queries.len());
+    s.put_usize(queries.len());
     for query in queries {
-        w.put_str(query);
+        s.put_str(query);
         let unionable = gt.unionable_with(query);
-        w.put_usize(unionable.len());
+        s.put_usize(unionable.len());
         for table in &unionable {
-            w.put_str(table);
+            s.put_str(table);
         }
     }
 }
 
-fn decode_lake(bytes: &[u8], path: &Path) -> Result<DataLake, PersistError> {
+/// Decode the lake segment against the decoded `pack` and the embedder's
+/// dimension `dim`: the lake, built from shared tables, and its tuple
+/// blocks. A packed table shares the pack's `Arc`s, so the store that
+/// loaded the pack recognises it at the next checkpoint.
+fn decode_lake(
+    bytes: &[u8],
+    path: &Path,
+    pack: &[PackedEntry],
+    dim: usize,
+) -> Result<(DataLake, TupleBlocks), PersistError> {
     let mut r = ByteReader::new(bytes, path);
     let name = r.get_str()?;
     let mut lake = DataLake::new(name);
@@ -315,9 +361,39 @@ fn decode_lake(bytes: &[u8], path: &Path) -> Result<DataLake, PersistError> {
             .map_err(|e| PersistError::corrupt(path, format!("decoded query rejected: {e}")))?;
     }
     let num_tables = r.get_count()?;
+    let mut named = vec![false; pack.len()];
+    let mut blocks = TupleBlocks::new();
     for _ in 0..num_tables {
-        let table = get_table(&mut r)?;
-        lake.add_table(table)
+        let (table, block) = match r.get_u8()? {
+            TAG_PACKED => {
+                let index = r.get_usize()?;
+                let Some(entry) = pack.get(index) else {
+                    return Err(r.corrupt(format!(
+                        "pack index {index} is out of range: the pack holds {} entries",
+                        pack.len()
+                    )));
+                };
+                if std::mem::replace(&mut named[index], true) {
+                    return Err(r.corrupt(format!("pack entry {index} is named twice")));
+                }
+                (entry.table.clone(), entry.block.clone())
+            }
+            TAG_INLINE => {
+                let (table, block) = get_entry(&mut r, dim)?;
+                (Arc::new(table), Arc::new(block))
+            }
+            tag => return Err(r.corrupt(format!("unknown table tag {tag}"))),
+        };
+        if let Some(previous) = blocks.keys().next_back() {
+            if **previous >= *table.name() {
+                return Err(r.corrupt(format!(
+                    "table {:?} follows {previous:?}: names are not strictly ascending",
+                    table.name()
+                )));
+            }
+        }
+        blocks.insert(Arc::from(table.name()), block);
+        lake.add_table_shared(table)
             .map_err(|e| PersistError::corrupt(path, format!("decoded table rejected: {e}")))?;
     }
     let num_gt = r.get_count()?;
@@ -330,11 +406,11 @@ fn decode_lake(bytes: &[u8], path: &Path) -> Result<DataLake, PersistError> {
         }
     }
     r.finish()?;
-    Ok(lake)
+    Ok((lake, blocks))
 }
 
 // ---------------------------------------------------------------------------
-// tuple-block codec
+// table entries and the pack
 // ---------------------------------------------------------------------------
 
 /// Write a store's buffers verbatim (bit-exact norms: never recomputed).
@@ -364,61 +440,187 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, PersistError> {
     Ok(EmbeddingStore::from_raw_parts(dim, data, norms, inv_norms))
 }
 
-/// Every table's block in lake name order (the map's order), after their
-/// count. Block *t* belongs to the lake's table *t*; nothing else names it.
-/// Each block goes to the file as soon as it is encoded: the segment holds
-/// the whole lake's embeddings, the buffer only one table's.
-fn encode_tuples(s: &mut SegmentWriter<'_>, blocks: &TupleBlocks) {
-    s.put_usize(blocks.len());
-    for block in blocks.values() {
-        put_store(s, block);
-        s.flush();
+/// A lake table and its tuple block, as the pinned generation shares them.
+type Shared<'a> = (&'a Arc<Table>, &'a Arc<EmbeddingStore>);
+
+/// Where an epoch keeps a table's entry: its index in the pack, or `None`
+/// for inline in the lake segment.
+type Slot = Option<usize>;
+
+/// One entry: the table's rows, then its block.
+fn put_entry(w: &mut ByteWriter, table: &Table, block: &EmbeddingStore) {
+    put_table(w, table);
+    put_store(w, block);
+}
+
+/// The bytes [`put_entry`] writes for `table` and `block`, counted without
+/// encoding them.
+fn entry_len(table: &Table, block: &EmbeddingStore) -> u64 {
+    let str_len = |s: &str| 8 + s.len() as u64;
+    let value_len = |value: &Value| {
+        1 + match value {
+            Value::Null => 0,
+            Value::Bool(_) => 1,
+            Value::Int(_) | Value::Float(_) => 8,
+            Value::Text(s) => str_len(s),
+        }
+    };
+    let columns: u64 = (table.columns().iter())
+        .map(|c| str_len(c.name()) + 8 + c.values().iter().map(value_len).sum::<u64>())
+        .sum();
+    let (data, norms, inv_norms) = block.raw_parts();
+    let store = 16 + 8 + 4 * data.len() + 8 + 4 * norms.len() + 8 + 8 * inv_norms.len();
+    str_len(table.name()) + 8 + columns + store as u64
+}
+
+/// Decode one entry, checked against the tuple embedder's dimension `dim`:
+/// a block whose rows are not its table's rows, or a non-empty block of
+/// another dimension (which a probe could not be scored against), is a
+/// typed corruption — never a panic, never a row credited to the wrong
+/// table.
+fn get_entry(r: &mut ByteReader<'_>, dim: usize) -> Result<(Table, EmbeddingStore), PersistError> {
+    let table = get_table(r)?;
+    let block = get_store(r)?;
+    if block.len() != table.num_rows() {
+        return Err(r.corrupt(format!(
+            "the block of table {:?} holds {} rows, the table {}",
+            table.name(),
+            block.len(),
+            table.num_rows()
+        )));
+    }
+    if !block.is_empty() && block.dim() != dim {
+        return Err(r.corrupt(format!(
+            "the block of table {:?} is {}-dimensional, the tuple embedder {dim}",
+            table.name(),
+            block.dim()
+        )));
+    }
+    Ok((table, block))
+}
+
+/// A decoded pack entry and its encoded length.
+#[derive(Debug)]
+struct PackedEntry {
+    table: Arc<Table>,
+    block: Arc<EmbeddingStore>,
+    len: u64,
+}
+
+/// Decode a pack: its entries in order, every one checked by [`get_entry`].
+fn decode_pack(bytes: &[u8], path: &Path, dim: usize) -> Result<Vec<PackedEntry>, PersistError> {
+    let mut r = ByteReader::new(bytes, path);
+    let count = r.get_count()?;
+    let mut entries = Vec::with_capacity(count);
+    for _ in 0..count {
+        let start = r.position();
+        let (table, block) = get_entry(&mut r, dim)?;
+        entries.push(PackedEntry {
+            table: Arc::new(table),
+            block: Arc::new(block),
+            len: (r.position() - start) as u64,
+        });
+    }
+    r.finish()?;
+    Ok(entries)
+}
+
+/// What the store remembers of one pack entry: the table and block it was
+/// written from or decoded into, and its encoded length. A `Weak` keeps no
+/// removed table's rows or block alive, yet holds its allocation, so no
+/// later table can be given the same address while the entry exists.
+#[derive(Debug)]
+struct PackEntry {
+    table: Weak<Table>,
+    block: Weak<EmbeddingStore>,
+    len: u64,
+}
+
+/// The pack a manifest names: its epoch and what each entry was written
+/// from. The default (epoch 0, no entries) is "no pack yet", which the pack
+/// rule replaces at once.
+#[derive(Debug, Default)]
+pub(crate) struct Pack {
+    pub(crate) epoch: u64,
+    entries: Vec<PackEntry>,
+}
+
+impl Pack {
+    fn from_decoded(epoch: u64, entries: &[PackedEntry]) -> Pack {
+        let entries = (entries.iter())
+            .map(|e| PackEntry {
+                table: Arc::downgrade(&e.table),
+                block: Arc::downgrade(&e.block),
+                len: e.len,
+            })
+            .collect();
+        Pack { epoch, entries }
+    }
+
+    /// Each table's slot: entry *i* iff the table and its block are the
+    /// very `Arc`s entry *i* was written from or decoded into.
+    fn slots(&self, tables: &[Shared<'_>]) -> Vec<Slot> {
+        let by_table: BTreeMap<*const Table, usize> = (self.entries.iter().enumerate())
+            .map(|(i, entry)| (entry.table.as_ptr(), i))
+            .collect();
+        (tables.iter())
+            .map(|&(table, block)| {
+                let i = *by_table.get(&Arc::as_ptr(table))?;
+                std::ptr::eq(self.entries[i].block.as_ptr(), Arc::as_ptr(block)).then_some(i)
+            })
+            .collect()
+    }
+
+    /// The pack rule: write a new pack iff the inline bytes plus the bytes
+    /// of entries no table names reach half the bytes of the live entries.
+    fn is_stale(&self, tables: &[Shared<'_>], slots: &[Slot]) -> bool {
+        let mut named = vec![false; self.entries.len()];
+        let (mut live, mut inline) = (0, 0);
+        for (&(table, block), slot) in tables.iter().zip(slots) {
+            live += match *slot {
+                Some(i) => {
+                    named[i] = true;
+                    self.entries[i].len
+                }
+                None => {
+                    let len = entry_len(table, block);
+                    inline += len;
+                    len
+                }
+            };
+        }
+        let dead: u64 = (self.entries.iter().zip(&named))
+            .filter(|(_, named)| !**named)
+            .map(|(entry, _)| entry.len)
+            .sum();
+        2 * (inline + dead) >= live
     }
 }
 
-/// Decode the tuple segment against the already-decoded `lake` and the
-/// session's embedding dimension `dim`, pairing block *t* with table *t*
-/// in name order. A block count that is not the lake's table count, a
-/// block whose rows are not its table's rows, or a non-empty block of
-/// another dimension (which a probe could not be scored against) is a
-/// typed corruption — never a panic, never a row credited to the wrong
-/// table.
-fn decode_tuples(
-    bytes: &[u8],
-    path: &Path,
-    lake: &DataLake,
-    dim: usize,
-) -> Result<TupleBlocks, PersistError> {
-    let mut r = ByteReader::new(bytes, path);
-    let count = r.get_count()?;
-    if count != lake.num_tables() {
-        return Err(r.corrupt(format!(
-            "{count} tuple blocks for a lake of {} tables",
-            lake.num_tables()
-        )));
-    }
-    let mut blocks = TupleBlocks::new();
-    for table in lake.tables() {
-        let block = get_store(&mut r)?;
-        if block.len() != table.num_rows() {
-            return Err(r.corrupt(format!(
-                "the block of table {:?} holds {} rows, the table {}",
-                table.name(),
-                block.len(),
-                table.num_rows()
-            )));
+/// Write every table's entry, in name order, as the pack of `epoch`. Each
+/// entry goes to the file as soon as it is encoded: the pack holds the
+/// whole lake, the buffer one table.
+fn write_pack(
+    dir: &Path,
+    epoch: u64,
+    w: &mut ByteWriter,
+    tables: &[Shared<'_>],
+) -> Result<(Pack, u64), PersistError> {
+    let mut entries = Vec::with_capacity(tables.len());
+    let bytes = write_segment(&pack_path(dir, epoch), KIND_PACK, w, |s| {
+        s.put_usize(tables.len());
+        for &(table, block) in tables {
+            let start = s.len();
+            put_entry(s, table, block);
+            entries.push(PackEntry {
+                table: Arc::downgrade(table),
+                block: Arc::downgrade(block),
+                len: (s.len() - start) as u64,
+            });
+            s.flush();
         }
-        if !block.is_empty() && block.dim() != dim {
-            return Err(r.corrupt(format!(
-                "the block of table {:?} is {}-dimensional, the tuple embedder {dim}",
-                table.name(),
-                block.dim()
-            )));
-        }
-        blocks.insert(Arc::from(table.name()), Arc::new(block));
-    }
-    r.finish()?;
-    Ok(blocks)
+    })?;
+    Ok((Pack { epoch, entries }, bytes))
 }
 
 // ---------------------------------------------------------------------------
@@ -641,6 +843,7 @@ fn decode_model(bytes: &[u8], path: &Path) -> Result<DustModel, PersistError> {
 
 fn encode_manifest(w: &mut ByteWriter, m: &Manifest) {
     w.put_u64(m.epoch);
+    w.put_u64(m.pack_epoch);
     w.put_u64(m.generation);
     w.put_bool(m.model_injected);
     w.put_bool(m.has_model);
@@ -681,6 +884,7 @@ fn encode_manifest(w: &mut ByteWriter, m: &Manifest) {
 fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> {
     let mut r = ByteReader::new(bytes, path);
     let epoch = r.get_u64()?;
+    let pack_epoch = r.get_u64()?;
     let generation = r.get_u64()?;
     let model_injected = r.get_bool()?;
     let has_model = r.get_bool()?;
@@ -712,14 +916,9 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
     };
     let algorithm = algorithm_from(r.get_u8()?, &r)?;
     r.finish()?;
-    if !has_model && matches!(embedder, TupleEmbedderKind::FineTuned { .. }) {
-        return Err(PersistError::corrupt(
-            path,
-            "fine-tuned config without a model segment",
-        ));
-    }
     Ok(Manifest {
         epoch,
+        pack_epoch,
         generation,
         model_injected,
         has_model,
@@ -745,41 +944,55 @@ fn decode_manifest(bytes: &[u8], path: &Path) -> Result<Manifest, PersistError> 
 // ---------------------------------------------------------------------------
 
 /// Write every segment of epoch `epoch` (everything except the manifest
-/// and the WAL, which the caller sequences for crash safety). Takes a
-/// pinned [`SessionView`] so every segment photographs **one** generation
-/// even while concurrent mutations publish newer ones.
+/// and the WAL, which the caller sequences for crash safety): a new pack
+/// if the pack rule says `pack` is stale, and the lake segment naming each
+/// table's pack entry or holding it inline. Takes a pinned [`SessionView`]
+/// so every segment photographs **one** generation even while concurrent
+/// mutations publish newer ones. Returns the new pack, or `None` when the
+/// epoch keeps `pack`, and the bytes written.
 pub(crate) fn write_epoch_segments(
     dir: &Path,
     view: &SessionView<'_>,
     epoch: u64,
-) -> Result<(), PersistError> {
+    pack: &Pack,
+) -> Result<(Option<Pack>, u64), PersistError> {
     // One buffer for the whole epoch, written one segment after another:
     // a checkpoint's transient memory is one allocation the size of its
-    // largest segment (or, for the tuple segment, its largest table's
-    // block), not one freed and regrown per segment.
+    // largest segment (or, for the pack and the lake segment, its largest
+    // entry), not one freed and regrown per segment.
     let w = &mut ByteWriter::new();
-    write_segment(&lake_path(dir, epoch), KIND_LAKE, w, |w| {
-        encode_lake(w, view.lake())
+    let tables: Vec<Shared<'_>> = (view.lake().tables_shared())
+        .map(|(_, table)| table)
+        .zip(view.tuple_blocks().values())
+        .collect();
+    let mut slots = pack.slots(&tables);
+    let (mut new_pack, mut bytes) = (None, 0);
+    if pack.is_stale(&tables, &slots) {
+        let (written, len) = write_pack(dir, epoch, w, &tables)?;
+        slots = (0..tables.len()).map(Some).collect();
+        (new_pack, bytes) = (Some(written), len);
+    }
+    bytes += write_segment(&lake_path(dir, epoch), KIND_LAKE, w, |s| {
+        encode_lake(s, view.lake(), &tables, &slots)
     })?;
-    write_segment(&tuples_path(dir, epoch), KIND_TUPLES, w, |s| {
-        encode_tuples(s, view.tuple_blocks())
-    })?;
-    write_segment(&search_path(dir, epoch), KIND_SEARCH, w, |w| {
+    bytes += write_segment(&search_path(dir, epoch), KIND_SEARCH, w, |w| {
         encode_search(w, view.search_structures())
     })?;
     if let SessionEmbedder::Model(model) = view.session_embedder() {
-        write_segment(&model_path(dir, epoch), KIND_MODEL, w, |w| {
+        bytes += write_segment(&model_path(dir, epoch), KIND_MODEL, w, |w| {
             encode_model(w, model)
         })?;
     }
-    Ok(())
+    Ok((new_pack, bytes))
 }
 
-/// The manifest that describes the view's pinned generation at `epoch`.
-pub(crate) fn manifest_for(view: &SessionView<'_>, epoch: u64) -> Manifest {
+/// The manifest that describes the view's pinned generation at `epoch`,
+/// whose lake segment indexes the pack of `pack_epoch`.
+pub(crate) fn manifest_for(view: &SessionView<'_>, epoch: u64, pack_epoch: u64) -> Manifest {
     let session = view.session();
     Manifest {
         epoch,
+        pack_epoch,
         generation: view.generation(),
         model_injected: session.model_injected,
         has_model: matches!(view.session_embedder(), SessionEmbedder::Model(_)),
@@ -788,17 +1001,19 @@ pub(crate) fn manifest_for(view: &SessionView<'_>, epoch: u64) -> Manifest {
 }
 
 /// Atomically publish a manifest: write `MANIFEST.tmp`, fsync, rename over
-/// `MANIFEST`, fsync the directory. A crash before the rename leaves the
-/// old manifest (and its epoch files) fully intact.
-pub(crate) fn publish_manifest(dir: &Path, manifest: &Manifest) -> Result<(), PersistError> {
+/// `MANIFEST`, fsync the directory — which also makes every file the new
+/// epoch created durable by name. A crash before the rename leaves the old
+/// manifest (and its epoch files and pack) fully intact. Returns the
+/// manifest's length in bytes.
+pub(crate) fn publish_manifest(dir: &Path, manifest: &Manifest) -> Result<u64, PersistError> {
     let tmp = dir.join("MANIFEST.tmp");
-    write_segment(&tmp, KIND_MANIFEST, &mut ByteWriter::new(), |w| {
+    let bytes = write_segment(&tmp, KIND_MANIFEST, &mut ByteWriter::new(), |w| {
         encode_manifest(w, manifest)
     })?;
     let target = manifest_path(dir);
     std::fs::rename(&tmp, &target).map_err(|e| PersistError::io(&target, e))?;
     super::codec::sync_dir(dir)?;
-    Ok(())
+    Ok(bytes)
 }
 
 /// Read and validate the manifest. [`PersistError::NoSnapshot`] when the
@@ -816,31 +1031,48 @@ pub(crate) fn read_manifest(dir: &Path) -> Result<Manifest, PersistError> {
     })
 }
 
-/// Load a full session from the manifest's epoch segments. The WAL is NOT
-/// replayed here — [`super::SnapshotStore::open`] does that through the
-/// live mutation paths.
-pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSession, PersistError> {
+/// Load a full session from the manifest's epoch segments and pack, in
+/// that order: model, pack, lake, search. Returns the session and the pack
+/// as the store must remember it — which `Arc`s each entry was decoded
+/// into — so a reopened store also checkpoints only what changed. The WAL
+/// is NOT replayed here — [`super::SnapshotStore::open`] does that through
+/// the live mutation paths.
+pub(crate) fn load_session(
+    dir: &Path,
+    manifest: &Manifest,
+) -> Result<(LakeSession, Pack), PersistError> {
     let start = crate::clock::now();
     let epoch = manifest.epoch;
 
-    let lp = lake_path(dir, epoch);
-    let lake = read_segment(&lp, KIND_LAKE, |payload| decode_lake(payload, &lp))?;
-
-    let embedder = if manifest.has_model {
-        let mp = model_path(dir, epoch);
-        SessionEmbedder::Model(read_segment(&mp, KIND_MODEL, |payload| {
-            decode_model(payload, &mp)
-        })?)
-    } else {
-        // decode_manifest rejects a fine-tuned config without a model
-        // segment, so this never trains
-        SessionEmbedder::from_config(&manifest.config.embedder, &lake)
+    let embedder = match (&manifest.config.embedder, manifest.has_model) {
+        (_, true) => {
+            let mp = model_path(dir, epoch);
+            SessionEmbedder::Model(read_segment(&mp, KIND_MODEL, |payload| {
+                decode_model(payload, &mp)
+            })?)
+        }
+        (TupleEmbedderKind::Pretrained(backbone), false) => {
+            SessionEmbedder::Encoder(TupleEncoder::new(*backbone))
+        }
+        (TupleEmbedderKind::FineTuned { .. }, false) => {
+            return Err(PersistError::corrupt(
+                manifest_path(dir),
+                "fine-tuned config without a model segment",
+            ))
+        }
     };
 
-    let tp = tuples_path(dir, epoch);
-    let tuples = read_segment(&tp, KIND_TUPLES, |payload| {
-        decode_tuples(payload, &tp, &lake, embedder.dim())
+    let pp = pack_path(dir, manifest.pack_epoch);
+    let packed = read_segment(&pp, KIND_PACK, |payload| {
+        decode_pack(payload, &pp, embedder.dim())
     })?;
+    let lp = lake_path(dir, epoch);
+    let (lake, tuples) = read_segment(&lp, KIND_LAKE, |payload| {
+        decode_lake(payload, &lp, &packed, embedder.dim())
+    })?;
+    // entries no table names are dropped here; their `Weak`s stay dead
+    let pack = Pack::from_decoded(manifest.pack_epoch, &packed);
+    drop(packed);
 
     let sp = search_path(dir, epoch);
     let search = read_segment(&sp, KIND_SEARCH, |payload| {
@@ -851,7 +1083,7 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
         manifest.config.alignment_model,
         manifest.config.alignment_serialization,
     );
-    Ok(LakeSession::from_restored(
+    let session = LakeSession::from_restored(
         lake,
         manifest.config.clone(),
         aligner_encoder,
@@ -861,23 +1093,29 @@ pub(crate) fn load_session(dir: &Path, manifest: &Manifest) -> Result<LakeSessio
         tuples,
         manifest.generation,
         start.elapsed().as_secs_f64(),
-    ))
+    );
+    Ok((session, pack))
 }
 
-/// Best-effort removal of every `seg-*`/`wal-*` file that does not belong
-/// to `keep_epoch` (superseded epochs after a checkpoint, leftovers from a
-/// crashed one). Failures are ignored: stale files are garbage, not state.
-pub(crate) fn sweep_stale_epochs(dir: &Path, keep_epoch: u64) {
+/// Best-effort removal of every `seg-*`/`wal-*` file the published
+/// `manifest` does not name — it names its epoch's `seg-{e}-*` segments,
+/// the pack `seg-{b}-pack.bin` and `wal-{e}.log` — so superseded epochs and
+/// packs, and leftovers of a crashed checkpoint (a pack included), go.
+/// Failures are ignored: stale files are garbage, not state.
+pub(crate) fn sweep_unnamed_files(dir: &Path, manifest: &Manifest) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
-    let seg_keep = format!("seg-{keep_epoch}-");
-    let wal_keep = format!("wal-{keep_epoch}.log");
+    let seg_keep = format!("seg-{}-", manifest.epoch);
+    let pack_keep = format!("seg-{}-pack.bin", manifest.pack_epoch);
+    let wal_keep = format!("wal-{}.log", manifest.epoch);
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        let stale = (name.starts_with("seg-") && !name.starts_with(&seg_keep))
-            || (name.starts_with("wal-") && name != wal_keep)
+        let named = name == pack_keep
+            || (name.starts_with(&seg_keep) && !name.ends_with("-pack.bin"))
+            || name == wal_keep;
+        let stale = ((name.starts_with("seg-") || name.starts_with("wal-")) && !named)
             || name == "MANIFEST.tmp";
         if stale {
             let _ = std::fs::remove_file(entry.path());
@@ -893,7 +1131,7 @@ mod tests {
     /// `fixtures/seg-model-v2.bin` is a format-v2 model segment written by
     /// commit `be41721`, when the head still held its weights in the
     /// persisted `output × input` form: Bert (192) → 5 → 3, four epochs on
-    /// nine toy pairs. Format 3 left the model payload as it was, so the
+    /// nine toy pairs. Formats 3 and 4 left the model payload as it was, so the
     /// file as a whole is a typed version skew while its payload (between
     /// the 13-byte frame header and the CRC trailer) must keep meaning the
     /// same model and the model the same payload.
@@ -932,14 +1170,10 @@ mod tests {
         assert_eq!(rewritten.into_bytes(), payload);
     }
 
-    /// Lake tables `a` (two rows) and `b` (one row), in name order.
-    fn two_table_lake() -> DataLake {
-        let mut lake = DataLake::new("pair");
-        for (name, rows) in [("a", &["1", "2"][..]), ("b", &["3"][..])] {
-            let table = Table::builder(name).column("x", rows.iter().copied());
-            lake.add_table(table.build().unwrap()).unwrap();
-        }
-        lake
+    /// A one-column table of `rows` text cells.
+    fn table(name: &str, rows: usize) -> Table {
+        let cells = (0..rows).map(|i| format!("{name}{i}"));
+        Table::builder(name).column("x", cells).build().unwrap()
     }
 
     /// A `rows × dim` block of arbitrary non-zero values.
@@ -950,24 +1184,58 @@ mod tests {
         EmbeddingStore::from_vectors(&vectors)
     }
 
-    /// A tuple-segment payload holding `blocks`, in order.
-    fn tuple_payload(blocks: &[EmbeddingStore]) -> Vec<u8> {
+    /// One lake-segment table: a pack index, or an inline entry.
+    enum Tag {
+        Packed(usize),
+        Inline(Table, EmbeddingStore),
+    }
+
+    /// A pack payload holding `entries`, in order.
+    fn pack_payload(entries: &[(Table, EmbeddingStore)]) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_usize(blocks.len());
-        for block in blocks {
-            put_store(&mut w, block);
+        w.put_usize(entries.len());
+        for (table, block) in entries {
+            put_entry(&mut w, table, block);
         }
         w.into_bytes()
     }
 
-    /// Decode `blocks` against [`two_table_lake`] and a 3-d embedder.
-    fn decode(blocks: &[EmbeddingStore]) -> Result<TupleBlocks, PersistError> {
-        let path = Path::new("seg-1-tuples.bin");
-        decode_tuples(&tuple_payload(blocks), path, &two_table_lake(), 3)
+    /// A lake-segment payload with no queries or ground truth and `tags`
+    /// as its tables.
+    fn lake_payload(tags: &[Tag]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_str("pair");
+        w.put_usize(0);
+        w.put_usize(tags.len());
+        for tag in tags {
+            match tag {
+                Tag::Packed(index) => {
+                    w.put_u8(TAG_PACKED);
+                    w.put_usize(*index);
+                }
+                Tag::Inline(table, block) => {
+                    w.put_u8(TAG_INLINE);
+                    put_entry(&mut w, table, block);
+                }
+            }
+        }
+        w.put_usize(0);
+        w.into_bytes()
     }
 
-    fn assert_corrupt(blocks: &[EmbeddingStore], detail: &str) {
-        match decode(blocks) {
+    /// Decode `pack`, then `tags` against it, for a 3-d embedder.
+    fn decode(
+        pack: &[(Table, EmbeddingStore)],
+        tags: &[Tag],
+    ) -> Result<(Vec<PackedEntry>, DataLake, TupleBlocks), PersistError> {
+        let packed = decode_pack(&pack_payload(pack), Path::new("seg-1-pack.bin"), 3)?;
+        let lake_path = Path::new("seg-2-lake.bin");
+        let (lake, blocks) = decode_lake(&lake_payload(tags), lake_path, &packed, 3)?;
+        Ok((packed, lake, blocks))
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(decoded: Result<T, PersistError>, detail: &str) {
+        match decoded {
             Err(e @ PersistError::Corrupt { .. }) => {
                 assert!(e.to_string().contains(detail), "{e}")
             }
@@ -975,51 +1243,159 @@ mod tests {
         }
     }
 
+    /// Tables `a` (two rows) and `b` (one row) with 3-d blocks.
+    fn pair() -> Vec<(Table, EmbeddingStore)> {
+        vec![(table("a", 2), block(2, 3)), (table("b", 1), block(1, 3))]
+    }
+
     #[test]
     fn tuple_blocks_decode_onto_their_tables_bit_for_bit() {
-        let blocks = [block(2, 3), block(1, 3)];
-        let decoded = decode(&blocks).unwrap();
-        let names: Vec<&str> = decoded.keys().map(|name| &**name).collect();
+        // `a` from the pack, `b` inline; the pack's `b` is dead
+        let inline = block(1, 3).raw_parts().0.iter().map(|v| v * 2.0).collect();
+        let inline = EmbeddingStore::from_vectors(&[Vector::new(inline)]);
+        let tags = [Tag::Packed(0), Tag::Inline(table("b", 1), inline.clone())];
+        let (packed, lake, blocks) = decode(&pair(), &tags).unwrap();
+        let names: Vec<&str> = blocks.keys().map(|name| &**name).collect();
         assert_eq!(names, ["a", "b"]);
-        for (decoded, block) in decoded.values().zip(&blocks) {
-            assert_eq!(decoded.raw_parts(), block.raw_parts());
+        assert_eq!(blocks["a"].raw_parts(), block(2, 3).raw_parts());
+        assert_eq!(blocks["b"].raw_parts(), inline.raw_parts());
+        assert_eq!(lake.table("b").unwrap(), &table("b", 1));
+        // a packed table is the pack's allocation, which the store remembers
+        assert!(Arc::ptr_eq(&blocks["a"], &packed[0].block));
+        assert!(Arc::ptr_eq(
+            lake.table_shared("a").unwrap(),
+            &packed[0].table
+        ));
+        let pack = Pack::from_decoded(1, &packed);
+        let tables: Vec<Shared<'_>> = (lake.tables_shared().map(|(_, t)| t))
+            .zip(blocks.values())
+            .collect();
+        assert_eq!(pack.slots(&tables), [Some(0), None]);
+    }
+
+    #[test]
+    fn entry_len_counts_what_put_entry_writes() {
+        let every_value = Table::from_columns(
+            "mixed",
+            vec![
+                Column::new("null", vec![Value::Null, Value::Bool(true)]),
+                Column::new("num", vec![Value::Int(-3), Value::Float(0.25)]),
+                Column::new("text", vec![Value::text("façade"), Value::text("")]),
+            ],
+        )
+        .unwrap();
+        let empty = Table::from_columns("e", vec![Column::new("x", Vec::new())]).unwrap();
+        for (table, block) in [
+            (every_value, block(2, 5)),
+            (empty, EmbeddingStore::from_vectors(&[])),
+        ] {
+            let mut w = ByteWriter::new();
+            put_entry(&mut w, &table, &block);
+            assert_eq!(
+                entry_len(&table, &block),
+                w.len() as u64,
+                "{}",
+                table.name()
+            );
         }
     }
 
     #[test]
-    fn a_tuple_block_count_other_than_the_lakes_tables_is_corrupt() {
-        assert_corrupt(&[block(2, 3)], "1 tuple blocks for a lake of 2 tables");
-        let three = [block(2, 3), block(1, 3), block(1, 3)];
-        assert_corrupt(&three, "3 tuple blocks for a lake of 2 tables");
+    fn a_pack_index_out_of_range_is_corrupt() {
+        let tags = [Tag::Packed(0), Tag::Packed(2)];
+        assert_corrupt(
+            decode(&pair(), &tags),
+            "pack index 2 is out of range: the pack holds 2 entries",
+        );
+    }
+
+    #[test]
+    fn a_pack_index_named_twice_is_corrupt() {
+        let tags = [Tag::Packed(0), Tag::Packed(0)];
+        assert_corrupt(decode(&pair(), &tags), "pack entry 0 is named twice");
+    }
+
+    #[test]
+    fn table_names_out_of_order_are_corrupt() {
+        let swapped = [Tag::Packed(1), Tag::Packed(0)];
+        assert_corrupt(
+            decode(&pair(), &swapped),
+            "table \"a\" follows \"b\": names are not strictly ascending",
+        );
+        // the same name inline beside its packed entry
+        let repeated = [Tag::Packed(0), Tag::Inline(table("a", 2), block(2, 3))];
+        assert_corrupt(decode(&pair(), &repeated), "table \"a\" follows \"a\"");
     }
 
     #[test]
     fn a_tuple_block_whose_rows_are_not_its_tables_is_corrupt() {
-        // the right total, credited to the wrong tables
-        let swapped = [block(1, 3), block(2, 3)];
-        assert_corrupt(&swapped, "table \"a\" holds 1 rows, the table 2");
+        // in the pack: the right total, credited to the wrong tables
+        let swapped = [(table("a", 2), block(1, 3)), (table("b", 1), block(2, 3))];
+        assert_corrupt(
+            decode(&swapped, &[]),
+            "table \"a\" holds 1 rows, the table 2",
+        );
+        // inline
+        let tags = [Tag::Packed(0), Tag::Inline(table("b", 1), block(3, 3))];
+        assert_corrupt(
+            decode(&pair(), &tags),
+            "table \"b\" holds 3 rows, the table 1",
+        );
     }
 
     #[test]
     fn a_tuple_block_of_another_dimension_is_corrupt() {
         // blocks that disagree with each other...
-        let mixed = [block(2, 3), block(1, 4)];
-        assert_corrupt(&mixed, "table \"b\" is 4-dimensional, the tuple embedder 3");
-        // ...or agree with each other but not with the embedder
-        let agreeing = [block(2, 5), block(1, 5)];
+        let mixed = [(table("a", 2), block(2, 3)), (table("b", 1), block(1, 4))];
         assert_corrupt(
-            &agreeing,
-            "table \"a\" is 5-dimensional, the tuple embedder 3",
+            decode(&mixed, &[]),
+            "table \"b\" is 4-dimensional, the tuple embedder 3",
+        );
+        // ...or agree with each other but not with the embedder
+        let tags = [Tag::Inline(table("c", 1), block(1, 5))];
+        assert_corrupt(
+            decode(&[], &tags),
+            "table \"c\" is 5-dimensional, the tuple embedder 3",
         );
         // an empty table's block carries no dimension to check
-        let mut lake = DataLake::new("with_empty");
         let empty = Table::from_columns("e", vec![Column::new("x", Vec::new())]).unwrap();
-        lake.add_table(empty).unwrap();
-        let payload = tuple_payload(&[EmbeddingStore::from_vectors(&[])]);
-        let path = Path::new("seg-1-tuples.bin");
-        assert_eq!(
-            decode_tuples(&payload, path, &lake, 3).unwrap()["e"].len(),
-            0
-        );
+        let tags = [Tag::Inline(empty, EmbeddingStore::from_vectors(&[]))];
+        assert_eq!(decode(&[], &tags).unwrap().2["e"].len(), 0);
+    }
+
+    /// Inline bytes + dead pack bytes against half the live bytes, on four
+    /// tables whose entries are the same length.
+    #[test]
+    fn the_pack_is_rewritten_once_inline_and_dead_bytes_reach_half_the_live() {
+        let held: Vec<(Arc<Table>, Arc<EmbeddingStore>)> = ["a", "b", "c", "d", "e"]
+            .map(|name| (Arc::new(table(name, 2)), Arc::new(block(2, 3))))
+            .into();
+        let pack = Pack {
+            epoch: 1,
+            entries: (held[..4].iter())
+                .map(|(table, block)| PackEntry {
+                    table: Arc::downgrade(table),
+                    block: Arc::downgrade(block),
+                    len: entry_len(table, block),
+                })
+                .collect(),
+        };
+        let is_stale = |tables: &[Shared<'_>]| pack.is_stale(tables, &pack.slots(tables));
+        let shared: Vec<Shared<'_>> = held.iter().map(|(t, b)| (t, b)).collect();
+        // unchanged: no inline, no dead bytes
+        assert!(!is_stale(&shared[..4]));
+        // one added table is ¼ of the pack inline; one removed, ⅓ dead
+        assert!(!is_stale(&shared));
+        assert!(!is_stale(&shared[1..4]));
+        // one replaced block is inline and leaves its entry dead: ½
+        let replaced = Arc::new(block(2, 3));
+        let mut churned = shared[..4].to_vec();
+        churned[0].1 = &replaced;
+        assert_eq!(pack.slots(&churned), [None, Some(1), Some(2), Some(3)]);
+        assert!(is_stale(&churned));
+        // no pack yet: every table is inline, an empty lake included
+        let none = Pack::default();
+        assert!(none.is_stale(&shared, &none.slots(&shared)));
+        assert!(none.is_stale(&[], &[]));
     }
 }

@@ -509,6 +509,9 @@ impl LakeSession {
 
     /// Reassemble a session from restored (snapshot-decoded) parts — the
     /// persistence layer's constructor, bypassing embedding and training.
+    /// The lake's `Arc<Table>`s and the `tuples` blocks are kept as given:
+    /// the store that decoded them recognises them by pointer at its next
+    /// checkpoint and writes only the tables that changed since.
     /// History depth is a serving-time knob, not part of the persisted
     /// format: a restored session takes the default (callers re-tune it
     /// with [`Self::set_history_depth`]) and its ring starts empty.

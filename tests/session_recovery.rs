@@ -27,7 +27,7 @@ use dust_datagen::BenchmarkConfig;
 use dust_embed::{FineTuneConfig, PretrainedModel};
 use dust_table::{DataLake, Table};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 const TECHNIQUES: [SearchTechnique; 3] = [
@@ -296,9 +296,13 @@ proptest! {
         let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
 
         // Lake state at every acknowledged generation, for the rewind check.
+        // The checkpoint after the first mutation keeps epoch 1's pack and
+        // writes the added table inline, so both are among the victims.
         let mut lake_states = vec![session.lake().clone()];
         apply_logged(&session, &mut store, &pool[pool.len() - 1]);
         lake_states.push(session.lake().clone());
+        store.checkpoint(&session).unwrap();
+        prop_assert_eq!((store.epoch(), store.pack_epoch()), (2, 1));
         apply_logged(&session, &mut store, &pool[0]);
         lake_states.push(session.lake().clone());
         drop(store);
@@ -401,14 +405,16 @@ fn assert_recovered_matches_reference(
 /// directory.
 #[test]
 fn missing_segment_is_typed_and_distinct_from_empty_dir() {
-    let tmp = TempDir::new("missing");
     let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
-    session.save(&tmp.0).unwrap();
-    let victim = tmp.0.join("seg-1-search.bin");
-    std::fs::remove_file(&victim).unwrap();
-    match SnapshotStore::open(&tmp.0) {
-        Err(PersistError::Io { path, .. }) => assert_eq!(path, victim),
-        other => panic!("expected Io for the missing segment, got {:?}", other.err()),
+    for segment in ["seg-1-search.bin", "seg-1-pack.bin"] {
+        let tmp = TempDir::new("missing");
+        session.save(&tmp.0).unwrap();
+        let victim = tmp.0.join(segment);
+        std::fs::remove_file(&victim).unwrap();
+        match SnapshotStore::open(&tmp.0) {
+            Err(PersistError::Io { path, .. }) => assert_eq!(path, victim),
+            other => panic!("expected Io for missing {segment}, got {:?}", other.err()),
+        }
     }
 
     let empty = TempDir::new("empty");
@@ -427,9 +433,28 @@ fn file_names(dir: &std::path::Path) -> Vec<String> {
     names
 }
 
-/// The durable set is exactly lake + tuple blocks + search structures
-/// (+ the model iff one was trained) + WAL: nothing the served paths never
-/// read — in particular no `columns` segment — reaches the disk.
+/// The directory holds exactly what the store's manifest names: `MANIFEST`,
+/// the epoch's lake and search segments (+ the model iff one was trained),
+/// its pack and its WAL — no superseded epoch, no leaked pack.
+fn assert_directory_is_the_manifests(store: &SnapshotStore, dir: &Path, has_model: bool) {
+    let (epoch, pack) = (store.epoch(), store.pack_epoch());
+    let mut expected = vec![
+        "MANIFEST".to_string(),
+        format!("seg-{epoch}-lake.bin"),
+        format!("seg-{pack}-pack.bin"),
+        format!("seg-{epoch}-search.bin"),
+        format!("wal-{epoch}.log"),
+    ];
+    if has_model {
+        expected.push(format!("seg-{epoch}-model.bin"));
+    }
+    expected.sort();
+    assert_eq!(file_names(dir), expected, "epoch {epoch}, pack {pack}");
+}
+
+/// The durable set is exactly lake + pack + search structures (+ the model
+/// iff one was trained) + WAL: nothing the served paths never read — in
+/// particular no `columns` segment — reaches the disk.
 #[test]
 fn a_fresh_snapshot_directory_holds_exactly_the_served_segments() {
     for (config, has_model) in [
@@ -438,31 +463,20 @@ fn a_fresh_snapshot_directory_holds_exactly_the_served_segments() {
     ] {
         let tmp = TempDir::new("file-set");
         let session = LakeSession::new(tiny_lake(), config);
-        session.save(&tmp.0).unwrap();
-        let mut expected: Vec<String> = [
-            "MANIFEST",
-            "seg-1-lake.bin",
-            "seg-1-search.bin",
-            "seg-1-tuples.bin",
-            "wal-1.log",
-        ]
-        .map(String::from)
-        .to_vec();
-        if has_model {
-            expected.push("seg-1-model.bin".to_string());
-            expected.sort();
-        }
-        assert_eq!(file_names(&tmp.0), expected, "model segment: {has_model}");
+        let store = SnapshotStore::create(&tmp.0, &session).unwrap();
+        assert_eq!((store.epoch(), store.pack_epoch()), (1, 1));
+        assert_directory_is_the_manifests(&store, &tmp.0, has_model);
     }
 }
 
 /// A directory written under an older format version — 1 (which carried
-/// a `columns` segment) or 2 (hashed tuple shards with per-row provenance)
-/// — is refused with the typed version error, the caller's cue to rebuild
-/// from the lake: never decoded on a guess, never a panic.
+/// a `columns` segment), 2 (hashed tuple shards with per-row provenance)
+/// or 3 (every table and block rewritten by each checkpoint) — is refused
+/// with the typed version error, the caller's cue to rebuild from the
+/// lake: never decoded on a guess, never a panic.
 #[test]
 fn a_format_version_1_directory_is_a_typed_unsupported_version() {
-    for found in [1u32, 2] {
+    for found in [1u32, 2, 3] {
         let tmp = TempDir::new(&format!("v{found}"));
         let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
         session.save(&tmp.0).unwrap();
@@ -478,7 +492,7 @@ fn a_format_version_1_directory_is_a_typed_unsupported_version() {
             Some(
                 e @ PersistError::UnsupportedVersion {
                     found: f,
-                    expected: 3,
+                    expected: 4,
                     ..
                 },
             ) if *f == found => assert_eq!(e.kind(), "unsupported_version"),
@@ -508,30 +522,33 @@ fn payload<'a>(name: &str, bytes: &'a [u8]) -> &'a [u8] {
 
 /// Every stored byte is pinned: a `tiny` session is saved, mutated once,
 /// checkpointed (epoch 2) and mutated twice more (two WAL records), and
-/// each file in the directory is hashed whole. Format 3 changed only the
-/// manifest (no shard count) and the tuple segment (one block per table,
-/// no provenance); the payloads of the lake, search and model segments and
-/// the WAL's records are hashed as well, against values computed under
-/// format 2, so the version bump is proven to have moved nothing else.
+/// each file in the directory is hashed whole. The pre-trained checkpoint
+/// keeps epoch 1's pack and writes the added table inline; the fine-tuned
+/// one retrained every block, so it writes a new pack. Format 4 changed
+/// only the manifest (a pack epoch), the lake segment (a pack index or an
+/// inline entry per table) and the pack (the tables and blocks of format
+/// 3's lake and tuple segments); the payloads of the search and model
+/// segments and the WAL's records are hashed as well, against the values
+/// they have had since format 2, so the version bump is proven to have
+/// moved nothing else.
 #[test]
-fn snapshot_directory_bytes_match_the_format_v3_goldens() {
+fn snapshot_directory_bytes_match_the_format_v4_goldens() {
     let pretrained: [(&str, u64); 5] = [
-        ("MANIFEST", 0xc7da_997b_cc44_f5b0),
-        ("seg-2-lake.bin", 0xaf30_2c44_5e4e_54ed),
-        ("seg-2-search.bin", 0x3be3_ce8d_d784_846c),
-        ("seg-2-tuples.bin", 0xfed4_b076_df1e_1b30),
-        ("wal-2.log", 0xe528_d856_010f_18bd),
+        ("MANIFEST", 0xc704_822c_ceda_b542),
+        ("seg-1-pack.bin", 0x7062_075a_7883_787f),
+        ("seg-2-lake.bin", 0x4a88_e972_f64c_a068),
+        ("seg-2-search.bin", 0x2e38_f34c_a5f8_5f67),
+        ("wal-2.log", 0x29af_a88c_a07c_4b2c),
     ];
     let fine_tuned: [(&str, u64); 6] = [
-        ("MANIFEST", 0x33c8_fc8b_a236_7f7c),
-        ("seg-2-lake.bin", 0xaf30_2c44_5e4e_54ed),
-        ("seg-2-model.bin", 0x6041_20a8_2d04_bfa6),
-        ("seg-2-search.bin", 0x3be3_ce8d_d784_846c),
-        ("seg-2-tuples.bin", 0x987e_90d9_78c6_2975),
-        ("wal-2.log", 0xe528_d856_010f_18bd),
+        ("MANIFEST", 0xbfd0_8a2d_4c11_3fd7),
+        ("seg-2-lake.bin", 0xd423_5757_6d74_9577),
+        ("seg-2-model.bin", 0x07ec_e040_ad8c_9fbb),
+        ("seg-2-pack.bin", 0x9031_b3c3_4a41_bce0),
+        ("seg-2-search.bin", 0x2e38_f34c_a5f8_5f67),
+        ("wal-2.log", 0x29af_a88c_a07c_4b2c),
     ];
-    let format_v2_payloads: [(&str, u64); 4] = [
-        ("seg-2-lake.bin", 0x5a7b_d2d0_d98e_22f7),
+    let unchanged_payloads: [(&str, u64); 3] = [
         ("seg-2-model.bin", 0x27a2_c159_3e85_41f5),
         ("seg-2-search.bin", 0x0b21_6f1d_7c35_67c2),
         ("wal-2.log", 0xc253_2af9_3002_0a57),
@@ -557,21 +574,32 @@ fn snapshot_directory_bytes_match_the_format_v3_goldens() {
                 (name, bytes)
             })
             .collect();
+        for (name, bytes) in &files {
+            if let Some(&(_, hash)) = unchanged_payloads.iter().find(|(n, _)| n == name) {
+                assert_eq!(fnv1a(payload(name, bytes)), hash, "{name} payload moved");
+            }
+        }
         let actual: Vec<(&str, u64)> = (files.iter())
             .map(|(name, bytes)| (name.as_str(), fnv1a(bytes)))
             .collect();
         assert_eq!(actual, golden, "{:?}", session.config().embedder);
-        for (name, bytes) in &files {
-            if let Some(&(_, hash)) = format_v2_payloads.iter().find(|(n, _)| n == name) {
-                assert_eq!(fnv1a(payload(name, bytes)), hash, "{name} payload moved");
-            }
-        }
     }
 }
 
+/// Every file in `dir`, by name.
+fn read_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    (file_names(dir).into_iter())
+        .map(|name| {
+            let bytes = std::fs::read(dir.join(&name)).unwrap();
+            (name, bytes)
+        })
+        .collect()
+}
+
 /// A crash *during* checkpoint must leave the previous epoch fully
-/// servable: simulate by deleting the new epoch's files while keeping the
-/// old manifest (the state before the atomic rename).
+/// servable. Two crashes before the manifest's atomic rename: one that
+/// left partial epoch-2 files, and one that had written the whole of epoch
+/// 2 — a new pack included — beside epoch 1 and its pack.
 #[test]
 fn old_epoch_survives_a_simulated_checkpoint_crash() {
     let tmp = TempDir::new("ckpt-crash");
@@ -586,7 +614,119 @@ fn old_epoch_survives_a_simulated_checkpoint_crash() {
     std::fs::write(tmp.0.join("seg-2-lake.bin"), b"partial garbage").unwrap();
     std::fs::write(tmp.0.join("wal-2.log"), b"more garbage").unwrap();
 
-    let (_store, recovered, report) = SnapshotStore::open(&tmp.0).unwrap();
+    let (mut store, recovered, report) = SnapshotStore::open(&tmp.0).unwrap();
     assert_eq!(report.replayed, 1);
     assert_sessions_match(&recovered, &session, "recovery beside crashed checkpoint");
+
+    // Remove two thirds of the lake, so the next checkpoint's pack rule
+    // writes a new pack, and keep the directory as it was before it.
+    for table in &pool[..6] {
+        apply_logged(&recovered, &mut store, table);
+    }
+    let before = read_files(&tmp.0);
+    store.checkpoint(&recovered).unwrap();
+    assert_eq!((store.epoch(), store.pack_epoch()), (2, 2));
+    drop(store);
+    // The crash: epoch 2 and its pack are complete on disk, but MANIFEST
+    // still names epoch 1 and its pack.
+    let epoch_1 =
+        |name: &str| name == "MANIFEST" || name.starts_with("seg-1-") || name == "wal-1.log";
+    for (name, bytes) in before.iter().filter(|(name, _)| epoch_1(name)) {
+        std::fs::write(tmp.0.join(name), bytes).unwrap();
+    }
+    assert!(tmp.0.join("seg-2-pack.bin").exists());
+    let (mut store, reopened, report) = SnapshotStore::open(&tmp.0).unwrap();
+    assert_eq!(
+        (store.epoch(), store.pack_epoch(), report.replayed),
+        (1, 1, 7)
+    );
+    assert_sessions_match(&reopened, &recovered, "recovery beside an unpublished pack");
+    assert_sessions_match(&reopened, &fresh_rebuild(&recovered), "… vs fresh");
+    // the next checkpoint sweeps the unpublished epoch's leftovers
+    store.checkpoint(&reopened).unwrap();
+    assert_directory_is_the_manifests(&store, &tmp.0, false);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A random chain of table toggles, checkpoints and reopens (drop the
+    /// store, `open`, continue on the recovered session), on every search
+    /// technique and on the fine-tuned embedder. After every reopen the
+    /// recovered session matches the live one and a fresh rebuild, and
+    /// after every checkpoint and reopen the directory holds exactly what
+    /// the manifest names. On a pre-trained lake of at least four tables
+    /// whose pack holds every table as it is, one mutation's checkpoint
+    /// keeps the pack and writes less than `create` did.
+    #[test]
+    fn checkpoint_chains_recover_exactly_and_leak_no_pack(
+        steps in prop::collection::vec(0usize..16, 0..10),
+    ) {
+        let pretrained = TECHNIQUES.map(|search| PipelineConfig { search, ..PipelineConfig::fast() });
+        for config in pretrained.into_iter().chain([tiny_fine_tuned_config()]) {
+            let fine_tuned = matches!(config.embedder, dust_core::TupleEmbedderKind::FineTuned { .. });
+            let tmp = TempDir::new("chain");
+            let mut session = LakeSession::new(tiny_lake(), config);
+            let pool = table_pool(&session.lake());
+            let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
+            let created = store.last_checkpoint_bytes();
+            let context = format!("{:?}, steps {steps:?}", session.config());
+            if !fine_tuned {
+                assert_one_mutation_keeps_the_pack(&session, &mut store, &pool, created, &context);
+            }
+            for (i, &step) in steps.iter().enumerate() {
+                let context = format!("{context} @ {i}");
+                match step {
+                    0..12 => apply_logged(&session, &mut store, &pool[step % pool.len()]),
+                    12 | 13 => store.checkpoint(&session).unwrap(),
+                    _ => {
+                        drop(store);
+                        let (reopened, recovered, report) = SnapshotStore::open(&tmp.0).unwrap();
+                        prop_assert_eq!(recovered.generation(), session.generation());
+                        // the comparison queries need candidates
+                        if session.lake().num_tables() > 0 {
+                            assert_sessions_match(&recovered, &session, &context);
+                            let fresh = fresh_rebuild(&session);
+                            assert_sessions_match(&recovered, &fresh, &format!("{context} vs fresh"));
+                        }
+                        (store, session) = (reopened, recovered);
+                        let whole_pack = store.pack_epoch() == store.epoch() && report.replayed == 0;
+                        if !fine_tuned && whole_pack && session.lake().num_tables() >= 4 {
+                            assert_one_mutation_keeps_the_pack(&session, &mut store, &pool, created, &context);
+                        }
+                    }
+                }
+                if step >= 12 {
+                    assert_directory_is_the_manifests(&store, &tmp.0, fine_tuned);
+                }
+            }
+        }
+    }
+}
+
+/// Toggle the pool's smallest table (`extra_molecules`, two rows) and
+/// checkpoint: with a pack that holds every other table as it is, that
+/// table's entry is the only inline or dead one, well under half the live
+/// bytes, so the pack's file name stays and the checkpoint writes less
+/// than `create`, which wrote every table.
+fn assert_one_mutation_keeps_the_pack(
+    session: &LakeSession,
+    store: &mut SnapshotStore,
+    pool: &[Table],
+    created: u64,
+    context: &str,
+) {
+    let pack = store.pack_epoch();
+    apply_logged(session, store, pool.last().unwrap());
+    store.checkpoint(session).unwrap();
+    assert_eq!(
+        store.pack_epoch(),
+        pack,
+        "{context}: one mutation rewrote the pack"
+    );
+    assert!(
+        store.last_checkpoint_bytes() < created,
+        "{context}: a one-mutation checkpoint wrote {} bytes, create {created}",
+        store.last_checkpoint_bytes()
+    );
 }
