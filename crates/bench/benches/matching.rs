@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks for the search and matching substrate:
 //! maximum-weight bipartite matching, the inverted value index, end-to-end
-//! table scoring for the overlap, D3L, and Starmie searchers, and holistic
-//! column alignment on the benchmark's two lake shapes.
+//! table scoring for the overlap, D3L, and Starmie searchers, the overlap
+//! search's shortlist and scores, and holistic column alignment on the
+//! benchmark's two lake shapes.
 //!
 //! `holistic_align/{narrow,wide}` aligns every query of the benchmark's
 //! `NARROW` / `WIDE` lake (`benchmark/src/spec.rs`, seed 1447, two queries
@@ -37,6 +38,30 @@
 //! once into term ids and computes each term's IDF once. The wide lake's
 //! columns are ~10× longer (36 of its 216 columns exceed the 512-token
 //! budget, up to 763 tokens), so its text side stays the larger part.
+//!
+//! ## Where an overlap search's time went
+//!
+//! `overlap_shortlist/{narrow,wide}_resident` and
+//! `overlap_score/{narrow,wide}_resident` split `search.overlap` on the
+//! same lakes (every query per iteration, value sets warm). Ms per query,
+//! the range of the medians of three alternating runs, one core of the
+//! same box; before = the index's postings as sets of table names and each
+//! shortlisted table scored by `score_pair` (every query column merged with
+//! every column of the table), after = column postings and one walk per
+//! query column, every ranking and score bit-identical:
+//!
+//! | | narrow before | narrow after | wide before | wide after |
+//! |---|---|---|---|---|
+//! | shortlist: `candidates(query, 200)` | 0.13–0.16 | 0.044–0.057 | 0.29–0.46 | 0.065–0.088 |
+//! | score: `score_pair` per shortlisted table, or the walk | 1.77–2.07 | 0.017–0.024 | 1.14–1.53 | 0.067–0.086 |
+//! | `overlap_search_top5/narrow_resident` (seed 7, one cold query) | 2.11–2.55 | 0.057–0.072 | | |
+//!
+//! The narrow shortlist holds most of the lake's 192 tables, so scoring it
+//! was thousands of sorted-set merges per query; the walk visits only the
+//! (value, column) incidences the query shares. After the change the
+//! shortlist and the scores come from the same walk: `overlap_shortlist`
+//! is the walk plus ranking the tables by shared values and naming them,
+//! `overlap_score` the walk alone.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dust_align::HolisticAligner;
@@ -46,7 +71,7 @@ use dust_search::{
     max_weight_matching, D3lSearch, InvertedValueIndex, OverlapSearch, StarmieSearch,
     TableUnionSearch,
 };
-use dust_table::Table;
+use dust_table::{DataLake, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -112,16 +137,16 @@ fn bench_search(c: &mut Criterion) {
     });
 }
 
-/// Every query of a benchmark-shaped lake with the tables the overlap
-/// search retrieves for it (the five a served query aligns).
-fn alignment_inputs(wide: bool) -> Vec<(Table, Vec<Table>)> {
+/// The benchmark's `NARROW` or `WIDE` lake (`benchmark/src/spec.rs`) at
+/// seed 1447, two queries per domain.
+fn bench_lake(wide: bool) -> DataLake {
     let (name, num_domains, lake_tables_per_domain, base_rows, min_row_fraction, max_row_fraction) =
         if wide {
             ("wide", 4, 5, 480, 0.34, 0.36)
         } else {
             ("narrow", 12, 16, 50, 0.32, 0.38)
         };
-    let lake = BenchmarkConfig {
+    BenchmarkConfig {
         name: name.into(),
         num_domains,
         lake_tables_per_domain,
@@ -134,7 +159,58 @@ fn alignment_inputs(wide: bool) -> Vec<(Table, Vec<Table>)> {
         ..BenchmarkConfig::santos()
     }
     .generate()
-    .lake;
+    .lake
+}
+
+/// `search.overlap` split into its shortlist and its scores, over every
+/// query of each lake shape per iteration. Before timing, each query's
+/// whole ranking from the walk is checked against the `score_pair` path
+/// (the index's shortlist, each table scored by merging value sets) table
+/// for table and bit for bit — a failed guard aborts the bench.
+fn bench_overlap_split(c: &mut Criterion) {
+    let search = OverlapSearch::new();
+    for (shape, wide) in [("narrow", false), ("wide", true)] {
+        let lake = bench_lake(wide);
+        let index = InvertedValueIndex::build(&lake);
+        let queries: Vec<&Table> = lake.queries().collect();
+        for query in &queries {
+            let walk = search.search_with_index(&lake, query, usize::MAX, &index);
+            let mut merged: Vec<(String, u64)> = (index.candidates(query, search.candidate_limit))
+                .into_iter()
+                .map(|(name, _)| {
+                    let score = search.score_pair(query, lake.table(&name).unwrap());
+                    (name, score.to_bits())
+                })
+                .collect();
+            merged.sort_by(|a, b| {
+                (f64::from_bits(b.1).total_cmp(&f64::from_bits(a.1))).then_with(|| a.0.cmp(&b.0))
+            });
+            let walk: Vec<(String, u64)> = (walk.into_iter())
+                .map(|hit| (hit.table, hit.score.to_bits()))
+                .collect();
+            assert_eq!(walk, merged, "the walk left score_pair on {}", query.name());
+        }
+        c.bench_function(format!("overlap_shortlist/{shape}_resident"), |b| {
+            b.iter(|| {
+                (queries.iter())
+                    .map(|query| index.candidates(black_box(query), search.candidate_limit))
+                    .collect::<Vec<_>>()
+            });
+        });
+        c.bench_function(format!("overlap_score/{shape}_resident"), |b| {
+            b.iter(|| {
+                (queries.iter())
+                    .map(|query| index.overlaps(black_box(query)))
+                    .collect::<Vec<_>>()
+            });
+        });
+    }
+}
+
+/// Every query of a benchmark-shaped lake with the tables the overlap
+/// search retrieves for it (the five a served query aligns).
+fn alignment_inputs(wide: bool) -> Vec<(Table, Vec<Table>)> {
+    let lake = bench_lake(wide);
     let index = InvertedValueIndex::build(&lake);
     let search = OverlapSearch::new();
     lake.queries()
@@ -194,6 +270,6 @@ fn bench_holistic_align(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_bipartite, bench_search, bench_holistic_align
+    targets = bench_bipartite, bench_search, bench_overlap_split, bench_holistic_align
 }
 criterion_main!(benches);

@@ -36,15 +36,29 @@
 //! | **checkpoint, total** | **31.5–37.6** | **5.6–7.1** | **6.8–7.3** | **29.5–39.0** | **6.6–7.4** | **9.8–12.5** |
 //! | pack (before: tuple segment) | 11.7–14.0 | — | — | 10.4–11.8 | — | — |
 //! | lake (tables, or tags + inline entries) | 1.0–1.2 | 0.3 | 0.5 | 1.1–1.4 | 0.5 | 2.0–2.2 |
-//! | search | 5.0–6.2 | 3.4–4.2 | 4.1–4.3 | 5.7–7.6 | 3.9–4.8 | 4.4–4.9 |
+//! | search (format 4; format 5 below) | 5.0–6.2 | 3.4–4.2 | 4.1–4.3 | 5.7–7.6 | 3.9–4.8 | 4.4–4.9 |
 //! | fsync | 7.9–10.3 | 1.1–1.6 | 1.3–1.8 | 7.9–12.3 | 1.1–2.1 | 2.1–3.4 |
 //! | sweep | 4.8–5.4 | 0.3–0.4 | 0.4–0.5 | 4.0–5.2 | 0.4–0.5 | 0.9–1.6 |
 //! | rest (pin a view, WAL, manifest) | 0.4–0.7 | 0.3–0.6 | 0.3–0.4 | 0.4–0.8 | 0.3–0.4 | 0.3–0.4 |
 //!
-//! What a checkpoint still pays is mostly the search segment, which is
-//! still rewritten whole; `create` pays what every checkpoint used to.
-//! One file per table was rejected: writing and fsyncing 192 files of 54 KB
-//! took 70–250 ms against 16–22 ms for one 10.4 MB file.
+//! Format 5 writes the search segment's inverted index as column postings
+//! (tables renumbered in name order, values sorted, each posting ascending
+//! `u32` column ids, column sizes counted on decode) instead of sets of
+//! table names. Re-measured the same way, format 4 against format 5, on an
+//! unchanged checkpoint (the host read slower than for the table above):
+//!
+//! | | narrow, format 4 | narrow, format 5 | wide, format 4 | wide, format 5 |
+//! |---|---|---|---|---|
+//! | **checkpoint, total** | **9.1–9.9** | **2.9–3.1** | **10.5–13.4** | **3.9–4.2** |
+//! | search (encode + checksum + write) | 6.4–7.5 | 1.0–1.2 | 7.6–10.0 | 1.6–1.7 |
+//! | search segment bytes | 413 624 | 130 824 | 416 568 | 191 638 |
+//! | search decode on open (read, check, build) | 3.5–3.8 | 0.9–1.2 | 3.5–4.4 | 1.6–1.8 |
+//!
+//! The search segment is still rewritten whole by every checkpoint, but it
+//! is now about a third of an unchanged one, no longer most of it; `create`
+//! pays what every checkpoint used to. One file per table was rejected:
+//! writing and fsyncing 192 files of 54 KB took 70–250 ms against 16–22 ms
+//! for one 10.4 MB file.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dust_core::{LakeSession, PipelineConfig, SessionOptions, SnapshotStore, StoreOptions};

@@ -13,7 +13,7 @@
 //! └── wal-{e}.log           LSN-stamped mutations since the snapshot
 //! ```
 //!
-//! Every file is magic-tagged, format-versioned (currently version 4; any
+//! Every file is magic-tagged, format-versioned (currently version 5; any
 //! other version is a typed `UnsupportedVersion`, answered by rebuilding
 //! from the lake), and CRC-32 sealed ([`codec`]); damage is *detected* and
 //! reported as a typed [`PersistError`], never served. The durable set is

@@ -24,9 +24,14 @@
 //!   than the embedder's is a typed [`PersistError::Corrupt`]; pack entries
 //!   no table names are decoded and dropped;
 //! * **search** — the configured technique's candidate structures
-//!   ([`InvertedValueIndex`] postings / Starmie / D3L per-table column
-//!   embeddings); the searcher objects themselves are `::new()` defaults
-//!   and are reconstructed, not persisted;
+//!   ([`InvertedValueIndex`] column postings / Starmie / D3L per-table
+//!   column embeddings); the searcher objects themselves are `::new()`
+//!   defaults and are reconstructed, not persisted. The index is written
+//!   canonically — tables renumbered in name order, values sorted, each
+//!   posting as ascending column ids — so its bytes are a function of the
+//!   lake alone; decoding checks it against the decoded lake (names, column
+//!   counts, ids in range and ascending, no empty posting, no value twice)
+//!   and answers a typed [`PersistError::Corrupt`] otherwise;
 //! * **model** — the trained [`DustModel`] head weights and centering
 //!   vector (present only when the session embeds through a model), so a
 //!   restart never re-pays training.
@@ -49,9 +54,10 @@
 //! a restored session computes exactly what a live one does. Directories
 //! of an older format version — 1 (a `columns` segment and one more
 //! manifest field), 2 (one hashed `shard-i` segment per tuple shard with
-//! per-row provenance, and a shard count in the manifest) or 3 (every
+//! per-row provenance, and a shard count in the manifest), 3 (every
 //! table in the lake segment and every block in one `tuples` segment,
-//! rewritten by each checkpoint) — answer
+//! rewritten by each checkpoint) or 4 (index postings as sets of table
+//! names, after a stored table count) — answer
 //! [`PersistError::UnsupportedVersion`]; callers take their usual
 //! rebuild-from-lake fallback.
 
@@ -65,7 +71,8 @@ use dust_embed::{
     PretrainedModel, ProjectionHead, TupleEncoder, Vector,
 };
 use dust_search::{
-    D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore, StarmieSearch,
+    ColumnRef, D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore,
+    StarmieSearch,
 };
 use dust_table::{Column, DataLake, Table, TableId, Value};
 use std::collections::BTreeMap;
@@ -627,33 +634,112 @@ fn write_pack(
 // search-structure codec
 // ---------------------------------------------------------------------------
 
+/// The index in canonical form, a function of the lake alone: the tables
+/// renumbered in name order, each as its name and column count; then every
+/// value in ascending order with its posting as ascending *column ids*,
+/// where table *t*'s columns are numbered after those of tables `0..t`. A
+/// column's value-set size is not written: it is the number of postings
+/// naming the column.
 fn put_index(w: &mut ByteWriter, index: &InvertedValueIndex) {
-    w.put_usize(index.num_tables());
-    let entries = index.entries();
-    w.put_usize(entries.len());
-    for (value, tables) in &entries {
+    let mut tables: Vec<(u32, &str, &[u32])> = index.tables().collect();
+    tables.sort_unstable_by_key(|&(_, name, _)| name);
+    let mut first_id = vec![0u32; index.num_slots()];
+    let mut num_columns = 0;
+    w.put_usize(tables.len());
+    for (slot, name, column_sizes) in tables {
+        w.put_str(name);
+        w.put_usize(column_sizes.len());
+        first_id[slot as usize] = num_columns;
+        num_columns += u32::try_from(column_sizes.len()).expect("column ids fit in u32");
+    }
+    let mut postings: Vec<(&Arc<str>, &Arc<[ColumnRef]>)> = index.postings_shared().collect();
+    postings.sort_unstable_by_key(|&(value, _)| value);
+    w.put_usize(postings.len());
+    let mut ids = Vec::new();
+    for (value, columns) in postings {
+        ids.clear();
+        ids.extend(
+            columns
+                .iter()
+                .map(|c| first_id[c.table as usize] + c.column),
+        );
+        ids.sort_unstable();
         w.put_str(value);
-        w.put_usize(tables.len());
-        for table in tables {
-            w.put_str(table);
+        w.put_usize(ids.len());
+        for &id in &ids {
+            w.put_u32(id);
         }
     }
 }
 
-fn get_index(r: &mut ByteReader<'_>) -> Result<InvertedValueIndex, PersistError> {
-    let indexed_tables = r.get_usize()?;
-    let num_entries = r.get_count()?;
-    let mut entries = Vec::with_capacity(num_entries);
-    for _ in 0..num_entries {
-        let value = r.get_str()?;
-        let n = r.get_count()?;
-        let mut tables = Vec::with_capacity(n);
-        for _ in 0..n {
-            tables.push(r.get_str()?);
-        }
-        entries.push((value, tables));
+/// Decode the canonical index of [`put_index`] against the decoded `lake`,
+/// building the postings directly — no lake column's value set is read.
+/// Tables other than the lake's (by name or column count, in name order), a
+/// column id out of range or not above the previous one, an empty posting,
+/// or a value not above the previous one is a typed
+/// [`PersistError::Corrupt`].
+fn get_index(r: &mut ByteReader<'_>, lake: &DataLake) -> Result<InvertedValueIndex, PersistError> {
+    let num_tables = r.get_count()?;
+    if num_tables != lake.num_tables() {
+        return Err(r.corrupt(format!(
+            "the index holds {num_tables} tables but the lake {}",
+            lake.num_tables()
+        )));
     }
-    Ok(InvertedValueIndex::from_entries(indexed_tables, entries))
+    let mut tables = Vec::with_capacity(num_tables);
+    let mut columns = Vec::new();
+    for (slot, table) in lake.tables().enumerate() {
+        let name = r.get_str()?;
+        let num_columns = r.get_usize()?;
+        if name != table.name() || num_columns != table.num_columns() {
+            return Err(r.corrupt(format!(
+                "index table {slot} is {name:?} with {num_columns} columns, but the lake's is \
+                 {:?} with {}",
+                table.name(),
+                table.num_columns()
+            )));
+        }
+        columns.extend((0..num_columns as u32).map(|column| ColumnRef {
+            table: slot as u32,
+            column,
+        }));
+        tables.push((name, vec![0u32; num_columns].into_boxed_slice()));
+    }
+    let num_values = r.get_count()?;
+    let mut postings: Vec<(Arc<str>, Arc<[ColumnRef]>)> = Vec::with_capacity(num_values);
+    for _ in 0..num_values {
+        let value: Arc<str> = Arc::from(r.get_str()?);
+        if let Some((previous, _)) = postings.last().filter(|(p, _)| *p >= value) {
+            return Err(r.corrupt(format!(
+                "value {value:?} follows {previous:?}: values are repeated or out of order"
+            )));
+        }
+        let n = r.get_count()?;
+        if n == 0 {
+            return Err(r.corrupt(format!("the posting of {value:?} is empty")));
+        }
+        let mut posting = Vec::with_capacity(n);
+        let mut previous_id = None;
+        for _ in 0..n {
+            let id = r.get_u32()?;
+            let Some(&column) = columns.get(id as usize) else {
+                return Err(r.corrupt(format!(
+                    "column id {id} is out of range: the lake has {} columns",
+                    columns.len()
+                )));
+            };
+            if previous_id.is_some_and(|previous| previous >= id) {
+                return Err(r.corrupt(format!(
+                    "the posting of {value:?} names column {id} out of order"
+                )));
+            }
+            previous_id = Some(id);
+            tables[column.table as usize].1[column.column as usize] += 1;
+            posting.push(column);
+        }
+        postings.push((value, Arc::from(posting)));
+    }
+    Ok(InvertedValueIndex::from_parts(tables, postings))
 }
 
 fn put_column_entries(w: &mut ByteWriter, entries: &[(String, Vec<Vector>)]) {
@@ -703,11 +789,13 @@ fn encode_search(w: &mut ByteWriter, search: &SearchStructures) {
 /// Decode the search segment. The searcher objects are the same `::new()`
 /// defaults a fresh session constructs — only the lake-derived structures
 /// round-trip. The decoded technique must match `expected` (from the
-/// manifest's config): a mismatch means the files are inconsistent.
+/// manifest's config), and an index must describe the decoded `lake`: a
+/// mismatch means the files are inconsistent.
 fn decode_search(
     bytes: &[u8],
     path: &Path,
     expected: SearchTechnique,
+    lake: &DataLake,
 ) -> Result<SearchStructures, PersistError> {
     let mut r = ByteReader::new(bytes, path);
     let technique = technique_from(r.get_u8()?, &r)?;
@@ -719,14 +807,14 @@ fn decode_search(
     }
     let search = match technique {
         SearchTechnique::Overlap => {
-            let index = get_index(&mut r)?;
+            let index = get_index(&mut r, lake)?;
             SearchStructures::Overlap {
                 search: OverlapSearch::new(),
                 index,
             }
         }
         SearchTechnique::D3l => {
-            let index = get_index(&mut r)?;
+            let index = get_index(&mut r, lake)?;
             let stats = D3lSignalStats::from_entries(get_column_entries(&mut r)?);
             SearchStructures::D3l {
                 search: D3lSearch::new(),
@@ -1076,7 +1164,7 @@ pub(crate) fn load_session(
 
     let sp = search_path(dir, epoch);
     let search = read_segment(&sp, KIND_SEARCH, |payload| {
-        decode_search(payload, &sp, manifest.config.search)
+        decode_search(payload, &sp, manifest.config.search, &lake)
     })?;
 
     let aligner_encoder = ColumnEncoder::new(
@@ -1361,6 +1449,125 @@ mod tests {
         let empty = Table::from_columns("e", vec![Column::new("x", Vec::new())]).unwrap();
         let tags = [Tag::Inline(empty, EmbeddingStore::from_vectors(&[]))];
         assert_eq!(decode(&[], &tags).unwrap().2["e"].len(), 0);
+    }
+
+    /// Tables `a` (values `a0`, `a1`) and `b` (value `b0`), one column
+    /// each: column ids 0 and 1.
+    fn index_lake() -> DataLake {
+        let mut lake = DataLake::new("index");
+        for table in [table("a", 2), table("b", 1)] {
+            lake.add_table(table).unwrap();
+        }
+        lake
+    }
+
+    /// An index payload of `tables` (name, column count) and `postings`.
+    fn index_payload(tables: &[(&str, usize)], postings: &[(&str, &[u32])]) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        w.put_usize(tables.len());
+        for (name, columns) in tables {
+            w.put_str(name);
+            w.put_usize(*columns);
+        }
+        w.put_usize(postings.len());
+        for (value, ids) in postings {
+            w.put_str(value);
+            w.put_usize(ids.len());
+            for &id in *ids {
+                w.put_u32(id);
+            }
+        }
+        w.into_bytes()
+    }
+
+    fn decode_index(payload: &[u8], lake: &DataLake) -> Result<InvertedValueIndex, PersistError> {
+        let mut r = ByteReader::new(payload, Path::new("seg-1-search.bin"));
+        let index = get_index(&mut r, lake)?;
+        r.finish()?;
+        Ok(index)
+    }
+
+    fn encode_index(index: &InvertedValueIndex) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        put_index(&mut w, index);
+        w.into_bytes()
+    }
+
+    const TABLES: [(&str, usize); 2] = [("a", 1), ("b", 1)];
+
+    #[test]
+    fn the_index_is_written_canonically_and_decodes_to_the_same_answers() {
+        let lake = index_lake();
+        let fresh = InvertedValueIndex::build(&lake);
+        let canonical = index_payload(&TABLES, &[("a0", &[0]), ("a1", &[0]), ("b0", &[1])]);
+        assert_eq!(encode_index(&fresh), canonical);
+        // churn moves `a` to slot 1 in memory, never on disk
+        let mut churned = fresh.clone();
+        assert!(churned.remove_table(lake.table("a").unwrap()));
+        churned.add_table(&table("c", 1));
+        churned.add_table(lake.table("a").unwrap());
+        assert!(churned.remove_table(&table("c", 1)));
+        assert_eq!(
+            churned.tables().map(|t| t.1).collect::<Vec<_>>(),
+            ["b", "a"]
+        );
+        assert_eq!(encode_index(&churned), canonical);
+        let decoded = decode_index(&canonical, &lake).unwrap();
+        assert_eq!(encode_index(&decoded), canonical);
+        let sizes: Vec<&[u32]> = decoded.tables().map(|t| t.2).collect();
+        assert_eq!(
+            sizes,
+            [&[2][..], &[1]],
+            "sizes are derived from the postings"
+        );
+        let query = table("a", 1);
+        assert_eq!(decoded.candidates(&query, 5), fresh.candidates(&query, 5));
+    }
+
+    #[test]
+    fn index_tables_other_than_the_lakes_are_corrupt() {
+        let lake = index_lake();
+        let postings: [(&str, &[u32]); 1] = [("a0", &[0])];
+        assert_corrupt(
+            decode_index(&index_payload(&TABLES[..1], &postings), &lake),
+            "the index holds 1 tables but the lake 2",
+        );
+        assert_corrupt(
+            decode_index(&index_payload(&[("a", 1), ("c", 1)], &postings), &lake),
+            "index table 1 is \"c\" with 1 columns, but the lake's is \"b\" with 1",
+        );
+        assert_corrupt(
+            decode_index(&index_payload(&[("a", 2), ("b", 1)], &postings), &lake),
+            "index table 0 is \"a\" with 2 columns",
+        );
+    }
+
+    #[test]
+    fn index_postings_out_of_shape_are_corrupt() {
+        let lake = index_lake();
+        let decode =
+            |postings: &[(&str, &[u32])]| decode_index(&index_payload(&TABLES, postings), &lake);
+        assert_corrupt(
+            decode(&[("a0", &[2])]),
+            "column id 2 is out of range: the lake has 2 columns",
+        );
+        assert_corrupt(
+            decode(&[("a0", &[1, 0])]),
+            "the posting of \"a0\" names column 0 out of order",
+        );
+        assert_corrupt(
+            decode(&[("a0", &[0, 0])]),
+            "the posting of \"a0\" names column 0 out of order",
+        );
+        assert_corrupt(decode(&[("a0", &[])]), "the posting of \"a0\" is empty");
+        assert_corrupt(
+            decode(&[("a0", &[0]), ("a0", &[1])]),
+            "value \"a0\" follows \"a0\": values are repeated or out of order",
+        );
+        assert_corrupt(
+            decode(&[("b0", &[1]), ("a0", &[0])]),
+            "value \"a0\" follows \"b0\"",
+        );
     }
 
     /// Inline bytes + dead pack bytes against half the live bytes, on four

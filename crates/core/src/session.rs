@@ -63,9 +63,11 @@
 //!   inserts its `Arc`; a remove drops the table's `Arc`. Every other
 //!   block is the previous generation's allocation;
 //! * the search technique's candidate structures update by exact per-table
-//!   deltas — [`InvertedValueIndex`] postings are sets, Starmie/D3L column
-//!   stores are keyed per table with no cross-table float aggregate, so a
-//!   delta produces structures *structurally equal* to a fresh build;
+//!   deltas — [`InvertedValueIndex`] postings are sorted lists of integer
+//!   column references (a table's slot is the only thing a delta can
+//!   number differently from a fresh build, and no answer reads it),
+//!   Starmie/D3L column stores are keyed per table with no cross-table
+//!   float aggregate, so a delta answers exactly as a fresh build;
 //! * the column side (the lake-wide TF-IDF corpus and the column
 //!   embeddings under it — every column's embedding depends on every table
 //!   through IDF) is never maintained: each generation derives it from its
@@ -184,7 +186,9 @@ impl SearchStructures {
     /// per-table value lists to subtract from).
     fn remove_table(&mut self, table: &Table) {
         match self {
-            SearchStructures::Overlap { index, .. } => index.remove_table(table),
+            SearchStructures::Overlap { index, .. } => {
+                index.remove_table(table);
+            }
             SearchStructures::D3l { index, stats, .. } => {
                 index.remove_table(table);
                 stats.remove_table(table.name());
@@ -206,8 +210,8 @@ impl SearchStructures {
             index: &InvertedValueIndex,
             out: &mut std::collections::BTreeMap<String, usize>,
         ) {
-            for (value, set) in index.postings_shared() {
-                out.insert(format!("posting:{value}"), Arc::as_ptr(set) as usize);
+            for (value, columns) in index.postings_shared() {
+                out.insert(format!("posting:{value}"), columns.as_ptr() as usize);
             }
         }
         match self {

@@ -13,13 +13,17 @@
 //!   as a baseline in Sec. 6.5;
 //! * [`bipartite`] — maximum-weight bipartite matching (Hungarian algorithm);
 //! * [`signals`] — individual column-pair unionability signals;
-//! * [`index`] — an inverted value index for candidate pruning;
+//! * [`index`] — an inverted value index whose postings name the lake
+//!   columns holding each value: one walk per query column gives every
+//!   exact column overlap and the candidate shortlist;
 //! * [`metrics`] — MAP / precision@k / recall@k over search results.
 //!
 //! Every value-overlap computation here (the overlap score, D3L's
-//! value-overlap signal, the index's keys) reads
+//! value-overlap signal, the index's keys and column sizes) reads
 //! [`dust_table::Column::value_set`], the per-column cached set; nothing in
-//! this crate normalises a cell.
+//! this crate normalises a cell. The overlap score is read off the index's
+//! postings rather than merged pair by pair, and
+//! [`OverlapSearch::score_pair`] pins it bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +38,7 @@ pub mod starmie;
 
 pub use bipartite::{max_weight_matching, Matching};
 pub use d3l::{D3lSearch, D3lSignalStats};
-pub use index::InvertedValueIndex;
+pub use index::{ColumnRef, InvertedValueIndex, Overlaps};
 pub use metrics::{average_precision, mean_average_precision, precision_at_k, recall_at_k};
 pub use overlap::OverlapSearch;
 pub use signals::{ColumnSignals, SignalWeights};
@@ -70,11 +74,18 @@ pub trait TableUnionSearch {
 /// embedding) ranks strictly last instead of comparing `Equal` to every
 /// other score and corrupting the whole top-k order.
 pub(crate) fn rank_and_truncate(mut results: Vec<SearchResult>, k: usize) -> Vec<SearchResult> {
-    results.sort_by(|a, b| {
-        dust_embed::desc_nan_last(a.score, b.score).then_with(|| a.table.cmp(&b.table))
-    });
+    rank(&mut results, |r| (r.score, &r.table));
     results.truncate(k);
     results
+}
+
+/// Sort `items` by the order of [`rank_and_truncate`] on their `(score,
+/// table name)` keys — names are unique, so the order is total.
+pub(crate) fn rank<T>(items: &mut [T], key: impl Fn(&T) -> (f64, &str)) {
+    items.sort_unstable_by(|a, b| {
+        let ((a_score, a_name), (b_score, b_name)) = (key(a), key(b));
+        dust_embed::desc_nan_last(a_score, b_score).then_with(|| a_name.cmp(b_name))
+    });
 }
 
 /// Shared core of the resident per-table column-embedding stores
@@ -176,11 +187,11 @@ impl PerTableColumnEmbeddings {
     }
 }
 
-/// Candidate tables to score for a query: the inverted-index shortlist when
-/// a limit is set (building a throwaway index unless the caller provides a
-/// resident one), every lake table otherwise. Falls back to the full lake
-/// when the shortlist is empty (a query sharing no value with any table
-/// must still be scored against something).
+/// Candidate tables to score for a query: every lake table for `limit` 0,
+/// else the shortlist of the index's walk (building a throwaway index
+/// unless the caller provides a resident one) — see
+/// [`index::Overlaps::shortlist`] for its order and its fall-back to every
+/// table when none shares a value.
 pub(crate) fn shortlist_candidates(
     lake: &DataLake,
     query: &Table,
@@ -198,12 +209,10 @@ pub(crate) fn shortlist_candidates(
             &built
         }
     };
-    let shortlisted = index.candidates(query, limit);
-    if shortlisted.is_empty() {
-        lake.table_names()
-    } else {
-        shortlisted.into_iter().map(|(t, _)| t).collect()
-    }
+    let overlaps = index.overlaps(query);
+    (overlaps.shortlist(limit).into_iter())
+        .map(|slot| overlaps.name(slot).to_string())
+        .collect()
 }
 
 #[cfg(test)]

@@ -5,9 +5,18 @@
 //! candidate table's columns. This is the syntactic core of the original
 //! Table Union Search approach and serves as the default `SearchTables`
 //! implementation of Algorithm 1.
+//!
+//! Scores come from the [`InvertedValueIndex`]'s column postings: one walk
+//! per query column counts the exact intersection with every lake column
+//! sharing a value ([`InvertedValueIndex::overlaps`]), the way TUS and
+//! JOSIE read exact overlap off posting lists, instead of merging the query
+//! column with every column of every candidate. The same walk yields the
+//! shortlist. [`OverlapSearch::score_pair`], the direct merge of two
+//! tables' value sets, is kept as the oracle the walk is checked against
+//! bit for bit.
 
 use crate::index::InvertedValueIndex;
-use crate::{rank_and_truncate, shortlist_candidates, SearchResult, TableUnionSearch};
+use crate::{rank, SearchResult, TableUnionSearch};
 use dust_table::{DataLake, Table};
 
 /// Value-overlap union search.
@@ -32,7 +41,9 @@ impl OverlapSearch {
         Self::default()
     }
 
-    /// Score a single (query, candidate) table pair.
+    /// Score a single (query, candidate) table pair by merging every query
+    /// column's value set with every candidate column's — the oracle the
+    /// index walk of [`Self::search_with_index`] is pinned to.
     pub fn score_pair(&self, query: &Table, candidate: &Table) -> f64 {
         let mut total = 0.0;
         for qcol in query.columns() {
@@ -47,9 +58,10 @@ impl OverlapSearch {
     }
 
     /// Search using a resident [`InvertedValueIndex`] built once per lake
-    /// instead of rebuilding it on every query. Byte-identical ranking to
-    /// [`TableUnionSearch::search`] on the same lake (the index contents
-    /// depend only on the lake).
+    /// (`lake` is the lake it was built over) instead of rebuilding it on
+    /// every query. Byte-identical ranking to [`TableUnionSearch::search`]
+    /// on the same lake (the index answers depend only on the lake), and
+    /// every score is bit for bit [`Self::score_pair`].
     pub fn search_with_index(
         &self,
         lake: &DataLake,
@@ -57,28 +69,24 @@ impl OverlapSearch {
         k: usize,
         index: &InvertedValueIndex,
     ) -> Vec<SearchResult> {
-        self.search_shortlisted(lake, query, k, Some(index))
-    }
-
-    fn search_shortlisted(
-        &self,
-        lake: &DataLake,
-        query: &Table,
-        k: usize,
-        index: Option<&InvertedValueIndex>,
-    ) -> Vec<SearchResult> {
-        let candidates = shortlist_candidates(lake, query, self.candidate_limit, index);
-        let results = candidates
-            .into_iter()
-            .filter_map(|name| {
-                let table = lake.table(&name).ok()?;
-                Some(SearchResult {
-                    score: self.score_pair(query, table),
-                    table: name,
-                })
-            })
+        debug_assert_eq!(
+            index.num_tables(),
+            lake.num_tables(),
+            "index of another lake"
+        );
+        let overlaps = index.overlaps(query);
+        let mut ranked: Vec<(f64, &str)> = (overlaps.shortlist(self.candidate_limit).into_iter())
+            .map(|slot| (overlaps.score(slot), overlaps.name(slot)))
             .collect();
-        rank_and_truncate(results, k)
+        // ranked on borrowed names, so only the `k` results copy theirs
+        rank(&mut ranked, |&(score, table)| (score, table));
+        ranked.truncate(k);
+        (ranked.into_iter())
+            .map(|(score, table)| SearchResult {
+                table: table.to_string(),
+                score,
+            })
+            .collect()
     }
 }
 
@@ -88,7 +96,7 @@ impl TableUnionSearch for OverlapSearch {
     }
 
     fn search(&self, lake: &DataLake, query: &Table, k: usize) -> Vec<SearchResult> {
-        self.search_shortlisted(lake, query, k, None)
+        self.search_with_index(lake, query, k, &InvertedValueIndex::build(lake))
     }
 }
 

@@ -1,8 +1,10 @@
 //! Integration tests of the table-union-search substrate on generated
 //! benchmarks: retrieval quality (MAP), agreement between techniques, index
 //! pruning consistency, the tuple-level Starmie baseline's redundancy
-//! behaviour, and a ranking oracle that pins the cached value sets to the
-//! per-call `HashSet` scoring they replaced.
+//! behaviour, and a ranking oracle that pins the cached value sets and the
+//! index's posting walk to the per-call `HashSet` scoring they replaced —
+//! on the benchmark's narrow lake, and on random lakes of more than 200
+//! tables, where the candidate limit truncates, after random index churn.
 
 use dust_datagen::BenchmarkConfig;
 use dust_embed::cosine_similarity;
@@ -14,6 +16,9 @@ use dust_search::{
     OverlapSearch, SearchResult, SignalWeights, StarmieSearch, TableUnionSearch,
 };
 use dust_table::{Column, DataLake, Table, Value};
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
 fn lake() -> DataLake {
@@ -202,9 +207,9 @@ impl<'a> Reference<'a> {
         }
     }
 
-    /// Tables to score: all of them for `limit` 0 or an empty shortlist,
-    /// else the `limit` tables sharing most distinct values with the query.
-    fn shortlist(&self, query: &Table, limit: usize) -> Vec<String> {
+    /// Every table sharing a value with the query, with the number of
+    /// distinct values it shares, by count then name.
+    fn ranked(&self, query: &Table) -> Vec<(String, usize)> {
         let mut counts: HashMap<String, usize> = HashMap::new();
         let query_values: HashSet<String> =
             query.columns().iter().flat_map(reference_set).collect();
@@ -215,6 +220,13 @@ impl<'a> Reference<'a> {
         }
         let mut ranked: Vec<(String, usize)> = counts.into_iter().collect();
         ranked.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        ranked
+    }
+
+    /// Tables to score: all of them for `limit` 0 or an empty shortlist,
+    /// else the `limit` tables sharing most distinct values with the query.
+    fn shortlist(&self, query: &Table, limit: usize) -> Vec<String> {
+        let mut ranked = self.ranked(query);
         ranked.truncate(limit);
         if limit == 0 || ranked.is_empty() {
             return self.lake.table_names();
@@ -322,6 +334,152 @@ fn d3l_rankings_match_the_per_call_hashset_reference_bit_for_bit() {
             &search.search_with_stats(&lake, query, 10, &index, &stats),
             &want,
             &format!("{} (resident)", query.name()),
+        );
+    }
+}
+
+/// One of ten values, in one of three spellings that normalise alike.
+fn random_cell(rng: &mut StdRng) -> Value {
+    let v = rng.gen_range(0..10);
+    Value::text(match rng.gen_range(0..3) {
+        0 => format!("v{v}"),
+        1 => format!("V{v}"),
+        _ => format!(" v{v} "),
+    })
+}
+
+/// A column of `rows` cells: values of the ten (repeats within and across
+/// a table's columns are likely), or, unless it must `share`, all null or
+/// all blank — an empty value set either way.
+fn random_column(rng: &mut StdRng, name: String, rows: usize, share: bool) -> Column {
+    let values = match if share { 0 } else { rng.gen_range(0..4) } {
+        0 | 1 => (0..rows).map(|_| random_cell(rng)).collect(),
+        2 => vec![Value::Null; rows],
+        _ => vec![Value::text(" "); rows],
+    };
+    Column::new(name, values)
+}
+
+/// One to three columns; a table that must `share` holds a value of the
+/// ten in its first column, one that need not may also have no rows.
+fn random_table(rng: &mut StdRng, name: &str, share: bool) -> Table {
+    let rows = rng.gen_range(usize::from(share)..5);
+    let columns = (0..rng.gen_range(1..4))
+        .map(|c| random_column(rng, format!("c{c}"), rows, share && c == 0))
+        .collect();
+    Table::from_columns(name, columns).unwrap()
+}
+
+/// A table renamed.
+fn renamed(table: &Table, name: &str) -> Table {
+    Table::from_columns(name, table.columns().to_vec()).unwrap()
+}
+
+/// Toggle `table` in or out of both the lake and the index.
+fn toggle(lake: &mut DataLake, index: &mut InvertedValueIndex, table: &Table) {
+    if lake.table(table.name()).is_ok() {
+        assert!(index.remove_table(&lake.remove_table(table.name()).unwrap()));
+        assert!(!index.remove_table(table), "a second remove is a no-op");
+    } else {
+        lake.add_table(table.clone()).unwrap();
+        index.add_table(table);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random lakes of 201–260 tables that share a value with the query
+    /// (plus a few that share none: all-null, blank or row-less columns),
+    /// so `candidate_limit` 200 truncates, with a tie in shared-value count
+    /// exactly at the limit, and at a small limit. One index takes random
+    /// removes, adds and re-adds and ends over the whole lake. Overlap at
+    /// limits 0, 200 and the small one — one-shot, on the churned index
+    /// and on a fresh build — and D3L on the churned index all rank and
+    /// score bit for bit as the `HashSet` reference.
+    #[test]
+    fn walk_rankings_match_the_reference_on_lakes_past_the_candidate_limit(
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tables: Vec<Table> = (0..rng.gen_range(201..261))
+            .map(|i| {
+                // names in an order unrelated to the order of generation
+                let name = format!("t{}_{i}", rng.gen_range(100..1000));
+                random_table(&mut rng, &name, true)
+            })
+            .collect();
+        tables.extend((0..rng.gen_range(1..4)).map(|i| random_table(&mut rng, &format!("e{i}"), false)));
+        let queries: Vec<Table> = (0..2)
+            .map(|q| {
+                let mut columns = vec![Column::new(
+                    "all",
+                    (0..10).map(|v| Value::text(format!("V{v}"))).collect(),
+                )];
+                columns.extend((1..rng.gen_range(1..4)).map(|c| random_column(&mut rng, format!("q{c}"), 10, false)));
+                Table::from_columns(format!("query{q}"), columns).unwrap()
+            })
+            .collect();
+
+        let mut lake = DataLake::new("random");
+        for table in &tables {
+            lake.add_table(table.clone()).unwrap();
+        }
+        // a tie in shared-value count across the boundary of limit 200
+        let ranked = Reference::new(&lake).ranked(&queries[0]);
+        if ranked[199].1 != ranked[200].1 {
+            let tie = renamed(lake.table(&ranked[199].0).unwrap(), "t_tie");
+            lake.add_table(tie.clone()).unwrap();
+            tables.push(tie);
+        }
+        let reference = Reference::new(&lake);
+        let ranked = reference.ranked(&queries[0]);
+        prop_assert!(ranked.len() > 200 && ranked[199].1 == ranked[200].1);
+        let small = (1..40).find(|&k| ranked[k - 1].1 == ranked[k].1).unwrap();
+
+        // random churn on one index, ending over the whole lake
+        let mut churned_lake = lake.clone();
+        let mut churned = InvertedValueIndex::build(&lake);
+        for _ in 0..rng.gen_range(4..16) {
+            let table = &tables[rng.gen_range(0..tables.len())];
+            toggle(&mut churned_lake, &mut churned, table);
+        }
+        for table in &tables {
+            if churned_lake.table(table.name()).is_err() {
+                toggle(&mut churned_lake, &mut churned, table);
+            }
+        }
+        prop_assert_eq!(churned_lake.table_names(), lake.table_names());
+        let fresh = InvertedValueIndex::build(&lake);
+        prop_assert_eq!(churned.num_tables(), lake.num_tables());
+        prop_assert!(churned.num_slots() <= lake.num_tables() + 1);
+
+        for query in &queries {
+            for limit in [0, 200, small] {
+                let search = OverlapSearch { candidate_limit: limit };
+                let want = reference.search(query, 300, limit, reference_jaccard);
+                let context = format!("seed {seed}, {} limit {limit}", query.name());
+                assert_same_ranking(&search.search(&lake, query, 300), &want, &context);
+                for (index, name) in [(&churned, "churned"), (&fresh, "fresh")] {
+                    assert_same_ranking(
+                        &search.search_with_index(&lake, query, 300, index),
+                        &want,
+                        &format!("{context} ({name} index)"),
+                    );
+                }
+                let mut shortlist = reference.ranked(query);
+                shortlist.truncate(limit);
+                prop_assert_eq!(churned.candidates(query, limit), shortlist);
+            }
+        }
+        let d3l = D3lSearch::new();
+        let stats = D3lSignalStats::build(&lake, &d3l);
+        let query = &queries[1];
+        let want = reference.search(query, 10, d3l.candidate_limit, |q, c| reference.d3l_pair(q, c));
+        assert_same_ranking(
+            &d3l.search_with_stats(&lake, query, 10, &churned, &stats),
+            &want,
+            &format!("seed {seed}, d3l (churned index)"),
         );
     }
 }

@@ -424,6 +424,48 @@ fn missing_segment_is_typed_and_distinct_from_empty_dir() {
     }
 }
 
+/// A search segment whose CRC holds but whose index describes another
+/// lake — one table fewer, or one table renamed so the index names a table
+/// the lake lacks — is a typed `Corrupt` naming the segment: the decoded
+/// index is checked against the decoded lake, since a stale index would
+/// hand shortlist places to tables the lake cannot score.
+#[test]
+fn a_search_segment_of_another_lake_is_typed_corrupt() {
+    let lake = tiny_lake();
+    let victim = lake.table_names()[0].clone();
+    let mut fewer = lake.clone();
+    let removed = fewer.remove_table(&victim).unwrap();
+    let mut renamed = fewer.clone();
+    let rows: Vec<usize> = (0..removed.num_rows()).collect();
+    renamed
+        .add_table(removed.select(&rows, "zz_renamed").unwrap())
+        .unwrap();
+    for technique in [SearchTechnique::Overlap, SearchTechnique::D3l] {
+        let config = PipelineConfig {
+            search: technique,
+            ..PipelineConfig::fast()
+        };
+        for other in [&fewer, &renamed] {
+            let (tmp, donor) = (TempDir::new("skew"), TempDir::new("donor"));
+            LakeSession::new(lake.clone(), config.clone())
+                .save(&tmp.0)
+                .unwrap();
+            LakeSession::new(other.clone(), config.clone())
+                .save(&donor.0)
+                .unwrap();
+            let segment = tmp.0.join("seg-1-search.bin");
+            std::fs::copy(donor.0.join("seg-1-search.bin"), &segment).unwrap();
+            match SnapshotStore::open(&tmp.0).err() {
+                Some(e @ PersistError::Corrupt { .. }) => {
+                    assert_eq!(e.kind(), "corrupt");
+                    assert!(e.to_string().contains("seg-1-search.bin"), "{e}");
+                }
+                other => panic!("{technique:?}: expected Corrupt, got {other:?}"),
+            }
+        }
+    }
+}
+
 fn file_names(dir: &std::path::Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
         .unwrap()
@@ -470,13 +512,14 @@ fn a_fresh_snapshot_directory_holds_exactly_the_served_segments() {
 }
 
 /// A directory written under an older format version — 1 (which carried
-/// a `columns` segment), 2 (hashed tuple shards with per-row provenance)
-/// or 3 (every table and block rewritten by each checkpoint) — is refused
+/// a `columns` segment), 2 (hashed tuple shards with per-row provenance),
+/// 3 (every table and block rewritten by each checkpoint) or 4 (index
+/// postings as sets of table names) — is refused
 /// with the typed version error, the caller's cue to rebuild from the
 /// lake: never decoded on a guess, never a panic.
 #[test]
 fn a_format_version_1_directory_is_a_typed_unsupported_version() {
-    for found in [1u32, 2, 3] {
+    for found in [1u32, 2, 3, 4] {
         let tmp = TempDir::new(&format!("v{found}"));
         let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
         session.save(&tmp.0).unwrap();
@@ -492,7 +535,7 @@ fn a_format_version_1_directory_is_a_typed_unsupported_version() {
             Some(
                 e @ PersistError::UnsupportedVersion {
                     found: f,
-                    expected: 4,
+                    expected: 5,
                     ..
                 },
             ) if *f == found => assert_eq!(e.kind(), "unsupported_version"),
@@ -524,34 +567,58 @@ fn payload<'a>(name: &str, bytes: &'a [u8]) -> &'a [u8] {
 /// checkpointed (epoch 2) and mutated twice more (two WAL records), and
 /// each file in the directory is hashed whole. The pre-trained checkpoint
 /// keeps epoch 1's pack and writes the added table inline; the fine-tuned
-/// one retrained every block, so it writes a new pack. Format 4 changed
-/// only the manifest (a pack epoch), the lake segment (a pack index or an
-/// inline entry per table) and the pack (the tables and blocks of format
-/// 3's lake and tuple segments); the payloads of the search and model
-/// segments and the WAL's records are hashed as well, against the values
-/// they have had since format 2, so the version bump is proven to have
-/// moved nothing else.
+/// one retrained every block, so it writes a new pack. Format 5 changed
+/// only the search segment (the index's column postings, in canonical
+/// form) and the version field of every file's header. So each file's
+/// payload is hashed as well: the search segment's against its format 5
+/// value, every other payload — manifest, pack, lake, model and the WAL's
+/// records — against the value it had under format 4, which proves the
+/// bump moved nothing else.
 #[test]
-fn snapshot_directory_bytes_match_the_format_v4_goldens() {
-    let pretrained: [(&str, u64); 5] = [
-        ("MANIFEST", 0xc704_822c_ceda_b542),
-        ("seg-1-pack.bin", 0x7062_075a_7883_787f),
-        ("seg-2-lake.bin", 0x4a88_e972_f64c_a068),
-        ("seg-2-search.bin", 0x2e38_f34c_a5f8_5f67),
-        ("wal-2.log", 0x29af_a88c_a07c_4b2c),
+fn snapshot_directory_bytes_match_the_format_v5_goldens() {
+    // (file, whole-file hash, payload hash)
+    let pretrained: [(&str, u64, u64); 5] = [
+        ("MANIFEST", 0xb98a_5b13_b365_7871, 0x9817_0136_b014_dac7),
+        (
+            "seg-1-pack.bin",
+            0x2b21_94ac_0645_1b3c,
+            0x5f67_c297_1bce_66c1,
+        ),
+        (
+            "seg-2-lake.bin",
+            0xcfdd_bade_0e36_13fe,
+            0x279f_d2ea_6a3c_512c,
+        ),
+        (
+            "seg-2-search.bin",
+            0x2ced_16d6_1eb1_e134,
+            0x6fb2_f245_483c_6b13,
+        ),
+        ("wal-2.log", 0x8d0b_b05e_4370_5f0e, 0xc253_2af9_3002_0a57),
     ];
-    let fine_tuned: [(&str, u64); 6] = [
-        ("MANIFEST", 0xbfd0_8a2d_4c11_3fd7),
-        ("seg-2-lake.bin", 0xd423_5757_6d74_9577),
-        ("seg-2-model.bin", 0x07ec_e040_ad8c_9fbb),
-        ("seg-2-pack.bin", 0x9031_b3c3_4a41_bce0),
-        ("seg-2-search.bin", 0x2e38_f34c_a5f8_5f67),
-        ("wal-2.log", 0x29af_a88c_a07c_4b2c),
-    ];
-    let unchanged_payloads: [(&str, u64); 3] = [
-        ("seg-2-model.bin", 0x27a2_c159_3e85_41f5),
-        ("seg-2-search.bin", 0x0b21_6f1d_7c35_67c2),
-        ("wal-2.log", 0xc253_2af9_3002_0a57),
+    let fine_tuned: [(&str, u64, u64); 6] = [
+        ("MANIFEST", 0x50c4_db88_4393_f1ac, 0x8cf2_685c_14f4_d49d),
+        (
+            "seg-2-lake.bin",
+            0xbab8_8e07_09da_d7dc,
+            0x23b1_7cbe_f10e_8cb7,
+        ),
+        (
+            "seg-2-model.bin",
+            0x3617_1f01_a612_bb04,
+            0x27a2_c159_3e85_41f5,
+        ),
+        (
+            "seg-2-pack.bin",
+            0xa60d_4788_d630_2c6e,
+            0xe9c3_3412_3ead_248c,
+        ),
+        (
+            "seg-2-search.bin",
+            0x2ced_16d6_1eb1_e134,
+            0x6fb2_f245_483c_6b13,
+        ),
+        ("wal-2.log", 0x8d0b_b05e_4370_5f0e, 0xc253_2af9_3002_0a57),
     ];
     for (config, golden) in [
         (PipelineConfig::fast(), &pretrained[..]),
@@ -567,20 +634,14 @@ fn snapshot_directory_bytes_match_the_format_v4_goldens() {
         apply_logged(&session, &mut store, &pool[pool.len() - 1]);
         drop(store);
 
-        let files: Vec<(String, Vec<u8>)> = file_names(&tmp.0)
-            .into_iter()
-            .map(|name| {
-                let bytes = std::fs::read(tmp.0.join(&name)).unwrap();
-                (name, bytes)
+        let actual: Vec<(String, u64, u64)> = (read_files(&tmp.0).into_iter())
+            .map(|(name, bytes)| {
+                let hashes = (fnv1a(&bytes), fnv1a(payload(&name, &bytes)));
+                (name, hashes.0, hashes.1)
             })
             .collect();
-        for (name, bytes) in &files {
-            if let Some(&(_, hash)) = unchanged_payloads.iter().find(|(n, _)| n == name) {
-                assert_eq!(fnv1a(payload(name, bytes)), hash, "{name} payload moved");
-            }
-        }
-        let actual: Vec<(&str, u64)> = (files.iter())
-            .map(|(name, bytes)| (name.as_str(), fnv1a(bytes)))
+        let actual: Vec<(&str, u64, u64)> = (actual.iter())
+            .map(|(name, file, payload)| (name.as_str(), *file, *payload))
             .collect();
         assert_eq!(actual, golden, "{:?}", session.config().embedder);
     }
