@@ -12,6 +12,7 @@ pub mod diversity_eval;
 pub mod json;
 pub mod pool;
 pub mod report;
+pub mod serve;
 pub mod setup;
 
 pub use diversity_eval::{evaluate_diversifiers, DiversifierOutcome, QueryCandidates};

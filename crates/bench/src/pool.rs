@@ -1,5 +1,5 @@
-//! Bounded worker-pool connection multiplexing for the `serve` binary's
-//! TCP mode (std-only — no epoll crate, no async runtime).
+//! Bounded worker-pool connection multiplexing for the server's TCP mode
+//! ([`crate::serve::serve_tcp`]) (std-only — no epoll crate, no async runtime).
 //!
 //! Thread-per-connection falls over under heavy traffic: every accepted
 //! socket costs a stack, an unbounded number of them can be opened, and a
@@ -15,15 +15,15 @@
 //! degradation:
 //!
 //! * more than [`PoolOptions::max_connections`] live sockets → the excess
-//!   connection is written [`PoolOptions::overloaded_line`] and closed
+//!   connection is written a `kind:"overloaded"` line and closed
 //!   (backpressure, not unbounded spawn);
-//! * a request line exceeding [`PoolOptions::max_line_bytes`] → the
-//!   buffered prefix is dropped, [`PoolOptions::line_too_long_line`] is
-//!   sent, and input is discarded until the next newline (a slow-loris
-//!   client can no longer grow server memory without bound);
-//! * a connection whose unread responses exceed
-//!   [`PoolOptions::max_write_buffer`] is closed (a never-reading client
-//!   cannot buffer unbounded output either).
+//! * a request line exceeding [`MAX_LINE_BYTES`] → the buffered prefix is
+//!   dropped, a `kind:"line_too_long"` line is sent, and input is
+//!   discarded until the next newline (a slow-loris client can no longer
+//!   grow server memory without bound);
+//! * a connection whose unread responses exceed [`MAX_WRITE_BUFFER`] is
+//!   closed (a never-reading client cannot buffer unbounded output
+//!   either).
 //!
 //! Shutdown is a graceful drain: once the shared flag flips, workers stop
 //! accepting, flush every connection's pending responses (bounded,
@@ -31,42 +31,36 @@
 //! so an in-flight request always finishes and its response is part of
 //! the drain.
 
+use crate::serve::rejection;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
-/// Tuning knobs for [`run`]. Start from `PoolOptions::default()` and
-/// override per flag.
-#[derive(Debug, Clone)]
+/// Per-connection cap on one request line (bytes, newline exclusive).
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Per-connection cap on buffered unwritten responses; a connection over
+/// it (a client that never reads) is closed.
+pub const MAX_WRITE_BUFFER: usize = 8 << 20;
+
+/// Idle back-off: a worker whose cycle did no work sleeps, doubling from
+/// the floor up to the ceiling, and resets to the floor on any activity.
+/// Bounds both idle CPU and worst-case connect latency.
+const MIN_BACKOFF: Duration = Duration::from_micros(200);
+const MAX_BACKOFF: Duration = Duration::from_millis(5);
+
+/// The pool's shape: the two knobs `serve --workers` and
+/// `--max-connections` set.
+#[derive(Debug, Clone, Copy)]
 pub struct PoolOptions {
     /// Worker threads multiplexing the connections (≥ 1; worker 0 also
     /// accepts).
     pub workers: usize,
-    /// Live-connection cap; accepts past it are rejected with
-    /// [`Self::overloaded_line`].
+    /// Live-connection cap; accepts past it are answered
+    /// `kind:"overloaded"` and closed.
     pub max_connections: usize,
-    /// Per-connection cap on a single request line (bytes, newline
-    /// exclusive); longer lines are dropped with
-    /// [`Self::line_too_long_line`].
-    pub max_line_bytes: usize,
-    /// Per-connection cap on buffered unwritten responses; a connection
-    /// exceeding it (a client that never reads) is closed.
-    pub max_write_buffer: usize,
-    /// Idle back-off ceiling: a worker whose cycle did no work sleeps,
-    /// doubling from [`Self::min_backoff`] up to this, and resets to the
-    /// minimum on any activity. Bounds both idle CPU and worst-case
-    /// connect latency.
-    pub max_backoff: Duration,
-    /// Idle back-off floor.
-    pub min_backoff: Duration,
-    /// Full response line (newline appended by the pool) written to a
-    /// connection rejected over [`Self::max_connections`].
-    pub overloaded_line: String,
-    /// Full response line (newline appended by the pool) written when a
-    /// request line exceeds [`Self::max_line_bytes`].
-    pub line_too_long_line: String,
 }
 
 impl Default for PoolOptions {
@@ -74,18 +68,12 @@ impl Default for PoolOptions {
         PoolOptions {
             workers: 4,
             max_connections: 256,
-            max_line_bytes: 1 << 20,
-            max_write_buffer: 8 << 20,
-            max_backoff: Duration::from_millis(5),
-            min_backoff: Duration::from_micros(200),
-            overloaded_line: "overloaded".to_string(),
-            line_too_long_line: "line too long".to_string(),
         }
     }
 }
 
 /// Shared observability counters, readable while the pool runs (the
-/// `serve` binary surfaces them under `{"mode":"stats"}`).
+/// server reports them under `{"mode":"stats"}`).
 #[derive(Debug, Default)]
 pub struct PoolCounters {
     /// Connections currently registered (accepted and not yet closed).
@@ -113,7 +101,7 @@ struct Serviced {
 struct Conn {
     stream: TcpStream,
     /// Bytes of the current (incomplete) request line. Capped at
-    /// `max_line_bytes` + one read chunk.
+    /// [`MAX_LINE_BYTES`] + one read chunk.
     buf: Vec<u8>,
     /// Responses not yet accepted by the socket.
     out: Vec<u8>,
@@ -173,7 +161,6 @@ impl Conn {
     fn ingest(
         &mut self,
         mut bytes: &[u8],
-        options: &PoolOptions,
         counters: &PoolCounters,
         handler: &(dyn Fn(&str) -> String + Sync),
     ) {
@@ -191,13 +178,14 @@ impl Conn {
             let line: Vec<u8> = self.buf.drain(..=pos).collect();
             self.answer(&line[..line.len() - 1], counters, handler);
         }
-        if self.buf.len() > options.max_line_bytes {
+        if self.buf.len() > MAX_LINE_BYTES {
             counters.lines_too_long.fetch_add(1, Ordering::Relaxed);
             self.buf.clear();
             self.buf.shrink_to_fit();
             self.discarding = true;
+            let message = format!("request line exceeded {MAX_LINE_BYTES} bytes and was dropped");
             self.out
-                .extend_from_slice(options.line_too_long_line.as_bytes());
+                .extend_from_slice(rejection("line_too_long", message).as_bytes());
             self.out.push(b'\n');
         }
     }
@@ -226,7 +214,6 @@ impl Conn {
     /// other connections), answer completed lines.
     fn service(
         &mut self,
-        options: &PoolOptions,
         counters: &PoolCounters,
         handler: &(dyn Fn(&str) -> String + Sync),
     ) -> Serviced {
@@ -255,7 +242,7 @@ impl Conn {
                 }
                 Ok(n) => {
                     worked = true;
-                    self.ingest(&chunk[..n], options, counters, handler);
+                    self.ingest(&chunk[..n], counters, handler);
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
@@ -273,7 +260,7 @@ impl Conn {
                 worked,
             };
         }
-        if self.out.len() > options.max_write_buffer {
+        if self.out.len() > MAX_WRITE_BUFFER {
             // A client that never reads cannot hold unbounded responses.
             return Serviced {
                 keep: false,
@@ -288,7 +275,7 @@ impl Conn {
 /// accepted on `listener` through `handler` (one request line in, one
 /// response line out). Blocks the calling thread; worker threads are
 /// scoped inside. The handler runs on worker threads and so must be
-/// `Sync`; it may itself flip `shutdown` (the serve binary's
+/// `Sync`; it may itself flip `shutdown` (the server's
 /// `{"mode":"shutdown"}` does) — the ack still reaches the client through
 /// the drain.
 pub fn run(
@@ -324,7 +311,7 @@ fn worker_loop(
     queues: &[Mutex<Vec<TcpStream>>],
 ) {
     let mut conns: Vec<Conn> = Vec::new();
-    let mut backoff = options.min_backoff;
+    let mut backoff = MIN_BACKOFF;
     let mut next_assignee = 0usize;
     loop {
         let mut busy = false;
@@ -341,7 +328,7 @@ fn worker_loop(
         }
         let mut i = 0;
         while i < conns.len() {
-            let outcome = conns[i].service(options, counters, handler);
+            let outcome = conns[i].service(counters, handler);
             busy |= outcome.worked;
             if outcome.keep {
                 i += 1;
@@ -361,10 +348,10 @@ fn worker_loop(
             return;
         }
         if busy {
-            backoff = options.min_backoff;
+            backoff = MIN_BACKOFF;
         } else {
             std::thread::sleep(backoff);
-            backoff = (backoff * 2).min(options.max_backoff);
+            backoff = (backoff * 2).min(MAX_BACKOFF);
         }
     }
 }
@@ -387,7 +374,11 @@ fn accept_ready(
                 counters.accepted.fetch_add(1, Ordering::Relaxed);
                 if counters.active.load(Ordering::Relaxed) >= options.max_connections {
                     counters.rejected_overloaded.fetch_add(1, Ordering::Relaxed);
-                    reject(stream, &options.overloaded_line);
+                    let message = format!(
+                        "server at capacity ({} connections); retry later",
+                        options.max_connections
+                    );
+                    reject(stream, &rejection("overloaded", message));
                     continue;
                 }
                 if stream.set_nonblocking(true).is_err() {
@@ -424,14 +415,6 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
 
-    fn options(max_line: usize) -> PoolOptions {
-        PoolOptions {
-            max_line_bytes: max_line,
-            line_too_long_line: "TOO_LONG".to_string(),
-            ..PoolOptions::default()
-        }
-    }
-
     /// A loopback pair: `Conn` wraps the server end, the test drives the
     /// client end.
     fn pair() -> (Conn, TcpStream) {
@@ -453,7 +436,7 @@ mod tests {
         client.write_all(b"alpha\nbet").unwrap();
         client.flush().unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let outcome = conn.service(&options(64), &counters, &echo());
+        let outcome = conn.service(&counters, &echo());
         assert!(outcome.keep && outcome.worked);
         assert_eq!(conn.buf, b"bet");
         let mut reader = BufReader::new(&client);
@@ -467,19 +450,26 @@ mod tests {
     fn oversized_line_is_dropped_with_typed_response_and_memory_stays_bounded() {
         let (mut conn, mut client) = pair();
         let counters = PoolCounters::default();
-        let opts = options(64);
-        // Trickle 10 KiB without a newline: far over the 64-byte cap.
-        for _ in 0..10 {
-            client.write_all(&[b'x'; 1024]).unwrap();
+        // Trickle 1 MiB + 64 KiB without a newline: past the line cap.
+        for _ in 0..17 {
+            client.write_all(&[b'x'; 64 << 10]).unwrap();
             client.flush().unwrap();
-            std::thread::sleep(Duration::from_millis(5));
-            let outcome = conn.service(&opts, &counters, &echo());
+            std::thread::sleep(Duration::from_millis(2));
+            let outcome = conn.service(&counters, &echo());
             assert!(outcome.keep, "oversized line must not kill the conn");
+            assert!(conn.buf.len() <= MAX_LINE_BYTES + 4096);
+        }
+        for _ in 0..100 {
+            if counters.lines_too_long.load(Ordering::Relaxed) == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+            conn.service(&counters, &echo());
         }
         assert_eq!(counters.lines_too_long.load(Ordering::Relaxed), 1);
         assert!(conn.discarding);
         assert!(
-            conn.buf.capacity() <= opts.max_line_bytes + 4096,
+            conn.buf.capacity() <= MAX_LINE_BYTES + 4096,
             "partial-line buffer must stay bounded, got {}",
             conn.buf.capacity()
         );
@@ -487,11 +477,15 @@ mod tests {
         client.write_all(b"\nafter\n").unwrap();
         client.flush().unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        conn.service(&opts, &counters, &echo());
+        conn.service(&counters, &echo());
         let mut reader = BufReader::new(&client);
         let mut line = String::new();
         reader.read_line(&mut line).unwrap();
-        assert_eq!(line, "TOO_LONG\n");
+        assert_eq!(
+            line,
+            "{\"id\":\"\",\"kind\":\"line_too_long\",\"error\":\"request line exceeded \
+             1048576 bytes and was dropped\"}\n"
+        );
         line.clear();
         reader.read_line(&mut line).unwrap();
         assert_eq!(line, "echo:after\n");
@@ -505,7 +499,7 @@ mod tests {
         client.write_all(b"tail-no-newline").unwrap();
         client.shutdown(std::net::Shutdown::Write).unwrap();
         std::thread::sleep(Duration::from_millis(20));
-        let outcome = conn.service(&options(64), &counters, &echo());
+        let outcome = conn.service(&counters, &echo());
         assert!(!outcome.keep, "EOF closes the connection");
         let mut reader = BufReader::new(&client);
         let mut line = String::new();

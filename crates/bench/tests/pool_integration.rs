@@ -4,16 +4,19 @@
 //! Each test runs a real pool on a loopback listener with scoped worker
 //! threads and drives it with blocking client sockets:
 //!
-//! * slow-loris — a client trickling one giant line forever gets a typed
-//!   `line_too_long` response and its buffered prefix dropped, while a
-//!   sibling client on the *same single worker* keeps being served (the
+//! * slow-loris — a client trickling one line past the 1 MiB cap gets the
+//!   typed `line_too_long` response and its buffered prefix dropped, while
+//!   a sibling client on the *same single worker* keeps being served (the
 //!   multiplexing claim, not just the cap);
 //! * overload — `max_connections` well-behaved clients plus 8 extras:
 //!   every extra is rejected with the typed overloaded line and closed,
 //!   every well-behaved client keeps serving afterwards;
+//!
+//! The two rejection lines are asserted byte for byte as `serve` writes
+//! them.
 //! * more clients than workers — all served, interleaved.
 
-use dust_bench::pool::{self, PoolCounters, PoolOptions};
+use dust_bench::pool::{self, PoolCounters, PoolOptions, MAX_LINE_BYTES};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -64,19 +67,18 @@ fn with_pool(
 fn slow_loris_gets_typed_rejection_and_sibling_keeps_serving() {
     let options = PoolOptions {
         workers: 1, // one worker: interleaving proves multiplexing
-        max_line_bytes: 1024,
-        line_too_long_line: "{\"kind\":\"line_too_long\"}".to_string(),
         ..PoolOptions::default()
     };
     let counters = with_pool(options, |addr, counters| {
         let (mut attacker, mut attacker_reader) = connect(addr);
         let (mut sibling, mut sibling_reader) = connect(addr);
 
-        // Trickle 8 KiB without a newline — 8x the 1 KiB line cap —
-        // interleaved with sibling requests that must all be answered
+        // Trickle 1 MiB + 128 KiB without a newline — past the line cap
+        // — interleaved with sibling requests that must all be answered
         // by the same single worker while the attack is in flight.
-        for i in 0..8 {
-            attacker.write_all(&[b'x'; 1024]).unwrap();
+        let chunk = MAX_LINE_BYTES / 8;
+        for i in 0..9 {
+            attacker.write_all(&vec![b'x'; chunk]).unwrap();
             attacker.flush().unwrap();
             let query = format!("sibling-{i}");
             assert_eq!(
@@ -88,7 +90,11 @@ fn slow_loris_gets_typed_rejection_and_sibling_keeps_serving() {
         // The oversized line was dropped with the typed response...
         let mut line = String::new();
         attacker_reader.read_line(&mut line).unwrap();
-        assert_eq!(line.trim_end(), "{\"kind\":\"line_too_long\"}");
+        assert_eq!(
+            line,
+            "{\"id\":\"\",\"kind\":\"line_too_long\",\"error\":\"request line exceeded \
+             1048576 bytes and was dropped\"}\n"
+        );
         assert_eq!(counters.lines_too_long.load(Ordering::Relaxed), 1);
 
         // ...and the connection survives: after the terminating newline
@@ -109,8 +115,6 @@ fn overload_rejects_extras_and_well_behaved_clients_survive() {
     let options = PoolOptions {
         workers: 2,
         max_connections: CAP,
-        overloaded_line: "{\"kind\":\"overloaded\"}".to_string(),
-        ..PoolOptions::default()
     };
     let counters = with_pool(options, |addr, counters| {
         // Fill the pool to its cap and prove every slot is live.
@@ -130,7 +134,11 @@ fn overload_rejects_extras_and_well_behaved_clients_survive() {
             let (_extra, mut extra_reader) = connect(addr);
             let mut line = String::new();
             extra_reader.read_line(&mut line).unwrap();
-            assert_eq!(line.trim_end(), "{\"kind\":\"overloaded\"}");
+            assert_eq!(
+                line,
+                "{\"id\":\"\",\"kind\":\"overloaded\",\"error\":\"server at capacity \
+                 (4 connections); retry later\"}\n"
+            );
             line.clear();
             assert_eq!(
                 extra_reader.read_line(&mut line).unwrap(),

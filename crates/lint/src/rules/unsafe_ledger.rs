@@ -1,8 +1,9 @@
 //! Rule `unsafe-ledger` — every `unsafe` is commented and ledgered.
 //!
 //! Origin: the buffer-reconstruction work in PR 6 (length-cross-checked
-//! `from_raw_parts`-style decode paths) and the counting allocator in the
-//! serving benchmark. Library crates all carry `#![forbid(unsafe_code)]`,
+//! `from_raw_parts`-style decode paths) and a counting global allocator
+//! that a serving experiment binary once carried (since retired; the
+//! ledger is empty). Library crates all carry `#![forbid(unsafe_code)]`,
 //! but binary targets do not inherit a library's crate attributes, so
 //! "we have no unsafe" was only ever true by inspection. This rule makes
 //! it mechanical: each `unsafe` token must sit next to a `// SAFETY:`
