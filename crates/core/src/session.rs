@@ -848,7 +848,8 @@ impl LakeSession {
     /// cosine similarity to any query tuple and return the top `k` — the
     /// tuple-as-table serving path (Sec. 6.5's retrieval shape) answered
     /// entirely from the resident per-table blocks, with no per-query lake
-    /// embedding work. Ties rank by table name, then row.
+    /// embedding work. Ties rank by table name, then row. A query with no
+    /// tuples is similar to nothing: the answer is empty.
     pub fn similar_tuples(&self, query: &Table, k: usize) -> Vec<RankedTuple> {
         self.view().similar_tuples(query, k)
     }
@@ -1027,6 +1028,10 @@ impl<'a> SessionView<'a> {
 
     /// [`LakeSession::similar_tuples`] at the pinned generation.
     pub fn similar_tuples(&self, query: &Table, k: usize) -> Vec<RankedTuple> {
+        // with no probe every score would be the fold's −∞ seed
+        if query.num_rows() == 0 {
+            return Vec::new();
+        }
         let query_embeddings: Vec<Vector> = query
             .tuples()
             .iter()

@@ -375,7 +375,15 @@ fn similar_tuples_matches_a_per_pair_oracle_for_every_k() {
     assert_eq!((expected[1].0.as_str(), expected[1].1), ("twin_b", 1));
     assert_eq!(expected[0].2.to_bits(), expected[1].2.to_bits());
 
+    // a probe with columns but no rows matches nothing
+    let rowless = Table::builder("rowless")
+        .column("Park Name", [""; 0])
+        .column("Country", [""; 0])
+        .build()
+        .unwrap();
+
     for k in 0..=expected.len() + 1 {
+        assert!(session.similar_tuples(&rowless, k).is_empty(), "k = {k}");
         let ranked = session.similar_tuples(&probe, k);
         assert_eq!(ranked.len(), k.min(expected.len()), "k = {k}");
         for (position, (got, want)) in ranked.iter().zip(&expected).enumerate() {
