@@ -3,7 +3,9 @@
 //! The experiment harness: shared setup, result formatting, and the
 //! per-table / per-figure experiment drivers used by the `exp_*` binaries
 //! (one binary per table and figure of the paper — see DESIGN.md §4 for the
-//! index) and by the Criterion microbenches.
+//! index) and by the Criterion microbenches; plus the JSONL server over a
+//! resident session ([`serve`], with its worker [`pool`] and [`json`]
+//! codec) that the `serve` binary runs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,5 +1,6 @@
 //! Bounded worker-pool connection multiplexing for the server's TCP mode
-//! ([`crate::serve::serve_tcp`]) (std-only — no epoll crate, no async runtime).
+//! ([`crate::serve::serve_tcp`]; std-only — no epoll crate, no async
+//! runtime).
 //!
 //! Thread-per-connection falls over under heavy traffic: every accepted
 //! socket costs a stack, an unbounded number of them can be opened, and a
@@ -21,9 +22,8 @@
 //!   dropped, a `kind:"line_too_long"` line is sent, and input is
 //!   discarded until the next newline (a slow-loris client can no longer
 //!   grow server memory without bound);
-//! * a connection whose unread responses exceed [`MAX_WRITE_BUFFER`] is
-//!   closed (a never-reading client cannot buffer unbounded output
-//!   either).
+//! * a connection whose unread responses exceed 8 MiB is closed (a
+//!   never-reading client cannot buffer unbounded output either).
 //!
 //! Shutdown is a graceful drain: once the shared flag flips, workers stop
 //! accepting, flush every connection's pending responses (bounded,
@@ -43,7 +43,7 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Per-connection cap on buffered unwritten responses; a connection over
 /// it (a client that never reads) is closed.
-pub const MAX_WRITE_BUFFER: usize = 8 << 20;
+const MAX_WRITE_BUFFER: usize = 8 << 20;
 
 /// Idle back-off: a worker whose cycle did no work sleeps, doubling from
 /// the floor up to the ceiling, and resets to the floor on any activity.

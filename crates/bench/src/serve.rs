@@ -313,7 +313,6 @@ pub fn shutdown_checkpoint(state: &ServerState) {
 }
 
 /// A failed request: a stable machine-readable `kind` and a message.
-#[derive(Debug)]
 struct Failure {
     kind: &'static str,
     message: String,

@@ -113,8 +113,8 @@ fn kind(value: &JsonValue) -> Option<&str> {
     value.get("kind").and_then(JsonValue::as_str)
 }
 
-/// The tiny lake's first query name and that query as inline CSV (a real
-/// query table, so alignment has something to union).
+/// A session over the tiny lake, its first query's name, and that query as
+/// inline CSV (a real query table, so alignment has something to union).
 fn tiny_session() -> (LakeSession, String, String) {
     let lake = BenchmarkConfig::tiny().generate().lake;
     let query = lake.query_names()[0].clone();
