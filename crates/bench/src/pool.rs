@@ -173,11 +173,18 @@ impl Conn {
                 None => return, // still inside the oversized line: drop
             }
         }
+        // The buffered prefix holds no newline: only the new bytes are
+        // searched, so a long line costs time linear in its length.
+        let mut scan = self.buf.len();
         self.buf.extend_from_slice(bytes);
-        while let Some(pos) = self.buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = self.buf.drain(..=pos).collect();
-            self.answer(&line[..line.len() - 1], counters, handler);
+        let mut start = 0;
+        while let Some(offset) = self.buf[scan..].iter().position(|&b| b == b'\n') {
+            let end = scan + offset;
+            answer(&mut self.out, &self.buf[start..end], counters, handler);
+            start = end + 1;
+            scan = start;
         }
+        self.buf.drain(..start);
         if self.buf.len() > MAX_LINE_BYTES {
             counters.lines_too_long.fetch_add(1, Ordering::Relaxed);
             self.buf.clear();
@@ -188,25 +195,6 @@ impl Conn {
                 .extend_from_slice(rejection("line_too_long", message).as_bytes());
             self.out.push(b'\n');
         }
-    }
-
-    /// Answer one complete request line (blank lines are ignored, as on
-    /// the stdin path).
-    fn answer(
-        &mut self,
-        line: &[u8],
-        counters: &PoolCounters,
-        handler: &(dyn Fn(&str) -> String + Sync),
-    ) {
-        let text = String::from_utf8_lossy(line);
-        let text = text.trim();
-        if text.is_empty() {
-            return;
-        }
-        counters.served_lines.fetch_add(1, Ordering::Relaxed);
-        let response = handler(text);
-        self.out.extend_from_slice(response.as_bytes());
-        self.out.push(b'\n');
     }
 
     /// One multiplexing pass: flush what's pending, read what's ready
@@ -231,8 +219,8 @@ impl Conn {
                     // EOF: a trailing unterminated line is still a request
                     // (same as the stdin path), then drain and close.
                     if !self.buf.is_empty() && !self.discarding {
-                        let line = std::mem::take(&mut self.buf);
-                        self.answer(&line, counters, handler);
+                        answer(&mut self.out, &self.buf, counters, handler);
+                        self.buf.clear();
                     }
                     self.drain();
                     return Serviced {
@@ -269,6 +257,25 @@ impl Conn {
         }
         Serviced { keep: true, worked }
     }
+}
+
+/// Answer one complete request line into `out` (blank lines are
+/// ignored, as on the stdin path).
+fn answer(
+    out: &mut Vec<u8>,
+    line: &[u8],
+    counters: &PoolCounters,
+    handler: &(dyn Fn(&str) -> String + Sync),
+) {
+    let text = String::from_utf8_lossy(line);
+    let text = text.trim();
+    if text.is_empty() {
+        return;
+    }
+    counters.served_lines.fetch_add(1, Ordering::Relaxed);
+    let response = handler(text);
+    out.extend_from_slice(response.as_bytes());
+    out.push(b'\n');
 }
 
 /// Run the pool until `shutdown` flips, multiplexing every connection
@@ -444,6 +451,25 @@ mod tests {
         reader.read_line(&mut line).unwrap();
         assert_eq!(line, "echo:alpha\n");
         assert_eq!(counters.served_lines.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn lines_split_across_reads_are_framed_exactly() {
+        let input: &[u8] = b"one\n\ntwo \r\nthree-is-longer-than-a-chunk\nfour";
+        for chunk in 1..=input.len() {
+            let (mut conn, _client) = pair();
+            let counters = PoolCounters::default();
+            for piece in input.chunks(chunk) {
+                conn.ingest(piece, &counters, &echo());
+            }
+            let answered = String::from_utf8(conn.out).unwrap();
+            assert_eq!(
+                answered,
+                "echo:one\necho:two\necho:three-is-longer-than-a-chunk\n"
+            );
+            assert_eq!(conn.buf, b"four", "chunks of {chunk}");
+            assert_eq!(counters.served_lines.load(Ordering::Relaxed), 3);
+        }
     }
 
     #[test]

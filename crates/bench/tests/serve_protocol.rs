@@ -11,14 +11,18 @@
 //!   leaves exactly the manifest's files;
 //! * a TCP round trip: 6 reading clients on 2 workers plus a mutator,
 //!   pinned reads, the pool counters in `stats`, and the shutdown
-//!   checkpoint that leaves recovery nothing to replay.
+//!   checkpoint that leaves recovery nothing to replay;
+//! * nesting past `json::MAX_DEPTH` (up to a line of 300 000 `[`) answers
+//!   `bad_request` on stdio and TCP, and the server keeps serving;
+//! * an inline CSV of every santos lake and query table decodes to the
+//!   table `Table::from_rows` builds from its records.
 
 use dust_bench::json::{self, JsonValue};
 use dust_bench::pool::PoolOptions;
 use dust_bench::serve::{self, ServeOptions, ServerState};
 use dust_core::{LakeSession, PipelineConfig, SessionOptions, SnapshotStore};
 use dust_datagen::BenchmarkConfig;
-use dust_table::{write_csv, CsvOptions};
+use dust_table::{parse_csv, write_csv, CsvOptions, Table};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -367,4 +371,94 @@ fn recovery_checkpoint_and_a_tcp_round_trip() {
     let (_store, session, report) = SnapshotStore::open(&dir.0).unwrap();
     assert_eq!(report.replayed, 0);
     assert_eq!(session.generation(), expected_generation + 2);
+}
+
+/// `{"id":"deep","mode":"stats","pad":…}` with `depth` nested containers
+/// in all: the envelope object and `depth - 1` arrays.
+fn nested_stats(depth: usize) -> String {
+    let arrays = depth - 1;
+    format!(
+        r#"{{"id":"deep","mode":"stats","pad":{}{}}}"#,
+        "[".repeat(arrays),
+        "]".repeat(arrays)
+    )
+}
+
+#[test]
+fn hostile_nesting_is_a_bad_request_and_the_server_keeps_serving() {
+    let (session, _, _) = tiny_session();
+    let pool = PoolOptions {
+        workers: 1,
+        max_connections: 8,
+    };
+    let state = ServerState::new(session, None, Some(pool));
+    let too_deep = |response: &JsonValue| {
+        assert_eq!(kind(response), Some("bad_request"), "{response:?}");
+        let error = response.get("error").and_then(JsonValue::as_str).unwrap();
+        assert!(
+            error.starts_with(&format!(
+                "bad request: nesting deeper than {}",
+                json::MAX_DEPTH
+            )),
+            "{error}"
+        );
+    };
+    let hostile = [nested_stats(json::MAX_DEPTH + 1), "[".repeat(300_000)];
+
+    // stdio: depth 64 is a request like any other, past it a bad request
+    let deepest = ask(&state, &nested_stats(json::MAX_DEPTH));
+    assert!(deepest.get("result").is_some(), "{deepest:?}");
+    for line in &hostile {
+        too_deep(&ask(&state, line));
+    }
+    result_of(&state, r#"{"id":"after","mode":"stats"}"#);
+
+    // TCP: the same answers on one connection, which stays open
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    std::thread::scope(|scope| {
+        let server = scope.spawn(|| serve::serve_tcp(&state, listener));
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut round_trip = |request: &str| -> JsonValue {
+            writeln!(stream, "{request}").unwrap();
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            json::parse(line.trim()).unwrap_or_else(|e| panic!("unparseable {line:?}: {e}"))
+        };
+        let deepest = round_trip(&nested_stats(json::MAX_DEPTH));
+        assert!(deepest.get("result").is_some(), "{deepest:?}");
+        for line in &hostile {
+            too_deep(&round_trip(line));
+        }
+        let stats = round_trip(r#"{"id":"after","mode":"stats"}"#);
+        let server_stats = stats.get("result").and_then(|r| r.get("server")).unwrap();
+        assert_eq!(number(server_stats, "served_lines"), Some(4), "{stats:?}");
+        round_trip(r#"{"id":"bye","mode":"shutdown"}"#);
+        server.join().unwrap().unwrap();
+    });
+}
+
+#[test]
+fn inline_csv_of_every_santos_table_decodes_as_from_rows_builds_it() {
+    let lake = BenchmarkConfig::santos().generate().lake;
+    let mut decoded = 0;
+    for table in lake.tables().chain(lake.queries()) {
+        let csv = write_csv(table, CsvOptions::default());
+        // the records the CSV holds: the header and every rendered row
+        let rows: Vec<Vec<String>> = table
+            .rows()
+            .map(|row| {
+                row.values()
+                    .iter()
+                    .map(|v| v.render().into_owned())
+                    .collect()
+            })
+            .collect();
+        let want = Table::from_rows(table.name(), table.headers(), &rows).unwrap();
+        let got = parse_csv(table.name(), &csv, CsvOptions::default()).unwrap();
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{}", table.name());
+        decoded += 1;
+    }
+    assert!(decoded > 150, "{decoded} tables");
 }

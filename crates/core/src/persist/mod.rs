@@ -168,9 +168,9 @@ impl SnapshotStore {
                     detail: format!("session is at generation {}", expected - 1),
                 });
             }
-            let applied = match &op {
-                WalOp::AddTable(table) => session.add_table(table.clone()),
-                WalOp::RemoveTable(name) => session.remove_table(name).map(|_| ()),
+            let applied = match op {
+                WalOp::AddTable(table) => session.add_table(table),
+                WalOp::RemoveTable(name) => session.remove_table(&name).map(|_| ()),
             };
             applied.map_err(|e| PersistError::Replay {
                 lsn,
@@ -208,16 +208,16 @@ impl SnapshotStore {
     /// this record gets, which catches any store/session desync at the
     /// call site instead of at the next recovery.
     pub fn log_add_table(&mut self, table: &Table, generation: u64) -> Result<(), PersistError> {
-        self.log(WalOp::AddTable(table.clone()), generation)
+        self.log(&wal::Record::add_table(table), generation)
     }
 
     /// Log an already-applied `remove_table` mutation (see
     /// [`log_add_table`](SnapshotStore::log_add_table)).
     pub fn log_remove_table(&mut self, name: &str, generation: u64) -> Result<(), PersistError> {
-        self.log(WalOp::RemoveTable(name.to_string()), generation)
+        self.log(&wal::Record::remove_table(name), generation)
     }
 
-    fn log(&mut self, op: WalOp, generation: u64) -> Result<(), PersistError> {
+    fn log(&mut self, record: &wal::Record, generation: u64) -> Result<(), PersistError> {
         let expected = self.wal.next_lsn();
         if generation != expected {
             return Err(PersistError::Replay {
@@ -225,7 +225,7 @@ impl SnapshotStore {
                 detail: format!("session generation {generation} does not match the next LSN"),
             });
         }
-        let (_lsn, bytes) = self.wal.append(&op)?;
+        let (_lsn, bytes) = self.wal.append(record)?;
         self.records_since_checkpoint += 1;
         self.bytes_since_checkpoint += bytes as u64;
         Ok(())

@@ -40,13 +40,42 @@ const RECORD_HEADER_LEN: usize = 8 + 1 + 4 + 4;
 const KIND_ADD_TABLE: u8 = 1;
 const KIND_REMOVE_TABLE: u8 = 2;
 
-/// One logged lake mutation.
+/// One logged lake mutation, as recovery reads it back.
 #[derive(Debug, Clone)]
 pub enum WalOp {
     /// `add_table` with the full table payload.
     AddTable(Table),
     /// `remove_table` by name.
     RemoveTable(String),
+}
+
+/// One mutation encoded for [`WalWriter::append`]: the record kind and
+/// its payload, written from the caller's borrowed table or name.
+pub(crate) struct Record {
+    kind: u8,
+    payload: Vec<u8>,
+}
+
+impl Record {
+    /// `add_table` with the full table payload.
+    pub(crate) fn add_table(table: &Table) -> Record {
+        let mut w = ByteWriter::new();
+        put_table(&mut w, table);
+        Record {
+            kind: KIND_ADD_TABLE,
+            payload: w.into_bytes(),
+        }
+    }
+
+    /// `remove_table` by name.
+    pub(crate) fn remove_table(name: &str) -> Record {
+        let mut w = ByteWriter::new();
+        w.put_str(name);
+        Record {
+            kind: KIND_REMOVE_TABLE,
+            payload: w.into_bytes(),
+        }
+    }
 }
 
 /// Everything a WAL file held, as read back at recovery time.
@@ -127,29 +156,18 @@ impl WalWriter {
     /// Append one mutation record and fsync it. Returns the record's LSN
     /// and its on-disk size in bytes (header + payload + seals), which the
     /// store accumulates for its bytes-since-checkpoint trigger.
-    pub(crate) fn append(&mut self, op: &WalOp) -> Result<(u64, usize), PersistError> {
-        let (kind, payload) = match op {
-            WalOp::AddTable(table) => {
-                let mut w = ByteWriter::new();
-                put_table(&mut w, table);
-                (KIND_ADD_TABLE, w.into_bytes())
-            }
-            WalOp::RemoveTable(name) => {
-                let mut w = ByteWriter::new();
-                w.put_str(name);
-                (KIND_REMOVE_TABLE, w.into_bytes())
-            }
-        };
+    pub(crate) fn append(&mut self, record: &Record) -> Result<(u64, usize), PersistError> {
+        let Record { kind, payload } = record;
         let payload_len = record_payload_len(payload.len(), &self.path)?;
         let lsn = self.next_lsn;
         let mut rec = Vec::with_capacity(RECORD_HEADER_LEN + payload.len() + 4);
         rec.extend_from_slice(&lsn.to_le_bytes());
-        rec.push(kind);
+        rec.push(*kind);
         rec.extend_from_slice(&payload_len.to_le_bytes());
         let header_crc = crc32(&rec);
         rec.extend_from_slice(&header_crc.to_le_bytes());
-        rec.extend_from_slice(&payload);
-        rec.extend_from_slice(&crc32(&payload).to_le_bytes());
+        rec.extend_from_slice(payload);
+        rec.extend_from_slice(&crc32(payload).to_le_bytes());
 
         self.file
             .write_all(&rec)

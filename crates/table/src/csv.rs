@@ -55,8 +55,7 @@ pub fn parse_csv(name: impl Into<String>, input: &str, options: CsvOptions) -> R
             });
         }
     }
-    let rows: Vec<Vec<String>> = records[data_start..].to_vec();
-    Table::from_rows(name, &headers, &rows)
+    Table::from_rows(name, &headers, &records[data_start..])
 }
 
 /// Serialize a table to CSV text with a header row.
@@ -166,6 +165,68 @@ fn parse_records(input: &str, sep: char) -> Result<Vec<Vec<String>>> {
 mod tests {
     use super::*;
     use crate::value::Value;
+
+    /// `parse_csv` as it was before the data records went to
+    /// `Table::from_rows` by slice: one whole-table copy per parse.
+    fn parse_csv_by_copy(name: &str, input: &str, options: CsvOptions) -> Result<Table> {
+        let records = parse_records(input, options.separator)?;
+        if records.is_empty() {
+            return Err(TableError::Csv {
+                line: 1,
+                message: "input contains no records".to_string(),
+            });
+        }
+        let (headers, data_start): (Vec<String>, usize) = if options.has_header {
+            (records[0].clone(), 1)
+        } else {
+            (
+                (0..records[0].len()).map(|i| format!("col_{i}")).collect(),
+                0,
+            )
+        };
+        let width = headers.len();
+        for (i, rec) in records.iter().enumerate().skip(data_start) {
+            if rec.len() != width {
+                return Err(TableError::Csv {
+                    line: i + 1,
+                    message: format!("expected {width} fields, found {}", rec.len()),
+                });
+            }
+        }
+        let rows: Vec<Vec<String>> = records[data_start..].to_vec();
+        Table::from_rows(name, &headers, &rows)
+    }
+
+    /// The inputs of this module's parsing tests, with their options.
+    const QUOTING_INPUTS: &[(&str, bool, char)] = &[
+        (
+            "city,phone\n\"Brandon, MN\",\"773 \"\"731\"\"\"\nChicago,555\n",
+            true,
+            ',',
+        ),
+        ("a,b\n\"line1\nline2\",x\n", true, ','),
+        ("a,b\n1,2\n3\n", true, ','),
+        ("a,b\n\"oops,2\n", true, ','),
+        ("1,2\n3,4\n", false, ','),
+        ("a;b\nx;y\n", true, ';'),
+        ("", true, ','),
+        ("a,b\n1,2", true, ','),
+        ("a,b\n,nan\n", true, ','),
+        ("a,b\r\nTRUE, None \r\n\n\n-,1.5e3\r\n", true, ','),
+    ];
+
+    #[test]
+    fn parse_csv_matches_the_copying_oracle() {
+        for &(input, has_header, separator) in QUOTING_INPUTS {
+            let options = CsvOptions {
+                separator,
+                has_header,
+            };
+            let got = parse_csv("t", input, options);
+            let want = parse_csv_by_copy("t", input, options);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{input:?}");
+        }
+    }
 
     #[test]
     fn round_trip_simple_table() {

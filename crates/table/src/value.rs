@@ -100,11 +100,11 @@ impl Value {
         if trimmed.is_empty() {
             return Value::Null;
         }
-        let lowered = trimmed.to_ascii_lowercase();
-        if matches!(
-            lowered.as_str(),
-            "null" | "nan" | "na" | "n/a" | "none" | "-"
-        ) {
+        let is = |word: &str| trimmed.eq_ignore_ascii_case(word);
+        if ["null", "nan", "na", "n/a", "none", "-"]
+            .into_iter()
+            .any(is)
+        {
             return Value::Null;
         }
         if let Ok(v) = trimmed.parse::<i64>() {
@@ -115,10 +115,11 @@ impl Value {
                 return Value::Float(v);
             }
         }
-        match lowered.as_str() {
-            "true" => return Value::Bool(true),
-            "false" => return Value::Bool(false),
-            _ => {}
+        if is("true") {
+            return Value::Bool(true);
+        }
+        if is("false") {
+            return Value::Bool(false);
         }
         Value::Text(raw.to_string())
     }
@@ -277,6 +278,88 @@ mod tests {
     fn parse_detects_nulls() {
         for raw in ["", "  ", "null", "NaN", "N/A", "none", "-"] {
             assert!(Value::parse(raw).is_null(), "{raw:?} should parse as null");
+        }
+    }
+
+    /// `Value::parse` as it was before the null and bool words were
+    /// matched with `eq_ignore_ascii_case`: one lower-cased copy per cell.
+    fn parse_by_lowering(raw: &str) -> Value {
+        let trimmed = raw.trim();
+        if trimmed.is_empty() {
+            return Value::Null;
+        }
+        let lowered = trimmed.to_ascii_lowercase();
+        if matches!(
+            lowered.as_str(),
+            "null" | "nan" | "na" | "n/a" | "none" | "-"
+        ) {
+            return Value::Null;
+        }
+        if let Ok(v) = trimmed.parse::<i64>() {
+            return Value::Int(v);
+        }
+        if let Ok(v) = trimmed.parse::<f64>() {
+            if v.is_finite() {
+                return Value::Float(v);
+            }
+        }
+        match lowered.as_str() {
+            "true" => return Value::Bool(true),
+            "false" => return Value::Bool(false),
+            _ => {}
+        }
+        Value::Text(raw.to_string())
+    }
+
+    #[test]
+    fn parse_matches_the_lowering_oracle_on_every_casing() {
+        let words = [
+            "null", "nan", "na", "n/a", "none", "-", "true", "false", "inf", "nil",
+        ];
+        let mut raws: Vec<String> = Vec::new();
+        for word in words {
+            // every upper/lower casing of the word's letters
+            for mask in 0u32..1 << word.len() {
+                let cased: String = word
+                    .chars()
+                    .enumerate()
+                    .map(|(i, c)| match mask >> i & 1 {
+                        1 => c.to_ascii_uppercase(),
+                        _ => c,
+                    })
+                    .collect();
+                for padded in [
+                    cased.clone(),
+                    format!("  {cased}\t"),
+                    format!("{cased}x"),
+                    format!("x{cased}"),
+                    format!("{cased}\u{a0}"),
+                ] {
+                    raws.push(padded);
+                }
+            }
+        }
+        let others = [
+            "",
+            " ",
+            "42",
+            " -7 ",
+            "3.25",
+            "1e3",
+            "NaN1",
+            "İnf",
+            "ſ",
+            "nuLL!",
+            "trüe",
+            "ＴＲＵＥ",
+            "--",
+            "n / a",
+            "River Park",
+        ];
+        raws.extend(others.map(String::from));
+        for raw in &raws {
+            let (got, want) = (Value::parse(raw), parse_by_lowering(raw));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{raw:?}");
         }
     }
 
