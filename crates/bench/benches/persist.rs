@@ -2,7 +2,9 @@
 //! lake shapes, through the public `SnapshotStore::{create_with,
 //! checkpoint, open_with}`: a pre-trained session over the benchmark's
 //! `NARROW` / `WIDE` lake (`benchmark/src/spec.rs`, seed 1447, four queries
-//! per domain).
+//! per domain), searching by Overlap as the benchmark does. The `create`,
+//! `checkpoint_unchanged` and `open` groups also time a D3L and a Starmie
+//! session over the narrow lake (`narrow_d3l`, `narrow_starmie`).
 //!
 //! * `create/{narrow,wide}` — the full write a server's set-up pays: every
 //!   table and its tuple block into a new pack, plus the lake, search and
@@ -59,13 +61,31 @@
 //! pays what every checkpoint used to. One file per table was rejected:
 //! writing and fsyncing 192 files of 54 KB took 70–250 ms against 16–22 ms
 //! for one 10.4 MB file.
+//!
+//! Format 6 moved the D3L and Starmie column embeddings from the search
+//! segment, rewritten by every checkpoint, into each table's pack entry.
+//! Format 5 against format 6 on the narrow lake, Overlap / D3L / Starmie:
+//! ms per call, the median of five alternating rounds on one core as
+//! above (range over the rounds), and the bytes of an unchanged checkpoint:
+//!
+//! | | format 5 | format 6 |
+//! |---|---|---|
+//! | **checkpoint_unchanged** | **2.03 / 4.88 / 11.5** (1.7–2.2 / 4.8–5.9 / 9.7–14.2) | **2.00 / 2.05 / 1.32** (1.7–2.1 / 2.0–2.2 / 1.2–1.5) |
+//! | unchanged checkpoint bytes | 247 451 / 1 644 651 / 3 670 389 | 247 451 / 247 451 / 116 645 |
+//! | create | 26.9 / 29.6 / 35.8 (20–43) | 28.3 / 32.7 / 35.3 (25–38) |
+//! | open | 16.4 / 18.0 / 18.6 (14–22) | 15.6 / 18.5 / 19.5 (14–24) |
+//!
+//! `create` and `open` move the same bytes as before, less the table names
+//! the search segment no longer repeats, and stay inside the host's spread.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dust_core::{LakeSession, PipelineConfig, SessionOptions, SnapshotStore, StoreOptions};
+use dust_core::{
+    LakeSession, PipelineConfig, SearchTechnique, SessionOptions, SnapshotStore, StoreOptions,
+};
 use dust_datagen::BenchmarkConfig;
 
 /// A pre-trained session over the benchmark's lake of this shape.
-fn benchmark_session(wide: bool) -> LakeSession {
+fn benchmark_session(wide: bool, search: SearchTechnique) -> LakeSession {
     let (name, num_domains, lake_tables_per_domain, base_rows, min_row_fraction, max_row_fraction) =
         if wide {
             ("wide", 4, 5, 480, 0.34, 0.36)
@@ -86,7 +106,11 @@ fn benchmark_session(wide: bool) -> LakeSession {
     }
     .generate()
     .lake;
-    LakeSession::with_options(lake, PipelineConfig::fast(), SessionOptions::default())
+    let config = PipelineConfig {
+        search,
+        ..PipelineConfig::fast()
+    };
+    LakeSession::with_options(lake, config, SessionOptions::default())
 }
 
 /// Remove three tables and add them back, as the benchmark's writer does:
@@ -100,10 +124,15 @@ fn churn_three_tables(session: &LakeSession) {
 
 fn bench_persist(c: &mut Criterion) {
     let options = StoreOptions::default();
-    let shapes: Vec<(&str, LakeSession)> = [("narrow", false), ("wide", true)]
-        .into_iter()
-        .map(|(shape, wide)| (shape, benchmark_session(wide)))
-        .collect();
+    let shapes: Vec<(&str, LakeSession)> = [
+        ("narrow", false, SearchTechnique::Overlap),
+        ("wide", true, SearchTechnique::Overlap),
+        ("narrow_d3l", false, SearchTechnique::D3l),
+        ("narrow_starmie", false, SearchTechnique::Starmie),
+    ]
+    .into_iter()
+    .map(|(shape, wide, search)| (shape, benchmark_session(wide, search)))
+    .collect();
     let dir = |shape: &str| {
         std::env::temp_dir().join(format!("dust-bench-persist-{shape}-{}", std::process::id()))
     };
@@ -129,7 +158,7 @@ fn bench_persist(c: &mut Criterion) {
     group.finish();
 
     let mut group = c.benchmark_group("checkpoint_after_churn");
-    for (shape, session) in &shapes {
+    for (shape, session) in &shapes[..2] {
         let mut store = SnapshotStore::create_with(&dir(shape), session, options).unwrap();
         churn_three_tables(session);
         group.bench_function(*shape, |b| b.iter(|| store.checkpoint(session).unwrap()));

@@ -9,6 +9,9 @@
 //! * save → WAL-logged mutation → drop → recover, and the checkpoint after
 //!   one add that keeps pack 1, writes under half of create's bytes and
 //!   leaves exactly the manifest's files;
+//! * `--search d3l` and `--search starmie` with a snapshot directory: add,
+//!   remove, checkpoint, add again, drop and build again, every diverse and
+//!   `similar` answer the memory-only server's, byte for byte;
 //! * a TCP round trip: 6 reading clients on 2 workers plus a mutator,
 //!   pinned reads, the pool counters in `stats`, and the shutdown
 //!   checkpoint that leaves recovery nothing to replay;
@@ -20,7 +23,7 @@
 use dust_bench::json::{self, JsonValue};
 use dust_bench::pool::PoolOptions;
 use dust_bench::serve::{self, ServeOptions, ServerState};
-use dust_core::{LakeSession, PipelineConfig, SessionOptions, SnapshotStore};
+use dust_core::{LakeSession, PipelineConfig, SearchTechnique, SessionOptions, SnapshotStore};
 use dust_datagen::BenchmarkConfig;
 use dust_table::{parse_csv, write_csv, CsvOptions, Table};
 use std::io::{BufRead, BufReader, Write};
@@ -371,6 +374,64 @@ fn recovery_checkpoint_and_a_tcp_round_trip() {
     let (_store, session, report) = SnapshotStore::open(&dir.0).unwrap();
     assert_eq!(report.replayed, 0);
     assert_eq!(session.generation(), expected_generation + 2);
+}
+
+/// The D3L and Starmie resident searches over the wire: a durable server on
+/// `tiny` adds a table, removes one, checkpoints and adds the removed table
+/// back; then it is dropped and built again from its directory. Every
+/// diverse and `similar` answer of the durable server, before and after
+/// the rebuild, is the answer of a memory-only server fed the same
+/// mutations, byte for byte with `secs` masked.
+#[test]
+fn d3l_and_starmie_answer_durably_as_a_live_server_does() {
+    for search in [SearchTechnique::D3l, SearchTechnique::Starmie] {
+        let dir = TempDir::new(&format!("{search:?}"));
+        let options = |snapshot_dir: Option<String>| ServeOptions {
+            search,
+            snapshot_dir,
+            ..ServeOptions::default()
+        };
+        let durable_options = options(Some(dir.0.to_string_lossy().into_owned()));
+        let live = serve::build_state(&options(None)).unwrap();
+        let mut durable = serve::build_state(&durable_options).unwrap();
+        let lake = live.session.lake();
+        let query = lake.query_names()[0].clone();
+        let victim = lake.table_names()[0].clone();
+        let add = |name: &str, table: &Table| {
+            let csv = json::escape(&write_csv(table, CsvOptions::default()));
+            format!(r#"{{"id":"add","mode":"add_table","name":"{name}","csv":"{csv}"}}"#)
+        };
+        let steps = [
+            add("wire_added", lake.query(&query).unwrap()),
+            format!(r#"{{"id":"remove","mode":"remove_table","table":"{victim}"}}"#),
+            r#"{"id":"ck","mode":"checkpoint"}"#.to_string(),
+            add(&victim, lake.table(&victim).unwrap()),
+        ];
+        let reads = [
+            format!(r#"{{"id":"q","query":"{query}","k":5}}"#),
+            format!(r#"{{"id":"s","query":"{query}","k":5,"mode":"similar"}}"#),
+        ];
+        let same_reads = |durable: &ServerState, context: &str| {
+            for read in &reads {
+                let want = mask_secs(&serve::handle_request(&live, read));
+                assert!(want.contains("\"result\""), "{search:?} {context}: {want}");
+                let got = mask_secs(&serve::handle_request(durable, read));
+                assert_eq!(got, want, "{search:?} {context}: {read}");
+            }
+        };
+        same_reads(&durable, "built");
+        for step in &steps {
+            result_of(&durable, step);
+            if !step.contains("checkpoint") {
+                result_of(&live, step);
+            }
+            same_reads(&durable, step);
+        }
+        drop(durable);
+        durable = serve::build_state(&durable_options).unwrap();
+        assert_eq!(durable.session.generation(), live.session.generation());
+        same_reads(&durable, "rebuilt from the directory");
+    }
 }
 
 /// `{"id":"deep","mode":"stats","pad":…}` with `depth` nested containers

@@ -22,8 +22,9 @@
 //! ```
 //!
 //! For serving many queries against one lake, build a resident
-//! [`LakeSession`] instead — it pre-embeds the lake, keeps the search
-//! technique's candidate structures warm, and trains the tuple model once:
+//! [`LakeSession`] instead — it pre-embeds the lake (each table's tuples
+//! and, under D3L and Starmie, its columns), keeps the inverted index warm,
+//! and trains the tuple model once:
 //!
 //! ```no_run
 //! use dust_core::{LakeSession, PipelineConfig};
@@ -57,6 +58,4 @@ pub use config::{PipelineConfig, SearchTechnique, TupleEmbedderKind};
 pub use persist::{PersistError, RecoveryReport, SessionError, SnapshotStore, StoreOptions};
 pub use pipeline::DustPipeline;
 pub use result::{DustResult, StageTimings};
-pub use session::{
-    LakeRef, LakeSession, RankedColumn, RankedTuple, SessionOptions, SessionStats, SessionView,
-};
+pub use session::{LakeRef, LakeSession, RankedTuple, SessionOptions, SessionStats, SessionView};

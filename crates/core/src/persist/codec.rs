@@ -27,7 +27,7 @@ pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"DUSTSEG\0";
 /// Magic prefix of the write-ahead log.
 pub(crate) const WAL_MAGIC: &[u8; 8] = b"DUSTWAL\0";
 /// On-disk format version, bumped on any layout change.
-pub(crate) const FORMAT_VERSION: u32 = 5;
+pub(crate) const FORMAT_VERSION: u32 = 6;
 
 /// Slicing-by-16 tables for the reflected 0xEDB88320 polynomial, built at
 /// compile time: `CRC_TABLES[0][b]` is the CRC register after shifting byte

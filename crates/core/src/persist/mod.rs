@@ -5,21 +5,22 @@
 //! ```text
 //! snapshot-dir/
 //! ├── MANIFEST              epoch + pack epoch + config  (atomically replaced)
-//! ├── seg-{b}-pack.bin      immutable: each table of epoch b + its tuple block
+//! ├── seg-{b}-pack.bin      immutable: each table of epoch b + its block
 //! ├── seg-{e}-lake.bin      name, queries, ground truth; per table a pack
 //! │                         index, or the table + block inline if changed
-//! ├── seg-{e}-search.bin    candidate-search structures for the technique
+//! ├── seg-{e}-search.bin    the technique's tag + its inverted index
 //! ├── seg-{e}-model.bin     trained projection head (model sessions only)
 //! └── wal-{e}.log           LSN-stamped mutations since the snapshot
 //! ```
 //!
-//! Every file is magic-tagged, format-versioned (currently version 5; any
+//! Every file is magic-tagged, format-versioned (currently version 6; any
 //! other version is a typed `UnsupportedVersion`, answered by rebuilding
 //! from the lake), and CRC-32 sealed ([`codec`]); damage is *detected* and
 //! reported as a typed [`PersistError`], never served. The durable set is
-//! exactly what served traffic reads: the column side behind
-//! `similar_columns` is derived from the lake on first use and never
-//! written.
+//! exactly what served traffic reads. A table's block — its tuple
+//! embeddings and, under D3L and Starmie, its column embeddings — is
+//! written beside its rows in one entry, so the table, not the lake, is
+//! the unit a checkpoint writes.
 //!
 //! Recovery = load the manifest's epoch (model, pack, lake, search), then
 //! replay the WAL through the session's live `add_table` / `remove_table`

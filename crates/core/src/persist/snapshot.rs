@@ -13,25 +13,31 @@
 //! * **manifest** — epoch, pack epoch, generation, the full
 //!   [`PipelineConfig`], and whether a trained model segment exists;
 //! * **pack** — immutable once written: one *entry* per lake table of epoch
-//!   `b`, in name order, each the table's rows followed by its
-//!   tuple-embedding block (dim, rows, data, norms and inverse norms,
-//!   bit-exact). Row *i* of a block is tuple *i* of its table;
+//!   `b`, in name order. An entry is the table's block beside its rows:
+//!   the rows, then the tuple embeddings (dim, rows, data, norms and
+//!   inverse norms, bit-exact; row *i* is tuple *i* of the table), then —
+//!   under D3L and Starmie only — the column block: a count and one vector
+//!   per column, in column order. Under Overlap an entry ends after the
+//!   tuple embeddings;
 //! * **lake** — the [`DataLake`] (name, queries, ground truth) and, for each
 //!   table in name order, either `0` + the index of its pack entry or `1` +
 //!   an inline entry for a table that is not the one the pack holds. A pack
-//!   index out of range or named twice, names out of order, a block whose
-//!   rows are not its table's, or a non-empty block of another dimension
-//!   than the embedder's is a typed [`PersistError::Corrupt`]; pack entries
-//!   no table names are decoded and dropped;
-//! * **search** — the configured technique's candidate structures
-//!   ([`InvertedValueIndex`] column postings / Starmie / D3L per-table
-//!   column embeddings); the searcher objects themselves are `::new()`
-//!   defaults and are reconstructed, not persisted. The index is written
-//!   canonically — tables renumbered in name order, values sorted, each
-//!   posting as ascending column ids — so its bytes are a function of the
-//!   lake alone; decoding checks it against the decoded lake (names, column
-//!   counts, ids in range and ascending, no empty posting, no value twice)
-//!   and answers a typed [`PersistError::Corrupt`] otherwise;
+//!   index out of range or named twice, names out of order, tuple
+//!   embeddings whose rows are not the table's or (non-empty) of another
+//!   dimension than the embedder's, a column block of another count than
+//!   the table's columns or holding a vector of another dimension than the
+//!   technique's, and a column block where the technique keeps none or none
+//!   where it keeps one, are each a typed [`PersistError::Corrupt`]; pack
+//!   entries no table names are decoded and dropped;
+//! * **search** — the technique's tag, then under Overlap and D3L the
+//!   [`InvertedValueIndex`] as column postings (Starmie keeps no index);
+//!   the searcher objects themselves are `::new()` defaults and are
+//!   reconstructed, not persisted. The index is written canonically —
+//!   tables renumbered in name order, values sorted, each posting as
+//!   ascending column ids — so its bytes are a function of the lake alone;
+//!   decoding checks it against the decoded lake (names, column counts, ids
+//!   in range and ascending, no empty posting, no value twice) and answers
+//!   a typed [`PersistError::Corrupt`] otherwise;
 //! * **model** — the trained [`DustModel`] head weights and centering
 //!   vector (present only when the session embeds through a model), so a
 //!   restart never re-pays training.
@@ -40,7 +46,7 @@
 //! restored session's scores are **bit-identical** to the saved one's.
 //!
 //! **The pack rule.** A checkpoint reuses pack entry *i* for a table iff
-//! the table's `Arc<Table>` and `Arc<EmbeddingStore>` are the very ones the
+//! the table's `Arc<Table>` and `Arc<TableBlock>` are the very ones the
 //! entry was written from or decoded into ([`Pack`] remembers them as
 //! `Weak`s); every other table is inline. Let *live* be the encoded bytes
 //! of the current tables' entries: a new pack, naming every table, is
@@ -48,32 +54,31 @@
 //! reads at most 1.5 × live, and a checkpoint that keeps the pack writes
 //! less than ½ × live of table data.
 //!
-//! The column side (TF-IDF corpus + column embeddings) is deliberately not
-//! a segment: only `similar_columns` reads it, and each generation derives
-//! it from its lake on first use, so writing a snapshot embeds nothing and
-//! a restored session computes exactly what a live one does. Directories
-//! of an older format version — 1 (a `columns` segment and one more
-//! manifest field), 2 (one hashed `shard-i` segment per tuple shard with
-//! per-row provenance, and a shard count in the manifest), 3 (every
-//! table in the lake segment and every block in one `tuples` segment,
-//! rewritten by each checkpoint) or 4 (index postings as sets of table
-//! names, after a stored table count) — answer
-//! [`PersistError::UnsupportedVersion`]; callers take their usual
-//! rebuild-from-lake fallback.
+//! Since every column embedding lives in its table's entry, an unchanged
+//! D3L or Starmie checkpoint writes what an Overlap one does: pack indices
+//! and, for D3L, the index. Directories of an older format version — 1 (a
+//! `columns` segment and one more manifest field), 2 (one hashed `shard-i`
+//! segment per tuple shard with per-row provenance, and a shard count in
+//! the manifest), 3 (every table in the lake segment and every block in
+//! one `tuples` segment, rewritten by each checkpoint), 4 (index postings
+//! as sets of table names, after a stored table count) or 5 (D3L and
+//! Starmie column embeddings of every table in the search segment, none in
+//! the entries) — answer [`PersistError::UnsupportedVersion`]; callers
+//! take their usual rebuild-from-lake fallback.
 
 use super::codec::{read_segment, write_segment, ByteReader, ByteWriter, SegmentWriter};
 use super::error::PersistError;
 use crate::config::{DustConfigSerde, PipelineConfig, SearchTechnique, TupleEmbedderKind};
-use crate::session::{LakeSession, SearchStructures, SessionEmbedder, SessionView, TupleBlocks};
+use crate::session::{
+    LakeSession, Searcher, SessionEmbedder, SessionOptions, SessionSnapshot, SessionView,
+    TableBlock, TableBlocks,
+};
 use dust_cluster::{AgglomerativeAlgorithm, Linkage};
 use dust_embed::{
-    ColumnEncoder, ColumnSerialization, Distance, DustModel, EmbeddingStore, FineTuneConfig,
-    PretrainedModel, ProjectionHead, TupleEncoder, Vector,
+    ColumnSerialization, Distance, DustModel, EmbeddingStore, FineTuneConfig, PretrainedModel,
+    ProjectionHead, TupleEncoder, Vector,
 };
-use dust_search::{
-    ColumnRef, D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore,
-    StarmieSearch,
-};
+use dust_search::{ColumnRef, InvertedValueIndex};
 use dust_table::{Column, DataLake, Table, TableId, Value};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -348,16 +353,16 @@ fn encode_lake(s: &mut SegmentWriter<'_>, lake: &DataLake, tables: &[Shared<'_>]
     }
 }
 
-/// Decode the lake segment against the decoded `pack` and the embedder's
-/// dimension `dim`: the lake, built from shared tables, and its tuple
-/// blocks. A packed table shares the pack's `Arc`s, so the store that
-/// loaded the pack recognises it at the next checkpoint.
+/// Decode the lake segment against the decoded `pack` and the entries'
+/// dimensions `dims`: the lake, built from shared tables, and its blocks. A
+/// packed table shares the pack's `Arc`s, so the store that loaded the pack
+/// recognises it at the next checkpoint.
 fn decode_lake(
     bytes: &[u8],
     path: &Path,
     pack: &[PackedEntry],
-    dim: usize,
-) -> Result<(DataLake, TupleBlocks), PersistError> {
+    dims: Dims,
+) -> Result<(DataLake, TableBlocks), PersistError> {
     let mut r = ByteReader::new(bytes, path);
     let name = r.get_str()?;
     let mut lake = DataLake::new(name);
@@ -369,7 +374,7 @@ fn decode_lake(
     }
     let num_tables = r.get_count()?;
     let mut named = vec![false; pack.len()];
-    let mut blocks = TupleBlocks::new();
+    let mut blocks = TableBlocks::new();
     for _ in 0..num_tables {
         let (table, block) = match r.get_u8()? {
             TAG_PACKED => {
@@ -386,7 +391,7 @@ fn decode_lake(
                 (entry.table.clone(), entry.block.clone())
             }
             TAG_INLINE => {
-                let (table, block) = get_entry(&mut r, dim)?;
+                let (table, block) = get_entry(&mut r, dims)?;
                 (Arc::new(table), Arc::new(block))
             }
             tag => return Err(r.corrupt(format!("unknown table tag {tag}"))),
@@ -447,22 +452,38 @@ fn get_store(r: &mut ByteReader<'_>) -> Result<EmbeddingStore, PersistError> {
     Ok(EmbeddingStore::from_raw_parts(dim, data, norms, inv_norms))
 }
 
-/// A lake table and its tuple block, as the pinned generation shares them.
-type Shared<'a> = (&'a Arc<Table>, &'a Arc<EmbeddingStore>);
+/// A lake table and its block, as the pinned generation shares them.
+type Shared<'a> = (&'a Arc<Table>, &'a Arc<TableBlock>);
 
 /// Where an epoch keeps a table's entry: its index in the pack, or `None`
 /// for inline in the lake segment.
 type Slot = Option<usize>;
 
-/// One entry: the table's rows, then its block.
-fn put_entry(w: &mut ByteWriter, table: &Table, block: &EmbeddingStore) {
+/// What an entry's embeddings must measure: the tuple embedder's dimension,
+/// and the technique's column-embedding dimension — `None` when it keeps no
+/// column block (Overlap).
+#[derive(Debug, Clone, Copy)]
+struct Dims {
+    tuples: usize,
+    columns: Option<usize>,
+}
+
+/// One entry: the table's rows, then its block — the tuple embeddings and,
+/// under D3L and Starmie, the column block.
+fn put_entry(w: &mut ByteWriter, table: &Table, block: &TableBlock) {
     put_table(w, table);
-    put_store(w, block);
+    put_store(w, &block.tuples);
+    if let Some(columns) = &block.columns {
+        w.put_usize(columns.len());
+        for column in columns {
+            w.put_f32s(column.as_slice());
+        }
+    }
 }
 
 /// The bytes [`put_entry`] writes for `table` and `block`, counted without
 /// encoding them.
-fn entry_len(table: &Table, block: &EmbeddingStore) -> u64 {
+fn entry_len(table: &Table, block: &TableBlock) -> u64 {
     let str_len = |s: &str| 8 + s.len() as u64;
     let value_len = |value: &Value| {
         1 + match value {
@@ -475,53 +496,86 @@ fn entry_len(table: &Table, block: &EmbeddingStore) -> u64 {
     let columns: u64 = (table.columns().iter())
         .map(|c| str_len(c.name()) + 8 + c.values().iter().map(value_len).sum::<u64>())
         .sum();
-    let (data, norms, inv_norms) = block.raw_parts();
+    let (data, norms, inv_norms) = block.tuples.raw_parts();
     let store = 16 + 8 + 4 * data.len() + 8 + 4 * norms.len() + 8 + 8 * inv_norms.len();
-    str_len(table.name()) + 8 + columns + store as u64
+    let column_block = (block.columns.iter())
+        .map(|vs| 8 + vs.iter().map(|v| 8 + 4 * v.dim()).sum::<usize>())
+        .sum::<usize>();
+    str_len(table.name()) + 8 + columns + (store + column_block) as u64
 }
 
-/// Decode one entry, checked against the tuple embedder's dimension `dim`:
-/// a block whose rows are not its table's rows, or a non-empty block of
-/// another dimension (which a probe could not be scored against), is a
-/// typed corruption — never a panic, never a row credited to the wrong
-/// table.
-fn get_entry(r: &mut ByteReader<'_>, dim: usize) -> Result<(Table, EmbeddingStore), PersistError> {
+/// Decode one entry, checked against `dims`: tuple embeddings whose rows
+/// are not the table's rows, or (non-empty) of another dimension than the
+/// embedder's, which a probe could not be scored against; a column block
+/// that does not hold one vector of the technique's dimension per column;
+/// and a column block where the technique keeps none — read as the next
+/// entry, or as trailing bytes — or none where it keeps one, are each a
+/// typed corruption: never a panic, never a row or a column credited to the
+/// wrong table.
+fn get_entry(r: &mut ByteReader<'_>, dims: Dims) -> Result<(Table, TableBlock), PersistError> {
     let table = get_table(r)?;
-    let block = get_store(r)?;
-    if block.len() != table.num_rows() {
+    let tuples = get_store(r)?;
+    if tuples.len() != table.num_rows() {
         return Err(r.corrupt(format!(
             "the block of table {:?} holds {} rows, the table {}",
             table.name(),
-            block.len(),
+            tuples.len(),
             table.num_rows()
         )));
     }
-    if !block.is_empty() && block.dim() != dim {
+    if !tuples.is_empty() && tuples.dim() != dims.tuples {
         return Err(r.corrupt(format!(
-            "the block of table {:?} is {}-dimensional, the tuple embedder {dim}",
+            "the block of table {:?} is {}-dimensional, the tuple embedder {}",
             table.name(),
-            block.dim()
+            tuples.dim(),
+            dims.tuples
         )));
     }
-    Ok((table, block))
+    let columns = match dims.columns {
+        None => None,
+        Some(dim) => {
+            let count = r.get_count()?;
+            if count != table.num_columns() {
+                return Err(r.corrupt(format!(
+                    "the column block of table {:?} holds {count} columns, the table {}",
+                    table.name(),
+                    table.num_columns()
+                )));
+            }
+            let mut columns = Vec::with_capacity(count);
+            for c in 0..count {
+                let column = Vector::new(r.get_f32s()?);
+                if column.dim() != dim {
+                    return Err(r.corrupt(format!(
+                        "column {c} of table {:?} is {}-dimensional, the technique's {dim}",
+                        table.name(),
+                        column.dim()
+                    )));
+                }
+                columns.push(column);
+            }
+            Some(columns)
+        }
+    };
+    Ok((table, TableBlock { tuples, columns }))
 }
 
 /// A decoded pack entry and its encoded length.
 #[derive(Debug)]
 struct PackedEntry {
     table: Arc<Table>,
-    block: Arc<EmbeddingStore>,
+    block: Arc<TableBlock>,
     len: u64,
 }
 
 /// Decode a pack: its entries in order, every one checked by [`get_entry`].
-fn decode_pack(bytes: &[u8], path: &Path, dim: usize) -> Result<Vec<PackedEntry>, PersistError> {
+fn decode_pack(bytes: &[u8], path: &Path, dims: Dims) -> Result<Vec<PackedEntry>, PersistError> {
     let mut r = ByteReader::new(bytes, path);
     let count = r.get_count()?;
     let mut entries = Vec::with_capacity(count);
     for _ in 0..count {
         let start = r.position();
-        let (table, block) = get_entry(&mut r, dim)?;
+        let (table, block) = get_entry(&mut r, dims)?;
         entries.push(PackedEntry {
             table: Arc::new(table),
             block: Arc::new(block),
@@ -539,7 +593,7 @@ fn decode_pack(bytes: &[u8], path: &Path, dim: usize) -> Result<Vec<PackedEntry>
 #[derive(Debug)]
 struct PackEntry {
     table: Weak<Table>,
-    block: Weak<EmbeddingStore>,
+    block: Weak<TableBlock>,
     len: u64,
 }
 
@@ -742,61 +796,31 @@ fn get_index(r: &mut ByteReader<'_>, lake: &DataLake) -> Result<InvertedValueInd
     Ok(InvertedValueIndex::from_parts(tables, postings))
 }
 
-fn put_column_entries(w: &mut ByteWriter, entries: &[(String, Vec<Vector>)]) {
-    w.put_usize(entries.len());
-    for (table, vectors) in entries {
-        w.put_str(table);
-        w.put_usize(vectors.len());
-        for v in vectors {
-            w.put_f32s(v.as_slice());
-        }
+/// The search segment: the technique's tag, then the index under Overlap
+/// and D3L.
+fn encode_search(
+    w: &mut ByteWriter,
+    technique: SearchTechnique,
+    index: Option<&InvertedValueIndex>,
+) {
+    w.put_u8(technique_tag(technique));
+    if let Some(index) = index {
+        put_index(w, index);
     }
 }
 
-fn get_column_entries(r: &mut ByteReader<'_>) -> Result<Vec<(String, Vec<Vector>)>, PersistError> {
-    let n = r.get_count()?;
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let table = r.get_str()?;
-        let num_vectors = r.get_count()?;
-        let mut vectors = Vec::with_capacity(num_vectors);
-        for _ in 0..num_vectors {
-            vectors.push(Vector::new(r.get_f32s()?));
-        }
-        entries.push((table, vectors));
-    }
-    Ok(entries)
-}
-
-fn encode_search(w: &mut ByteWriter, search: &SearchStructures) {
-    match search {
-        SearchStructures::Overlap { index, .. } => {
-            w.put_u8(technique_tag(SearchTechnique::Overlap));
-            put_index(w, index);
-        }
-        SearchStructures::D3l { index, stats, .. } => {
-            w.put_u8(technique_tag(SearchTechnique::D3l));
-            put_index(w, index);
-            put_column_entries(w, &stats.entries());
-        }
-        SearchStructures::Starmie { store, .. } => {
-            w.put_u8(technique_tag(SearchTechnique::Starmie));
-            put_column_entries(w, &store.entries());
-        }
-    }
-}
-
-/// Decode the search segment. The searcher objects are the same `::new()`
-/// defaults a fresh session constructs — only the lake-derived structures
-/// round-trip. The decoded technique must match `expected` (from the
-/// manifest's config), and an index must describe the decoded `lake`: a
-/// mismatch means the files are inconsistent.
+/// Decode the search segment: the index, iff `searcher` keeps one. The
+/// searcher itself is the same `::new()` default a fresh session
+/// constructs, not persisted. The decoded technique must match `expected`
+/// (from the manifest's config), and an index must describe the decoded
+/// `lake`: a mismatch means the files are inconsistent.
 fn decode_search(
     bytes: &[u8],
     path: &Path,
     expected: SearchTechnique,
+    searcher: &Searcher,
     lake: &DataLake,
-) -> Result<SearchStructures, PersistError> {
+) -> Result<Option<InvertedValueIndex>, PersistError> {
     let mut r = ByteReader::new(bytes, path);
     let technique = technique_from(r.get_u8()?, &r)?;
     if technique != expected {
@@ -805,33 +829,13 @@ fn decode_search(
             format!("search segment holds {technique:?} but the manifest config says {expected:?}"),
         ));
     }
-    let search = match technique {
-        SearchTechnique::Overlap => {
-            let index = get_index(&mut r, lake)?;
-            SearchStructures::Overlap {
-                search: OverlapSearch::new(),
-                index,
-            }
-        }
-        SearchTechnique::D3l => {
-            let index = get_index(&mut r, lake)?;
-            let stats = D3lSignalStats::from_entries(get_column_entries(&mut r)?);
-            SearchStructures::D3l {
-                search: D3lSearch::new(),
-                index,
-                stats,
-            }
-        }
-        SearchTechnique::Starmie => {
-            let store = StarmieColumnStore::from_entries(get_column_entries(&mut r)?);
-            SearchStructures::Starmie {
-                search: StarmieSearch::new(),
-                store,
-            }
-        }
+    let index = if searcher.has_index() {
+        Some(get_index(&mut r, lake)?)
+    } else {
+        None
     };
     r.finish()?;
-    Ok(search)
+    Ok(index)
 }
 
 // ---------------------------------------------------------------------------
@@ -1051,7 +1055,7 @@ pub(crate) fn write_epoch_segments(
     let w = &mut ByteWriter::new();
     let tables: Vec<Shared<'_>> = (view.lake().tables_shared())
         .map(|(_, table)| table)
-        .zip(view.tuple_blocks().values())
+        .zip(view.blocks().values())
         .collect();
     let mut slots = pack.slots(&tables);
     let (mut new_pack, mut bytes) = (None, 0);
@@ -1064,7 +1068,7 @@ pub(crate) fn write_epoch_segments(
         encode_lake(s, view.lake(), &tables, &slots)
     })?;
     bytes += write_segment(&search_path(dir, epoch), KIND_SEARCH, w, |w| {
-        encode_search(w, view.search_structures())
+        encode_search(w, view.session().config().search, view.index())
     })?;
     if let SessionEmbedder::Model(model) = view.session_embedder() {
         bytes += write_segment(&model_path(dir, epoch), KIND_MODEL, w, |w| {
@@ -1150,36 +1154,42 @@ pub(crate) fn load_session(
         }
     };
 
+    let searcher = Searcher::new(manifest.config.search);
+    let dims = Dims {
+        tuples: embedder.dim(),
+        columns: searcher.column_dim(),
+    };
     let pp = pack_path(dir, manifest.pack_epoch);
-    let packed = read_segment(&pp, KIND_PACK, |payload| {
-        decode_pack(payload, &pp, embedder.dim())
-    })?;
+    let packed = read_segment(&pp, KIND_PACK, |payload| decode_pack(payload, &pp, dims))?;
     let lp = lake_path(dir, epoch);
-    let (lake, tuples) = read_segment(&lp, KIND_LAKE, |payload| {
-        decode_lake(payload, &lp, &packed, embedder.dim())
+    let (lake, blocks) = read_segment(&lp, KIND_LAKE, |payload| {
+        decode_lake(payload, &lp, &packed, dims)
     })?;
     // entries no table names are dropped here; their `Weak`s stay dead
     let pack = Pack::from_decoded(manifest.pack_epoch, &packed);
     drop(packed);
 
     let sp = search_path(dir, epoch);
-    let search = read_segment(&sp, KIND_SEARCH, |payload| {
-        decode_search(payload, &sp, manifest.config.search, &lake)
+    let index = read_segment(&sp, KIND_SEARCH, |payload| {
+        decode_search(payload, &sp, manifest.config.search, &searcher, &lake)
     })?;
 
-    let aligner_encoder = ColumnEncoder::new(
-        manifest.config.alignment_model,
-        manifest.config.alignment_serialization,
-    );
-    let session = LakeSession::from_restored(
+    // History depth is a serving-time knob, not part of the format: a
+    // restored session takes the default (callers re-tune it with
+    // `LakeSession::set_history_depth`) and its ring starts empty.
+    let snapshot = SessionSnapshot {
+        generation: manifest.generation,
         lake,
+        embedder: Arc::new(embedder),
+        index: index.map(Arc::new),
+        blocks,
+    };
+    let session = LakeSession::from_snapshot(
         manifest.config.clone(),
-        aligner_encoder,
-        embedder,
         manifest.model_injected,
-        search,
-        tuples,
-        manifest.generation,
+        searcher,
+        snapshot,
+        SessionOptions::default().history,
         start.elapsed().as_secs_f64(),
     );
     Ok((session, pack))
@@ -1264,22 +1274,49 @@ mod tests {
         Table::builder(name).column("x", cells).build().unwrap()
     }
 
-    /// A `rows × dim` block of arbitrary non-zero values.
-    fn block(rows: usize, dim: usize) -> EmbeddingStore {
-        let vectors: Vec<Vector> = (0..rows)
+    /// `rows` vectors of `dim` arbitrary non-zero values.
+    fn vectors(rows: usize, dim: usize) -> Vec<Vector> {
+        (0..rows)
             .map(|i| Vector::new((0..dim).map(|c| (i * dim + c) as f32 + 0.5).collect()))
-            .collect();
-        EmbeddingStore::from_vectors(&vectors)
+            .collect()
     }
+
+    /// A block of `rows × dim` tuple embeddings and no column block, as
+    /// Overlap keeps.
+    fn block(rows: usize, dim: usize) -> TableBlock {
+        TableBlock {
+            tuples: EmbeddingStore::from_vectors(&vectors(rows, dim)),
+            columns: None,
+        }
+    }
+
+    /// `block` with a column block of `columns` vectors of `dim` values, as
+    /// D3L and Starmie keep.
+    fn with_columns(block: TableBlock, columns: usize, dim: usize) -> TableBlock {
+        TableBlock {
+            columns: Some(vectors(columns, dim)),
+            ..block
+        }
+    }
+
+    /// 3-d tuple embeddings; no column block (Overlap), or 2-d columns.
+    const OVERLAP: Dims = Dims {
+        tuples: 3,
+        columns: None,
+    };
+    const COLUMNS: Dims = Dims {
+        tuples: 3,
+        columns: Some(2),
+    };
 
     /// One lake-segment table: a pack index, or an inline entry.
     enum Tag {
         Packed(usize),
-        Inline(Table, EmbeddingStore),
+        Inline(Table, TableBlock),
     }
 
     /// A pack payload holding `entries`, in order.
-    fn pack_payload(entries: &[(Table, EmbeddingStore)]) -> Vec<u8> {
+    fn pack_payload(entries: &[(Table, TableBlock)]) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_usize(entries.len());
         for (table, block) in entries {
@@ -1311,14 +1348,23 @@ mod tests {
         w.into_bytes()
     }
 
-    /// Decode `pack`, then `tags` against it, for a 3-d embedder.
+    /// Decode `pack`, then `tags` against it, for a 3-d embedder under
+    /// Overlap.
     fn decode(
-        pack: &[(Table, EmbeddingStore)],
+        pack: &[(Table, TableBlock)],
         tags: &[Tag],
-    ) -> Result<(Vec<PackedEntry>, DataLake, TupleBlocks), PersistError> {
-        let packed = decode_pack(&pack_payload(pack), Path::new("seg-1-pack.bin"), 3)?;
+    ) -> Result<(Vec<PackedEntry>, DataLake, TableBlocks), PersistError> {
+        decode_with(pack, tags, OVERLAP)
+    }
+
+    fn decode_with(
+        pack: &[(Table, TableBlock)],
+        tags: &[Tag],
+        dims: Dims,
+    ) -> Result<(Vec<PackedEntry>, DataLake, TableBlocks), PersistError> {
+        let packed = decode_pack(&pack_payload(pack), Path::new("seg-1-pack.bin"), dims)?;
         let lake_path = Path::new("seg-2-lake.bin");
-        let (lake, blocks) = decode_lake(&lake_payload(tags), lake_path, &packed, 3)?;
+        let (lake, blocks) = decode_lake(&lake_payload(tags), lake_path, &packed, dims)?;
         Ok((packed, lake, blocks))
     }
 
@@ -1332,21 +1378,30 @@ mod tests {
     }
 
     /// Tables `a` (two rows) and `b` (one row) with 3-d blocks.
-    fn pair() -> Vec<(Table, EmbeddingStore)> {
+    fn pair() -> Vec<(Table, TableBlock)> {
         vec![(table("a", 2), block(2, 3)), (table("b", 1), block(1, 3))]
     }
 
     #[test]
     fn tuple_blocks_decode_onto_their_tables_bit_for_bit() {
         // `a` from the pack, `b` inline; the pack's `b` is dead
-        let inline = block(1, 3).raw_parts().0.iter().map(|v| v * 2.0).collect();
+        let inline = vectors(1, 3)[0]
+            .as_slice()
+            .iter()
+            .map(|v| v * 2.0)
+            .collect();
         let inline = EmbeddingStore::from_vectors(&[Vector::new(inline)]);
-        let tags = [Tag::Packed(0), Tag::Inline(table("b", 1), inline.clone())];
+        let inline_block = TableBlock {
+            tuples: inline.clone(),
+            columns: None,
+        };
+        let tags = [Tag::Packed(0), Tag::Inline(table("b", 1), inline_block)];
         let (packed, lake, blocks) = decode(&pair(), &tags).unwrap();
         let names: Vec<&str> = blocks.keys().map(|name| &**name).collect();
         assert_eq!(names, ["a", "b"]);
-        assert_eq!(blocks["a"].raw_parts(), block(2, 3).raw_parts());
-        assert_eq!(blocks["b"].raw_parts(), inline.raw_parts());
+        let tuples = |name: &str| blocks[name].tuples.raw_parts();
+        assert_eq!(tuples("a"), block(2, 3).tuples.raw_parts());
+        assert_eq!(tuples("b"), inline.raw_parts());
         assert_eq!(lake.table("b").unwrap(), &table("b", 1));
         // a packed table is the pack's allocation, which the store remembers
         assert!(Arc::ptr_eq(&blocks["a"], &packed[0].block));
@@ -1374,8 +1429,10 @@ mod tests {
         .unwrap();
         let empty = Table::from_columns("e", vec![Column::new("x", Vec::new())]).unwrap();
         for (table, block) in [
-            (every_value, block(2, 5)),
-            (empty, EmbeddingStore::from_vectors(&[])),
+            (every_value.clone(), block(2, 5)),
+            (every_value, with_columns(block(2, 5), 3, 4)),
+            (empty.clone(), block(0, 0)),
+            (empty, with_columns(block(0, 0), 1, 2)),
         ] {
             let mut w = ByteWriter::new();
             put_entry(&mut w, &table, &block);
@@ -1447,8 +1504,71 @@ mod tests {
         );
         // an empty table's block carries no dimension to check
         let empty = Table::from_columns("e", vec![Column::new("x", Vec::new())]).unwrap();
-        let tags = [Tag::Inline(empty, EmbeddingStore::from_vectors(&[]))];
-        assert_eq!(decode(&[], &tags).unwrap().2["e"].len(), 0);
+        let tags = [Tag::Inline(empty, block(0, 0))];
+        assert_eq!(decode(&[], &tags).unwrap().2["e"].tuples.len(), 0);
+    }
+
+    /// `a` and `b` of [`pair`], with one 2-d vector per column.
+    fn pair_with_columns() -> Vec<(Table, TableBlock)> {
+        (pair().into_iter())
+            .map(|(table, block)| (table, with_columns(block, 1, 2)))
+            .collect()
+    }
+
+    #[test]
+    fn column_blocks_decode_onto_their_tables_bit_for_bit() {
+        let tags = [
+            Tag::Packed(0),
+            Tag::Inline(table("b", 1), with_columns(block(1, 3), 1, 2)),
+        ];
+        let (_, _, blocks) = decode_with(&pair_with_columns(), &tags, COLUMNS).unwrap();
+        for (name, block) in &blocks {
+            assert_eq!(block.columns, Some(vectors(1, 2)), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_column_block_of_another_count_than_the_tables_columns_is_corrupt() {
+        let wide = vec![(table("a", 2), with_columns(block(2, 3), 2, 2))];
+        assert_corrupt(
+            decode_with(&wide, &[], COLUMNS),
+            "the column block of table \"a\" holds 2 columns, the table 1",
+        );
+    }
+
+    #[test]
+    fn a_column_vector_of_another_dimension_is_corrupt() {
+        let mut pack = pair_with_columns();
+        pack[1].1 = with_columns(block(1, 3), 1, 3);
+        assert_corrupt(
+            decode_with(&pack, &[], COLUMNS),
+            "column 0 of table \"b\" is 3-dimensional, the technique's 2",
+        );
+    }
+
+    #[test]
+    fn a_column_block_under_overlap_is_corrupt() {
+        // the first entry's column block is read as the second entry...
+        assert_corrupt(
+            decode_with(&pair_with_columns(), &[], OVERLAP),
+            "seg-1-pack.bin",
+        );
+        // ...and the last one's is left over
+        let last = vec![pair_with_columns().remove(1)];
+        assert_corrupt(decode_with(&last, &[], OVERLAP), "trailing bytes");
+        let tags = [Tag::Inline(table("c", 1), with_columns(block(1, 3), 1, 2))];
+        assert_corrupt(decode_with(&[], &tags, OVERLAP), "seg-2-lake.bin");
+    }
+
+    #[test]
+    fn a_missing_column_block_under_d3l_or_starmie_is_corrupt() {
+        // the next entry is read as the first one's column block...
+        assert_corrupt(decode_with(&pair(), &[], COLUMNS), "seg-1-pack.bin");
+        // ...and the last one's runs off the payload
+        let last = vec![pair().remove(1)];
+        assert_corrupt(decode_with(&last, &[], COLUMNS), "payload overrun");
+        let tags = [Tag::Inline(table("c", 1), block(1, 3))];
+        assert_corrupt(decode_with(&[], &tags, COLUMNS), "seg-2-lake.bin");
     }
 
     /// Tables `a` (values `a0`, `a1`) and `b` (value `b0`), one column
@@ -1574,7 +1694,7 @@ mod tests {
     /// tables whose entries are the same length.
     #[test]
     fn the_pack_is_rewritten_once_inline_and_dead_bytes_reach_half_the_live() {
-        let held: Vec<(Arc<Table>, Arc<EmbeddingStore>)> = ["a", "b", "c", "d", "e"]
+        let held: Vec<(Arc<Table>, Arc<TableBlock>)> = ["a", "b", "c", "d", "e"]
             .map(|name| (Arc::new(table(name, 2)), Arc::new(block(2, 3))))
             .into();
         let pack = Pack {

@@ -9,14 +9,14 @@
 //! — many queries against one slowly-changing lake — so [`LakeSession`]
 //! hoists everything query-independent out of the per-query path:
 //!
-//! * **one embedding block per lake table** — every lake tuple embedded
-//!   once; table *t*'s tuples form one immutable [`EmbeddingStore`] whose
-//!   row *i* is tuple *i* of *t* (its own provenance), shared by `Arc`
-//!   exactly like the lake's `Arc<Table>`;
-//! * **persistent candidate structures** — whichever structures the
-//!   configured search technique needs ([`InvertedValueIndex`], Starmie
-//!   contextualized column stores, D3L per-column signal embeddings),
-//!   built at session construction;
+//! * **one immutable block per lake table** — table *t*'s tuples embedded
+//!   once as one [`EmbeddingStore`] whose row *i* is tuple *i* of *t* (its
+//!   own provenance) and, under D3L and Starmie, the embedding of each of
+//!   its columns that the technique scores it by; shared by `Arc` exactly
+//!   like the lake's `Arc<Table>`;
+//! * **one inverted index** — under Overlap and D3L, the
+//!   [`InvertedValueIndex`] that shortlists candidates, built at session
+//!   construction;
 //! * **one shared model** — the tuple embedder ([`DustModel`] or
 //!   [`TupleEncoder`]) is constructed/trained once and reused by every
 //!   query.
@@ -40,7 +40,7 @@
 //! `tests/session_concurrency.rs`:
 //!
 //! * queries and mutations interleave freely; an in-flight `add_table`
-//!   never stalls a `query`, `similar_*`, or `stats` call;
+//!   never stalls a `query`, `similar_tuples`, or `stats` call;
 //! * every query observes exactly one lake version, and the
 //!   [`LakeSession::generation`] it reports is a real consistency token:
 //!   the result is bit-identical to a fresh [`LakeSession::new`] over the
@@ -59,32 +59,27 @@
 //! dropped table. [`LakeSession::add_table`] and
 //! [`LakeSession::remove_table`] apply **per-table deltas** instead:
 //!
-//! * an add embeds only the new table's tuples into one new block and
-//!   inserts its `Arc`; a remove drops the table's `Arc`. Every other
-//!   block is the previous generation's allocation;
-//! * the search technique's candidate structures update by exact per-table
-//!   deltas — [`InvertedValueIndex`] postings are sorted lists of integer
-//!   column references (a table's slot is the only thing a delta can
-//!   number differently from a fresh build, and no answer reads it),
-//!   Starmie/D3L column stores are keyed per table with no cross-table
-//!   float aggregate, so a delta answers exactly as a fresh build;
-//! * the column side (the lake-wide TF-IDF corpus and the column
-//!   embeddings under it — every column's embedding depends on every table
-//!   through IDF) is never maintained: each generation derives it from its
-//!   own pinned lake on the first [`LakeSession::similar_columns`] call
-//!   against it, *off* every lock, so it is by construction what a fresh
-//!   session computes. Nothing else reads it — `query`, `similar_tuples`,
-//!   `stats` and the persistence layer never build it;
+//! * an add builds only the new table's block and inserts its `Arc`; a
+//!   remove drops the table's `Arc`. Every other block is the previous
+//!   generation's allocation. A block is a function of its table alone —
+//!   Starmie blends a column only with its own table's centroid, and D3L's
+//!   column embeddings carry no lake-wide aggregate — so a delta answers
+//!   exactly as a fresh build;
+//! * the [`InvertedValueIndex`] takes the exact per-table delta: its
+//!   postings are sorted lists of integer column references (a table's
+//!   slot is the only thing a delta can number differently from a fresh
+//!   build, and no answer reads it);
 //! * a fine-tuned session retrains its (lake-derived, deterministically
-//!   seeded) model and re-embeds every table's block — the documented
+//!   seeded) model and re-embeds every table's tuples — the documented
 //!   recompute fallback: training is a function of the whole lake, so no
-//!   exact delta exists. Sessions with an *injected* model
+//!   exact delta exists. Each block's column embeddings are carried over:
+//!   they do not depend on the model. Sessions with an *injected* model
 //!   ([`LakeSession::with_model`]) keep it: the model is not lake-derived.
 //!
 //! The headline guarantee, enforced by `tests/session_mutation.rs` rather
-//! than prose: after **any** mutation sequence, `query` /
-//! `similar_tuples` / `similar_columns` results are bit-identical to a
-//! fresh [`LakeSession::new`] on the mutated lake.
+//! than prose: after **any** mutation sequence, `query` and
+//! `similar_tuples` results are bit-identical to a fresh
+//! [`LakeSession::new`] on the mutated lake.
 //!
 //! [`DustPipeline::run`]: crate::pipeline::DustPipeline
 //! [`DustPipeline`]: crate::pipeline::DustPipeline
@@ -95,19 +90,16 @@ use crate::persist::SessionError;
 use crate::pipeline::run_query;
 use crate::result::DustResult;
 use dust_embed::{
-    desc_nan_last, ColumnEncoder, Distance, DustModel, EmbeddingStore, TfIdfCorpus, TupleEncoder,
-    Vector,
+    desc_nan_last, ColumnEncoder, Distance, DustModel, EmbeddingStore, TupleEncoder, Vector,
 };
-use dust_search::{
-    D3lSearch, D3lSignalStats, InvertedValueIndex, OverlapSearch, StarmieColumnStore, StarmieSearch,
-};
-use dust_table::{Column, DataLake, Table, TableError, TableId, Tuple};
+use dust_search::{D3lSearch, InvertedValueIndex, OverlapSearch, StarmieSearch, TableUnionSearch};
+use dust_table::{DataLake, Table, TableError, TableId, Tuple};
 use rayon::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// Construction options for a [`LakeSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,110 +119,63 @@ impl Default for SessionOptions {
     }
 }
 
-/// Every lake table's tuple embeddings, keyed by table name: row *i* of a
-/// block is tuple *i* of its table. The keys are `Arc<str>`, so cloning
-/// the map for the next generation bumps refcounts instead of allocating
-/// a string per table.
-pub(crate) type TupleBlocks = BTreeMap<Arc<str>, Arc<EmbeddingStore>>;
-
-/// The column side of one generation: the lake-wide TF-IDF corpus and
-/// every lake column embedded under it. Every column embedding depends on
-/// every table through IDF, so it is derived whole from the generation's
-/// lake, never delta-maintained and never persisted.
+/// One lake table's derived state, immutable once built: its tuple
+/// embeddings (row *i* is tuple *i* of the table) and, under D3L and
+/// Starmie, one embedding per column in column order — what the technique
+/// scores the table by. `columns` is `None` under Overlap.
 #[derive(Debug)]
-struct ColumnSide {
-    corpus: TfIdfCorpus,
-    store: EmbeddingStore,
-    /// `(table, column header)` per store row (the header is captured at
-    /// build time so serving a hit never needs a lake lookup).
-    refs: Vec<(TableId, String)>,
+pub(crate) struct TableBlock {
+    pub(crate) tuples: EmbeddingStore,
+    pub(crate) columns: Option<Vec<Vector>>,
 }
 
-/// The persistent candidate structures of the configured search technique.
-#[derive(Debug, Clone)]
-pub(crate) enum SearchStructures {
-    Overlap {
-        search: OverlapSearch,
-        index: InvertedValueIndex,
-    },
-    D3l {
-        search: D3lSearch,
-        index: InvertedValueIndex,
-        stats: D3lSignalStats,
-    },
-    Starmie {
-        search: StarmieSearch,
-        store: StarmieColumnStore,
-    },
+/// Every lake table's block, keyed by table name. The keys are `Arc<str>`,
+/// so cloning the map for the next generation bumps refcounts instead of
+/// allocating a string per table.
+pub(crate) type TableBlocks = BTreeMap<Arc<str>, Arc<TableBlock>>;
+
+/// The configured technique's searcher: the same `::new()` default the
+/// one-shot pipeline constructs per query, so resident results match fresh
+/// ones. What it reads of the lake lives in each snapshot: the inverted
+/// index (Overlap, D3L) and every table's column embeddings, in the table's
+/// block (D3L, Starmie).
+#[derive(Debug)]
+pub(crate) enum Searcher {
+    Overlap(OverlapSearch),
+    D3l(D3lSearch),
+    Starmie(StarmieSearch),
 }
 
-impl SearchStructures {
-    /// Apply the exact per-table delta for an added table.
-    fn add_table(&mut self, table: &Table) {
-        match self {
-            SearchStructures::Overlap { index, .. } => index.add_table(table),
-            SearchStructures::D3l {
-                search,
-                index,
-                stats,
-            } => {
-                index.add_table(table);
-                stats.add_table(table, search);
-            }
-            SearchStructures::Starmie { search, store } => store.add_table(table, search),
+impl Searcher {
+    pub(crate) fn new(technique: SearchTechnique) -> Self {
+        match technique {
+            SearchTechnique::Overlap => Searcher::Overlap(OverlapSearch::new()),
+            SearchTechnique::D3l => Searcher::D3l(D3lSearch::new()),
+            SearchTechnique::Starmie => Searcher::Starmie(StarmieSearch::new()),
         }
     }
 
-    /// Apply the exact per-table delta for a removed table (the caller
-    /// passes the removed [`Table`] because the inverted index holds no
-    /// per-table value lists to subtract from).
-    fn remove_table(&mut self, table: &Table) {
+    /// Whether the technique shortlists through a resident inverted index.
+    pub(crate) fn has_index(&self) -> bool {
+        !matches!(self, Searcher::Starmie(_))
+    }
+
+    /// The dimension of the column embeddings each table's block holds, or
+    /// `None` when it holds none (Overlap).
+    pub(crate) fn column_dim(&self) -> Option<usize> {
         match self {
-            SearchStructures::Overlap { index, .. } => {
-                index.remove_table(table);
-            }
-            SearchStructures::D3l { index, stats, .. } => {
-                index.remove_table(table);
-                stats.remove_table(table.name());
-            }
-            SearchStructures::Starmie { store, .. } => {
-                store.remove_table(table.name());
-            }
+            Searcher::Overlap(_) => None,
+            Searcher::D3l(search) => Some(search.column_dim()),
+            Searcher::Starmie(search) => Some(search.column_dim()),
         }
     }
 
-    /// Record the pointer identity of every per-table / per-value shared
-    /// payload into `out` (see [`SessionView::sharing_fingerprint`]).
-    fn sharing_fingerprint(
-        &self,
-        lake: &DataLake,
-        out: &mut std::collections::BTreeMap<String, usize>,
-    ) {
-        fn postings(
-            index: &InvertedValueIndex,
-            out: &mut std::collections::BTreeMap<String, usize>,
-        ) {
-            for (value, columns) in index.postings_shared() {
-                out.insert(format!("posting:{value}"), columns.as_ptr() as usize);
-            }
-        }
+    /// The column embeddings a table's block holds: `None` under Overlap.
+    fn embed_columns(&self, table: &Table) -> Option<Vec<Vector>> {
         match self {
-            SearchStructures::Overlap { index, .. } => postings(index, out),
-            SearchStructures::D3l { index, stats, .. } => {
-                postings(index, out);
-                for (id, _) in lake.tables_shared() {
-                    if let Some(block) = stats.embeddings_shared(id) {
-                        out.insert(format!("columns:{id}"), Arc::as_ptr(block) as usize);
-                    }
-                }
-            }
-            SearchStructures::Starmie { store, .. } => {
-                for (id, _) in lake.tables_shared() {
-                    if let Some(block) = store.embeddings_shared(id) {
-                        out.insert(format!("columns:{id}"), Arc::as_ptr(block) as usize);
-                    }
-                }
-            }
+            Searcher::Overlap(_) => None,
+            Searcher::D3l(search) => Some(search.column_embeddings(table)),
+            Searcher::Starmie(search) => Some(search.contextual_column_embeddings(table)),
         }
     }
 }
@@ -283,8 +228,7 @@ impl SessionEmbedder {
 /// One immutable generation of resident state. Readers pin a snapshot
 /// (cheap `Arc` clone) and serve from it; mutations build the *next*
 /// snapshot off to the side and publish it atomically. Nothing in here is
-/// ever written after publication — the lazily-built column side included:
-/// its `OnceLock` initializes at most once, off every lock.
+/// ever written after publication.
 #[derive(Debug)]
 pub(crate) struct SessionSnapshot {
     /// Number of successful mutations between [`LakeSession`] construction
@@ -292,38 +236,11 @@ pub(crate) struct SessionSnapshot {
     pub(crate) generation: u64,
     pub(crate) lake: DataLake,
     pub(crate) embedder: Arc<SessionEmbedder>,
-    pub(crate) search: Arc<SearchStructures>,
+    /// The inverted index, under Overlap and D3L.
+    pub(crate) index: Option<Arc<InvertedValueIndex>>,
     /// One block per lake table; a mutation inserts or drops one `Arc` and
     /// shares every other block with the previous generation.
-    pub(crate) tuples: TupleBlocks,
-    /// The column side, derived from `lake` on the first column read of
-    /// this generation — its only origin, so it is bit-identical to a
-    /// fresh session's.
-    columns: OnceLock<ColumnSide>,
-}
-
-impl SessionSnapshot {
-    /// The column side, built on first use (off every session lock —
-    /// concurrent first readers of the same generation may wait on each
-    /// other here, but never on a mutation, and never block tuple reads).
-    fn columns(&self, encoder: &ColumnEncoder) -> &ColumnSide {
-        // dust-lint: lock(columns-once)
-        self.columns.get_or_init(|| {
-            let mut columns: Vec<&Column> = Vec::new();
-            let mut refs = Vec::new();
-            for table in self.lake.tables() {
-                for column in table.columns() {
-                    columns.push(column);
-                    refs.push((table.name().to_string(), column.name().to_string()));
-                }
-            }
-            ColumnSide {
-                corpus: ColumnEncoder::build_corpus(columns.iter().copied()),
-                store: EmbeddingStore::from_vectors(&encoder.embed_columns(&columns)),
-                refs,
-            }
-        })
-    }
+    pub(crate) blocks: TableBlocks,
 }
 
 /// A ranked lake tuple returned by [`LakeSession::similar_tuples`].
@@ -334,17 +251,6 @@ pub struct RankedTuple {
     /// Row inside the owning table.
     pub row: usize,
     /// Maximum cosine similarity to any query tuple.
-    pub score: f64,
-}
-
-/// A ranked lake column returned by [`LakeSession::similar_columns`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct RankedColumn {
-    /// Owning lake table.
-    pub table: TableId,
-    /// Column header.
-    pub column: String,
-    /// Cosine similarity to the probe column.
     pub score: f64,
 }
 
@@ -372,6 +278,7 @@ pub struct SessionStats {
 pub struct LakeSession {
     pub(crate) config: PipelineConfig,
     pub(crate) aligner_encoder: ColumnEncoder,
+    searcher: Searcher,
     /// An injected ([`Self::with_model`]) embedder is not lake-derived and
     /// is therefore kept across mutations; a config-trained fine-tuned
     /// model *is* lake-derived and must be retrained (recompute fallback).
@@ -428,10 +335,10 @@ pub struct SessionView<'a> {
 }
 
 impl LakeSession {
-    /// Build a session over a lake with default options. Pre-embeds every
-    /// lake tuple, builds the configured search technique's
-    /// candidate structures, and (for a fine-tuning configuration) trains
-    /// the DUST tuple model — all exactly once.
+    /// Build a session over a lake with default options. Builds every lake
+    /// table's block (its tuples and, under D3L and Starmie, its columns
+    /// embedded), the inverted index (Overlap, D3L) and (for a fine-tuning
+    /// configuration) trains the DUST tuple model — all exactly once.
     pub fn new(lake: DataLake, config: PipelineConfig) -> Self {
         Self::with_options(lake, config, SessionOptions::default())
     }
@@ -463,89 +370,56 @@ impl LakeSession {
         model_injected: bool,
     ) -> Self {
         let start = crate::clock::now();
-        let aligner_encoder =
-            ColumnEncoder::new(config.alignment_model, config.alignment_serialization);
-
-        // Persistent candidate structures for the configured technique.
-        // Each searcher is the same `::new()` default the one-shot pipeline
-        // constructs per query, so resident results match fresh ones.
-        let search = match config.search {
-            SearchTechnique::Overlap => SearchStructures::Overlap {
-                search: OverlapSearch::new(),
-                index: InvertedValueIndex::build(&lake),
-            },
-            SearchTechnique::D3l => {
-                let search = D3lSearch::new();
-                let stats = D3lSignalStats::build(&lake, &search);
-                SearchStructures::D3l {
-                    search,
-                    index: InvertedValueIndex::build(&lake),
-                    stats,
-                }
-            }
-            SearchTechnique::Starmie => {
-                let search = StarmieSearch::new();
-                let store = StarmieColumnStore::build(&lake, &search);
-                SearchStructures::Starmie { search, store }
-            }
+        let searcher = Searcher::new(config.search);
+        let index = searcher
+            .has_index()
+            .then(|| Arc::new(InvertedValueIndex::build(&lake)));
+        let blocks = embed_lake(&lake, &embedder, &searcher, &TableBlocks::new());
+        let snapshot = SessionSnapshot {
+            generation: 0,
+            lake,
+            embedder: Arc::new(embedder),
+            index,
+            blocks,
         };
-
-        let tuples = embed_lake(&lake, &embedder);
-
-        LakeSession {
+        let build_secs = start.elapsed().as_secs_f64();
+        Self::from_snapshot(
             config,
-            aligner_encoder,
             model_injected,
-            current: RwLock::new(Arc::new(SessionSnapshot {
-                generation: 0,
-                lake,
-                embedder: Arc::new(embedder),
-                search: Arc::new(search),
-                tuples,
-                columns: OnceLock::new(),
-            })),
-            mutate: Mutex::new(()),
-            history: Mutex::new(VecDeque::new()),
-            history_depth: AtomicUsize::new(options.history),
-            build_secs: start.elapsed().as_secs_f64(),
-        }
+            searcher,
+            snapshot,
+            options.history,
+            build_secs,
+        )
     }
 
-    /// Reassemble a session from restored (snapshot-decoded) parts — the
-    /// persistence layer's constructor, bypassing embedding and training.
-    /// The lake's `Arc<Table>`s and the `tuples` blocks are kept as given:
-    /// the store that decoded them recognises them by pointer at its next
-    /// checkpoint and writes only the tables that changed since.
-    /// History depth is a serving-time knob, not part of the persisted
-    /// format: a restored session takes the default (callers re-tune it
-    /// with [`Self::set_history_depth`]) and its ring starts empty.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn from_restored(
-        lake: DataLake,
+    /// A session publishing `snapshot`, with an empty history ring of
+    /// `history` generations — the one constructor behind [`Self::new`]
+    /// and the persistence layer's restore, which passes decoded parts
+    /// and bypasses embedding and training. The lake's `Arc<Table>`s and
+    /// the blocks are kept as given: the store that decoded them recognises
+    /// them by pointer at its next checkpoint and writes only the tables
+    /// that changed since.
+    pub(crate) fn from_snapshot(
         config: PipelineConfig,
-        aligner_encoder: ColumnEncoder,
-        embedder: SessionEmbedder,
         model_injected: bool,
-        search: SearchStructures,
-        tuples: TupleBlocks,
-        generation: u64,
+        searcher: Searcher,
+        snapshot: SessionSnapshot,
+        history: usize,
         build_secs: f64,
     ) -> Self {
         LakeSession {
+            aligner_encoder: ColumnEncoder::new(
+                config.alignment_model,
+                config.alignment_serialization,
+            ),
             config,
-            aligner_encoder,
             model_injected,
-            current: RwLock::new(Arc::new(SessionSnapshot {
-                generation,
-                lake,
-                embedder: Arc::new(embedder),
-                search: Arc::new(search),
-                tuples,
-                columns: OnceLock::new(),
-            })),
+            searcher,
+            current: RwLock::new(Arc::new(snapshot)),
             mutate: Mutex::new(()),
             history: Mutex::new(VecDeque::new()),
-            history_depth: AtomicUsize::new(SessionOptions::default().history),
+            history_depth: AtomicUsize::new(history),
             build_secs,
         }
     }
@@ -682,8 +556,8 @@ impl LakeSession {
         self.snapshot().generation
     }
 
-    /// Persist the whole session — embeddings, candidate structures,
-    /// trained model, lake — as a checksummed snapshot (plus a fresh,
+    /// Persist the whole session — table blocks, inverted index, trained
+    /// model, lake — as a checksummed snapshot (plus a fresh,
     /// empty write-ahead log) in `dir`, replacing any snapshot already
     /// there. [`Self::open`] restores it bit-identically without re-paying
     /// the embed/index/train cost. To keep logging mutations durably after
@@ -706,12 +580,12 @@ impl LakeSession {
     }
 
     /// Add a table to the lake and publish the next generation built from
-    /// per-table deltas instead of a rebuild: the new table's tuples are
-    /// embedded into one new block — every other block is shared with the
-    /// previous generation by `Arc` — and the search technique's candidate
-    /// structures take the exact per-table delta. A fine-tuned session
-    /// retrains its lake-derived model and re-embeds every block instead —
-    /// the documented recompute fallback (see module docs). In-flight reads
+    /// per-table deltas instead of a rebuild: the new table gets one new
+    /// block — every other block is shared with the previous generation by
+    /// `Arc` — and the inverted index takes the exact per-table delta. A
+    /// fine-tuned session retrains its lake-derived model and re-embeds
+    /// every table's tuples instead — the documented recompute fallback
+    /// (see module docs). In-flight reads
     /// keep serving the previous generation throughout; they never wait.
     ///
     /// Duplicate names follow [`DataLake::add_table`]'s pinned semantics:
@@ -734,32 +608,35 @@ impl LakeSession {
         let mut lake = snap.lake.clone();
         lake.add_table_shared(table.clone())?;
 
-        let mut search = (*snap.search).clone();
-        search.add_table(&table);
+        let index = snap.index.as_ref().map(|index| {
+            let mut index = InvertedValueIndex::clone(index);
+            index.add_table(&table);
+            Arc::new(index)
+        });
 
-        let (embedder, tuples) = if self.retrains_on_mutation() {
-            self.retrained_state(&lake)
+        let (embedder, blocks) = if self.retrains_on_mutation() {
+            self.retrained_state(&lake, &snap.blocks)
         } else {
-            let mut tuples = snap.tuples.clone();
-            tuples.insert(Arc::from(table.name()), embed_table(&table, &snap.embedder));
-            (snap.embedder.clone(), tuples)
+            let mut blocks = snap.blocks.clone();
+            let block = embed_table(&table, &snap.embedder, &self.searcher, None);
+            blocks.insert(Arc::from(table.name()), block);
+            (snap.embedder.clone(), blocks)
         };
 
         self.publish(SessionSnapshot {
             generation: snap.generation + 1,
             lake,
             embedder,
-            search: Arc::new(search),
-            tuples,
-            columns: OnceLock::new(),
+            index,
+            blocks,
         });
         Ok(())
     }
 
     /// Remove a table from the lake and publish the next generation built
     /// from per-table deltas: the table's block is dropped — every other
-    /// block is shared by `Arc` — and the candidate structures take their
-    /// exact inverse. Returns the removed table
+    /// block is shared by `Arc` — and the inverted index takes its exact
+    /// inverse. Returns the removed table
     /// (as [`DataLake::remove_table`], which also scrubs ground-truth
     /// pairs naming it); errors — leaving the session untouched — if no
     /// such table exists. Like a rejected add, a missing name is decided
@@ -775,24 +652,28 @@ impl LakeSession {
         let mut lake = snap.lake.clone();
         let removed = lake.remove_table(name)?;
 
-        let mut search = (*snap.search).clone();
-        search.remove_table(&removed);
+        // the index takes the removed table: it holds no per-table value
+        // lists to subtract
+        let index = snap.index.as_ref().map(|index| {
+            let mut index = InvertedValueIndex::clone(index);
+            index.remove_table(&removed);
+            Arc::new(index)
+        });
 
-        let (embedder, tuples) = if self.retrains_on_mutation() {
-            self.retrained_state(&lake)
+        let (embedder, blocks) = if self.retrains_on_mutation() {
+            self.retrained_state(&lake, &snap.blocks)
         } else {
-            let mut tuples = snap.tuples.clone();
-            tuples.remove(name);
-            (snap.embedder.clone(), tuples)
+            let mut blocks = snap.blocks.clone();
+            blocks.remove(name);
+            (snap.embedder.clone(), blocks)
         };
 
         self.publish(SessionSnapshot {
             generation: snap.generation + 1,
             lake,
             embedder,
-            search: Arc::new(search),
-            tuples,
-            columns: OnceLock::new(),
+            index,
+            blocks,
         });
         Ok(removed)
     }
@@ -806,13 +687,18 @@ impl LakeSession {
 
     /// The recompute fallback for lake-derived models: retrain on the
     /// mutated lake (the identical deterministic recipe a fresh session
-    /// runs) and re-embed every table's block under the new model. Runs on
-    /// the mutating thread, off every lock — readers of the previous
-    /// generation are unaffected for the whole (expensive) rebuild.
-    fn retrained_state(&self, lake: &DataLake) -> (Arc<SessionEmbedder>, TupleBlocks) {
+    /// runs) and re-embed every table's tuples under the new model, carrying
+    /// the column embeddings of `previous`'s blocks over. Runs on the
+    /// mutating thread, off every lock — readers of the previous generation
+    /// are unaffected for the whole (expensive) rebuild.
+    fn retrained_state(
+        &self,
+        lake: &DataLake,
+        previous: &TableBlocks,
+    ) -> (Arc<SessionEmbedder>, TableBlocks) {
         let embedder = SessionEmbedder::from_config(&self.config.embedder, lake);
-        let tuples = embed_lake(lake, &embedder);
-        (Arc::new(embedder), tuples)
+        let blocks = embed_lake(lake, &embedder, &self.searcher, previous);
+        (Arc::new(embedder), blocks)
     }
 
     /// Size/shape summary of the resident state at the current generation.
@@ -853,18 +739,6 @@ impl LakeSession {
     pub fn similar_tuples(&self, query: &Table, k: usize) -> Vec<RankedTuple> {
         self.view().similar_tuples(query, k)
     }
-
-    /// Rank every lake column (current generation) by cosine similarity to
-    /// a probe column (embedded under the session's alignment encoder and
-    /// lake corpus) and return the top `k` — column-level discovery. The
-    /// first column read of a generation derives the corpus and the column
-    /// embeddings from that generation's lake (their IDF weights depend on
-    /// the whole lake) — off every lock, so concurrent tuple reads and
-    /// mutations are unaffected — and results are always bit-identical to
-    /// a freshly built session's.
-    pub fn similar_columns(&self, probe: &Column, k: usize) -> Vec<RankedColumn> {
-        self.view().similar_columns(probe, k)
-    }
 }
 
 impl<'a> SessionView<'a> {
@@ -890,10 +764,9 @@ impl<'a> SessionView<'a> {
 
     /// Pointer identities of every independently-shared component of the
     /// pinned snapshot, keyed by role: `lake-table:NAME` (the lake's
-    /// `Arc<Table>` entries), `tuples:NAME` (tuple embedding blocks),
-    /// `columns:NAME`
-    /// (per-table search-store embedding blocks), `posting:VALUE`
-    /// (inverted-index posting sets), plus `embedder`.
+    /// `Arc<Table>` entries), `block:NAME` (each table's block: its tuple
+    /// embeddings and, under D3L and Starmie, its column embeddings),
+    /// `posting:VALUE` (inverted-index posting sets), plus `embedder`.
     ///
     /// Diffing the fingerprints of generations *g* and *g+1* shows exactly
     /// what a mutation cloned: every key the mutation didn't touch must map
@@ -904,16 +777,16 @@ impl<'a> SessionView<'a> {
         for (id, table) in self.snap.lake.tables_shared() {
             out.insert(format!("lake-table:{id}"), Arc::as_ptr(table) as usize);
         }
-        for (name, block) in &self.snap.tuples {
-            out.insert(format!("tuples:{name}"), Arc::as_ptr(block) as usize);
+        for (name, block) in &self.snap.blocks {
+            out.insert(format!("block:{name}"), Arc::as_ptr(block) as usize);
         }
         out.insert(
             "embedder".to_string(),
             Arc::as_ptr(&self.snap.embedder) as usize,
         );
-        self.snap
-            .search
-            .sharing_fingerprint(&self.snap.lake, &mut out);
+        for (value, columns) in self.snap.index.iter().flat_map(|i| i.postings_shared()) {
+            out.insert(format!("posting:{value}"), columns.as_ptr() as usize);
+        }
         out
     }
 
@@ -922,10 +795,10 @@ impl<'a> SessionView<'a> {
         self.session
     }
 
-    /// The pinned generation's candidate structures (persistence reads
-    /// them segment by segment).
-    pub(crate) fn search_structures(&self) -> &SearchStructures {
-        &self.snap.search
+    /// The pinned generation's inverted index (persistence writes it to
+    /// the search segment).
+    pub(crate) fn index(&self) -> Option<&InvertedValueIndex> {
+        self.snap.index.as_deref()
     }
 
     /// The pinned generation's tuple embedder.
@@ -933,19 +806,19 @@ impl<'a> SessionView<'a> {
         &self.snap.embedder
     }
 
-    /// The pinned generation's tuple blocks, in table-name order.
-    pub(crate) fn tuple_blocks(&self) -> &TupleBlocks {
-        &self.snap.tuples
+    /// The pinned generation's table blocks, in table-name order.
+    pub(crate) fn blocks(&self) -> &TableBlocks {
+        &self.snap.blocks
     }
 
     /// [`LakeSession::stats`] at the pinned generation.
     pub fn stats(&self) -> SessionStats {
-        let blocks = &self.snap.tuples;
+        let mut tuples = self.snap.blocks.values().map(|b| &b.tuples);
         SessionStats {
             tables: self.snap.lake.num_tables(),
-            tuples: blocks.values().map(|b| b.len()).sum(),
+            tuples: tuples.clone().map(|t| t.len()).sum(),
             columns: self.snap.lake.tables().map(|t| t.num_columns()).sum(),
-            tuple_dim: (blocks.values().find(|b| !b.is_empty())).map_or(0, |b| b.dim()),
+            tuple_dim: tuples.find(|t| !t.is_empty()).map_or(0, |t| t.dim()),
             build_secs: self.session.build_secs,
         }
     }
@@ -1040,11 +913,12 @@ impl<'a> SessionView<'a> {
         // Packed once, so each probe's norm is computed once per request.
         let probes = EmbeddingStore::from_vectors(&query_embeddings);
         // Rank borrowed keys; only the k winners get an owned table name.
-        let blocks = &self.snap.tuples;
-        let rows = blocks.values().map(|b| b.len()).sum();
+        let blocks = &self.snap.blocks;
+        let rows = blocks.values().map(|b| b.tuples.len()).sum();
         let mut ranked: Vec<(f64, &str, usize)> = Vec::with_capacity(rows);
         for (table, block) in blocks {
-            block.cross_distances(Distance::Cosine, 0..block.len(), &probes, |row, d| {
+            let tuples = &block.tuples;
+            tuples.cross_distances(Distance::Cosine, 0..tuples.len(), &probes, |row, d| {
                 let score = d.iter().map(|d| 1.0 - d).fold(f64::NEG_INFINITY, f64::max);
                 ranked.push((score, table, row));
             });
@@ -1065,49 +939,20 @@ impl<'a> SessionView<'a> {
             .collect()
     }
 
-    /// [`LakeSession::similar_columns`] at the pinned generation.
-    pub fn similar_columns(&self, probe: &Column, k: usize) -> Vec<RankedColumn> {
-        let encoder = &self.session.aligner_encoder;
-        let side = self.snap.columns(encoder);
-        let probe = EmbeddingStore::from_vectors(&[encoder.embed_column(probe, &side.corpus)]);
-        let mut ranked: Vec<(f64, &str, &str)> = Vec::with_capacity(side.refs.len());
-        side.store
-            .cross_distances(Distance::Cosine, 0..side.refs.len(), &probe, |i, d| {
-                let (table, column) = &side.refs[i];
-                ranked.push((1.0 - d[0], table, column));
-            });
-        ranked.sort_by(|a, b| {
-            desc_nan_last(a.0, b.0)
-                .then_with(|| a.1.cmp(b.1))
-                .then_with(|| a.2.cmp(b.2))
-        });
-        ranked
-            .into_iter()
-            .take(k)
-            .map(|(score, table, column)| RankedColumn {
-                table: table.to_string(),
-                column: column.to_string(),
-                score,
-            })
-            .collect()
-    }
-
     /// The resident `SearchTables` step (same searcher defaults as the
-    /// one-shot pipeline, candidate structures read from the snapshot).
+    /// one-shot pipeline; the index and every table's column embeddings
+    /// read from the snapshot).
     fn search_tables(&self, lake: &DataLake, query: &Table) -> Vec<String> {
         let k = self.session.config.tables_per_query;
-        let results = match &*self.snap.search {
-            SearchStructures::Overlap { search, index } => {
+        let columns = |name: &str| self.snap.blocks.get(name)?.columns.as_deref();
+        let index = self.index();
+        let results = match (&self.session.searcher, index) {
+            (Searcher::Overlap(search), Some(index)) => {
                 search.search_with_index(lake, query, k, index)
             }
-            SearchStructures::D3l {
-                search,
-                index,
-                stats,
-            } => search.search_with_stats(lake, query, k, index, stats),
-            SearchStructures::Starmie { search, store } => {
-                search.search_with_store(lake, query, k, store)
-            }
+            (Searcher::Overlap(search), None) => search.search(lake, query, k),
+            (Searcher::D3l(search), _) => search.search_resident(lake, query, k, index, columns),
+            (Searcher::Starmie(search), _) => search.search_resident(lake, query, k, columns),
         };
         results.into_iter().map(|r| r.table).collect()
     }
@@ -1143,22 +988,45 @@ fn panic_detail(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One table's tuple embeddings as an immutable block, row *i* being tuple
-/// *i* — the single builder behind construction, `add_table` and the
-/// fine-tuned recompute fallback.
-fn embed_table(table: &Table, embedder: &SessionEmbedder) -> Arc<EmbeddingStore> {
+/// One table's block — the single builder behind construction,
+/// `add_table` and the fine-tuned recompute fallback: its tuples embedded by
+/// `embedder`, row *i* being tuple *i*, and the column embeddings of
+/// `carried` (a previous block of the same table: they do not depend on the
+/// tuple model) or, without one, embedded by `searcher`.
+fn embed_table(
+    table: &Table,
+    embedder: &SessionEmbedder,
+    searcher: &Searcher,
+    carried: Option<&TableBlock>,
+) -> Arc<TableBlock> {
     let rows: Vec<Vector> = table
         .tuples()
         .iter()
         .map(|t| embedder.embed_tuple(t))
         .collect();
-    Arc::new(EmbeddingStore::from_vectors(&rows))
+    Arc::new(TableBlock {
+        tuples: EmbeddingStore::from_vectors(&rows),
+        columns: match carried {
+            Some(block) => block.columns.clone(),
+            None => searcher.embed_columns(table),
+        },
+    })
 }
 
-/// Every lake table's block, built from scratch.
-fn embed_lake(lake: &DataLake, embedder: &SessionEmbedder) -> TupleBlocks {
+/// Every lake table's block, each carrying the column embeddings of its
+/// block in `previous`, if it has one.
+fn embed_lake(
+    lake: &DataLake,
+    embedder: &SessionEmbedder,
+    searcher: &Searcher,
+    previous: &TableBlocks,
+) -> TableBlocks {
     lake.tables()
-        .map(|table| (Arc::from(table.name()), embed_table(table, embedder)))
+        .map(|table| {
+            let carried = previous.get(table.name()).map(|block| &**block);
+            let block = embed_table(table, embedder, searcher, carried);
+            (Arc::from(table.name()), block)
+        })
         .collect()
 }
 
@@ -1171,27 +1039,56 @@ mod tests {
         BenchmarkConfig::tiny().generate().lake
     }
 
+    const TECHNIQUES: [SearchTechnique; 3] = [
+        SearchTechnique::Overlap,
+        SearchTechnique::D3l,
+        SearchTechnique::Starmie,
+    ];
+
+    /// What a table's block must hold for its columns under `technique`.
+    fn expected_columns(technique: SearchTechnique, table: &Table) -> Option<Vec<Vector>> {
+        match technique {
+            SearchTechnique::Overlap => None,
+            SearchTechnique::D3l => Some(D3lSearch::new().column_embeddings(table)),
+            SearchTechnique::Starmie => {
+                Some(StarmieSearch::new().contextual_column_embeddings(table))
+            }
+        }
+    }
+
     #[test]
     fn tuple_blocks_partition_the_lake_by_table() {
         let lake = tiny_lake();
-        let session = LakeSession::new(lake.clone(), PipelineConfig::fast());
-        let view = session.view();
-        let blocks = view.tuple_blocks();
-        // one block per lake table, in the lake's name order...
-        let names: Vec<String> = blocks.keys().map(|name| name.to_string()).collect();
-        assert_eq!(names, lake.table_names());
-        // ...whose row i is the table's tuple i, embedded once
-        for table in lake.tables() {
-            let block = &blocks[table.name()];
-            assert_eq!(block.len(), table.num_rows());
-            for (row, tuple) in table.tuples().iter().enumerate() {
-                let embedded = view.session_embedder().embed_tuple(tuple);
-                assert_eq!(
-                    block.row(row),
-                    embedded.as_slice(),
-                    "{}:{row}",
-                    table.name()
-                );
+        for technique in TECHNIQUES {
+            let config = PipelineConfig {
+                search: technique,
+                ..PipelineConfig::fast()
+            };
+            let session = LakeSession::new(lake.clone(), config);
+            let view = session.view();
+            let blocks = view.blocks();
+            // one block per lake table, in the lake's name order...
+            let names: Vec<String> = blocks.keys().map(|name| name.to_string()).collect();
+            assert_eq!(names, lake.table_names());
+            // ...whose row i is the table's tuple i, embedded once, and
+            // whose columns are what the technique scores the table by
+            for table in lake.tables() {
+                let block = &blocks[table.name()];
+                assert_eq!(block.tuples.len(), table.num_rows());
+                for (row, tuple) in table.tuples().iter().enumerate() {
+                    let embedded = view.session_embedder().embed_tuple(tuple);
+                    assert_eq!(
+                        block.tuples.row(row),
+                        embedded.as_slice(),
+                        "{}:{row}",
+                        table.name()
+                    );
+                }
+                let expected = expected_columns(technique, table);
+                assert_eq!(block.columns, expected, "{technique:?} {}", table.name());
+                let dim = block.columns.iter().flatten().map(Vector::dim);
+                let want = Searcher::new(technique).column_dim();
+                assert!(dim.into_iter().all(|d| Some(d) == want));
             }
         }
     }
@@ -1201,45 +1098,58 @@ mod tests {
         let lake = tiny_lake();
         let expected_tuples: usize = lake.tables().map(|t| t.num_rows()).sum();
         let expected_columns: usize = lake.tables().map(|t| t.num_columns()).sum();
-        let session = LakeSession::new(lake, PipelineConfig::fast());
+        let config = PipelineConfig {
+            search: SearchTechnique::Starmie,
+            ..PipelineConfig::fast()
+        };
+        let session = LakeSession::new(lake, config);
         let stats = session.stats();
         assert_eq!(stats.tuples, expected_tuples);
         assert_eq!(stats.columns, expected_columns);
         assert!(stats.tuple_dim > 0);
         assert!(stats.build_secs > 0.0);
-        let snap = session.snapshot();
-        let side = snap.columns(&session.aligner_encoder);
-        assert_eq!(side.store.len(), expected_columns);
-        assert_eq!(side.refs.len(), expected_columns);
+        let view = session.view();
+        let columns = view.blocks().values().flat_map(|b| b.columns.iter());
+        assert_eq!(columns.map(Vec::len).sum::<usize>(), expected_columns);
     }
 
+    /// A retrain re-embeds every table's tuples under the new model and
+    /// carries each block's column embeddings over unchanged.
     #[test]
-    fn stats_and_save_never_build_the_column_side() {
-        let lake = tiny_lake();
-        let probe = lake.queries().next().unwrap().column(0).unwrap().clone();
-        let session = LakeSession::new(lake, PipelineConfig::fast());
-        let table = Table::builder("lazy_parks")
+    fn a_retrain_carries_every_tables_column_embeddings_over() {
+        let config = PipelineConfig {
+            search: SearchTechnique::Starmie,
+            embedder: TupleEmbedderKind::FineTuned {
+                backbone: dust_embed::PretrainedModel::Bert,
+                config: dust_embed::FineTuneConfig {
+                    hidden_dim: 16,
+                    output_dim: 8,
+                    max_epochs: 2,
+                    patience: 1,
+                    ..dust_embed::FineTuneConfig::default()
+                },
+                training_pairs: 40,
+            },
+            ..PipelineConfig::fast()
+        };
+        let session = LakeSession::new(tiny_lake(), config);
+        let before = session.view();
+        let added = Table::builder("retrained_parks")
             .column("Park Name", ["Kilo Park", "Lima Park"])
             .column("Country", ["USA", "Canada"])
             .build()
             .unwrap();
-        session.add_table(table).unwrap();
-        let counted = session.stats().columns;
-        let dir = std::env::temp_dir().join(format!("dust-lazy-columns-{}", std::process::id()));
-        session.save(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
-        assert!(
-            session.snapshot().columns.get().is_none(),
-            "a stats probe or a checkpoint embedded the lake's columns"
-        );
-        // the first column read builds it, equal to a fresh session's
-        let fresh = LakeSession::new(session.lake().clone(), PipelineConfig::fast());
-        assert_eq!(fresh.stats().columns, counted);
-        assert_eq!(
-            session.similar_columns(&probe, 6),
-            fresh.similar_columns(&probe, 6)
-        );
-        assert!(session.snapshot().columns.get().is_some());
+        session.add_table(added.clone()).unwrap();
+        let after = session.view();
+        assert!(!Arc::ptr_eq(&before.snap.embedder, &after.snap.embedder));
+        for (name, block) in before.blocks() {
+            let retrained = &after.blocks()[name];
+            assert!(!Arc::ptr_eq(block, retrained), "{name} was not re-embedded");
+            assert_eq!(retrained.columns, block.columns, "{name}");
+        }
+        let new_block = &after.blocks()["retrained_parks"];
+        let technique = SearchTechnique::Starmie;
+        assert_eq!(new_block.columns, expected_columns(technique, &added));
     }
 
     #[test]
@@ -1263,22 +1173,6 @@ mod tests {
         assert!(top[0].row < table.num_rows());
         // empty k
         assert!(session.similar_tuples(&query, 0).is_empty());
-    }
-
-    #[test]
-    fn similar_columns_matches_semantically_close_columns() {
-        let lake = tiny_lake();
-        let query_name = lake.query_names()[0].clone();
-        let query = lake.query(&query_name).unwrap().clone();
-        let session = LakeSession::new(lake, PipelineConfig::fast());
-        let probe = query.column(0).unwrap();
-        let top = session.similar_columns(probe, 3);
-        assert_eq!(top.len(), 3);
-        for hit in &top {
-            assert!(!hit.column.is_empty());
-            assert!(session.lake().table(&hit.table).is_ok());
-        }
-        assert!(top[0].score >= top[1].score);
     }
 
     #[test]
@@ -1386,9 +1280,9 @@ mod tests {
         assert_eq!(after.columns, before.columns + 2);
         // one new block; every other block is the previous allocation
         let after_view = session.view();
-        let (old, new) = (before_view.tuple_blocks(), after_view.tuple_blocks());
+        let (old, new) = (before_view.blocks(), after_view.blocks());
         assert_eq!(new.len(), old.len() + 1);
-        assert_eq!(new["new_parks"].len(), 2);
+        assert_eq!(new["new_parks"].tuples.len(), 2);
         for (name, block) in old {
             assert!(Arc::ptr_eq(block, &new[name]), "block {name} was copied");
         }
@@ -1468,10 +1362,7 @@ mod tests {
         let stats = session.stats();
         assert_eq!(stats.tables, names.len() - 1);
         assert_eq!(stats.tuples, total - first_rows);
-        assert!(!session
-            .view()
-            .tuple_blocks()
-            .contains_key(names[0].as_str()));
+        assert!(!session.view().blocks().contains_key(names[0].as_str()));
         // a removed table's tuples never appear again
         for hit in session.similar_tuples(&removed, 1000) {
             assert_ne!(hit.table, names[0]);

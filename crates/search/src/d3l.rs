@@ -12,6 +12,7 @@ use crate::signals::{SignalComputer, SignalWeights};
 use crate::{rank_and_truncate, shortlist_candidates, SearchResult, TableUnionSearch};
 use dust_embed::Vector;
 use dust_table::{DataLake, Table};
+use std::borrow::Cow;
 
 /// D3L multi-signal union search.
 #[derive(Debug, Clone)]
@@ -47,46 +48,48 @@ impl D3lSearch {
         }
     }
 
-    /// Aggregated score of a (query, candidate) table pair.
-    pub fn score_pair(&self, query: &Table, candidate: &Table) -> f64 {
-        let qe: Vec<Vector> = query
-            .columns()
-            .iter()
+    /// Every column of `table` embedded under the signal computer's
+    /// encoder, in column order. The embedding signal is the expensive part
+    /// of [`crate::signals::SignalComputer::compute`] (the other four are
+    /// cheap set/stat comparisons on the raw columns), and these embeddings
+    /// are query-independent, with no lake-wide aggregate: a serving session
+    /// computes them once per table and keeps them in the table's block.
+    pub fn column_embeddings(&self, table: &Table) -> Vec<Vector> {
+        (table.columns().iter())
             .map(|c| self.computer.embed_column(c))
-            .collect();
-        self.score_pair_with(query, &qe, candidate, None)
+            .collect()
     }
 
-    /// [`Self::score_pair`] with the query's column embeddings precomputed
-    /// and the candidate's read from `stats` when available — the single
-    /// scoring code path, so the resident-stats search is byte-identical to
-    /// the fresh one.
+    /// The dimension of every column embedding this search produces.
+    pub fn column_dim(&self) -> usize {
+        self.computer.dim()
+    }
+
+    /// Aggregated score of a (query, candidate) table pair.
+    pub fn score_pair(&self, query: &Table, candidate: &Table) -> f64 {
+        let (qe, ce) = (
+            self.column_embeddings(query),
+            self.column_embeddings(candidate),
+        );
+        self.score_pair_with(query, &qe, candidate, &ce)
+    }
+
+    /// [`Self::score_pair`] over both tables' column embeddings — the
+    /// single scoring code path, so the resident search is byte-identical
+    /// to the fresh one.
     fn score_pair_with(
         &self,
         query: &Table,
         query_embeddings: &[Vector],
         candidate: &Table,
-        stats: Option<&D3lSignalStats>,
+        candidate_embeddings: &[Vector],
     ) -> f64 {
-        let resident = stats.and_then(|s| s.embeddings(candidate.name()));
-        let fresh: Vec<Vector>;
-        let ce: &[Vector] = match resident {
-            Some(e) => e,
-            None => {
-                fresh = candidate
-                    .columns()
-                    .iter()
-                    .map(|c| self.computer.embed_column(c))
-                    .collect();
-                &fresh
-            }
-        };
         let mut total = 0.0;
         for (qcol, qe) in query.columns().iter().zip(query_embeddings) {
             let best = candidate
                 .columns()
                 .iter()
-                .zip(ce)
+                .zip(candidate_embeddings)
                 .map(|(ccol, cemb)| {
                     self.computer
                         .compute_with(qcol, qe, ccol, cemb)
@@ -98,41 +101,30 @@ impl D3lSearch {
         total / query.num_columns().max(1) as f64
     }
 
-    /// Search using resident candidate structures (an [`InvertedValueIndex`]
-    /// for shortlisting plus [`D3lSignalStats`] column embeddings) built
-    /// once per lake. Byte-identical ranking to
+    /// Search with a resident [`InvertedValueIndex`] for shortlisting (a
+    /// throwaway one is built without it) and each candidate's column
+    /// embeddings read by table name through `columns` — a serving session
+    /// keeps them in the table's block; a table `columns` does not know is
+    /// embedded fresh. Byte-identical ranking to
     /// [`TableUnionSearch::search`] on the same lake.
-    pub fn search_with_stats(
-        &self,
-        lake: &DataLake,
-        query: &Table,
-        k: usize,
-        index: &InvertedValueIndex,
-        stats: &D3lSignalStats,
-    ) -> Vec<SearchResult> {
-        self.search_resident(lake, query, k, Some(index), Some(stats))
-    }
-
-    fn search_resident(
+    pub fn search_resident<'a>(
         &self,
         lake: &DataLake,
         query: &Table,
         k: usize,
         index: Option<&InvertedValueIndex>,
-        stats: Option<&D3lSignalStats>,
+        columns: impl Fn(&str) -> Option<&'a [Vector]>,
     ) -> Vec<SearchResult> {
         let candidates = shortlist_candidates(lake, query, self.candidate_limit, index);
-        let qe: Vec<Vector> = query
-            .columns()
-            .iter()
-            .map(|c| self.computer.embed_column(c))
-            .collect();
+        let qe = self.column_embeddings(query);
         let results = candidates
             .into_iter()
             .filter_map(|name| {
                 let table = lake.table(&name).ok()?;
+                let fresh = || Cow::Owned(self.column_embeddings(table));
+                let ce = columns(&name).map_or_else(fresh, Cow::Borrowed);
                 Some(SearchResult {
-                    score: self.score_pair_with(query, &qe, table, stats),
+                    score: self.score_pair_with(query, &qe, table, &ce),
                     table: name,
                 })
             })
@@ -147,101 +139,14 @@ impl TableUnionSearch for D3lSearch {
     }
 
     fn search(&self, lake: &DataLake, query: &Table, k: usize) -> Vec<SearchResult> {
-        self.search_resident(lake, query, k, None, None)
-    }
-}
-
-/// Resident per-column D3L signal statistics: the embedding of every lake
-/// column under the signal computer's encoder, computed **once** per lake.
-/// The embedding signal is the expensive part of
-/// [`crate::signals::SignalComputer::compute`] (the other four signals are
-/// cheap set/stat comparisons on the raw columns), so this is the
-/// persistent structure a serving layer keeps warm between queries.
-#[derive(Debug, Clone, Default)]
-pub struct D3lSignalStats {
-    inner: crate::PerTableColumnEmbeddings,
-}
-
-impl D3lSignalStats {
-    /// Embed every lake table's columns with `search`'s signal computer.
-    pub fn build(lake: &DataLake, search: &D3lSearch) -> Self {
-        D3lSignalStats {
-            inner: crate::PerTableColumnEmbeddings::build(lake, |t| {
-                t.columns()
-                    .iter()
-                    .map(|c| search.computer.embed_column(c))
-                    .collect()
-            }),
-        }
-    }
-
-    /// Index (or re-index) one table — the incremental counterpart of
-    /// [`Self::build`] for a lake that gained a table.
-    ///
-    /// Exactness note: these stats are deliberately *decomposable* — one
-    /// embedding per column, keyed by table, with no cross-table floating-
-    /// point aggregate — so add/remove deltas are exact by construction
-    /// (the new entry is byte-identical to a full rebuild's). If a future
-    /// signal ever needs a lake-wide float aggregate (e.g. a running mean),
-    /// do **not** maintain it by subtraction: floating-point subtraction
-    /// drifts. Recompute it from the per-table parts instead, the way the
-    /// session's TF-IDF column corpus recomputes from integer counts.
-    pub fn add_table(&mut self, table: &Table, search: &D3lSearch) {
-        self.inner.insert(table, |t| {
-            t.columns()
-                .iter()
-                .map(|c| search.computer.embed_column(c))
-                .collect()
-        });
-    }
-
-    /// Drop one table's embeddings (exact: entries are per-table). Returns
-    /// whether the table was indexed.
-    pub fn remove_table(&mut self, table: &str) -> bool {
-        self.inner.remove(table)
-    }
-
-    /// Column embeddings of a table (column order), if indexed.
-    pub fn embeddings(&self, table: &str) -> Option<&[Vector]> {
-        self.inner.get(table)
-    }
-
-    /// The shared handle to a table's embedding block: two clones return
-    /// `Arc::ptr_eq` handles for every table neither re-indexed (sharing
-    /// diagnostics — see `tests/session_sharing.rs`).
-    pub fn embeddings_shared(&self, table: &str) -> Option<&std::sync::Arc<Vec<Vector>>> {
-        self.inner.get_shared(table)
-    }
-
-    /// Number of indexed tables.
-    pub fn num_tables(&self) -> usize {
-        self.inner.num_tables()
-    }
-
-    /// Total number of stored column embeddings.
-    pub fn num_columns(&self) -> usize {
-        self.inner.num_columns()
-    }
-
-    /// Export every entry as `(table, column embeddings)` in sorted table
-    /// order (deterministic — suitable for checksummed snapshots).
-    pub fn entries(&self) -> Vec<(String, Vec<Vector>)> {
-        self.inner.entries()
-    }
-
-    /// Reassemble the stats from exported entries — the exact inverse of
-    /// [`Self::entries`]. Embeddings round-trip verbatim, so search results
-    /// through the restored stats are bit-identical.
-    pub fn from_entries(entries: Vec<(String, Vec<Vector>)>) -> Self {
-        D3lSignalStats {
-            inner: crate::PerTableColumnEmbeddings::from_entries(entries),
-        }
+        self.search_resident(lake, query, k, None, |_| None)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     fn toy_lake() -> (DataLake, Table) {
         let mut lake = DataLake::new("toy");
@@ -331,52 +236,52 @@ mod tests {
         assert!(full.score_pair(&query, lake.table("parks_b").unwrap()) > b);
     }
 
+    /// Every lake table's column embeddings, keyed by name, as a serving
+    /// session's blocks hold them.
+    fn resident_columns(lake: &DataLake, search: &D3lSearch) -> BTreeMap<String, Vec<Vector>> {
+        (lake.tables())
+            .map(|t| (t.name().to_string(), search.column_embeddings(t)))
+            .collect()
+    }
+
     #[test]
     fn resident_stats_reproduce_the_fresh_ranking_exactly() {
         let (lake, query) = toy_lake();
         let search = D3lSearch::new();
         let index = InvertedValueIndex::build(&lake);
-        let stats = D3lSignalStats::build(&lake, &search);
-        assert_eq!(stats.num_tables(), 3);
-        assert_eq!(stats.num_columns(), 7);
+        let resident = resident_columns(&lake, &search);
+        assert_eq!(resident.values().map(Vec::len).sum::<usize>(), 7);
+        assert!(resident
+            .values()
+            .flatten()
+            .all(|v| v.dim() == search.column_dim()));
+        let columns = |name: &str| resident.get(name).map(Vec::as_slice);
         let fresh = search.search(&lake, &query, 10);
-        let resident = search.search_with_stats(&lake, &query, 10, &index, &stats);
-        assert_eq!(fresh.len(), resident.len());
-        for (f, r) in fresh.iter().zip(&resident) {
-            assert_eq!(f.table, r.table);
-            assert_eq!(f.score.to_bits(), r.score.to_bits(), "table {}", f.table);
-        }
+        let served = search.search_resident(&lake, &query, 10, Some(&index), columns);
+        crate::assert_same_ranking(&fresh, &served);
     }
 
     #[test]
     fn incremental_stats_deltas_match_a_fresh_rebuild() {
         let (mut lake, query) = toy_lake();
         let search = D3lSearch::new();
-        let mut stats = D3lSignalStats::build(&lake, &search);
+        let resident = resident_columns(&lake, &search);
+        let columns = |name: &str| resident.get(name).map(Vec::as_slice);
         let mut index = InvertedValueIndex::build(&lake);
-        // remove a table from the lake and both resident structures
+        // remove a table from the lake and the index: the resident columns
+        // of the remaining tables are what a rebuild computes
         let removed = lake.remove_table("molecules").unwrap();
-        assert!(stats.remove_table("molecules"));
-        assert!(!stats.remove_table("molecules"), "second remove is a no-op");
         index.remove_table(&removed);
-        let rebuilt_stats = D3lSignalStats::build(&lake, &search);
-        assert_eq!(stats.num_tables(), rebuilt_stats.num_tables());
-        assert_eq!(stats.num_columns(), rebuilt_stats.num_columns());
-        for name in lake.table_names() {
-            assert_eq!(stats.embeddings(&name), rebuilt_stats.embeddings(&name));
+        for (name, embeddings) in resident_columns(&lake, &search) {
+            assert_eq!(resident[&name], embeddings, "{name}");
         }
-        // add it back incrementally: search over the mutated structures is
+        // add it back incrementally: search over the mutated index is
         // bit-identical to the fresh path on the re-grown lake
         lake.add_table(removed.clone()).unwrap();
-        stats.add_table(&removed, &search);
         index.add_table(&removed);
         let fresh = search.search(&lake, &query, 10);
-        let resident = search.search_with_stats(&lake, &query, 10, &index, &stats);
-        assert_eq!(fresh.len(), resident.len());
-        for (f, r) in fresh.iter().zip(&resident) {
-            assert_eq!(f.table, r.table);
-            assert_eq!(f.score.to_bits(), r.score.to_bits(), "table {}", f.table);
-        }
+        let served = search.search_resident(&lake, &query, 10, Some(&index), columns);
+        crate::assert_same_ranking(&fresh, &served);
     }
 
     #[test]

@@ -37,12 +37,12 @@ pub mod signals;
 pub mod starmie;
 
 pub use bipartite::{max_weight_matching, Matching};
-pub use d3l::{D3lSearch, D3lSignalStats};
+pub use d3l::D3lSearch;
 pub use index::{ColumnRef, InvertedValueIndex, Overlaps};
 pub use metrics::{average_precision, mean_average_precision, precision_at_k, recall_at_k};
 pub use overlap::OverlapSearch;
 pub use signals::{ColumnSignals, SignalWeights};
-pub use starmie::{StarmieColumnStore, StarmieSearch, StarmieTupleSearch};
+pub use starmie::{StarmieSearch, StarmieTupleSearch};
 
 use dust_table::{DataLake, Table, TableId};
 use index::InvertedValueIndex as Index;
@@ -88,105 +88,6 @@ pub(crate) fn rank<T>(items: &mut [T], key: impl Fn(&T) -> (f64, &str)) {
     });
 }
 
-/// Shared core of the resident per-table column-embedding stores
-/// ([`StarmieColumnStore`] and [`D3lSignalStats`]): one embedding per
-/// column per lake table, keyed by table name. The technique wrappers
-/// differ only in the embed function they build with, so bookkeeping that
-/// has to stay in sync across both (and future staleness / incremental
-/// lake-update logic) lives here exactly once.
-///
-/// Each table's embedding block sits behind an `Arc`: cloning the store
-/// copies the name→pointer map and shares every block, and a per-table
-/// insert/remove replaces only that table's entry. Consecutive session
-/// snapshots therefore keep `Arc::ptr_eq` blocks for every table a mutation
-/// didn't touch (pinned by `tests/session_sharing.rs`).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PerTableColumnEmbeddings {
-    embeddings: std::collections::HashMap<TableId, std::sync::Arc<Vec<dust_embed::Vector>>>,
-}
-
-impl PerTableColumnEmbeddings {
-    /// Embed every lake table's columns with `embed_table`.
-    pub(crate) fn build(
-        lake: &DataLake,
-        mut embed_table: impl FnMut(&Table) -> Vec<dust_embed::Vector>,
-    ) -> Self {
-        PerTableColumnEmbeddings {
-            embeddings: lake
-                .tables()
-                .map(|t| (t.name().to_string(), std::sync::Arc::new(embed_table(t))))
-                .collect(),
-        }
-    }
-
-    /// Column embeddings of a table (column order), if indexed.
-    pub(crate) fn get(&self, table: &str) -> Option<&[dust_embed::Vector]> {
-        self.embeddings.get(table).map(|vs| vs.as_slice())
-    }
-
-    /// The shared handle to a table's embedding block, for sharing
-    /// diagnostics (`Arc::ptr_eq` across snapshot generations).
-    pub(crate) fn get_shared(
-        &self,
-        table: &str,
-    ) -> Option<&std::sync::Arc<Vec<dust_embed::Vector>>> {
-        self.embeddings.get(table)
-    }
-
-    /// Index (or re-index) one table with `embed_table`. The store keys by
-    /// table name and each entry depends only on that table's contents, so
-    /// an insert is exactly what a fresh full build would have produced for
-    /// that table — per-table deltas cannot drift from a rebuild.
-    pub(crate) fn insert(
-        &mut self,
-        table: &Table,
-        embed_table: impl FnOnce(&Table) -> Vec<dust_embed::Vector>,
-    ) {
-        self.embeddings.insert(
-            table.name().to_string(),
-            std::sync::Arc::new(embed_table(table)),
-        );
-    }
-
-    /// Drop one table's embeddings. Returns whether the table was indexed.
-    pub(crate) fn remove(&mut self, table: &str) -> bool {
-        self.embeddings.remove(table).is_some()
-    }
-
-    /// Number of indexed tables.
-    pub(crate) fn num_tables(&self) -> usize {
-        self.embeddings.len()
-    }
-
-    /// Total number of stored column embeddings.
-    pub(crate) fn num_columns(&self) -> usize {
-        self.embeddings.values().map(|vs| vs.len()).sum()
-    }
-
-    /// Export every entry in sorted table order (deterministic — suitable
-    /// for checksummed snapshots).
-    pub(crate) fn entries(&self) -> Vec<(TableId, Vec<dust_embed::Vector>)> {
-        let mut entries: Vec<(TableId, Vec<dust_embed::Vector>)> = self
-            .embeddings
-            .iter()
-            .map(|(t, vs)| (t.clone(), vs.as_ref().clone()))
-            .collect();
-        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        entries
-    }
-
-    /// Reassemble a store from exported entries — the exact inverse of
-    /// [`Self::entries`]. Embeddings round-trip verbatim, bit for bit.
-    pub(crate) fn from_entries(entries: Vec<(TableId, Vec<dust_embed::Vector>)>) -> Self {
-        PerTableColumnEmbeddings {
-            embeddings: entries
-                .into_iter()
-                .map(|(t, vs)| (t, std::sync::Arc::new(vs)))
-                .collect(),
-        }
-    }
-}
-
 /// Candidate tables to score for a query: every lake table for `limit` 0,
 /// else the shortlist of the index's walk (building a throwaway index
 /// unless the caller provides a resident one) — see
@@ -213,6 +114,17 @@ pub(crate) fn shortlist_candidates(
     (overlaps.shortlist(limit).into_iter())
         .map(|slot| overlaps.name(slot).to_string())
         .collect()
+}
+
+/// Assert two rankings name the same tables in the same order with
+/// bit-identical scores.
+#[cfg(test)]
+pub(crate) fn assert_same_ranking(want: &[SearchResult], got: &[SearchResult]) {
+    assert_eq!(want.len(), got.len());
+    for (w, g) in want.iter().zip(got) {
+        assert_eq!(w.table, g.table);
+        assert_eq!(w.score.to_bits(), g.score.to_bits(), "table {}", w.table);
+    }
 }
 
 #[cfg(test)]

@@ -98,6 +98,11 @@ impl SignalComputer {
         }
     }
 
+    /// The dimension of [`Self::embed_column`]'s embeddings.
+    pub fn dim(&self) -> usize {
+        self.encoder.dim()
+    }
+
     /// Compute all signals for a pair of columns.
     pub fn compute(&self, a: &Column, b: &Column) -> ColumnSignals {
         self.compute_with(a, &self.embed_column(a), b, &self.embed_column(b))

@@ -24,6 +24,7 @@ use dust_embed::{
     TupleEncoder, Vector,
 };
 use dust_table::{Column, DataLake, Table, Tuple};
+use std::borrow::Cow;
 
 /// Starmie-style union search over tables.
 #[derive(Debug, Clone)]
@@ -87,8 +88,8 @@ impl StarmieSearch {
     }
 
     /// [`Self::score_pair`] over already-computed contextualized column
-    /// embeddings — the single scoring code path, so resident stores (see
-    /// [`StarmieColumnStore`]) produce results byte-identical to the
+    /// embeddings — the single scoring code path, so the resident search
+    /// ([`Self::search_resident`]) produces results byte-identical to the
     /// embed-per-query path.
     pub fn score_pair_with(
         &self,
@@ -109,112 +110,38 @@ impl StarmieSearch {
         matching.total_weight / num_query_columns.max(1) as f64
     }
 
-    /// Search against a resident [`StarmieColumnStore`] instead of
-    /// re-embedding every lake table's columns per query. The query's own
-    /// columns are embedded fresh (they depend on the query), the lake side
-    /// comes from the store; the ranking is byte-identical to
-    /// [`TableUnionSearch::search`] on the same lake.
-    pub fn search_with_store(
+    /// The dimension of every column embedding this search produces.
+    pub fn column_dim(&self) -> usize {
+        self.encoder.dim()
+    }
+
+    /// Search with each lake table's contextualized column embeddings read
+    /// by table name through `columns` — a serving session keeps them in
+    /// the table's block — instead of re-embedding every lake table per
+    /// query. The query's columns are embedded fresh, as is any table
+    /// `columns` does not know. Contextualization blends only within a
+    /// table, so the embeddings are query-independent and the ranking is
+    /// byte-identical to [`TableUnionSearch::search`] on the same lake.
+    pub fn search_resident<'a>(
         &self,
         lake: &DataLake,
         query: &Table,
         k: usize,
-        store: &StarmieColumnStore,
+        columns: impl Fn(&str) -> Option<&'a [Vector]>,
     ) -> Vec<SearchResult> {
         let qe = self.contextual_column_embeddings(query);
         let results = lake
             .tables()
-            .map(|table| SearchResult {
-                table: table.name().to_string(),
-                score: match store.embeddings(table.name()) {
-                    Some(ce) => self.score_pair_with(&qe, ce, query.num_columns()),
-                    None => self.score_pair_with(
-                        &qe,
-                        &self.contextual_column_embeddings(table),
-                        query.num_columns(),
-                    ),
-                },
+            .map(|table| {
+                let fresh = || Cow::Owned(self.contextual_column_embeddings(table));
+                let ce = columns(table.name()).map_or_else(fresh, Cow::Borrowed);
+                SearchResult {
+                    table: table.name().to_string(),
+                    score: self.score_pair_with(&qe, &ce, query.num_columns()),
+                }
             })
             .collect();
         rank_and_truncate(results, k)
-    }
-}
-
-/// Resident per-table contextualized column embeddings — the persistent
-/// candidate structure a serving layer builds **once** per lake so Starmie
-/// search stops paying the full-lake embedding pass on every query.
-///
-/// Contextualization only mixes columns of the *same* table (blend with the
-/// table centroid), so per-table embeddings are query-independent and the
-/// store is exact, not approximate: [`StarmieSearch::search_with_store`]
-/// returns byte-identical rankings to the embed-per-query path.
-#[derive(Debug, Clone, Default)]
-pub struct StarmieColumnStore {
-    inner: crate::PerTableColumnEmbeddings,
-}
-
-impl StarmieColumnStore {
-    /// Embed every lake table's columns with `search`'s encoder and
-    /// contextualization strength.
-    pub fn build(lake: &DataLake, search: &StarmieSearch) -> Self {
-        StarmieColumnStore {
-            inner: crate::PerTableColumnEmbeddings::build(lake, |t| {
-                search.contextual_column_embeddings(t)
-            }),
-        }
-    }
-
-    /// Index (or re-index) one table — the incremental counterpart of
-    /// [`Self::build`] for a lake that gained a table. Contextualization
-    /// blends only *within* the table (its own centroid), so the new
-    /// entry is byte-identical to what a full rebuild would store and no
-    /// other entry needs touching.
-    pub fn add_table(&mut self, table: &Table, search: &StarmieSearch) {
-        self.inner
-            .insert(table, |t| search.contextual_column_embeddings(t));
-    }
-
-    /// Drop one table's embeddings (exact: entries are per-table). Returns
-    /// whether the table was indexed.
-    pub fn remove_table(&mut self, table: &str) -> bool {
-        self.inner.remove(table)
-    }
-
-    /// Contextualized column embeddings of a table (column order), if indexed.
-    pub fn embeddings(&self, table: &str) -> Option<&[Vector]> {
-        self.inner.get(table)
-    }
-
-    /// The shared handle to a table's embedding block: two store clones
-    /// return `Arc::ptr_eq` handles for every table neither re-indexed
-    /// (sharing diagnostics — see `tests/session_sharing.rs`).
-    pub fn embeddings_shared(&self, table: &str) -> Option<&std::sync::Arc<Vec<Vector>>> {
-        self.inner.get_shared(table)
-    }
-
-    /// Number of indexed tables.
-    pub fn num_tables(&self) -> usize {
-        self.inner.num_tables()
-    }
-
-    /// Total number of stored column embeddings.
-    pub fn num_columns(&self) -> usize {
-        self.inner.num_columns()
-    }
-
-    /// Export every entry as `(table, column embeddings)` in sorted table
-    /// order (deterministic — suitable for checksummed snapshots).
-    pub fn entries(&self) -> Vec<(String, Vec<Vector>)> {
-        self.inner.entries()
-    }
-
-    /// Reassemble a store from exported entries — the exact inverse of
-    /// [`Self::entries`]. Embeddings round-trip verbatim, so search results
-    /// through the restored store are bit-identical.
-    pub fn from_entries(entries: Vec<(String, Vec<Vector>)>) -> Self {
-        StarmieColumnStore {
-            inner: crate::PerTableColumnEmbeddings::from_entries(entries),
-        }
     }
 }
 
@@ -404,67 +331,21 @@ mod tests {
     fn resident_store_reproduces_the_fresh_ranking_exactly() {
         let search = StarmieSearch::new();
         let lake = lake();
-        let store = StarmieColumnStore::build(&lake, &search);
-        assert_eq!(store.num_tables(), 2);
-        assert_eq!(store.num_columns(), 6);
+        let resident: std::collections::BTreeMap<String, Vec<Vector>> = lake
+            .tables()
+            .map(|t| (t.name().to_string(), search.contextual_column_embeddings(t)))
+            .collect();
+        let columns = |name: &str| resident.get(name).map(Vec::as_slice);
+        assert!(resident
+            .values()
+            .flatten()
+            .all(|v| v.dim() == search.column_dim()));
         let fresh = search.search(&lake, &query(), 10);
-        let resident = search.search_with_store(&lake, &query(), 10, &store);
-        assert_eq!(fresh.len(), resident.len());
-        for (f, r) in fresh.iter().zip(&resident) {
-            assert_eq!(f.table, r.table);
-            assert_eq!(f.score.to_bits(), r.score.to_bits(), "table {}", f.table);
-        }
-        // a table missing from the store falls back to fresh embedding
-        let empty_store = StarmieColumnStore::default();
-        let fallback = search.search_with_store(&lake, &query(), 10, &empty_store);
-        assert_eq!(fresh.len(), fallback.len());
-        for (f, r) in fresh.iter().zip(&fallback) {
-            assert_eq!(f.score.to_bits(), r.score.to_bits());
-        }
-    }
-
-    #[test]
-    fn incremental_store_deltas_match_a_fresh_rebuild() {
-        let search = StarmieSearch::new();
-        let mut lake = lake();
-        let mut store = StarmieColumnStore::build(&lake, &search);
-        // add a table incrementally to both the lake and the store
-        let extra = Table::builder("parks_d")
-            .column("Park Name", ["Chippewa Park", "Lawler Park"])
-            .column("Supervisor", ["Tim Erickson", "Enrique Garcia"])
-            .column("Country", ["USA", "USA"])
-            .build()
-            .unwrap();
-        lake.add_table(extra.clone()).unwrap();
-        store.add_table(&extra, &search);
-        let rebuilt = StarmieColumnStore::build(&lake, &search);
-        assert_eq!(store.num_tables(), rebuilt.num_tables());
-        assert_eq!(store.num_columns(), rebuilt.num_columns());
-        for name in lake.table_names() {
-            assert_eq!(
-                store.embeddings(&name),
-                rebuilt.embeddings(&name),
-                "delta-added store drifted from rebuild for {name}"
-            );
-        }
-        // ...and search over the mutated store matches the fresh path
-        let fresh = search.search(&lake, &query(), 10);
-        let resident = search.search_with_store(&lake, &query(), 10, &store);
-        for (f, r) in fresh.iter().zip(&resident) {
-            assert_eq!(f.table, r.table);
-            assert_eq!(f.score.to_bits(), r.score.to_bits());
-        }
-        // remove is exact too
-        lake.remove_table("paintings_c").unwrap();
-        assert!(store.remove_table("paintings_c"));
-        assert!(
-            !store.remove_table("paintings_c"),
-            "second remove is a no-op"
-        );
-        let rebuilt = StarmieColumnStore::build(&lake, &search);
-        assert_eq!(store.num_tables(), rebuilt.num_tables());
-        assert_eq!(store.num_columns(), rebuilt.num_columns());
-        assert!(store.embeddings("paintings_c").is_none());
+        let served = search.search_resident(&lake, &query(), 10, columns);
+        crate::assert_same_ranking(&fresh, &served);
+        // a table the resident side does not know is embedded fresh
+        let fallback = search.search_resident(&lake, &query(), 10, |_| None);
+        crate::assert_same_ranking(&fresh, &fallback);
     }
 
     #[test]

@@ -364,8 +364,9 @@ fn column_embeddings_match_the_string_keyed_path() {
 
 /// The wide benchmark lake at seed 1447 holds the only real columns over
 /// the 512-token budget: every table and query column, embedded as one
-/// batch with the aligner's encoder, and the longest probed against the
-/// same corpus as the session's `similar_columns` does.
+/// batch with the aligner's encoder, and the longest embedded on its own
+/// against a corpus of the same columns, which must give its batch
+/// embedding bit for bit.
 #[test]
 fn wide_benchmark_lake_columns_match_the_string_keyed_path() {
     let lake = BenchmarkConfig {

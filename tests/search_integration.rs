@@ -7,13 +7,13 @@
 //! tables, where the candidate limit truncates, after random index churn.
 
 use dust_datagen::BenchmarkConfig;
-use dust_embed::cosine_similarity;
+use dust_embed::{cosine_similarity, Vector};
 use dust_search::signals::{
     format_similarity, name_similarity, numeric_similarity, SignalComputer,
 };
 use dust_search::{
-    mean_average_precision, ColumnSignals, D3lSearch, D3lSignalStats, InvertedValueIndex,
-    OverlapSearch, SearchResult, SignalWeights, StarmieSearch, TableUnionSearch,
+    mean_average_precision, ColumnSignals, D3lSearch, InvertedValueIndex, OverlapSearch,
+    SearchResult, SignalWeights, StarmieSearch, TableUnionSearch,
 };
 use dust_table::{Column, DataLake, Table, Value};
 use proptest::prelude::*;
@@ -317,13 +317,22 @@ fn overlap_rankings_match_the_per_call_hashset_reference_bit_for_bit() {
     }
 }
 
+/// Every lake table's D3L column embeddings, keyed by name, as a serving
+/// session's blocks hold them.
+fn resident_columns(lake: &DataLake, search: &D3lSearch) -> HashMap<String, Vec<Vector>> {
+    (lake.tables())
+        .map(|t| (t.name().to_string(), search.column_embeddings(t)))
+        .collect()
+}
+
 #[test]
 fn d3l_rankings_match_the_per_call_hashset_reference_bit_for_bit() {
     let lake = narrow_lake();
     let reference = Reference::new(&lake);
     let search = D3lSearch::new();
     let index = InvertedValueIndex::build(&lake);
-    let stats = D3lSignalStats::build(&lake, &search);
+    let resident = resident_columns(&lake, &search);
+    let columns = |name: &str| resident.get(name).map(Vec::as_slice);
     // three queries keep the embed-per-pair reference inside a debug-build budget
     for query in lake.queries().take(3) {
         let want = reference.search(query, 10, search.candidate_limit, |q, c| {
@@ -331,7 +340,7 @@ fn d3l_rankings_match_the_per_call_hashset_reference_bit_for_bit() {
         });
         assert_same_ranking(&search.search(&lake, query, 10), &want, query.name());
         assert_same_ranking(
-            &search.search_with_stats(&lake, query, 10, &index, &stats),
+            &search.search_resident(&lake, query, 10, Some(&index), columns),
             &want,
             &format!("{} (resident)", query.name()),
         );
@@ -473,11 +482,12 @@ proptest! {
             }
         }
         let d3l = D3lSearch::new();
-        let stats = D3lSignalStats::build(&lake, &d3l);
+        let resident = resident_columns(&lake, &d3l);
+        let columns = |name: &str| resident.get(name).map(Vec::as_slice);
         let query = &queries[1];
         let want = reference.search(query, 10, d3l.candidate_limit, |q, c| reference.d3l_pair(q, c));
         assert_same_ranking(
-            &d3l.search_with_stats(&lake, query, 10, &churned, &stats),
+            &d3l.search_resident(&lake, query, 10, Some(&churned), columns),
             &want,
             &format!("seed {seed}, d3l (churned index)"),
         );

@@ -5,11 +5,11 @@
 //!
 //! The contract under test: publishing generation *g+1* after
 //! `add_table`/`remove_table` clones O(1 table) — the lake's untouched
-//! `Arc<Table>` entries, every untouched table's tuple-embedding block,
-//! every untouched per-table search-store entry (all three techniques),
-//! every posting set for values the table doesn't contain, and the
-//! embedder are all the *same allocations* in both snapshots. An add
-//! creates exactly one new `tuples:` block and a remove drops exactly one.
+//! `Arc<Table>` entries, every untouched table's block (its tuple
+//! embeddings and, under D3L and Starmie, its column embeddings; all three
+//! techniques), every posting set for values the table doesn't contain,
+//! and the embedder are all the *same allocations* in both snapshots. An
+//! add creates exactly one new `block:` and a remove drops exactly one.
 //! And a **failed** mutation publishes nothing at all: the root snapshot
 //! pointer itself is unchanged.
 //!
@@ -78,14 +78,14 @@ fn assert_shared(
     );
 }
 
-/// The `tuples:` block keys of a fingerprint.
+/// The `block:` keys of a fingerprint.
 fn block_keys(fingerprint: &BTreeMap<String, usize>) -> Vec<&str> {
-    let keys = fingerprint.keys().filter(|key| key.starts_with("tuples:"));
+    let keys = fingerprint.keys().filter(|key| key.starts_with("block:"));
     keys.map(String::as_str).collect()
 }
 
-/// `after` holds `before`'s tuple blocks plus exactly `added` and minus
-/// exactly `dropped`.
+/// `after` holds `before`'s blocks plus exactly `added` and minus exactly
+/// `dropped`.
 fn assert_one_block_changed(
     before: &BTreeMap<String, usize>,
     after: &BTreeMap<String, usize>,
@@ -97,7 +97,7 @@ fn assert_one_block_changed(
     expected.retain(|key| Some(*key) != dropped);
     expected.extend(added);
     expected.sort_unstable();
-    assert_eq!(block_keys(after), expected, "{context}: tuple blocks");
+    assert_eq!(block_keys(after), expected, "{context}: blocks");
 }
 
 #[test]
@@ -122,9 +122,8 @@ fn add_table_shares_every_untouched_component_across_techniques() {
         let after = after_view.sharing_fingerprint();
 
         // Everything the add didn't touch is the same allocation: untouched
-        // lake tables, every other table's tuple block, untouched per-table
-        // search entries, postings of values the table doesn't contain, and
-        // the embedder.
+        // lake tables, every other table's block, postings of values the
+        // table doesn't contain, and the embedder.
         assert_shared(
             &before,
             &after,
@@ -135,18 +134,17 @@ fn add_table_shares_every_untouched_component_across_techniques() {
             &context,
         );
 
-        // The delta is one new tuple block, and the new table's entries
+        // The delta is one new block — the new table's tuple and, under
+        // D3L and Starmie, column embeddings — and the new table's entries
         // exist only in g+1.
-        let block = format!("tuples:{new_name}");
+        let block = format!("block:{new_name}");
         assert_one_block_changed(&before, &after, Some(&block), None, &context);
         assert!(!before.contains_key(&format!("lake-table:{new_name}")));
         assert!(after.contains_key(&format!("lake-table:{new_name}")));
-        if !matches!(technique, SearchTechnique::Overlap) {
-            assert!(
-                after.contains_key(&format!("columns:{new_name}")),
-                "{context}: per-table search entry for the new table missing"
-            );
-        }
+        assert!(
+            after.contains_key(&block),
+            "{context}: the block of the new table is missing"
+        );
     }
 }
 
@@ -168,14 +166,13 @@ fn remove_table_shares_every_untouched_component_across_techniques() {
         let after_view = session.view();
         let after = after_view.sharing_fingerprint();
 
-        let block = format!("tuples:{victim}");
+        let block = format!("block:{victim}");
         assert_shared(
             &before,
             &after,
             |key| {
                 key == block
                     || key == format!("lake-table:{victim}")
-                    || key == format!("columns:{victim}")
                     || key
                         .strip_prefix("posting:")
                         .is_some_and(|v| touched_values.contains(v))
@@ -188,8 +185,8 @@ fn remove_table_shares_every_untouched_component_across_techniques() {
             "{context}: removed table's lake entry must be gone"
         );
         assert!(
-            !after.contains_key(&format!("columns:{victim}")),
-            "{context}: removed table's search entry must be gone"
+            !after.contains_key(&block),
+            "{context}: removed table's block must be gone"
         );
     }
 }
@@ -227,48 +224,56 @@ fn failed_mutations_leave_the_published_snapshot_pointer_identical() {
 }
 
 /// Sharing persists across a chain of mutations: state untouched by *any*
-/// of them is still the generation-0 allocation at the end.
+/// of them is still the generation-0 allocation at the end, under every
+/// technique.
 #[test]
 fn sharing_survives_a_mutation_chain() {
-    let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
-    let g0 = session.view();
-    let fingerprint0 = g0.sharing_fingerprint();
+    for technique in TECHNIQUES {
+        let context = format!("{technique:?}, two-mutation chain");
+        let config = PipelineConfig {
+            search: technique,
+            ..PipelineConfig::fast()
+        };
+        let session = LakeSession::new(tiny_lake(), config);
+        let g0 = session.view();
+        let fingerprint0 = g0.sharing_fingerprint();
 
-    let added = incoming_table();
-    let added_block = format!("tuples:{}", added.name());
-    let mut touched_values = value_set(&added);
-    session.add_table(added).unwrap();
+        let added = incoming_table();
+        let added_block = format!("block:{}", added.name());
+        let mut touched_values = value_set(&added);
+        session.add_table(added).unwrap();
 
-    let victim = session.lake().table_names()[0].clone();
-    touched_values.extend(value_set(session.lake().table(&victim).unwrap()));
-    session.remove_table(&victim).unwrap();
+        let victim = session.lake().table_names()[0].clone();
+        touched_values.extend(value_set(session.lake().table(&victim).unwrap()));
+        session.remove_table(&victim).unwrap();
 
-    let g2 = session.view();
-    assert_eq!(g2.generation(), 2);
-    let fingerprint2 = g2.sharing_fingerprint();
-    assert_shared(
-        &fingerprint0,
-        &fingerprint2,
-        |key| {
-            key.split_once(':').is_some_and(|(role, name)| {
-                ["tuples", "lake-table", "columns"].contains(&role) && name == victim
-            }) || key
-                .strip_prefix("posting:")
-                .is_some_and(|v| touched_values.contains(v))
-        },
-        "two-mutation chain",
-    );
-    let victim_block = format!("tuples:{victim}");
-    assert_one_block_changed(
-        &fingerprint0,
-        &fingerprint2,
-        Some(&added_block),
-        Some(&victim_block),
-        "two-mutation chain",
-    );
-    // The generation-0 view still serves, pinned to its own snapshot.
-    assert_eq!(g0.generation(), 0);
-    assert!(g0.lake().table(&victim).is_ok());
+        let g2 = session.view();
+        assert_eq!(g2.generation(), 2);
+        let fingerprint2 = g2.sharing_fingerprint();
+        assert_shared(
+            &fingerprint0,
+            &fingerprint2,
+            |key| {
+                key.split_once(':').is_some_and(|(role, name)| {
+                    ["block", "lake-table"].contains(&role) && name == victim
+                }) || key
+                    .strip_prefix("posting:")
+                    .is_some_and(|v| touched_values.contains(v))
+            },
+            &context,
+        );
+        let victim_block = format!("block:{victim}");
+        assert_one_block_changed(
+            &fingerprint0,
+            &fingerprint2,
+            Some(&added_block),
+            Some(&victim_block),
+            &context,
+        );
+        // The generation-0 view still serves, pinned to its own snapshot.
+        assert_eq!(g0.generation(), 0);
+        assert!(g0.lake().table(&victim).is_ok());
+    }
 }
 
 /// Address of every column's cached value set, per lake table (reading a
