@@ -18,7 +18,12 @@
 //! * `open/{narrow,wide}` — read, check and decode a fresh directory back
 //!   into a session (its WAL is empty). Before timing, the opened session
 //!   is checked against the one that was saved — a failed guard aborts the
-//!   bench.
+//!   bench;
+//! * `open_replay/{narrow_ft,wide_ft}/{2,6}` — open a directory of a
+//!   session under the configuration `serve --finetune` trains, with 2 and
+//!   with 6 WAL records after its checkpoint (one and three tables removed
+//!   and added back). Before timing, the opened session must answer as the
+//!   live one, bit for bit.
 //!
 //! ## Where a checkpoint's time went
 //!
@@ -77,22 +82,54 @@
 //!
 //! `create` and `open` move the same bytes as before, less the table names
 //! the search segment no longer repeats, and stay inside the host's spread.
+//!
+//! ## Replay retrains once
+//!
+//! Recovery used to replay each WAL record through the live mutation, so a
+//! fine-tuned open retrained the model and re-embedded the lake once per
+//! record. It now applies every record's lake and index delta and retrains
+//! once, on the final lake. Median ms per open over two alternating rounds
+//! (one value per round), all cores of the shared 2-vCPU VM:
+//!
+//! | | before | after |
+//! |---|---|---|
+//! | `open_replay/narrow_ft/2` | 269 / 170 | 88 / 132 |
+//! | `open_replay/narrow_ft/6` | 929 / 779 | 127 / 189 |
+//! | `open_replay/wide_ft/2` | 204 / 253 | 98 / 101 |
+//! | `open_replay/wide_ft/6` | 680 / 899 | 130 / 178 |
+//!
+//! Before, an open grew by one retrain per record; after, it is the load
+//! plus one retrain, whatever the number of records. The other groups did
+//! not move beyond the host's spread (`open/narrow` 13.3 / 10.2 before,
+//! 10.3 / 11.8 after).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dust_core::{
-    LakeSession, PipelineConfig, SearchTechnique, SessionOptions, SnapshotStore, StoreOptions,
+    DustResult, LakeSession, PipelineConfig, SearchTechnique, SessionOptions, SnapshotStore,
+    StoreOptions, TupleEmbedderKind,
 };
 use dust_datagen::BenchmarkConfig;
+use dust_embed::{FineTuneConfig, PretrainedModel};
+use dust_table::DataLake;
 
 /// A pre-trained session over the benchmark's lake of this shape.
 fn benchmark_session(wide: bool, search: SearchTechnique) -> LakeSession {
+    let config = PipelineConfig {
+        search,
+        ..PipelineConfig::fast()
+    };
+    LakeSession::with_options(benchmark_lake(wide), config, SessionOptions::default())
+}
+
+/// The benchmark's lake of this shape.
+fn benchmark_lake(wide: bool) -> DataLake {
     let (name, num_domains, lake_tables_per_domain, base_rows, min_row_fraction, max_row_fraction) =
         if wide {
             ("wide", 4, 5, 480, 0.34, 0.36)
         } else {
             ("narrow", 12, 16, 50, 0.32, 0.38)
         };
-    let lake = BenchmarkConfig {
+    BenchmarkConfig {
         name: name.into(),
         num_domains,
         lake_tables_per_domain,
@@ -105,12 +142,61 @@ fn benchmark_session(wide: bool, search: SearchTechnique) -> LakeSession {
         ..BenchmarkConfig::santos()
     }
     .generate()
-    .lake;
+    .lake
+}
+
+/// A session over the benchmark's lake of this shape under the
+/// configuration `serve --finetune` trains (Overlap search).
+fn fine_tuned_session(wide: bool) -> LakeSession {
     let config = PipelineConfig {
-        search,
+        embedder: TupleEmbedderKind::FineTuned {
+            backbone: PretrainedModel::Roberta,
+            config: FineTuneConfig {
+                max_epochs: 15,
+                patience: 3,
+                ..FineTuneConfig::default()
+            },
+            training_pairs: 150,
+        },
         ..PipelineConfig::fast()
     };
-    LakeSession::with_options(lake, config, SessionOptions::default())
+    LakeSession::new(benchmark_lake(wide), config)
+}
+
+/// The opened session answers as the live one did, bit for bit: its
+/// generation, its tables and tuples, and the first query's diverse and
+/// `similar` answers.
+fn assert_serves_as(opened: &LakeSession, live: &LakeSession, what: &str) {
+    let (a, b) = (opened.stats(), live.stats());
+    assert_eq!(
+        (opened.generation(), a.tables, a.tuples),
+        (live.generation(), b.tables, b.tuples),
+        "{what}: generation, tables or tuples differ"
+    );
+    let lake = live.lake();
+    let probe = lake
+        .queries()
+        .next()
+        .expect("the benchmark lake has queries");
+    let (x, y) = (
+        opened.query(probe, 5).unwrap(),
+        live.query(probe, 5).unwrap(),
+    );
+    assert_eq!(x.tuples, y.tuples, "{what}: diverse tuples differ");
+    let bits = |d: &DustResult| (d.diversity.average.to_bits(), d.diversity.minimum.to_bits());
+    assert_eq!(bits(&x), bits(&y), "{what}: diversity differs");
+    let similar = |s: &LakeSession| {
+        let ranked = s.similar_tuples(probe, 10);
+        ranked
+            .into_iter()
+            .map(|t| (t.table, t.row, t.score.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(
+        similar(opened),
+        similar(live),
+        "{what}: similar answers differ"
+    );
 }
 
 /// Remove three tables and add them back, as the benchmark's writer does:
@@ -190,6 +276,35 @@ fn bench_persist(c: &mut Criterion) {
         group.bench_function(*shape, |b| {
             b.iter(|| SnapshotStore::open_with(&dir, options).unwrap())
         });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+    group.finish();
+
+    // A fine-tuned directory with 2 WAL records after its checkpoint (one
+    // table removed and added back; the benchmark's restart replays 2) and
+    // with 6 (three tables), the most `--checkpoint-after 7` leaves.
+    let mut group = c.benchmark_group("open_replay");
+    for (shape, wide) in [("narrow_ft", false), ("wide_ft", true)] {
+        let live = fine_tuned_session(wide);
+        let dir = dir(shape);
+        let mut store = SnapshotStore::create_with(&dir, &live, options).unwrap();
+        let names = live.lake().table_names();
+        for (records, name) in [2, 4, 6].into_iter().zip(names.iter().step_by(5)) {
+            let table = live.remove_table(name).unwrap();
+            store.log_remove_table(name, live.generation()).unwrap();
+            live.add_table(table.clone()).unwrap();
+            store.log_add_table(&table, live.generation()).unwrap();
+            if records == 4 {
+                continue;
+            }
+            let (_, opened, report) = SnapshotStore::open_with(&dir, options).unwrap();
+            assert_eq!(report.replayed, records, "{shape}: WAL records");
+            assert_serves_as(&opened, &live, &format!("{shape} after {records} records"));
+            group.bench_function(format!("{shape}/{records}"), |b| {
+                b.iter(|| SnapshotStore::open_with(&dir, options).unwrap())
+            });
+        }
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
     group.finish();

@@ -10,7 +10,9 @@
 //! `name`); `k` defaults to 10 and `mode` to `"diverse"` (Algorithm 1) or
 //! `"similar"` (nearest lake tuples from the resident embeddings, the
 //! Sec. 6.5 retrieval shape). `{"queries": [names…], "k": 5}` runs a
-//! diverse batch through `query_batch`. The other modes are
+//! diverse batch through `query_batch`; a batch naming more than
+//! [`MAX_BATCH`] (64) queries answers `too_large` before any query runs.
+//! The other modes are
 //!
 //! ```text
 //! {"id":"m1","mode":"add_table","name":"parks_new","csv":"Park Name,Country\nDelta Park,USA"}
@@ -22,8 +24,8 @@
 //! then `k`, `generation`, `result` or `batch`, and `secs`, each only where
 //! the mode has it. A failure is `{"id":…,"kind":…,"error":…}`: clients
 //! branch on the stable `kind` (`bad_request`, `not_found`, `table`,
-//! `generation_evicted`, `panic`, a persistence kind such as `io` or
-//! `corrupt`, and the pool's `overloaded` and `line_too_long`), humans read
+//! `generation_evicted`, `too_large`, `panic`, a persistence kind such as
+//! `io` or `corrupt`, and the pool's `overloaded` and `line_too_long`), humans read
 //! `error`. Checks run in a fixed order — `k`, then `queries`, then the
 //! non-read modes, then the pinned generation, the query source and the
 //! mode — so a line with several faults always names the same one.
@@ -69,6 +71,10 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
+
+/// The most queries one `{"queries": […]}` batch may name; a longer one
+/// answers `too_large` before any query runs.
+pub const MAX_BATCH: usize = 64;
 
 /// How to build and serve a session (the `serve` binary's flags).
 #[derive(Debug, Clone)]
@@ -395,6 +401,15 @@ impl Request {
                 return Err(bad(format!(
                     "batched requests only support mode \"diverse\" (got {mode:?})"
                 )));
+            }
+            if names.len() > MAX_BATCH {
+                return Err(fail(
+                    "too_large",
+                    format!(
+                        "a batch names at most {MAX_BATCH} queries (got {})",
+                        names.len()
+                    ),
+                ));
             }
             let names = names.iter().map(|n| n.as_str().map(String::from));
             return Ok(Request::Batch {

@@ -17,6 +17,8 @@
 //!   checkpoint that leaves recovery nothing to replay;
 //! * nesting past `json::MAX_DEPTH` (up to a line of 300 000 `[`) answers
 //!   `bad_request` on stdio and TCP, and the server keeps serving;
+//! * a batch of `serve::MAX_BATCH` (64) names answers, one of 65 is
+//!   `too_large` before any name is resolved;
 //! * an inline CSV of every santos lake and query table decodes to the
 //!   table `Table::from_rows` builds from its records.
 
@@ -498,6 +500,41 @@ fn hostile_nesting_is_a_bad_request_and_the_server_keeps_serving() {
         round_trip(r#"{"id":"bye","mode":"shutdown"}"#);
         server.join().unwrap().unwrap();
     });
+}
+
+#[test]
+fn a_batch_of_more_than_max_batch_queries_is_too_large() {
+    let (session, query, _) = tiny_session();
+    let state = ServerState::new(session, None, None);
+    let batch = |names: &[&str]| {
+        let names: Vec<String> = names.iter().map(|n| format!("\"{n}\"")).collect();
+        format!(r#"{{"id":"b","queries":[{}],"k":2}}"#, names.join(","))
+    };
+    assert_eq!(serve::MAX_BATCH, 64);
+
+    let full = ask(&state, &batch(&vec![query.as_str(); serve::MAX_BATCH]));
+    let slots = match full.get("batch") {
+        Some(JsonValue::Array(slots)) => slots,
+        _ => panic!("{full:?}"),
+    };
+    assert_eq!(slots.len(), serve::MAX_BATCH);
+    assert!(
+        slots.iter().all(|slot| slot.get("error").is_none()),
+        "{full:?}"
+    );
+
+    // refused before any name is resolved: an unknown name answers the cap
+    for names in [
+        vec![query.as_str(); serve::MAX_BATCH + 1],
+        vec!["no_such_query"; serve::MAX_BATCH + 1],
+    ] {
+        let refused = ask(&state, &batch(&names));
+        assert_eq!(kind(&refused), Some("too_large"), "{refused:?}");
+        assert_eq!(refused.get("id").and_then(JsonValue::as_str), Some("b"));
+        let error = refused.get("error").and_then(JsonValue::as_str).unwrap();
+        assert_eq!(error, "a batch names at most 64 queries (got 65)");
+    }
+    result_of(&state, r#"{"id":"after","mode":"stats"}"#);
 }
 
 #[test]

@@ -23,9 +23,9 @@
 //! the unit a checkpoint writes.
 //!
 //! Recovery = load the manifest's epoch (model, pack, lake, search), then
-//! replay the WAL through the session's live `add_table` / `remove_table`
-//! delta paths — the restored session answers queries bit-identically to
-//! the one that saved (pinned by `tests/session_recovery.rs`).
+//! apply the whole WAL as one generation through the session's one mutation
+//! path (a lake-derived model retrains once) — the restored session answers
+//! queries bit-identically to the one that saved (`tests/session_recovery.rs`).
 //!
 //! Checkpointing writes epoch `e+1` — its lake, search and model segments
 //! and an empty WAL — and only what changed: a table whose `Arc`s are the
@@ -134,9 +134,10 @@ impl SnapshotStore {
         })
     }
 
-    /// Recover a session from `dir`: load the manifest's epoch, replay the
-    /// WAL through the live delta paths, and return the store reopened for
-    /// appending (a dropped torn tail is truncated away first).
+    /// Recover a session from `dir`: load the manifest's epoch, apply the
+    /// whole WAL as one prepared generation (a fine-tuned model retrains at
+    /// most once), and return the store reopened for appending (a dropped
+    /// torn tail is truncated away first).
     pub fn open(dir: &Path) -> Result<(SnapshotStore, LakeSession, RecoveryReport), PersistError> {
         Self::open_with(dir, StoreOptions::default())
     }
@@ -161,23 +162,22 @@ impl SnapshotStore {
             ));
         }
         let replayed = contents.records.len();
-        for (lsn, op) in contents.records {
-            let expected = session.generation() + 1;
+        let base = manifest.generation;
+        let mut ops = Vec::with_capacity(replayed);
+        // a gap is refused before any op applies, so before any retrain
+        for (expected, (lsn, op)) in (base + 1..).zip(contents.records) {
             if lsn != expected {
-                return Err(PersistError::Replay {
-                    lsn,
-                    detail: format!("session is at generation {}", expected - 1),
-                });
+                let detail = format!("session is at generation {}", expected - 1);
+                return Err(PersistError::Replay { lsn, detail });
             }
-            let applied = match op {
-                WalOp::AddTable(table) => session.add_table(table),
-                WalOp::RemoveTable(name) => session.remove_table(&name).map(|_| ()),
-            };
-            applied.map_err(|e| PersistError::Replay {
-                lsn,
+            ops.push(op);
+        }
+        let session = session
+            .replay(ops)
+            .map_err(|(at, e)| PersistError::Replay {
+                lsn: base + 1 + at as u64,
                 detail: e.to_string(),
             })?;
-        }
 
         let next_lsn = session.generation() + 1;
         let wal = wal::WalWriter::reopen(&wal_path, next_lsn, valid_len)?;
@@ -587,6 +587,39 @@ mod tests {
         match LakeSession::open(&dir).err() {
             Some(e @ PersistError::NoSnapshot { .. }) => assert_eq!(e.kind(), "no_snapshot"),
             other => panic!("expected NoSnapshot, got {other:?}"),
+        }
+    }
+
+    /// A WAL whose first, middle or last record cannot apply — a remove of
+    /// an absent table, or an add of a name the lake already holds — is a
+    /// typed `Replay` carrying exactly that record's LSN.
+    #[test]
+    fn an_unappliable_record_is_a_replay_error_at_its_lsn() {
+        let session = tiny_session();
+        let existing = session.lake().table_names()[0].clone();
+        for bad in 0..3u64 {
+            for duplicate in [false, true] {
+                let dir = temp_dir(&format!("unappliable-{bad}-{duplicate}"));
+                let mut store = SnapshotStore::create(&dir, &session).unwrap();
+                for lsn in 1..=3u64 {
+                    let logged = match (lsn - 1 == bad, duplicate, lsn) {
+                        (true, false, _) => store.log_remove_table("absent", lsn),
+                        (true, true, _) => store.log_add_table(&extra_table(&existing), lsn),
+                        (false, _, 3) => store.log_remove_table("replayed_1", lsn),
+                        (false, _, _) => {
+                            store.log_add_table(&extra_table(&format!("replayed_{lsn}")), lsn)
+                        }
+                    };
+                    logged.unwrap();
+                }
+                drop(store);
+                match SnapshotStore::open(&dir).err() {
+                    Some(PersistError::Replay { lsn, .. }) => {
+                        assert_eq!(lsn, bad + 1, "bad record {bad}, duplicate {duplicate}")
+                    }
+                    other => panic!("expected Replay at LSN {}, got {other:?}", bad + 1),
+                }
+            }
         }
     }
 

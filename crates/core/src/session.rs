@@ -70,11 +70,11 @@
 //!   slot is the only thing a delta can number differently from a fresh
 //!   build, and no answer reads it);
 //! * a fine-tuned session retrains its (lake-derived, deterministically
-//!   seeded) model and re-embeds every table's tuples — the documented
-//!   recompute fallback: training is a function of the whole lake, so no
-//!   exact delta exists. Each block's column embeddings are carried over:
-//!   they do not depend on the model. Sessions with an *injected* model
-//!   ([`LakeSession::with_model`]) keep it: the model is not lake-derived.
+//!   seeded) model once per mutation — and once per recovery, which runs
+//!   the same `prepare` over the whole write-ahead log — and re-embeds
+//!   every table's tuples: the documented recompute fallback, as training
+//!   is a function of the whole lake. Column embeddings are carried over.
+//!   An *injected* model ([`LakeSession::with_model`]) is kept.
 //!
 //! The headline guarantee, enforced by `tests/session_mutation.rs` rather
 //! than prose: after **any** mutation sequence, `query` and
@@ -86,7 +86,7 @@
 //! [`SessionError::QueryPanicked`]: crate::persist::SessionError::QueryPanicked
 
 use crate::config::{PipelineConfig, SearchTechnique, TupleEmbedderKind};
-use crate::persist::SessionError;
+use crate::persist::{SessionError, WalOp};
 use crate::pipeline::run_query;
 use crate::result::DustResult;
 use dust_embed::{
@@ -568,8 +568,8 @@ impl LakeSession {
 
     /// Restore a session from a snapshot directory written by
     /// [`Self::save`] (or by a [`crate::persist::SnapshotStore`]): load the
-    /// snapshot, then replay any write-ahead-log records through the
-    /// incremental mutation paths. The restored session serves results
+    /// snapshot, then apply every write-ahead-log record as one prepared
+    /// generation through the mutation path. The restored session serves results
     /// **bit-identical** to the session that was saved — and therefore to
     /// a fresh [`LakeSession::new`] over the same lake (pinned by
     /// `tests/session_recovery.rs`). A damaged snapshot or log yields a
@@ -583,10 +583,10 @@ impl LakeSession {
     /// per-table deltas instead of a rebuild: the new table gets one new
     /// block — every other block is shared with the previous generation by
     /// `Arc` — and the inverted index takes the exact per-table delta. A
-    /// fine-tuned session retrains its lake-derived model and re-embeds
-    /// every table's tuples instead — the documented recompute fallback
-    /// (see module docs). In-flight reads
-    /// keep serving the previous generation throughout; they never wait.
+    /// fine-tuned session retrains its lake-derived model once and re-embeds
+    /// every table's tuples instead — the recompute fallback of `prepare`,
+    /// which WAL replay runs too. In-flight reads keep serving the previous
+    /// generation throughout; they never wait.
     ///
     /// Duplicate names follow [`DataLake::add_table`]'s pinned semantics:
     /// an error, never a replace, with the session left untouched (remove
@@ -598,107 +598,107 @@ impl LakeSession {
         // dust-lint: lock(session-mutate)
         let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
         let snap = self.snapshot();
-
         if snap.lake.table(table.name()).is_ok() {
             return Err(TableError::DuplicateTable {
                 name: table.name().to_string(),
             });
         }
-        let table = Arc::new(table);
-        let mut lake = snap.lake.clone();
-        lake.add_table_shared(table.clone())?;
-
-        let index = snap.index.as_ref().map(|index| {
-            let mut index = InvertedValueIndex::clone(index);
-            index.add_table(&table);
-            Arc::new(index)
-        });
-
-        let (embedder, blocks) = if self.retrains_on_mutation() {
-            self.retrained_state(&lake, &snap.blocks)
-        } else {
-            let mut blocks = snap.blocks.clone();
-            let block = embed_table(&table, &snap.embedder, &self.searcher, None);
-            blocks.insert(Arc::from(table.name()), block);
-            (snap.embedder.clone(), blocks)
-        };
-
-        self.publish(SessionSnapshot {
-            generation: snap.generation + 1,
-            lake,
-            embedder,
-            index,
-            blocks,
-        });
+        let ops = vec![WalOp::AddTable(table)];
+        let (next, _) = self.prepare(&snap, ops).map_err(|(_, e)| e)?;
+        self.publish(next);
         Ok(())
     }
 
     /// Remove a table from the lake and publish the next generation built
     /// from per-table deltas: the table's block is dropped — every other
     /// block is shared by `Arc` — and the inverted index takes its exact
-    /// inverse. Returns the removed table
-    /// (as [`DataLake::remove_table`], which also scrubs ground-truth
-    /// pairs naming it); errors — leaving the session untouched — if no
-    /// such table exists. Like a rejected add, a missing name is decided
-    /// before anything is cloned: the published root stays `Arc::ptr_eq`
-    /// to what it was. In-flight reads keep serving the previous
-    /// generation throughout.
+    /// inverse (a fine-tuned session retrains, as [`Self::add_table`] does).
+    /// Returns the removed table (as [`DataLake::remove_table`], which also
+    /// scrubs ground-truth pairs naming it); errors — leaving the session
+    /// untouched — if no such table exists. Like a rejected add, a missing
+    /// name is decided before anything is cloned: the published root stays
+    /// `Arc::ptr_eq` to what it was. In-flight reads keep serving the
+    /// previous generation throughout.
     pub fn remove_table(&self, name: &str) -> Result<Table, TableError> {
         // dust-lint: lock(session-mutate)
         let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
         let snap = self.snapshot();
-
         snap.lake.table(name)?;
+        let ops = vec![WalOp::RemoveTable(name.into())];
+        let (next, mut removed) = self.prepare(&snap, ops).map_err(|(_, e)| e)?;
+        self.publish(next);
+        removed
+            .pop()
+            .ok_or_else(|| TableError::TableNotFound { name: name.into() })
+    }
+
+    /// This freshly loaded session with `ops` (the WAL records after its
+    /// snapshot) applied as one generation in place of the loaded one, so
+    /// the history ring stays empty. An error names the failed op's position.
+    pub(crate) fn replay(mut self, ops: Vec<WalOp>) -> Result<LakeSession, (usize, TableError)> {
+        if !ops.is_empty() {
+            let (next, _) = self.prepare(&self.snapshot(), ops)?;
+            self.current = RwLock::new(Arc::new(next));
+        }
+        Ok(self)
+    }
+
+    /// The snapshot `ops.len()` generations after `snap`, built off to the side, and the
+    /// tables the ops removed — the one mutation path. Each op applies its lake and index
+    /// delta in order; an add embeds one block, a remove drops one. A lake-derived model
+    /// (not [`Self::with_model`]'s) is instead retrained once on the final lake, exactly as
+    /// a fresh session trains, re-embedding every tuple and carrying column embeddings over.
+    fn prepare(
+        &self,
+        snap: &SessionSnapshot,
+        ops: Vec<WalOp>,
+    ) -> Result<(SessionSnapshot, Vec<Table>), (usize, TableError)> {
+        let retrains = !self.model_injected
+            && matches!(self.config.embedder, TupleEmbedderKind::FineTuned { .. });
         let mut lake = snap.lake.clone();
-        let removed = lake.remove_table(name)?;
-
-        // the index takes the removed table: it holds no per-table value
-        // lists to subtract
-        let index = snap.index.as_ref().map(|index| {
-            let mut index = InvertedValueIndex::clone(index);
-            index.remove_table(&removed);
-            Arc::new(index)
-        });
-
-        let (embedder, blocks) = if self.retrains_on_mutation() {
-            self.retrained_state(&lake, &snap.blocks)
+        let mut index = snap.index.as_deref().cloned();
+        let mut blocks = snap.blocks.clone();
+        let mut removed = Vec::new();
+        let generation = snap.generation + ops.len() as u64;
+        for (at, op) in ops.into_iter().enumerate() {
+            match op {
+                WalOp::AddTable(table) => {
+                    let table = Arc::new(table);
+                    lake.add_table_shared(table.clone()).map_err(|e| (at, e))?;
+                    if let Some(index) = &mut index {
+                        index.add_table(&table);
+                    }
+                    if !retrains {
+                        let block = embed_table(&table, &snap.embedder, &self.searcher, None);
+                        blocks.insert(Arc::from(table.name()), block);
+                    }
+                }
+                WalOp::RemoveTable(name) => {
+                    let table = lake.remove_table(&name).map_err(|e| (at, e))?;
+                    if let Some(index) = &mut index {
+                        index.remove_table(&table);
+                    }
+                    // a re-added table of this name must not carry its columns
+                    blocks.remove(name.as_str());
+                    removed.push(table);
+                }
+            }
+        }
+        let (embedder, blocks) = if retrains {
+            let embedder = SessionEmbedder::from_config(&self.config.embedder, &lake);
+            let blocks = embed_lake(&lake, &embedder, &self.searcher, &blocks);
+            (Arc::new(embedder), blocks)
         } else {
-            let mut blocks = snap.blocks.clone();
-            blocks.remove(name);
             (snap.embedder.clone(), blocks)
         };
-
-        self.publish(SessionSnapshot {
-            generation: snap.generation + 1,
+        let next = SessionSnapshot {
+            generation,
             lake,
             embedder,
-            index,
+            index: index.map(Arc::new),
             blocks,
-        });
-        Ok(removed)
-    }
-
-    /// Whether mutations must fall back to retraining the tuple model: the
-    /// model came from a fine-tuning config (lake-derived training set), not
-    /// from [`Self::with_model`] injection.
-    fn retrains_on_mutation(&self) -> bool {
-        !self.model_injected && matches!(self.config.embedder, TupleEmbedderKind::FineTuned { .. })
-    }
-
-    /// The recompute fallback for lake-derived models: retrain on the
-    /// mutated lake (the identical deterministic recipe a fresh session
-    /// runs) and re-embed every table's tuples under the new model, carrying
-    /// the column embeddings of `previous`'s blocks over. Runs on the
-    /// mutating thread, off every lock — readers of the previous generation
-    /// are unaffected for the whole (expensive) rebuild.
-    fn retrained_state(
-        &self,
-        lake: &DataLake,
-        previous: &TableBlocks,
-    ) -> (Arc<SessionEmbedder>, TableBlocks) {
-        let embedder = SessionEmbedder::from_config(&self.config.embedder, lake);
-        let blocks = embed_lake(lake, &embedder, &self.searcher, previous);
-        (Arc::new(embedder), blocks)
+        };
+        Ok((next, removed))
     }
 
     /// Size/shape summary of the resident state at the current generation.

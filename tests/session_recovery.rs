@@ -21,7 +21,8 @@
 //!    from *some* acknowledged generation.
 
 use dust_core::{
-    DustResult, LakeSession, PersistError, PipelineConfig, SearchTechnique, SnapshotStore,
+    DustResult, LakeSession, PersistError, PipelineConfig, SearchTechnique, SessionError,
+    SnapshotStore,
 };
 use dust_datagen::BenchmarkConfig;
 use dust_embed::{FineTuneConfig, PretrainedModel};
@@ -230,12 +231,13 @@ proptest! {
     }
 
     /// The fine-tuned embedder: the snapshot persists the *trained* model
-    /// (no retraining on load), and WAL replay retrains deterministically
-    /// — either way the recovered session matches a fresh rebuild that
-    /// trains from scratch.
+    /// (no retraining on load), and WAL replay — up to 7 records, re-adds
+    /// of removed tables included, applied as one batch — retrains once
+    /// on the final lake; either way the recovered session matches a fresh
+    /// rebuild that trains from scratch.
     #[test]
     fn fine_tuned_recovery_matches_fresh_rebuild(
-        ops in prop::collection::vec(0usize..12, 0..3),
+        ops in prop::collection::vec(0usize..12, 0..8),
     ) {
         let tmp = TempDir::new("finetune");
         let session = LakeSession::new(tiny_lake(), tiny_fine_tuned_config());
@@ -357,6 +359,48 @@ proptest! {
             }
         }
     }
+}
+
+/// Replayed WAL records publish no generation of their own: a restored
+/// session's history ring starts empty, so a replayed intermediate is
+/// evicted and only the recovered generation serves.
+#[test]
+fn a_restored_history_ring_holds_no_replayed_generation() {
+    let tmp = TempDir::new("history");
+    let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
+    let pool = table_pool(&session.lake());
+    let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
+    for table in &pool[pool.len() - 3..] {
+        apply_logged(&session, &mut store, table);
+    }
+    drop(store);
+
+    let (_store, recovered, report) = SnapshotStore::open(&tmp.0).unwrap();
+    assert_eq!(report.replayed, 3);
+    let current = report.snapshot_generation + 3;
+    assert_eq!(recovered.history_window(), (current, current, 0));
+    let requested = report.snapshot_generation + 1;
+    match recovered.view_at(requested) {
+        Err(e @ SessionError::GenerationEvicted { .. }) => {
+            assert_eq!(e.kind(), "generation_evicted");
+            let evicted = SessionError::GenerationEvicted {
+                requested,
+                oldest: current,
+                newest: current,
+            };
+            assert_eq!(e.to_string(), evicted.to_string());
+        }
+        Err(e) => panic!("expected generation_evicted, got {e:?}"),
+        Ok(view) => panic!("served replayed generation {}", view.generation()),
+    }
+    let view = recovered.view_at(current).unwrap();
+    assert_eq!(view.generation(), current);
+    let probe = &probes(view.lake(), 1)[0];
+    assert_same_result(
+        &view.query(probe, 4).unwrap(),
+        &session.query(probe, 4).unwrap(),
+        "current generation after restore",
+    );
 }
 
 /// Deleting a required segment outright (not just damaging it) is also a
