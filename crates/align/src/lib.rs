@@ -25,4 +25,4 @@ pub use eval::{
     alignment_items, ground_truth_from_map, precision_recall_f1, AlignmentItem, PrecisionRecallF1,
 };
 pub use holistic::{AlignedCluster, Alignment, ColumnRef, HolisticAligner};
-pub use union::{outer_union, outer_union_table};
+pub use union::outer_union;

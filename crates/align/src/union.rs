@@ -45,42 +45,6 @@ pub fn outer_union(query: &Table, tables: &[&Table], alignment: &Alignment) -> V
     tuples
 }
 
-/// Outer-union into a single [`Table`] whose first rows are the query rows
-/// and whose remaining rows are the aligned data-lake tuples. This is the
-/// "most unionable"-style result table used by the case study's baselines.
-pub fn outer_union_table(
-    query: &Table,
-    tables: &[&Table],
-    alignment: &Alignment,
-    name: impl Into<String>,
-) -> Table {
-    let mut result = query.clone();
-    result.set_name(name);
-    let tuples = outer_union(query, tables, alignment);
-    if tuples.is_empty() {
-        return result;
-    }
-    // Build a temporary table from the unionable tuples and append it.
-    let headers = query.headers().to_vec();
-    let mut columns: Vec<Vec<Value>> = vec![Vec::with_capacity(tuples.len()); headers.len()];
-    for tuple in &tuples {
-        for (i, v) in tuple.values().iter().enumerate() {
-            columns[i].push(v.clone());
-        }
-    }
-    let appended = Table::from_columns(
-        "appended",
-        headers
-            .iter()
-            .zip(columns)
-            .map(|(h, vals)| dust_table::Column::new(h.clone(), vals))
-            .collect(),
-    )
-    .expect("query headers are valid");
-    result.append_outer(&appended);
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,27 +138,5 @@ mod tests {
             .unwrap();
         let tuples = outer_union(&q, &[&unrelated], &example_alignment());
         assert!(tuples.is_empty());
-    }
-
-    #[test]
-    fn outer_union_table_appends_below_query_rows() {
-        let q = query();
-        let d = table_d();
-        let combined = outer_union_table(&q, &[&d], &example_alignment(), "combined");
-        assert_eq!(combined.num_rows(), 4);
-        assert_eq!(combined.name(), "combined");
-        assert_eq!(combined.cell(0, 0), Some(&Value::text("River Park")));
-        assert_eq!(combined.cell(2, 0), Some(&Value::text("Chippewa Park")));
-        // no aligned phone column anywhere
-        assert_eq!(combined.num_columns(), 4);
-    }
-
-    #[test]
-    fn empty_alignment_returns_query_only() {
-        let q = query();
-        let d = table_d();
-        let empty = Alignment::default();
-        let combined = outer_union_table(&q, &[&d], &empty, "combined");
-        assert_eq!(combined.num_rows(), q.num_rows());
     }
 }

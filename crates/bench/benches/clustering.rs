@@ -1,14 +1,13 @@
 //! Criterion microbenchmarks for the clustering substrate: agglomerative
 //! clustering (the inner loop of both DUST's diversifier and the holistic
-//! column aligner) with its two engines head to head, k-means, silhouette
-//! scoring, and medoid extraction.
+//! column aligner) with its two engines head to head, silhouette scoring,
+//! and medoid extraction.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use dust_bench::setup::clustered_points;
 use dust_cluster::{
-    agglomerative, agglomerative_params, agglomerative_with, best_cut_by_silhouette,
-    best_cut_by_silhouette_from_matrix, cluster_medoids, kmeans, silhouette_score,
-    AgglomerativeAlgorithm, ClusterParams, Compaction, Linkage,
+    agglomerative, agglomerative_with, best_cut_by_silhouette, best_cut_by_silhouette_from_matrix,
+    cluster_medoids, silhouette_score, AgglomerativeAlgorithm, Linkage,
 };
 use dust_embed::{Distance, PairwiseMatrix};
 
@@ -45,28 +44,27 @@ fn bench_engines(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full non-compacting build vs the k-capped (`k·p = 100`) + compacting
-/// configuration DUST actually consumes, at the scales where the full
-/// build's O(n²) INF-poisoned scans dominate. `BENCH_cluster.json`'s
-/// `clustering_capped` section comes from this group.
+/// Full build vs the k-capped (`k·p = 100`) build DUST actually consumes,
+/// both through `agglomerative_with`, which compacts the workspace at
+/// every size here. `BENCH_cluster.json`'s `clustering_capped` section
+/// comes from this group; its `full` row was recorded without compaction,
+/// which the entry point no longer offers.
 fn bench_capped_compacting(c: &mut Criterion) {
     let mut group = c.benchmark_group("clustering_capped");
     group.sample_size(10);
     for &n in &[2000usize, 5000, 10000] {
         let points = clustered_points(n, 32, 7);
         let matrix = PairwiseMatrix::compute(&points, Distance::Cosine);
-        for (name, min_clusters, compaction) in [
-            ("full", 1usize, Compaction::Never),
-            ("capped_compacting", 100, Compaction::Always),
-        ] {
-            let params = ClusterParams {
-                linkage: Linkage::Average,
-                algorithm: AgglomerativeAlgorithm::Generic,
-                min_clusters,
-                compaction,
-            };
+        for (name, min_clusters) in [("full", 1usize), ("capped_compacting", 100)] {
             group.bench_with_input(BenchmarkId::new(name, n), &matrix, |b, m| {
-                b.iter(|| agglomerative_params(black_box(m), &params));
+                b.iter(|| {
+                    agglomerative_with(
+                        black_box(m),
+                        Linkage::Average,
+                        AgglomerativeAlgorithm::Generic,
+                        min_clusters,
+                    )
+                });
             });
         }
     }
@@ -114,16 +112,9 @@ fn bench_cut_and_medoids(c: &mut Criterion) {
     });
 }
 
-fn bench_kmeans(c: &mut Criterion) {
-    let points = clustered_points(800, 32, 13);
-    c.bench_function("kmeans_800_k20", |b| {
-        b.iter(|| kmeans(black_box(&points), 20, 20, 3, Distance::Euclidean));
-    });
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_agglomerative, bench_engines, bench_capped_compacting, bench_silhouette_model_selection, bench_cut_and_medoids, bench_kmeans
+    targets = bench_agglomerative, bench_engines, bench_capped_compacting, bench_silhouette_model_selection, bench_cut_and_medoids
 }
 criterion_main!(benches);

@@ -1,6 +1,6 @@
 //! Clustering-engine experiment: NN-chain vs the cached-NN "generic"
-//! agglomerative algorithm, and the k-capped + compacting build vs the
-//! full build, on the diversification hot path.
+//! agglomerative algorithm, and the k-capped build vs the full build, on
+//! the diversification hot path.
 //!
 //! Three views:
 //!
@@ -9,10 +9,11 @@
 //!   numbers come from the Criterion `clustering` group; this table is the
 //!   quick release-build sanity check), asserting both engines produce the
 //!   same `cut(k)` partition;
-//! * **capped + compacting** — the production configuration DUST actually
-//!   consumes (stop at `k·p = 100` clusters, workspace compaction on)
-//!   against the full non-compacting build at n ∈ {2000, 5000, 10000},
-//!   asserting the capped `cut(100)` is *identical* to the full build's;
+//! * **capped** — the production configuration DUST actually consumes
+//!   (stop at `k·p = 100` clusters) against the full build at
+//!   n ∈ {2000, 5000, 10000}, both compacting (the entry point compacts
+//!   from 256 points up), asserting the capped `cut(100)` is *identical*
+//!   to the full build's;
 //! * **end to end** — the DUST diversifier with the engine threaded
 //!   through [`DustConfig`], asserting the selection is engine-independent
 //!   and drawn from the medoids of the uncapped dendrogram's `k·p` cut.
@@ -24,8 +25,8 @@
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::clustered_points;
 use dust_cluster::{
-    agglomerative_params, agglomerative_with, cluster_medoids_from_matrix,
-    clusters_from_assignment, AgglomerativeAlgorithm, ClusterParams, Compaction, Linkage,
+    agglomerative_with, cluster_medoids_from_matrix, clusters_from_assignment,
+    AgglomerativeAlgorithm, Linkage,
 };
 use dust_diversify::{DiversificationInput, Diversifier, DustConfig, DustDiversifier};
 use dust_embed::{Distance, PairwiseMatrix, Vector};
@@ -73,34 +74,28 @@ fn main() {
     raw.note("identical cut(n/20) partitions verified per row");
     raw.print();
 
-    // ---- capped + compacting vs the full build ---------------------------
+    // ---- capped vs the full build -----------------------------------------
     let mut capped_report = Report::new(format!(
-        "Generic engine, k-capped at {K_CAP} + compacting vs full build (average linkage)"
+        "Generic engine, k-capped at {K_CAP} vs full build, both compacting (average linkage)"
     ))
-    .headers(["n", "full", "capped+compact", "speedup", "merges"]);
+    .headers(["n", "full", "capped", "speedup", "merges"]);
     for &n in &[2000usize, 5000, 10000] {
         let points = clustered_points(n, dim, 7);
         let matrix = PairwiseMatrix::compute(&points, Distance::Cosine);
         let start = Instant::now();
-        let full = agglomerative_params(
+        let full = agglomerative_with(
             &matrix,
-            &ClusterParams {
-                linkage: Linkage::Average,
-                algorithm: AgglomerativeAlgorithm::Generic,
-                min_clusters: 1,
-                compaction: Compaction::Never,
-            },
+            Linkage::Average,
+            AgglomerativeAlgorithm::Generic,
+            1,
         );
         let full_secs = start.elapsed().as_secs_f64();
         let start = Instant::now();
-        let capped = agglomerative_params(
+        let capped = agglomerative_with(
             &matrix,
-            &ClusterParams {
-                linkage: Linkage::Average,
-                algorithm: AgglomerativeAlgorithm::Generic,
-                min_clusters: K_CAP,
-                compaction: Compaction::Always,
-            },
+            Linkage::Average,
+            AgglomerativeAlgorithm::Generic,
+            K_CAP,
         );
         let capped_secs = start.elapsed().as_secs_f64();
         assert_eq!(

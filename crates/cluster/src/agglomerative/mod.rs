@@ -24,22 +24,23 @@
 //!
 //! Consumers of these dendrograms only ever cut them *coarsely*: DUST cuts
 //! at `k·p` clusters, alignment model-selects over `k ∈ [min_k, n]`. A full
-//! n-merge build therefore does work nobody consumes. [`ClusterParams`]
-//! exposes two knobs that remove it without changing any answer:
+//! n-merge build therefore does work nobody consumes. Two mechanisms remove
+//! it without changing any answer:
 //!
-//! * **`min_clusters`** (the *k-cap*) stops the engines once the merges
-//!   performed are provably exactly the lowest part of the full merge tree
-//!   (both engines keep merging across boundary *ties*, so the guarantee
-//!   is exact): the returned partial [`Dendrogram`] yields bit-identical
-//!   `cut(k)` partitions to the full build for every `k ≥ min_clusters`.
-//!   The cap applies to reducible linkages; for the non-reducible
-//!   centroid/median pair (whose height inversions can dip below any
-//!   stopping boundary) it is ignored and a full dendrogram is built.
-//! * **`compaction`** lets the workspace physically shrink as clusters
-//!   retire (rebuilt over the live slots at every halving), so late merges
-//!   and scans walk a dense live prefix instead of INF-poisoned full rows
-//!   — bit-for-bit identical output, much smaller resident working set at
-//!   n ≫ 2000.
+//! * **the k-cap** (`min_clusters` of [`agglomerative_with`]) stops the
+//!   engines once the merges performed are provably exactly the lowest
+//!   part of the full merge tree (both engines keep merging across
+//!   boundary *ties*, so the guarantee is exact): the returned partial
+//!   [`Dendrogram`] yields bit-identical `cut(k)` partitions to the full
+//!   build for every `k ≥ min_clusters`. The cap applies to reducible
+//!   linkages; for the non-reducible centroid/median pair (whose height
+//!   inversions can dip below any stopping boundary) it is ignored and a
+//!   full dendrogram is built.
+//! * **compaction** physically shrinks the workspace as clusters retire
+//!   (rebuilt over the live slots at every halving), so late merges and
+//!   scans walk a dense live prefix instead of INF-poisoned full rows —
+//!   bit-for-bit identical output, much smaller resident working set at
+//!   n ≫ 2000. It is on from 256 points up (`COMPACTION_THRESHOLD`).
 //!
 //! [`agglomerative_constrained`] is a straightforward O(n³) greedy variant
 //! that honours cannot-link constraints (a pair's admissibility is one
@@ -174,11 +175,11 @@ pub enum AgglomerativeAlgorithm {
 /// avoids the heap allocation.
 const GENERIC_AUTO_THRESHOLD: usize = 64;
 
-/// Input size from which [`Compaction::Auto`] enables workspace compaction.
-/// Below it the whole condensed matrix is cache-resident anyway and the
-/// copies would be churn; above it the shrinking working set wins (see
+/// Input size from which the workspace compacts as clusters retire. Below
+/// it the whole condensed matrix is cache-resident anyway and the copies
+/// would be churn; above it the shrinking working set wins (see
 /// `BENCH_cluster.json`, capped/compacting rows).
-const COMPACTION_AUTO_THRESHOLD: usize = 256;
+const COMPACTION_THRESHOLD: usize = 256;
 
 impl AgglomerativeAlgorithm {
     /// Name used in experiment output.
@@ -208,54 +209,6 @@ impl AgglomerativeAlgorithm {
     }
 }
 
-/// Whether the linkage workspace physically compacts as clusters retire
-/// (see the module docs). Compaction never changes the output — compacting
-/// and non-compacting runs are bit-for-bit identical, pinned by the
-/// equivalence suite — only the constant factor and resident working set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum Compaction {
-    /// Compact from [`COMPACTION_AUTO_THRESHOLD`] points up (the default).
-    #[default]
-    Auto,
-    /// Always allow compaction (it still only triggers at halvings).
-    Always,
-    /// Never compact — scans keep walking INF-poisoned full rows.
-    Never,
-}
-
-/// Full parameter set for an agglomerative clustering run
-/// ([`agglomerative_params`]). The convenience wrappers fix the common
-/// fields: [`agglomerative_with`] takes linkage/algorithm/cap and leaves
-/// compaction on `Auto`; [`agglomerative_from_matrix`] builds a full
-/// dendrogram with `Auto` everything.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ClusterParams {
-    /// Linkage criterion.
-    pub linkage: Linkage,
-    /// Engine selection.
-    pub algorithm: AgglomerativeAlgorithm,
-    /// Stop once every flat clustering with at least this many clusters is
-    /// determined (`1` = build the full dendrogram). The resulting partial
-    /// [`Dendrogram`] is bit-identical to the full one for every `cut(k)`
-    /// with `k ≥ min_clusters`; cutting below [`Dendrogram::min_clusters`]
-    /// panics. Ignored (full build) for non-reducible linkages.
-    pub min_clusters: usize,
-    /// Workspace compaction policy.
-    pub compaction: Compaction,
-}
-
-impl ClusterParams {
-    /// Full dendrogram, automatic engine and compaction selection.
-    pub fn new(linkage: Linkage) -> Self {
-        ClusterParams {
-            linkage,
-            algorithm: AgglomerativeAlgorithm::Auto,
-            min_clusters: 1,
-            compaction: Compaction::Auto,
-        }
-    }
-}
-
 /// One merge step of a dendrogram. Clusters are identified by id: leaves are
 /// `0..n`, and the cluster created by the `i`-th merge has id `n + i`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -279,13 +232,11 @@ pub struct Merge {
 /// engines guarantee the merges present are exactly the lowest part of the
 /// full merge tree, so [`Dendrogram::cut`] is **bit-identical to the full
 /// build's** for every `k ≥ min_clusters` — and **panics** for
-/// `k < min_clusters`, where the answer would silently be wrong.
-/// [`Dendrogram::cut_at_distance`] treats absent merges as lying above any
-/// threshold, so on a capped dendrogram it never returns fewer than
-/// `min_clusters` clusters. (The constrained variant's dendrograms may
-/// also be incomplete because *constraints* forbade further merges; that
-/// is a property of the data, not a cap, so `min_clusters` stays 1 and
-/// coarse cuts simply return more clusters than requested.)
+/// `k < min_clusters`, where the answer would silently be wrong. (The
+/// constrained variant's dendrograms may also be incomplete because
+/// *constraints* forbade further merges; that is a property of the data,
+/// not a cap, so `min_clusters` stays 1 and coarse cuts simply return more
+/// clusters than requested.)
 ///
 /// # Determinism and tie-breaking
 ///
@@ -332,8 +283,8 @@ impl Dendrogram {
     /// A k-capped build stops early; [`Dendrogram::cut`] is valid — and
     /// identical to the full build's — for every `k >= min_clusters`, and
     /// panics below it. Boundary ties can make the engines merge past the
-    /// requested cap, so this may be *smaller* than the cap requested via
-    /// [`ClusterParams::min_clusters`].
+    /// requested cap, so this may be *smaller* than the `min_clusters`
+    /// requested from [`agglomerative_with`].
     pub fn min_clusters(&self) -> usize {
         self.min_clusters
     }
@@ -356,7 +307,7 @@ impl Dendrogram {
         assert!(
             target >= self.min_clusters,
             "cut({target}) is below this capped dendrogram's valid range \
-             (min_clusters = {}); rebuild with a smaller ClusterParams::min_clusters",
+             (min_clusters = {}); rebuild with a smaller min_clusters",
             self.min_clusters
         );
         let mut uf = UnionFind::new(n);
@@ -370,27 +321,6 @@ impl Dendrogram {
             let ri = self.leaf_of(merge.right);
             if uf.union(li, ri) {
                 remaining -= 1;
-            }
-        }
-        uf.dense_assignment()
-    }
-
-    /// Cut the dendrogram at a distance threshold: only merges with distance
-    /// `<= threshold` are applied (order-independent). Merges absent from a
-    /// partial dendrogram are treated as above any threshold — on a
-    /// k-capped build the result therefore never has fewer than
-    /// [`Dendrogram::min_clusters`] clusters.
-    pub fn cut_at_distance(&self, threshold: f64) -> Assignment {
-        let n = self.n_leaves;
-        if n == 0 {
-            return Vec::new();
-        }
-        let mut uf = UnionFind::new(n);
-        for merge in &self.merges {
-            if merge.distance <= threshold {
-                let li = self.leaf_of(merge.left);
-                let ri = self.leaf_of(merge.right);
-                uf.union(li, ri);
             }
         }
         uf.dense_assignment()
@@ -506,32 +436,37 @@ pub fn agglomerative_from_matrix(matrix: &PairwiseMatrix, linkage: Linkage) -> D
 }
 
 /// Agglomerative clustering over a precomputed pairwise matrix with an
-/// explicit engine choice and k-cap (`min_clusters = 1` builds the full
-/// dendrogram; see [`ClusterParams::min_clusters`] for the cap's exactness
-/// guarantee). `Auto` picks the expected-fastest valid engine; an explicit
-/// [`AgglomerativeAlgorithm::NnChain`] request for a non-reducible linkage
-/// (centroid/median) is routed to the generic engine, where the NN-chain
-/// would be invalid. Compaction is on automatic selection — use
-/// [`agglomerative_params`] to pin it.
+/// explicit engine choice and k-cap.
+///
+/// `min_clusters = 1` builds the full dendrogram. A larger value stops once
+/// every flat clustering with at least that many clusters is determined:
+/// the partial [`Dendrogram`] is bit-identical to the full one for every
+/// `cut(k)` with `k ≥ min_clusters`, and cutting below
+/// [`Dendrogram::min_clusters`] panics. The cap is ignored (full build) for
+/// non-reducible linkages. `Auto` picks the expected-fastest valid engine;
+/// an explicit [`AgglomerativeAlgorithm::NnChain`] request for a
+/// non-reducible linkage (centroid/median) is routed to the generic engine,
+/// where the NN-chain would be invalid. The workspace compacts from
+/// 256 points up (`COMPACTION_THRESHOLD`).
 pub fn agglomerative_with(
     matrix: &PairwiseMatrix,
     linkage: Linkage,
     algorithm: AgglomerativeAlgorithm,
     min_clusters: usize,
 ) -> Dendrogram {
-    agglomerative_params(
-        matrix,
-        &ClusterParams {
-            linkage,
-            algorithm,
-            min_clusters,
-            compaction: Compaction::Auto,
-        },
-    )
+    let compacting = matrix.len() >= COMPACTION_THRESHOLD;
+    build(matrix, linkage, algorithm, min_clusters, compacting)
 }
 
-/// Agglomerative clustering with every knob exposed ([`ClusterParams`]).
-pub fn agglomerative_params(matrix: &PairwiseMatrix, params: &ClusterParams) -> Dendrogram {
+/// The engines' common driver; `compacting` is separate so the tests can
+/// pin compacting and plain builds to each other at every size.
+fn build(
+    matrix: &PairwiseMatrix,
+    linkage: Linkage,
+    algorithm: AgglomerativeAlgorithm,
+    min_clusters: usize,
+    compacting: bool,
+) -> Dendrogram {
     let n = matrix.len();
     if n < 2 {
         return Dendrogram::new(n, Vec::new(), 1);
@@ -539,20 +474,15 @@ pub fn agglomerative_params(matrix: &PairwiseMatrix, params: &ClusterParams) -> 
     // The cap's exactness argument needs future merge heights bounded below
     // by the current live minimum — reducibility. Centroid/median get a
     // full build.
-    let cap = if params.linkage.is_reducible() {
-        params.min_clusters.clamp(1, n)
+    let cap = if linkage.is_reducible() {
+        min_clusters.clamp(1, n)
     } else {
         1
     };
-    let compacting = match params.compaction {
-        Compaction::Always => true,
-        Compaction::Never => false,
-        Compaction::Auto => n >= COMPACTION_AUTO_THRESHOLD,
-    };
     let mut ws = LinkageWorkspace::from_matrix(matrix, compacting);
-    let merges = match params.algorithm.resolve(params.linkage, n) {
-        AgglomerativeAlgorithm::Generic => generic::cluster(&mut ws, params.linkage, cap),
-        _ => nn_chain::cluster(&mut ws, params.linkage, cap),
+    let merges = match algorithm.resolve(linkage, n) {
+        AgglomerativeAlgorithm::Generic => generic::cluster(&mut ws, linkage, cap),
+        _ => nn_chain::cluster(&mut ws, linkage, cap),
     };
     // Boundary ties can push a capped run past the requested cap (or all
     // the way to a full build): every cut down to the merge count actually
@@ -599,7 +529,7 @@ pub fn agglomerative_constrained(
 /// `n × n` conflict matrix over cluster slots, seeded from `cannot_link`
 /// and OR-folded on every merge, so the list is read once.
 ///
-/// `min_clusters` is the same k-cap as [`ClusterParams::min_clusters`]:
+/// `min_clusters` is the same k-cap as [`agglomerative_with`]'s:
 /// since the greedy loop merges admissible pairs in ascending order (the
 /// admissible submatrix is monotone for reducible linkages — constraints
 /// only ever *remove* candidate pairs), it can stop once enough merges are
@@ -679,6 +609,9 @@ pub fn agglomerative_constrained_from_matrix(
 mod tests {
     use super::*;
     use crate::num_clusters;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn two_blobs() -> Vec<Vector> {
         let mut pts = Vec::new();
@@ -765,20 +698,6 @@ mod tests {
             assert_eq!(capped.merges().len(), pts.len() - 1);
             assert_eq!(capped.min_clusters(), 1);
         }
-    }
-
-    #[test]
-    fn cut_at_distance_threshold() {
-        let pts = vec![
-            Vector::new(vec![0.0]),
-            Vector::new(vec![0.1]),
-            Vector::new(vec![10.0]),
-        ];
-        let dendro = agglomerative(&pts, Distance::Euclidean, Linkage::Single);
-        let tight = dendro.cut_at_distance(1.0);
-        assert_eq!(num_clusters(&tight), 2);
-        let loose = dendro.cut_at_distance(100.0);
-        assert_eq!(num_clusters(&loose), 1);
     }
 
     #[test]
@@ -942,5 +861,94 @@ mod tests {
         assert_eq!(AgglomerativeAlgorithm::Auto.name(), "auto");
         assert_eq!(AgglomerativeAlgorithm::NnChain.name(), "nn_chain");
         assert_eq!(AgglomerativeAlgorithm::Generic.name(), "generic");
+    }
+
+    // -----------------------------------------------------------------------
+    // Compaction: `agglomerative_with` compacts by size, so only the private
+    // driver can run both modes on one input.
+    // -----------------------------------------------------------------------
+
+    const ENGINES: [AgglomerativeAlgorithm; 2] = [
+        AgglomerativeAlgorithm::NnChain,
+        AgglomerativeAlgorithm::Generic,
+    ];
+
+    fn points_strategy() -> impl Strategy<Value = Vec<Vector>> {
+        prop::collection::vec(prop::collection::vec(-10.0f32..10.0, 2), 2..64)
+            .prop_map(|rows| rows.into_iter().map(Vector::new).collect())
+    }
+
+    fn distance_strategy() -> impl Strategy<Value = Distance> {
+        prop_oneof![
+            Just(Distance::Euclidean),
+            Just(Distance::Cosine),
+            Just(Distance::Manhattan),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Compacting == non-compacting, bit for bit: the whole dendrogram
+        /// (merge pairs, f64 heights, sizes, min_clusters) is identical with
+        /// the workspace physically shrinking and with it never shrinking —
+        /// both engines, all six linkages, capped and full. Sizes above
+        /// ~16 points genuinely compact (the workspace halves at live <= n/2).
+        #[test]
+        fn compacting_is_bit_for_bit_identical(
+            points in points_strategy(),
+            distance in distance_strategy(),
+            k_min in 1usize..24,
+        ) {
+            let matrix = PairwiseMatrix::compute(&points, distance);
+            for linkage in Linkage::ALL {
+                for algorithm in ENGINES {
+                    let plain = build(&matrix, linkage, algorithm, k_min, false);
+                    let compacted = build(&matrix, linkage, algorithm, k_min, true);
+                    prop_assert_eq!(
+                        &plain, &compacted,
+                        "{:?}/{:?}: compaction changed the dendrogram (cap {})",
+                        linkage, algorithm, k_min
+                    );
+                }
+            }
+        }
+    }
+
+    /// A deterministic larger case (n = 300, above the compaction
+    /// threshold): several halvings actually fire in the public entry
+    /// point's capped build, and it still reproduces the full
+    /// non-compacting build's cuts exactly.
+    #[test]
+    fn large_capped_compacting_run_matches_plain_full_build() {
+        let mut rng = StdRng::seed_from_u64(0xCAB);
+        let n = 300;
+        assert!(n >= COMPACTION_THRESHOLD);
+        let points: Vec<Vector> = (0..n)
+            .map(|_| Vector::new(vec![rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)]))
+            .collect();
+        let matrix = PairwiseMatrix::compute(&points, Distance::Euclidean);
+        for algorithm in ENGINES {
+            for linkage in [Linkage::Average, Linkage::Ward] {
+                let full_plain = build(&matrix, linkage, algorithm, 1, false);
+                let capped_compacting = agglomerative_with(&matrix, linkage, algorithm, 20);
+                assert!(
+                    capped_compacting.merges().len() < full_plain.merges().len(),
+                    "{linkage:?}/{algorithm:?}: cap did not shorten the build"
+                );
+                assert_eq!(
+                    capped_compacting.merges(),
+                    &full_plain.merges()[..capped_compacting.merges().len()],
+                    "{linkage:?}/{algorithm:?}: capped+compacting is not a bit-for-bit prefix"
+                );
+                for k in [20usize, 25, 40, 100, 299] {
+                    assert_eq!(
+                        capped_compacting.cut(k),
+                        full_plain.cut(k),
+                        "{linkage:?}/{algorithm:?}: cut({k})"
+                    );
+                }
+            }
+        }
     }
 }

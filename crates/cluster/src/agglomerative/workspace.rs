@@ -25,7 +25,7 @@
 //! cluster count — the difference between streaming a 200 MB matrix per
 //! merge and an L3-resident one at n ≈ 10000. Because the live order is
 //! preserved and values move verbatim, compacting runs are bit-for-bit
-//! identical to non-compacting runs (pinned by the equivalence suite);
+//! identical to non-compacting runs (pinned by the tests in `mod.rs`);
 //! engines only need to renumber their slot references through the remap
 //! returned by [`LinkageWorkspace::maybe_compact`].
 //!

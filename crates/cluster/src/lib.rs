@@ -6,12 +6,13 @@
 //!   interchangeable engines over one shared workspace: the
 //!   nearest-neighbour-chain algorithm (O(n²), reducible linkages) and a
 //!   fastcluster-style cached-nearest-neighbour "generic" algorithm (lazy
-//!   min-heap, all linkages, faster from ~1000 points), selected by
+//!   min-heap, all linkages, faster from ~100 points), selected by
 //!   [`AgglomerativeAlgorithm`]. Both engines support k-capped partial
-//!   builds and a compacting workspace ([`ClusterParams`]) — consumers
-//!   only ever cut coarsely (DUST at `k·p`, alignment at `≥ min_k`), so
-//!   the engines stop once those cuts are determined and physically shrink
-//!   the working matrix as clusters retire, without changing any answer.
+//!   builds ([`agglomerative_with`]) and compact their workspace from 256
+//!   points up — consumers only ever cut coarsely (DUST at `k·p`,
+//!   alignment at `≥ min_k`), so the engines stop once those cuts are
+//!   determined and physically shrink the working matrix as clusters
+//!   retire, without changing any answer.
 //!   The tuple-diversification step of DUST relies on these for
 //!   scalability; the constrained variant (cannot-link pairs, used by
 //!   holistic column alignment so that two columns of the same table are
@@ -22,23 +23,19 @@
 //!   matrix per sweep, not one per candidate cut.
 //! * [`medoid`] — medoids of clusters (the representative-tuple choice in
 //!   Sec. 5.2).
-//! * [`kmeans`] — k-means with k-means++ seeding, used as an ablation
-//!   alternative to hierarchical clustering.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agglomerative;
-pub mod kmeans;
 pub mod medoid;
 pub mod silhouette;
 
 pub use agglomerative::{
     agglomerative, agglomerative_constrained, agglomerative_constrained_from_matrix,
-    agglomerative_from_matrix, agglomerative_params, agglomerative_with, AgglomerativeAlgorithm,
-    ClusterParams, Compaction, Dendrogram, Linkage, Merge,
+    agglomerative_from_matrix, agglomerative_with, AgglomerativeAlgorithm, Dendrogram, Linkage,
+    Merge,
 };
-pub use kmeans::{kmeans, KMeansResult};
 pub use medoid::{
     cluster_medoids, cluster_medoids_from_matrix, medoid, medoid_in_matrix, medoid_with_store,
 };

@@ -17,9 +17,12 @@
 //!    reorders the f32 roundings of the Lance–Williams updates) and `cut(k)`
 //!    partitions must agree exactly, for every `k`, up to label permutation.
 //! 3. **Dendrogram invariants** — merge count, monotone heights for
-//!    reducible linkages, `cut`/`cut_at_distance` consistency, and
-//!    shuffle-stability of assignments (the PR 1 GMC pattern, extended to
-//!    clustering).
+//!    reducible linkages, and shuffle-stability of assignments.
+//!
+//! Compacting ≡ plain builds, bit for bit, is pinned in the crate's own
+//! tests (`agglomerative::tests`): the public entry point decides
+//! compaction by size, so only the private driver can run both modes on
+//! the same input.
 //!
 //! Tie handling: deliberately tied inputs (duplicate points, all-equal
 //! distances, equidistant grids) are pinned by the deterministic tests at
@@ -32,8 +35,8 @@
 //! tie-breaking rules pick genuinely different (equally correct) trees.
 
 use dust_cluster::{
-    agglomerative_constrained, agglomerative_params, agglomerative_with, clusters_from_assignment,
-    num_clusters, AgglomerativeAlgorithm, ClusterParams, Compaction, Dendrogram, Linkage,
+    agglomerative_constrained, agglomerative_with, clusters_from_assignment,
+    AgglomerativeAlgorithm, Dendrogram, Linkage,
 };
 use dust_embed::{Distance, PairwiseMatrix, Vector};
 use proptest::prelude::*;
@@ -198,39 +201,6 @@ proptest! {
                     "{:?}: inversion {} -> {}", linkage, w[0].distance, w[1].distance
                 );
             }
-        }
-    }
-
-    /// `cut_at_distance` is consistent with `cut`: cutting at the m-th
-    /// sorted merge height (where the next height is strictly larger)
-    /// yields exactly the `n - 1 - m` cluster partition.
-    #[test]
-    fn cut_at_distance_agrees_with_cut(
-        points in points_strategy(),
-        distance in distance_strategy(),
-        linkage_idx in 0usize..4,
-    ) {
-        let linkage = REDUCIBLE[linkage_idx];
-        let dendro = agglomerative_with(
-            &PairwiseMatrix::compute(&points, distance),
-            linkage,
-            AgglomerativeAlgorithm::Generic,
-            1,
-        );
-        let n = points.len();
-        let heights = sorted_heights(&dendro);
-        for (m, &h) in heights.iter().enumerate() {
-            // only thresholds that unambiguously separate merge heights
-            if m + 1 < heights.len() && heights[m + 1] <= h + height_tol(h) {
-                continue;
-            }
-            let by_distance = dendro.cut_at_distance(h);
-            let by_count = dendro.cut(n - 1 - m);
-            prop_assert_eq!(num_clusters(&by_distance), n - 1 - m, "{:?} m={}", linkage, m);
-            prop_assert_eq!(
-                signature(&by_distance), signature(&by_count),
-                "{:?}: threshold {} vs k={}", linkage, h, n - 1 - m
-            );
         }
     }
 
@@ -470,36 +440,6 @@ proptest! {
         }
     }
 
-    /// Compacting == non-compacting, bit for bit: the whole dendrogram
-    /// (merge pairs, f64 heights, sizes, min_clusters) is identical with
-    /// the workspace physically shrinking and with it never shrinking —
-    /// both engines, all six linkages, capped and full. Sizes above
-    /// ~16 points genuinely compact (the workspace halves at live <= n/2).
-    #[test]
-    fn compacting_is_bit_for_bit_identical(
-        points in points_strategy(),
-        distance in distance_strategy(),
-        k_min in 1usize..24,
-    ) {
-        let matrix = PairwiseMatrix::compute(&points, distance);
-        for linkage in Linkage::ALL {
-            for algorithm in [AgglomerativeAlgorithm::NnChain, AgglomerativeAlgorithm::Generic] {
-                let run = |compaction| agglomerative_params(&matrix, &ClusterParams {
-                    linkage,
-                    algorithm,
-                    min_clusters: k_min,
-                    compaction,
-                });
-                let plain = run(Compaction::Never);
-                let compacted = run(Compaction::Always);
-                prop_assert_eq!(
-                    &plain, &compacted,
-                    "{:?}/{:?}: compaction changed the dendrogram (cap {})",
-                    linkage, algorithm, k_min
-                );
-            }
-        }
-    }
 }
 
 #[test]
@@ -558,60 +498,6 @@ fn capped_tie_families_match_full() {
                         k_min,
                     );
                 }
-            }
-        }
-    }
-}
-
-/// A deterministic larger case (n = 300): several compaction halvings
-/// actually fire, and capped + compacting together still reproduce the
-/// full non-compacting build's cuts exactly.
-#[test]
-fn large_capped_compacting_run_matches_plain_full_build() {
-    let mut rng = StdRng::seed_from_u64(0xCAB);
-    let n = 300;
-    let points: Vec<Vector> = (0..n)
-        .map(|_| Vector::new(vec![rng.gen_range(-10.0..10.0), rng.gen_range(-10.0..10.0)]))
-        .collect();
-    let matrix = PairwiseMatrix::compute(&points, Distance::Euclidean);
-    for algorithm in [
-        AgglomerativeAlgorithm::NnChain,
-        AgglomerativeAlgorithm::Generic,
-    ] {
-        for linkage in [Linkage::Average, Linkage::Ward] {
-            let full_plain = agglomerative_params(
-                &matrix,
-                &ClusterParams {
-                    linkage,
-                    algorithm,
-                    min_clusters: 1,
-                    compaction: Compaction::Never,
-                },
-            );
-            let capped_compacting = agglomerative_params(
-                &matrix,
-                &ClusterParams {
-                    linkage,
-                    algorithm,
-                    min_clusters: 20,
-                    compaction: Compaction::Always,
-                },
-            );
-            assert!(
-                capped_compacting.merges().len() < full_plain.merges().len(),
-                "{linkage:?}/{algorithm:?}: cap did not shorten the build"
-            );
-            assert_eq!(
-                capped_compacting.merges(),
-                &full_plain.merges()[..capped_compacting.merges().len()],
-                "{linkage:?}/{algorithm:?}: capped+compacting is not a bit-for-bit prefix"
-            );
-            for k in [20usize, 25, 40, 100, 299] {
-                assert_eq!(
-                    capped_compacting.cut(k),
-                    full_plain.cut(k),
-                    "{linkage:?}/{algorithm:?}: cut({k})"
-                );
             }
         }
     }

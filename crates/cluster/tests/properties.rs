@@ -4,8 +4,7 @@
 
 use dust_cluster::{
     agglomerative, agglomerative_constrained, agglomerative_with, cluster_medoids,
-    clusters_from_assignment, kmeans, num_clusters, silhouette_score, AgglomerativeAlgorithm,
-    Linkage,
+    clusters_from_assignment, num_clusters, silhouette_score, AgglomerativeAlgorithm, Linkage,
 };
 use dust_embed::{Distance, PairwiseMatrix, Vector};
 use proptest::prelude::*;
@@ -87,12 +86,4 @@ proptest! {
         }
     }
 
-    /// k-means produces a valid partition and never exceeds k clusters.
-    #[test]
-    fn kmeans_partitions_are_valid(points in points_strategy(), k in 1usize..8, seed in 0u64..100) {
-        let result = kmeans(&points, k, 15, seed, Distance::Euclidean);
-        prop_assert_eq!(result.assignment.len(), points.len());
-        prop_assert!(num_clusters(&result.assignment) <= k.min(points.len()));
-        prop_assert!(result.inertia >= 0.0);
-    }
 }

@@ -42,11 +42,6 @@ impl GmcDiversifier {
         Self::default()
     }
 
-    /// Create GMC with a custom λ.
-    pub fn with_lambda(lambda: f64) -> Self {
-        GmcDiversifier { lambda }
-    }
-
     /// Relevance of a candidate: similarity to the query table.
     fn relevance(&self, input: &DiversificationInput<'_>, idx: usize) -> f64 {
         if input.query.is_empty() {
@@ -167,7 +162,7 @@ mod tests {
     fn pure_diversity_spreads_the_selection() {
         let (query, candidates) = grid();
         let input = DiversificationInput::new(&query, &candidates, Distance::Euclidean);
-        let diverse = GmcDiversifier::with_lambda(1.0).select(&input, 4);
+        let diverse = GmcDiversifier { lambda: 1.0 }.select(&input, 4);
         let selected: Vec<Vector> = diverse.iter().map(|&i| candidates[i].clone()).collect();
         // the four grid corners maximize spread; average pairwise distance
         // of the selection must be large
@@ -182,7 +177,7 @@ mod tests {
     fn pure_relevance_picks_query_neighbours() {
         let (query, candidates) = grid();
         let input = DiversificationInput::new(&query, &candidates, Distance::Euclidean);
-        let relevant = GmcDiversifier::with_lambda(0.0).select(&input, 3);
+        let relevant = GmcDiversifier { lambda: 0.0 }.select(&input, 3);
         // with λ = 0 the algorithm degenerates to nearest-to-query selection
         for &idx in &relevant {
             assert!(
@@ -198,8 +193,8 @@ mod tests {
         let input = DiversificationInput::new(&query, &candidates, Distance::Euclidean);
         let to_vecs =
             |sel: &[usize]| -> Vec<Vector> { sel.iter().map(|&i| candidates[i].clone()).collect() };
-        let low = GmcDiversifier::with_lambda(0.1).select(&input, 5);
-        let high = GmcDiversifier::with_lambda(0.9).select(&input, 5);
+        let low = GmcDiversifier { lambda: 0.1 }.select(&input, 5);
+        let high = GmcDiversifier { lambda: 0.9 }.select(&input, 5);
         assert!(
             average_diversity(&query, &to_vecs(&high), Distance::Euclidean)
                 >= average_diversity(&query, &to_vecs(&low), Distance::Euclidean)

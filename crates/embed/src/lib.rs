@@ -42,7 +42,7 @@ pub use hashing::{HashingEncoder, HashingEncoderConfig};
 pub use models::{ColumnEncoder, ColumnSerialization, PretrainedModel, TupleEncoder};
 pub use order::{asc_nan_last, desc_nan_last};
 pub use pca::Pca;
-pub use serialize::{serialize_default, serialize_tuple, SerializeOptions, CLS, SEP};
+pub use serialize::{serialize_tuple, CLS, SEP};
 pub use store::EmbeddingStore;
 pub use tokenize::{char_ngrams, word_tokens, TfIdfCorpus};
 pub use vector::Vector;

@@ -16,7 +16,7 @@
 //!   IDF weighting so that entity-identifying tokens dominate.
 
 use crate::hashing::{HashingEncoder, HashingEncoderConfig};
-use crate::serialize::{serialize_tuple, SerializeOptions};
+use crate::serialize::serialize_tuple;
 use crate::tokenize::{Documents, TfIdfCorpus};
 use crate::vector::Vector;
 use dust_table::{Column, Tuple};
@@ -59,13 +59,6 @@ impl PretrainedModel {
             PretrainedModel::SBert,
             PretrainedModel::Ditto,
         ]
-    }
-
-    /// Whether this is a (contextual) language model rather than a static
-    /// word embedding. Only language models have a column-level variant in
-    /// Table 1.
-    pub fn is_language_model(&self) -> bool {
-        !matches!(self, PretrainedModel::FastText | PretrainedModel::Glove)
     }
 
     /// Human-readable name as used in the paper's tables.
@@ -286,23 +279,15 @@ fn column_documents<'a>(columns: impl IntoIterator<Item = &'a Column>) -> Docume
 pub struct TupleEncoder {
     model: PretrainedModel,
     encoder: HashingEncoder,
-    options: SerializeOptions,
 }
 
 impl TupleEncoder {
-    /// Create a tuple encoder for a model with default serialization.
+    /// Create a tuple encoder for a model.
     pub fn new(model: PretrainedModel) -> Self {
         TupleEncoder {
             model,
             encoder: model.encoder(),
-            options: SerializeOptions::default(),
         }
-    }
-
-    /// Use an explicit column order (the query table's aligned order).
-    pub fn with_column_order(mut self, order: Vec<String>) -> Self {
-        self.options.column_order = Some(order);
-        self
     }
 
     /// The underlying model.
@@ -315,14 +300,9 @@ impl TupleEncoder {
         self.encoder.dim()
     }
 
-    /// Serialization options used before embedding.
-    pub fn options(&self) -> &SerializeOptions {
-        &self.options
-    }
-
     /// Embed one tuple.
     pub fn embed_tuple(&self, tuple: &Tuple) -> Vector {
-        let serialized = serialize_tuple(tuple, &self.options);
+        let serialized = serialize_tuple(tuple);
         self.encoder.embed_text(&serialized)
     }
 
@@ -365,13 +345,6 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), 5, "every model must have its own hash family");
-    }
-
-    #[test]
-    fn word_embedding_models_are_not_language_models() {
-        assert!(!PretrainedModel::FastText.is_language_model());
-        assert!(!PretrainedModel::Glove.is_language_model());
-        assert!(PretrainedModel::Roberta.is_language_model());
         assert_eq!(PretrainedModel::Roberta.name(), "RoBERTa");
     }
 
@@ -447,16 +420,5 @@ mod tests {
             sim > 0.5,
             "unrelated tuples should still look similar, got {sim}"
         );
-    }
-
-    #[test]
-    fn column_order_restricts_serialized_columns() {
-        let enc = TupleEncoder::new(PretrainedModel::Roberta)
-            .with_column_order(vec!["Country".to_string()]);
-        let parks = parks_table().tuples();
-        let full = TupleEncoder::new(PretrainedModel::Roberta).embed_tuple(&parks[0]);
-        let restricted = enc.embed_tuple(&parks[0]);
-        assert_ne!(full, restricted);
-        assert!(enc.options().column_order.is_some());
     }
 }

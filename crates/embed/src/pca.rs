@@ -63,11 +63,6 @@ impl Pca {
         })
     }
 
-    /// Number of extracted components.
-    pub fn num_components(&self) -> usize {
-        self.components.len()
-    }
-
     /// Variance explained by each extracted component (descending).
     pub fn explained_variance(&self) -> &[f64] {
         &self.explained_variance
@@ -167,7 +162,7 @@ mod tests {
     #[test]
     fn first_component_captures_dominant_direction() {
         let pca = Pca::fit(&line_data(), 2).unwrap();
-        assert!(pca.num_components() >= 1);
+        assert!(!pca.explained_variance().is_empty());
         let axis = &pca.explained_variance();
         assert!(axis[0] > 1.0);
         if axis.len() > 1 {
@@ -194,13 +189,13 @@ mod tests {
     fn constant_data_has_no_variance() {
         let data = vec![Vector::new(vec![1.0, 1.0]); 10];
         let pca = Pca::fit(&data, 2).unwrap();
-        assert_eq!(pca.num_components(), 0);
+        assert_eq!(pca.explained_variance().len(), 0);
     }
 
     #[test]
     fn k_is_clamped_to_dimension() {
         let data = line_data();
         let pca = Pca::fit(&data, 10).unwrap();
-        assert!(pca.num_components() <= 2);
+        assert!(pca.explained_variance().len() <= 2);
     }
 }

@@ -7,9 +7,8 @@
 //! ```
 //!
 //! Null values are skipped entirely (Example 4: a tuple missing the
-//! `Supervisor` value serializes only its present columns), and when a
-//! column ordering is supplied (the query table's column order after
-//! alignment) the serialization follows it.
+//! `Supervisor` value serializes only its present columns). Columns follow
+//! the tuple's own order, which after the outer union is the query table's.
 
 use dust_table::Tuple;
 
@@ -18,62 +17,23 @@ pub const CLS: &str = "[CLS]";
 /// The special separator token.
 pub const SEP: &str = "[SEP]";
 
-/// Options controlling tuple serialization.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SerializeOptions {
-    /// Include column headers before each value (the paper's default).
-    pub include_headers: bool,
-    /// Optional explicit column order (header names); columns not listed are
-    /// omitted. When `None`, the tuple's own column order is used.
-    pub column_order: Option<Vec<String>>,
-}
-
-impl Default for SerializeOptions {
-    fn default() -> Self {
-        SerializeOptions {
-            include_headers: true,
-            column_order: None,
+/// Serialize a tuple as described in Sec. 4 of the paper, in the tuple's
+/// own column order.
+pub fn serialize_tuple(tuple: &Tuple) -> String {
+    let mut out = String::from(CLS);
+    for (i, (header, value)) in tuple.non_null_pairs().enumerate() {
+        if i > 0 {
+            out.push(' ');
+            out.push_str(SEP);
         }
+        out.push(' ');
+        out.push_str(header);
+        out.push(' ');
+        out.push_str(&value.render());
     }
-}
-
-/// Serialize a tuple as described in Sec. 4 of the paper.
-pub fn serialize_tuple(tuple: &Tuple, options: &SerializeOptions) -> String {
-    let mut parts: Vec<String> = vec![CLS.to_string()];
-    let mut first = true;
-    let emit = |parts: &mut Vec<String>, first: &mut bool, header: &str, value: &str| {
-        if !*first {
-            parts.push(SEP.to_string());
-        }
-        *first = false;
-        if options.include_headers {
-            parts.push(header.to_string());
-        }
-        parts.push(value.to_string());
-    };
-    match &options.column_order {
-        Some(order) => {
-            for header in order {
-                if let Some(v) = tuple.value_for(header) {
-                    if !v.is_null() {
-                        emit(&mut parts, &mut first, header, &v.render());
-                    }
-                }
-            }
-        }
-        None => {
-            for (header, value) in tuple.non_null_pairs() {
-                emit(&mut parts, &mut first, header, &value.render());
-            }
-        }
-    }
-    parts.push(SEP.to_string());
-    parts.join(" ")
-}
-
-/// Serialize with default options.
-pub fn serialize_default(tuple: &Tuple) -> String {
-    serialize_tuple(tuple, &SerializeOptions::default())
+    out.push(' ');
+    out.push_str(SEP);
+    out
 }
 
 #[cfg(test)]
@@ -118,7 +78,7 @@ mod tests {
             "query",
             0,
         );
-        let s = serialize_default(&t);
+        let s = serialize_tuple(&t);
         assert_eq!(
             s,
             "[CLS] Park Name River Park [SEP] Supervisor Vera Onate [SEP] City Fresno [SEP] Country USA [SEP]"
@@ -127,7 +87,7 @@ mod tests {
 
     #[test]
     fn nulls_are_skipped() {
-        let s = serialize_default(&chippewa());
+        let s = serialize_tuple(&chippewa());
         assert!(!s.contains("Supervisor"));
         assert_eq!(
             s,
@@ -136,38 +96,8 @@ mod tests {
     }
 
     #[test]
-    fn explicit_column_order_is_respected() {
-        let opts = SerializeOptions {
-            include_headers: true,
-            column_order: Some(vec!["Country".into(), "Park Name".into()]),
-        };
-        let s = serialize_tuple(&chippewa(), &opts);
-        assert_eq!(s, "[CLS] Country USA [SEP] Park Name Chippewa Park [SEP]");
-    }
-
-    #[test]
-    fn headers_can_be_omitted() {
-        let opts = SerializeOptions {
-            include_headers: false,
-            column_order: None,
-        };
-        let s = serialize_tuple(&chippewa(), &opts);
-        assert_eq!(s, "[CLS] Chippewa Park [SEP] Brandon, MN [SEP] USA [SEP]");
-    }
-
-    #[test]
     fn empty_tuple_serializes_to_cls_sep() {
         let t = Tuple::new(vec!["a".into()], vec![Value::Null], "t", 0);
-        assert_eq!(serialize_default(&t), "[CLS] [SEP]");
-    }
-
-    #[test]
-    fn column_order_ignores_unknown_headers() {
-        let opts = SerializeOptions {
-            include_headers: true,
-            column_order: Some(vec!["Nope".into(), "Country".into()]),
-        };
-        let s = serialize_tuple(&chippewa(), &opts);
-        assert_eq!(s, "[CLS] Country USA [SEP]");
+        assert_eq!(serialize_tuple(&t), "[CLS] [SEP]");
     }
 }

@@ -40,14 +40,6 @@ impl D3lSearch {
         Self::default()
     }
 
-    /// Create a D3L search with custom signal weights.
-    pub fn with_weights(weights: SignalWeights) -> Self {
-        D3lSearch {
-            weights,
-            ..Self::default()
-        }
-    }
-
     /// Every column of `table` embedded under the signal computer's
     /// encoder, in column order. The embedding signal is the expensive part
     /// of [`crate::signals::SignalComputer::compute`] (the other four are
@@ -215,13 +207,16 @@ mod tests {
     #[test]
     fn custom_weights_change_ranking_emphasis() {
         let (lake, query) = toy_lake();
-        let only_overlap = D3lSearch::with_weights(SignalWeights {
-            value_overlap: 1.0,
-            name_similarity: 0.0,
-            format_similarity: 0.0,
-            embedding_similarity: 0.0,
-            numeric_similarity: 0.0,
-        });
+        let only_overlap = D3lSearch {
+            weights: SignalWeights {
+                value_overlap: 1.0,
+                name_similarity: 0.0,
+                format_similarity: 0.0,
+                embedding_similarity: 0.0,
+                numeric_similarity: 0.0,
+            },
+            ..D3lSearch::default()
+        };
         let b = only_overlap.score_pair(&query, lake.table("parks_b").unwrap());
         let d = only_overlap.score_pair(&query, lake.table("parks_d").unwrap());
         let m = only_overlap.score_pair(&query, lake.table("molecules").unwrap());

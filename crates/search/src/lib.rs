@@ -16,7 +16,7 @@
 //! * [`index`] — an inverted value index whose postings name the lake
 //!   columns holding each value: one walk per query column gives every
 //!   exact column overlap and the candidate shortlist;
-//! * [`metrics`] — MAP / precision@k / recall@k over search results.
+//! * [`metrics`] — average precision and MAP over search results.
 //!
 //! Every value-overlap computation here (the overlap score, D3L's
 //! value-overlap signal, the index's keys and column sizes) reads
@@ -39,7 +39,7 @@ pub mod starmie;
 pub use bipartite::{max_weight_matching, Matching};
 pub use d3l::D3lSearch;
 pub use index::{ColumnRef, InvertedValueIndex, Overlaps};
-pub use metrics::{average_precision, mean_average_precision, precision_at_k, recall_at_k};
+pub use metrics::{average_precision, mean_average_precision};
 pub use overlap::OverlapSearch;
 pub use signals::{ColumnSignals, SignalWeights};
 pub use starmie::{StarmieSearch, StarmieTupleSearch};

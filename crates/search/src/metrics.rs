@@ -1,34 +1,8 @@
-//! Retrieval-quality metrics: precision@k, recall@k, average precision, and
-//! Mean Average Precision (MAP), used in Sec. 6.5 to contextualize Starmie's
-//! behaviour on SANTOS vs UGEN-V1.
+//! Retrieval-quality metrics: average precision and Mean Average Precision
+//! (MAP), used in Sec. 6.5 to contextualize Starmie's behaviour on SANTOS vs
+//! UGEN-V1.
 
 use std::collections::BTreeSet;
-
-/// Precision of the top-`k` results against a relevant set.
-pub fn precision_at_k(results: &[String], relevant: &BTreeSet<String>, k: usize) -> f64 {
-    if k == 0 {
-        return 0.0;
-    }
-    let top: Vec<&String> = results.iter().take(k).collect();
-    if top.is_empty() {
-        return 0.0;
-    }
-    let hits = top.iter().filter(|r| relevant.contains(**r)).count();
-    hits as f64 / top.len() as f64
-}
-
-/// Recall of the top-`k` results against a relevant set.
-pub fn recall_at_k(results: &[String], relevant: &BTreeSet<String>, k: usize) -> f64 {
-    if relevant.is_empty() {
-        return 0.0;
-    }
-    let hits = results
-        .iter()
-        .take(k)
-        .filter(|r| relevant.contains(*r))
-        .count();
-    hits as f64 / relevant.len() as f64
-}
 
 /// Average precision of a ranked result list against a relevant set.
 pub fn average_precision(results: &[String], relevant: &BTreeSet<String>) -> f64 {
@@ -69,17 +43,6 @@ mod tests {
 
     fn results(items: &[&str]) -> Vec<String> {
         items.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn precision_and_recall_at_k() {
-        let res = results(&["a", "x", "b", "y"]);
-        let rel = relevant(&["a", "b", "c"]);
-        assert!((precision_at_k(&res, &rel, 2) - 0.5).abs() < 1e-9);
-        assert!((precision_at_k(&res, &rel, 4) - 0.5).abs() < 1e-9);
-        assert!((recall_at_k(&res, &rel, 4) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(precision_at_k(&res, &rel, 0), 0.0);
-        assert_eq!(recall_at_k(&res, &relevant(&[]), 4), 0.0);
     }
 
     #[test]

@@ -50,14 +50,6 @@ impl StarmieSearch {
         Self::default()
     }
 
-    /// Create a Starmie search with a custom contextualization strength.
-    pub fn with_context_blend(context_blend: f32) -> Self {
-        StarmieSearch {
-            context_blend,
-            ..Self::default()
-        }
-    }
-
     /// Contextualized column embeddings of a table (one vector per column,
     /// in column order). Exposed so the column-alignment experiment can use
     /// Starmie embeddings with both bipartite and holistic matching.
@@ -275,8 +267,14 @@ mod tests {
     #[test]
     fn contextualization_pulls_same_table_columns_together() {
         let table = lake().table("parks_b").unwrap().clone();
-        let plain = StarmieSearch::with_context_blend(0.0);
-        let contextual = StarmieSearch::with_context_blend(0.8);
+        let plain = StarmieSearch {
+            context_blend: 0.0,
+            ..StarmieSearch::default()
+        };
+        let contextual = StarmieSearch {
+            context_blend: 0.8,
+            ..StarmieSearch::default()
+        };
         let avg_pairwise = |embs: &[Vector]| -> f64 {
             let mut sum = 0.0;
             let mut count = 0;

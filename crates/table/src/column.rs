@@ -202,16 +202,6 @@ impl Column {
         !self.values.is_empty() && self.null_count() == self.values.len()
     }
 
-    /// Fraction of non-null values that are numeric.
-    pub fn numeric_fraction(&self) -> f64 {
-        let non_null: Vec<&Value> = self.values.iter().filter(|v| !v.is_null()).collect();
-        if non_null.is_empty() {
-            return 0.0;
-        }
-        let numeric = non_null.iter().filter(|v| v.is_numeric()).count();
-        numeric as f64 / non_null.len() as f64
-    }
-
     /// Infer the column type from its values.
     pub fn column_type(&self) -> ColumnType {
         let mut saw_numeric = false;
@@ -270,16 +260,6 @@ impl Column {
         } else {
             inter as f64 / union as f64
         }
-    }
-
-    /// Containment of `self`'s value set in `other`'s value set
-    /// (|A ∩ B| / |A|), a standard joinability/unionability signal.
-    pub fn containment_in(&self, other: &Column) -> f64 {
-        let a = self.value_set();
-        if a.is_empty() {
-            return 0.0;
-        }
-        a.intersection_len(other.value_set()) as f64 / a.len() as f64
     }
 
     /// Keep only the rows at the given indices (in the given order).
@@ -353,20 +333,6 @@ mod tests {
         assert_eq!(a.jaccard(&a), 1.0);
         let empty = Column::from_strings("e", Vec::<&str>::new());
         assert_eq!(a.jaccard(&empty), 0.0);
-    }
-
-    #[test]
-    fn containment() {
-        let a = text_col("a", &["x", "y"]);
-        let b = text_col("b", &["x", "y", "z", "w"]);
-        assert!((a.containment_in(&b) - 1.0).abs() < 1e-9);
-        assert!((b.containment_in(&a) - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn numeric_fraction_ignores_nulls() {
-        let col = Column::from_strings("c", ["1", "", "x", "3"]);
-        assert!((col.numeric_fraction() - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]

@@ -174,12 +174,6 @@ impl DataLake {
         Arc::make_mut(&mut self.ground_truth).add(query, lake_table);
     }
 
-    /// Mutable access to the ground truth (copy-on-write: unshares it from
-    /// any clones first).
-    pub fn ground_truth_mut(&mut self) -> &mut GroundTruth {
-        Arc::make_mut(&mut self.ground_truth)
-    }
-
     /// The unionability ground truth.
     pub fn ground_truth(&self) -> &GroundTruth {
         &self.ground_truth
@@ -254,35 +248,6 @@ impl DataLake {
     /// Aggregate statistics of the query side (Fig. 5 left half).
     pub fn query_stats(&self) -> CorpusStats {
         CorpusStats::compute(self.queries.values())
-    }
-
-    /// Apply the paper's preprocessing (Sec. 6.1): drop all-null columns
-    /// everywhere and drop query tables with fewer than `min_rows` rows.
-    pub fn preprocess(&self, min_query_rows: usize) -> DataLake {
-        let mut out = DataLake::new(self.name.clone());
-        for t in self.tables.values() {
-            if let Ok(clean) = t.drop_all_null_columns() {
-                out.tables.insert(clean.name().to_string(), Arc::new(clean));
-            }
-        }
-        let queries = Arc::make_mut(&mut out.queries);
-        for q in self.queries.values() {
-            if q.num_rows() >= min_query_rows {
-                if let Ok(clean) = q.drop_all_null_columns() {
-                    queries.insert(clean.name().to_string(), clean);
-                }
-            }
-        }
-        // Keep only ground truth entries whose tables survived.
-        let ground_truth = Arc::make_mut(&mut out.ground_truth);
-        for query in out.queries.keys() {
-            for t in self.ground_truth.unionable_with(query) {
-                if out.tables.contains_key(&t) {
-                    ground_truth.add(query.clone(), t);
-                }
-            }
-        }
-        out
     }
 }
 
@@ -399,26 +364,6 @@ mod tests {
         assert_eq!(s.columns, 2);
         assert_eq!(s.tuples, 5);
         assert_eq!(lake.query_stats().tables, 2);
-    }
-
-    #[test]
-    fn preprocess_filters_small_queries_and_null_columns() {
-        let mut lake = sample_lake();
-        let mut t = Table::builder("t3")
-            .column("ok", ["a", "b"])
-            .column("empty", ["", ""])
-            .build()
-            .unwrap();
-        t.set_name("t3");
-        lake.add_table(t).unwrap();
-        let cleaned = lake.preprocess(3);
-        // q2 has only one row and is dropped.
-        assert_eq!(cleaned.num_queries(), 1);
-        assert!(cleaned.query("q1").is_ok());
-        // the all-null column of t3 is dropped
-        assert_eq!(cleaned.table("t3").unwrap().num_columns(), 1);
-        // ground truth restricted to surviving tables
-        assert!(cleaned.ground_truth().is_unionable("q1", "t1"));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub use column::{Column, ColumnType, ValueSet};
 pub use csv::{parse_csv, write_csv, CsvOptions};
 pub use error::TableError;
 pub use lake::{DataLake, GroundTruth, TableId};
-pub use stats::{ColumnStats, CorpusStats, TableStats};
+pub use stats::{ColumnStats, CorpusStats};
 pub use table::{Table, TableBuilder};
 pub use tuple::{Tuple, TupleRef};
 pub use value::Value;

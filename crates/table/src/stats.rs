@@ -1,4 +1,4 @@
-//! Summary statistics over columns, tables, and lakes.
+//! Summary statistics over columns and lakes.
 //!
 //! The paper's Fig. 5 reports per-benchmark table / column / tuple counts;
 //! these helpers compute them plus the per-column profiles used by the D3L
@@ -71,63 +71,6 @@ impl ColumnStats {
             avg_text_len,
         }
     }
-
-    /// Fraction of values that are null.
-    pub fn null_fraction(&self) -> f64 {
-        if self.rows == 0 {
-            0.0
-        } else {
-            self.nulls as f64 / self.rows as f64
-        }
-    }
-
-    /// Distinct-to-row ratio (uniqueness).
-    pub fn uniqueness(&self) -> f64 {
-        let non_null = self.rows.saturating_sub(self.nulls);
-        if non_null == 0 {
-            0.0
-        } else {
-            self.distinct as f64 / non_null as f64
-        }
-    }
-}
-
-/// Statistics of one table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TableStats {
-    /// Table name.
-    pub name: String,
-    /// Number of columns.
-    pub columns: usize,
-    /// Number of rows.
-    pub rows: usize,
-    /// Per-column statistics.
-    pub column_stats: Vec<ColumnStats>,
-}
-
-impl TableStats {
-    /// Compute statistics for a table.
-    pub fn compute(table: &Table) -> Self {
-        TableStats {
-            name: table.name().to_string(),
-            columns: table.num_columns(),
-            rows: table.num_rows(),
-            column_stats: table.columns().iter().map(ColumnStats::compute).collect(),
-        }
-    }
-
-    /// Total number of cells.
-    pub fn cells(&self) -> usize {
-        self.columns * self.rows
-    }
-
-    /// Number of numeric columns.
-    pub fn numeric_columns(&self) -> usize {
-        self.column_stats
-            .iter()
-            .filter(|c| c.column_type == ColumnType::Numeric)
-            .count()
-    }
 }
 
 /// Aggregate statistics over a collection of tables (one side of Fig. 5).
@@ -185,18 +128,7 @@ mod tests {
         assert_eq!(s.column_type, ColumnType::Textual);
         assert_eq!(s.nulls, 1);
         assert!(s.mean.is_none());
-        assert!((s.null_fraction() - 0.25).abs() < 1e-9);
-        assert!((s.uniqueness() - 1.0).abs() < 1e-9);
         assert!((s.avg_text_len - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn table_stats_and_cells() {
-        let s = TableStats::compute(&sample());
-        assert_eq!(s.columns, 2);
-        assert_eq!(s.rows, 4);
-        assert_eq!(s.cells(), 8);
-        assert_eq!(s.numeric_columns(), 1);
     }
 
     #[test]

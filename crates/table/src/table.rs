@@ -223,28 +223,6 @@ impl Table {
             }
         }
     }
-
-    /// A duplicate-free copy (exact duplicate rows removed, first occurrence
-    /// kept). Used by the case-study variants `Starmie-D` / `D3L-D`.
-    pub fn dedup_rows(&self) -> Table {
-        let mut seen = HashSet::new();
-        let mut keep = Vec::new();
-        for (i, t) in self.tuples().iter().enumerate() {
-            if seen.insert(t.dedup_key()) {
-                keep.push(i);
-            }
-        }
-        self.select(&keep, self.name.clone())
-            .expect("dedup preserves at least the schema")
-    }
-
-    /// Count the distinct normalised (trimmed, case-folded) non-null values
-    /// of a named column; 0 when there is no such column.
-    pub fn distinct_in_column(&self, name: &str) -> usize {
-        self.column_by_name(name)
-            .map(|c| c.value_set().len())
-            .unwrap_or(0)
-    }
 }
 
 /// Incremental builder for [`Table`].
@@ -262,12 +240,6 @@ impl TableBuilder {
         S: AsRef<str>,
     {
         self.columns.push(Column::from_strings(name, values));
-        self
-    }
-
-    /// Add a column of already-typed values.
-    pub fn typed_column(mut self, name: impl Into<String>, values: Vec<Value>) -> Self {
-        self.columns.push(Column::new(name, values));
         self
     }
 
@@ -405,23 +377,5 @@ mod tests {
         assert_eq!(base.num_rows(), 2);
         assert_eq!(base.cell(1, 0), Some(&Value::text("Chippewa Park")));
         assert!(base.cell(1, 1).unwrap().is_null());
-    }
-
-    #[test]
-    fn dedup_rows_removes_exact_duplicates() {
-        let t = Table::builder("t")
-            .column("a", ["x", "x", "y"])
-            .column("b", ["1", "1", "2"])
-            .build()
-            .unwrap();
-        let d = t.dedup_rows();
-        assert_eq!(d.num_rows(), 2);
-    }
-
-    #[test]
-    fn distinct_in_column_counts_normalised_values() {
-        let t = parks();
-        assert_eq!(t.distinct_in_column("Country"), 2);
-        assert_eq!(t.distinct_in_column("missing"), 0);
     }
 }

@@ -130,15 +130,6 @@ impl Tuple {
         }
     }
 
-    /// Exact duplicate check on rendered values (used by the duplicate-free
-    /// case-study variants `Starmie-D` / `D3L-D`).
-    pub fn same_content(&self, other: &Tuple) -> bool {
-        if self.arity() != other.arity() {
-            return false;
-        }
-        self.headers == other.headers && self.values == other.values
-    }
-
     /// A canonical textual key for deduplication: header=value pairs sorted
     /// by header, nulls skipped, values lower-cased.
     pub fn dedup_key(&self) -> String {
@@ -262,14 +253,6 @@ mod tests {
         let mut other = park_tuple();
         other.values[0] = Value::text("CHIPPEWA PARK");
         assert_eq!(t.dedup_key(), other.dedup_key());
-    }
-
-    #[test]
-    fn same_content_requires_same_headers_and_values() {
-        let t = park_tuple();
-        assert!(t.same_content(&park_tuple()));
-        let p = t.permuted(&[1, 0, 2, 3]);
-        assert!(!t.same_content(&p));
     }
 
     #[test]

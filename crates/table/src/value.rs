@@ -31,11 +31,6 @@ impl Value {
         Value::Text(s.into())
     }
 
-    /// Build an integer value.
-    pub fn int(v: i64) -> Self {
-        Value::Int(v)
-    }
-
     /// Build a float value.
     pub fn float(v: f64) -> Self {
         Value::Float(v)
@@ -49,11 +44,6 @@ impl Value {
     /// Returns `true` when the value is numeric (int or float).
     pub fn is_numeric(&self) -> bool {
         matches!(self, Value::Int(_) | Value::Float(_))
-    }
-
-    /// Returns `true` when the value is textual.
-    pub fn is_text(&self) -> bool {
-        matches!(self, Value::Text(_))
     }
 
     /// Numeric view of the value, if it has one.
@@ -420,8 +410,6 @@ mod tests {
         assert!(Value::Int(1).is_numeric());
         assert!(Value::Float(0.1).is_numeric());
         assert!(!Value::text("x").is_numeric());
-        assert!(Value::text("x").is_text());
-        assert!(!Value::Null.is_text());
     }
 
     #[test]

@@ -14,6 +14,9 @@
 //! queries, and subsequent mutations are untouched (nothing is poisoned,
 //! because served state is immutable snapshots).
 
+mod common;
+
+use common::assert_same_result;
 use dust_core::{DustResult, LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
 use dust_datagen::BenchmarkConfig;
 use dust_table::{DataLake, Table};
@@ -44,35 +47,6 @@ fn extra_tables() -> Vec<Table> {
             .build()
             .unwrap(),
     ]
-}
-
-/// Field-by-field equality, bit-exact on every floating-point score except
-/// the wall-clock timings (which legitimately differ between runs).
-fn assert_same_result(a: &DustResult, b: &DustResult, context: &str) {
-    assert_eq!(a.tuples, b.tuples, "{context}: selected tuples differ");
-    assert_eq!(
-        a.retrieved_tables, b.retrieved_tables,
-        "{context}: retrieved tables differ"
-    );
-    assert_eq!(
-        a.dropped_tables, b.dropped_tables,
-        "{context}: dropped-table diagnostics differ"
-    );
-    assert_eq!(a.alignment, b.alignment, "{context}: alignment differs");
-    assert_eq!(
-        a.candidate_tuples, b.candidate_tuples,
-        "{context}: candidate pool size differs"
-    );
-    assert_eq!(
-        a.diversity.average.to_bits(),
-        b.diversity.average.to_bits(),
-        "{context}: average diversity differs"
-    );
-    assert_eq!(
-        a.diversity.minimum.to_bits(),
-        b.diversity.minimum.to_bits(),
-        "{context}: min diversity differs"
-    );
 }
 
 /// One observation a concurrent reader made: which generation its view

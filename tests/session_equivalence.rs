@@ -9,7 +9,10 @@
 //! * `LakeSession::query_batch` ≡ sequential `LakeSession::query`, result
 //!   `i` for query `i`.
 
-use dust_core::{DustPipeline, DustResult, LakeSession, PipelineConfig, SearchTechnique};
+mod common;
+
+use common::assert_same_result;
+use dust_core::{DustPipeline, LakeSession, PipelineConfig, SearchTechnique};
 use dust_datagen::BenchmarkConfig;
 use dust_embed::{FineTuneConfig, PretrainedModel};
 use dust_table::{DataLake, Table};
@@ -24,35 +27,6 @@ fn queries(lake: &DataLake, n: usize) -> Vec<Table> {
         .take(n)
         .map(|name| lake.query(name).unwrap().clone())
         .collect()
-}
-
-/// Field-by-field equality, bit-exact on every floating-point score except
-/// the wall-clock timings (which legitimately differ between runs).
-fn assert_same_result(a: &DustResult, b: &DustResult, context: &str) {
-    assert_eq!(a.tuples, b.tuples, "{context}: selected tuples differ");
-    assert_eq!(
-        a.retrieved_tables, b.retrieved_tables,
-        "{context}: retrieved tables differ"
-    );
-    assert_eq!(
-        a.dropped_tables, b.dropped_tables,
-        "{context}: dropped-table diagnostics differ"
-    );
-    assert_eq!(a.alignment, b.alignment, "{context}: alignment differs");
-    assert_eq!(
-        a.candidate_tuples, b.candidate_tuples,
-        "{context}: candidate pool size differs"
-    );
-    assert_eq!(
-        a.diversity.average.to_bits(),
-        b.diversity.average.to_bits(),
-        "{context}: average diversity differs"
-    );
-    assert_eq!(
-        a.diversity.minimum.to_bits(),
-        b.diversity.minimum.to_bits(),
-        "{context}: min diversity differs"
-    );
 }
 
 #[test]

@@ -14,7 +14,10 @@
 //! removed name, emptying the lake and growing it again, and growing a
 //! session that started over an empty lake.
 
-use dust_core::{DustResult, LakeSession, PipelineConfig, SearchTechnique};
+mod common;
+
+use common::assert_same_result;
+use dust_core::{LakeSession, PipelineConfig, SearchTechnique};
 use dust_datagen::BenchmarkConfig;
 use dust_embed::{
     desc_nan_last, Distance, EmbeddingStore, FineTuneConfig, PretrainedModel, TupleEncoder, Vector,
@@ -80,35 +83,6 @@ fn apply_ops(session: &LakeSession, pool: &[Table], ops: &[usize]) -> u64 {
         applied += 1;
     }
     applied
-}
-
-/// Field-by-field equality, bit-exact on every floating-point score except
-/// the wall-clock timings (which legitimately differ between runs).
-fn assert_same_result(a: &DustResult, b: &DustResult, context: &str) {
-    assert_eq!(a.tuples, b.tuples, "{context}: selected tuples differ");
-    assert_eq!(
-        a.retrieved_tables, b.retrieved_tables,
-        "{context}: retrieved tables differ"
-    );
-    assert_eq!(
-        a.dropped_tables, b.dropped_tables,
-        "{context}: dropped-table diagnostics differ"
-    );
-    assert_eq!(a.alignment, b.alignment, "{context}: alignment differs");
-    assert_eq!(
-        a.candidate_tuples, b.candidate_tuples,
-        "{context}: candidate pool size differs"
-    );
-    assert_eq!(
-        a.diversity.average.to_bits(),
-        b.diversity.average.to_bits(),
-        "{context}: average diversity differs"
-    );
-    assert_eq!(
-        a.diversity.minimum.to_bits(),
-        b.diversity.minimum.to_bits(),
-        "{context}: min diversity differs"
-    );
 }
 
 /// The full equivalence check: mutated session vs a fresh session built
