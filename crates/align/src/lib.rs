@@ -12,7 +12,6 @@
 //! materializes all data-lake tuples under the query table's header, padding
 //! missing columns with nulls.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bipartite_align;

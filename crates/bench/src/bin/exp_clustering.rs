@@ -20,8 +20,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_clustering`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::clustered_points;
 use dust_cluster::{

@@ -8,8 +8,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_fig11`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::{fmt1, Report};
 use dust_bench::setup::{build_candidates_for_query, scale, train_dust_model};
 use dust_diversify::{

@@ -9,8 +9,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_fig2`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::{scale, train_dust_model};
 use dust_embed::{Distance, Pca, PretrainedModel, Vector};

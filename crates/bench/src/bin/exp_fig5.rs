@@ -7,8 +7,6 @@
 //! Run with `cargo run --release -p dust-bench --bin exp_fig5`
 //! (set `DUST_SCALE=full` for the larger corpora).
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::Report;
 use dust_bench::setup::scale;
 use dust_datagen::BenchmarkConfig;

@@ -9,8 +9,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_fig6`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::scale;
 use dust_datagen::{build_finetune_dataset, FineTuneDataset, FineTuneDatasetConfig};

@@ -10,8 +10,6 @@
 //! Run with `cargo run --release -p dust-bench --bin exp_fig7`
 //! (use `DUST_SCALE=full` for the paper-scale sweep up to 6 000 tuples).
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::{scale, Scale};
 use dust_diversify::{

@@ -9,8 +9,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_fig8`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::Report;
 use dust_bench::setup::{scale, Scale};
 use dust_core::{DustPipeline, PipelineConfig, RetrievalSystem, TupleRetrievalBaseline};

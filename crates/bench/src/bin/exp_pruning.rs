@@ -8,8 +8,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_pruning`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::{scale, Scale};
 use dust_diversify::{

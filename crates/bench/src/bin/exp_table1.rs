@@ -9,8 +9,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_table1`.
 
-#![forbid(unsafe_code)]
-
 use dust_align::{
     alignment_items, bipartite_alignment, ground_truth_from_map, precision_recall_f1, Alignment,
     ColumnRef, HolisticAligner,

@@ -10,8 +10,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_table2`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::diversity_eval::{evaluate_diversifiers, QueryCandidates};
 use dust_bench::report::{fmt3, Report};
 use dust_bench::setup::{build_candidates_for_query, scale, train_dust_model};

@@ -9,8 +9,6 @@
 //!
 //! Run with `cargo run --release -p dust-bench --bin exp_table3`.
 
-#![forbid(unsafe_code)]
-
 use dust_bench::report::Report;
 use dust_bench::setup::{build_candidates_for_query, scale, train_dust_model};
 use dust_core::{LlmBaseline, StarmieBaseline};

@@ -28,8 +28,6 @@
 //!
 //! [`LakeSession`]: dust_core::LakeSession
 
-#![forbid(unsafe_code)]
-
 use dust_bench::pool::PoolOptions;
 use dust_bench::serve::{self, ServeOptions, ServerState};
 use dust_core::SearchTechnique;

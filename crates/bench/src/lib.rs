@@ -7,7 +7,6 @@
 //! resident session ([`serve`], with its worker [`pool`] and [`json`]
 //! codec) that the `serve` binary runs.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod diversity_eval;

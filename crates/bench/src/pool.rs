@@ -8,7 +8,7 @@
 //! shape: **K workers multiplex a bounded registry of nonblocking
 //! connections**. Worker 0 folds `accept` into its poll cycle (no
 //! dedicated accept thread, no fixed accept-retry sleep) and hands new
-//! sockets round-robin to the other workers through per-worker queues;
+//! sockets round-robin to the other workers through per-worker channels;
 //! each worker then owns its slice of connections outright and polls them
 //! with per-connection read/write buffers.
 //!
@@ -35,7 +35,7 @@ use crate::serve::rejection;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Duration;
 
 /// Per-connection cap on one request line (bytes, newline exclusive).
@@ -294,44 +294,46 @@ pub fn run(
 ) -> std::io::Result<()> {
     listener.set_nonblocking(true)?;
     let workers = options.workers.max(1);
-    let queues: Vec<Mutex<Vec<TcpStream>>> = (0..workers).map(|_| Mutex::new(Vec::new())).collect();
+    let (outboxes, inboxes): (Vec<Sender<TcpStream>>, Vec<Receiver<TcpStream>>) =
+        (0..workers).map(|_| mpsc::channel()).unzip();
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let queues = &queues;
+        for (w, inbox) in inboxes.into_iter().enumerate() {
+            let outboxes = &outboxes;
+            // worker 0 accepts and hands off
+            let accepts = (w == 0).then_some(outboxes.as_slice());
             scope.spawn(move || {
-                worker_loop(w, listener, options, counters, shutdown, handler, queues)
+                worker_loop(
+                    listener, options, counters, shutdown, handler, inbox, accepts,
+                )
             });
         }
     });
     Ok(())
 }
 
-/// One worker's poll cycle: (worker 0 only) drain `accept`, drain the
-/// hand-off queue, service every owned connection, back off when idle.
+/// One worker's poll cycle: (the accepting worker only) drain `accept`,
+/// drain the hand-off channel, service every owned connection, back off
+/// when idle.
 fn worker_loop(
-    w: usize,
     listener: &TcpListener,
     options: &PoolOptions,
     counters: &PoolCounters,
     shutdown: &AtomicBool,
     handler: &(dyn Fn(&str) -> String + Sync),
-    queues: &[Mutex<Vec<TcpStream>>],
+    inbox: Receiver<TcpStream>,
+    accepts: Option<&[Sender<TcpStream>]>,
 ) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut backoff = MIN_BACKOFF;
     let mut next_assignee = 0usize;
     loop {
         let mut busy = false;
-        if w == 0 && !shutdown.load(Ordering::SeqCst) {
-            busy |= accept_ready(listener, options, counters, queues, &mut next_assignee);
+        if let Some(outboxes) = accepts.filter(|_| !shutdown.load(Ordering::SeqCst)) {
+            busy |= accept_ready(listener, options, counters, outboxes, &mut next_assignee);
         }
-        {
-            // dust-lint: lock(pool-conns)
-            let mut queue = queues[w].lock().unwrap_or_else(PoisonError::into_inner);
-            for stream in queue.drain(..) {
-                conns.push(Conn::new(stream));
-                busy = true;
-            }
+        for stream in inbox.try_iter() {
+            conns.push(Conn::new(stream));
+            busy = true;
         }
         let mut i = 0;
         while i < conns.len() {
@@ -370,7 +372,7 @@ fn accept_ready(
     listener: &TcpListener,
     options: &PoolOptions,
     counters: &PoolCounters,
-    queues: &[Mutex<Vec<TcpStream>>],
+    outboxes: &[Sender<TcpStream>],
     next_assignee: &mut usize,
 ) -> bool {
     let mut any = false;
@@ -392,13 +394,11 @@ fn accept_ready(
                     continue;
                 }
                 counters.active.fetch_add(1, Ordering::Relaxed);
-                let target = *next_assignee % queues.len();
+                let target = *next_assignee % outboxes.len();
                 *next_assignee = next_assignee.wrapping_add(1);
-                // dust-lint: lock(pool-conns)
-                queues[target]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .push(stream);
+                // fails only once that worker has shut down: the socket
+                // then closes unanswered, as it would have sat unserved
+                let _ = outboxes[target].send(stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,

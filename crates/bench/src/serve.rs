@@ -47,10 +47,11 @@
 //! or a missing remove answers `kind:"table"`. With a snapshot directory
 //! the session is durable: startup recovers it (snapshot + WAL replay; a
 //! corrupt or version-skewed one is logged and rebuilt from the lake), and
-//! every acknowledged mutation is appended to the fsynced WAL before its
-//! answer is written. One durability lock covers apply + append +
-//! automatic checkpoint, so WAL LSNs equal generations under concurrent
-//! mutators. `checkpoint` answers the new `epoch`, the `pack_epoch` whose
+//! every mutation is appended to the fsynced WAL before it is published
+//! (a failed append answers its error and publishes nothing). One
+//! durability lock covers prepare + append + publish + automatic
+//! checkpoint, so WAL LSNs equal generations under concurrent mutators.
+//! `checkpoint` answers the new `epoch`, the `pack_epoch` whose
 //! table pack it indexes and the `checkpoint_bytes` it wrote; `stats`
 //! reports the lake, the history window, the pool counters (`null` off
 //! TCP) and the WAL (`null` without a directory). `shutdown` stops every
@@ -59,17 +60,19 @@
 use crate::json::{self, JsonValue};
 use crate::pool::{self, PoolCounters, PoolOptions};
 use crate::setup::Scale;
+use dust_core::persist::WalOp;
+use dust_core::sync::{Before, LockToken, OrderedMutex, Unlocked};
 use dust_core::{
     DustResult, LakeSession, PersistError, PipelineConfig, RankedTuple, SearchTechnique,
     SessionOptions, SessionView, SnapshotStore, StoreOptions, TupleEmbedderKind,
 };
 use dust_datagen::BenchmarkConfig;
 use dust_embed::{FineTuneConfig, PretrainedModel};
-use dust_table::{parse_csv, CsvOptions, DataLake, Table};
+use dust_table::{parse_csv, CsvOptions, DataLake, Table, TableError};
 use std::net::TcpListener;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// The most queries one `{"queries": […]}` batch may name; a longer one
@@ -134,16 +137,24 @@ impl ServeOptions {
     }
 }
 
+/// The durability lock's level: outermost in [`dust_core::sync`]'s order.
+/// The session's own locks nest inside it by the crate graph — every
+/// `LakeSession` method locks from a root token of its own.
+#[derive(Debug)]
+enum Durability {}
+
+impl Before<Durability> for Unlocked {}
+
 /// The shared serving state: the resident session (queries take `&self`
 /// and never block on mutations) plus the durable store when there is
 /// one. One instance serves every connection.
 pub struct ServerState {
     /// The resident session.
     pub session: LakeSession,
-    /// The durability lock: held across apply + WAL append (+ automatic
-    /// checkpoint) so record LSNs equal session generations. Reads never
-    /// take it.
-    durable: Mutex<Option<SnapshotStore>>,
+    /// The durability lock: held across prepare + WAL append + publish
+    /// (+ automatic checkpoint) so record LSNs equal session generations.
+    /// Reads never take it.
+    durable: OrderedMutex<Durability, Option<SnapshotStore>>,
     /// Set by `{"mode":"shutdown"}`; every serve loop polls it.
     shutdown: AtomicBool,
     /// Worker-pool counters, reported by `stats` (all zero on stdio).
@@ -163,7 +174,7 @@ impl ServerState {
     ) -> ServerState {
         ServerState {
             session,
-            durable: Mutex::new(store),
+            durable: OrderedMutex::new(store),
             shutdown: AtomicBool::new(false),
             pool: PoolCounters::default(),
             serving,
@@ -253,7 +264,9 @@ fn generate_lake(benchmark: &str) -> Result<DataLake, String> {
 /// Load every `*.csv` file in a directory as one lake table (file stem =
 /// table name).
 fn load_lake_dir(dir: &str) -> Result<DataLake, String> {
-    let mut lake = DataLake::new(dir.to_string());
+    // a fixed name: the lake's name is persisted, and snapshot bytes must
+    // not depend on where the CSVs were loaded from
+    let mut lake = DataLake::new("lake");
     let mut paths: Vec<std::path::PathBuf> = std::fs::read_dir(dir)
         .map_err(|e| format!("cannot read {dir}: {e}"))?
         .filter_map(|entry| entry.ok().map(|e| e.path()))
@@ -300,8 +313,8 @@ pub fn serve_tcp(state: &ServerState, listener: TcpListener) -> Result<(), Strin
 /// nothing. A failure is logged, not fatal: the fsynced WAL stays
 /// authoritative.
 pub fn shutdown_checkpoint(state: &ServerState) {
-    // dust-lint: lock(durability)
-    let mut durable = state.durable.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut root = LockToken::root();
+    let (mut durable, _) = state.durable.lock(&mut root);
     let Some(store) = durable.as_mut().filter(|store| store.wal_records() > 0) else {
         return;
     };
@@ -328,6 +341,13 @@ fn fail(kind: &'static str, message: impl Into<String>) -> Failure {
     Failure {
         kind,
         message: message.into(),
+    }
+}
+
+/// A mutation the lake rejects (duplicate add, missing remove).
+impl From<TableError> for Failure {
+    fn from(e: TableError) -> Failure {
+        fail("table", e.to_string())
     }
 }
 
@@ -556,30 +576,8 @@ fn answer(state: &ServerState, request: Request) -> Result<Reply, Failure> {
             source,
             mode,
         } => read(state, k, generation, source, mode),
-        Request::AddTable(table) => mutate(state, |durable| {
-            state
-                .session
-                .add_table(table.clone())
-                .map_err(|e| fail("table", e.to_string()))?;
-            if let Some(store) = durable {
-                store
-                    .log_add_table(&table, state.session.generation())
-                    .map_err(|e| fail(e.kind(), format!("applied but not logged: {e}")))?;
-            }
-            Ok(("added", table.name().to_string()))
-        }),
-        Request::RemoveTable(name) => mutate(state, |durable| {
-            state
-                .session
-                .remove_table(&name)
-                .map_err(|e| fail("table", e.to_string()))?;
-            if let Some(store) = durable {
-                store
-                    .log_remove_table(&name, state.session.generation())
-                    .map_err(|e| fail(e.kind(), format!("applied but not logged: {e}")))?;
-            }
-            Ok(("removed", name))
-        }),
+        Request::AddTable(table) => mutate(state, WalOp::AddTable(Arc::new(table))),
+        Request::RemoveTable(name) => mutate(state, WalOp::RemoveTable(name)),
         Request::Checkpoint => checkpoint(state),
         Request::Stats => Ok(stats(state)),
         Request::Shutdown => {
@@ -653,8 +651,8 @@ fn read(
 /// Snapshot the current generation (writing only the tables the pack does
 /// not hold as they are) and truncate the WAL.
 fn checkpoint(state: &ServerState) -> Result<Reply, Failure> {
-    // dust-lint: lock(durability)
-    let mut durable = state.durable.lock().unwrap_or_else(PoisonError::into_inner);
+    let mut root = LockToken::root();
+    let (mut durable, _) = state.durable.lock(&mut root);
     let store = durable
         .as_mut()
         .ok_or_else(|| bad("checkpoint needs --snapshot-dir"))?;
@@ -673,18 +671,28 @@ fn checkpoint(state: &ServerState) -> Result<Reply, Failure> {
     Ok(Reply::timed(body, start))
 }
 
-/// Apply one mutation under the durability lock, held across apply + WAL
-/// append + automatic checkpoint so concurrent mutators serialize and the
-/// fsynced record's LSN is the generation the apply produced. A failed
-/// mutation is never logged; an acknowledged one always is.
-fn mutate(
-    state: &ServerState,
-    apply: impl FnOnce(Option<&mut SnapshotStore>) -> Result<(&'static str, String), Failure>,
-) -> Result<Reply, Failure> {
+/// Apply one mutation under the durability lock, held across prepare + WAL
+/// append + publish + automatic checkpoint so concurrent mutators serialize
+/// and the fsynced record's LSN is the generation it publishes. A rejected
+/// mutation is never logged, and one whose append fails is never published.
+fn mutate(state: &ServerState, op: WalOp) -> Result<Reply, Failure> {
     let start = Instant::now();
-    // dust-lint: lock(durability)
-    let mut durable = state.durable.lock().unwrap_or_else(PoisonError::into_inner);
-    let (verb, name) = apply(durable.as_mut())?;
+    let (verb, name) = match &op {
+        WalOp::AddTable(table) => ("added", table.name().to_string()),
+        WalOp::RemoveTable(name) => ("removed", name.clone()),
+    };
+    let mut root = LockToken::root();
+    let (mut durable, _) = state.durable.lock(&mut root);
+    state.session.mutate(op, |op, generation| {
+        let Some(store) = durable.as_mut() else {
+            return Ok(());
+        };
+        match op {
+            WalOp::AddTable(table) => store.log_add_table(table, generation),
+            WalOp::RemoveTable(name) => store.log_remove_table(name, generation),
+        }
+        .map_err(|e| fail(e.kind(), format!("not logged, so not applied: {e}")))
+    })?;
     let body = format!(
         "{{\"{verb}\":\"{}\",\"tables\":{},\"generation\":{}}}",
         json::escape(&name),
@@ -713,8 +721,8 @@ fn stats(state: &ServerState) -> Reply {
     let view = state.session.view();
     let stats = view.stats();
     let wal = {
-        // dust-lint: lock(durability)
-        let durable = state.durable.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut root = LockToken::root();
+        let (durable, _) = state.durable.lock(&mut root);
         match durable.as_ref() {
             Some(store) => format!(
                 "{{\"epoch\":{},\"pack_epoch\":{},\"records\":{},\"bytes_since_checkpoint\":{},\

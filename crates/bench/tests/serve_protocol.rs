@@ -20,7 +20,9 @@
 //! * a batch of `serve::MAX_BATCH` (64) names answers, one of 65 is
 //!   `too_large` before any name is resolved;
 //! * an inline CSV of every santos lake and query table decodes to the
-//!   table `Table::from_rows` builds from its records.
+//!   table `Table::from_rows` builds from its records;
+//! * `--lake-dir`: the same CSVs loaded from two directories persist
+//!   byte-identical snapshot directories.
 
 use dust_bench::json::{self, JsonValue};
 use dust_bench::pool::PoolOptions;
@@ -559,4 +561,52 @@ fn inline_csv_of_every_santos_table_decodes_as_from_rows_builds_it() {
         decoded += 1;
     }
     assert!(decoded > 150, "{decoded} tables");
+}
+
+/// Every file of a directory, by name, with its bytes.
+fn read_files(dir: &std::path::Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| {
+            let path = entry.unwrap().path();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            (name, std::fs::read(&path).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// The lake's name is persisted, so it must not be the directory the CSVs
+/// were loaded from: the same CSVs under two paths of different lengths
+/// give byte-identical snapshot directories.
+#[test]
+fn a_lake_loaded_from_two_paths_persists_the_same_bytes() {
+    let lake = BenchmarkConfig::tiny().generate().lake;
+    let csvs = [TempDir::new("csv"), TempDir::new("csv-under-a-longer-path")];
+    let snapshots = [
+        TempDir::new("csv-snapshot-a"),
+        TempDir::new("csv-snapshot-b"),
+    ];
+    let persisted: Vec<Vec<(String, Vec<u8>)>> = csvs
+        .iter()
+        .zip(&snapshots)
+        .map(|(csv_dir, snapshot_dir)| {
+            std::fs::create_dir_all(&csv_dir.0).unwrap();
+            for table in lake.tables() {
+                let csv = write_csv(table, CsvOptions::default());
+                std::fs::write(csv_dir.0.join(format!("{}.csv", table.name())), csv).unwrap();
+            }
+            let options = ServeOptions {
+                lake_dir: Some(csv_dir.0.to_string_lossy().into_owned()),
+                snapshot_dir: Some(snapshot_dir.0.to_string_lossy().into_owned()),
+                ..ServeOptions::default()
+            };
+            let state = serve::build_state(&options).unwrap();
+            assert_eq!(state.session.lake().num_tables(), lake.num_tables());
+            read_files(&snapshot_dir.0)
+        })
+        .collect();
+    assert!(!persisted[0].is_empty());
+    assert_eq!(persisted[0], persisted[1]);
 }

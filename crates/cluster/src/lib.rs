@@ -24,7 +24,6 @@
 //! * [`medoid`] — medoids of clusters (the representative-tuple choice in
 //!   Sec. 5.2).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agglomerative;

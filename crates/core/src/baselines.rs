@@ -113,10 +113,10 @@ impl TupleRetrievalBaseline {
         }
         let aligner = HolisticAligner::new();
         let mut collected: Vec<Tuple> = Vec::new();
-        let mut seen: std::collections::HashSet<String> = if self.deduplicate {
+        let mut seen: std::collections::BTreeSet<String> = if self.deduplicate {
             query.tuples().iter().map(|t| t.dedup_key()).collect()
         } else {
-            std::collections::HashSet::new()
+            std::collections::BTreeSet::new()
         };
         // union tables one by one, in rank order, until k tuples are collected
         for table in tables {
@@ -219,13 +219,13 @@ mod tests {
         let baseline = TupleRetrievalBaseline::new(RetrievalSystem::D3l, true);
         let top = baseline.top_k(&lake, &query, 10);
         assert!(!top.is_empty());
-        let query_keys: std::collections::HashSet<String> =
+        let query_keys: std::collections::BTreeSet<String> =
             query.tuples().iter().map(|t| t.dedup_key()).collect();
         for t in &top {
             assert!(!query_keys.contains(&t.dedup_key()));
         }
         // and no duplicates among the returned tuples either
-        let keys: std::collections::HashSet<String> = top.iter().map(|t| t.dedup_key()).collect();
+        let keys: std::collections::BTreeSet<String> = top.iter().map(|t| t.dedup_key()).collect();
         assert_eq!(keys.len(), top.len());
     }
 

@@ -1,9 +1,8 @@
 //! The one sanctioned wall-clock read in the library crates.
 //!
-//! Query results and snapshot bytes are pure functions of the lake: the
-//! `no-wall-clock` dust-lint rule (and the clippy `disallowed-methods`
-//! list) ban `Instant::now`/`SystemTime` everywhere outside
-//! `crates/bench`. Diagnostic stage timings still need a monotonic
+//! Query results and snapshot bytes are pure functions of the lake:
+//! clippy's `disallowed-methods` and `disallowed-types` lists ban
+//! `Instant::now` and `SystemTime` everywhere outside `crates/bench`. Diagnostic stage timings still need a monotonic
 //! clock, so they route through this module — a single auditable
 //! chokepoint that makes "time never reaches an output byte" a
 //! greppable claim instead of a hope.

@@ -42,7 +42,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;
@@ -52,6 +51,7 @@ pub mod persist;
 pub mod pipeline;
 pub mod result;
 pub mod session;
+pub mod sync;
 
 pub use baselines::{LlmBaseline, RetrievalSystem, StarmieBaseline, TupleRetrievalBaseline};
 pub use config::{PipelineConfig, SearchTechnique, TupleEmbedderKind};

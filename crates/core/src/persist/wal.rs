@@ -33,6 +33,7 @@ use dust_table::Table;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 pub(crate) const HEADER_LEN: usize = 8 + 4 + 8 + 4;
 const RECORD_HEADER_LEN: usize = 8 + 1 + 4 + 4;
@@ -40,11 +41,13 @@ const RECORD_HEADER_LEN: usize = 8 + 1 + 4 + 4;
 const KIND_ADD_TABLE: u8 = 1;
 const KIND_REMOVE_TABLE: u8 = 2;
 
-/// One logged lake mutation, as recovery reads it back.
+/// One lake mutation: what [`LakeSession::mutate`](crate::LakeSession::mutate)
+/// applies and logs, and what recovery reads back.
 #[derive(Debug, Clone)]
 pub enum WalOp {
-    /// `add_table` with the full table payload.
-    AddTable(Table),
+    /// `add_table` with the full table payload (shared with the lake it
+    /// joins, never copied).
+    AddTable(Arc<Table>),
     /// `remove_table` by name.
     RemoveTable(String),
 }
@@ -269,7 +272,7 @@ pub(crate) fn read_wal(path: &Path) -> Result<(WalContents, u64), PersistError> 
                 let mut r = ByteReader::new(payload, path);
                 let table = get_table(&mut r)?;
                 r.finish()?;
-                WalOp::AddTable(table)
+                WalOp::AddTable(Arc::new(table))
             }
             KIND_REMOVE_TABLE => {
                 let mut r = ByteReader::new(payload, path);

@@ -212,15 +212,13 @@ pub(crate) fn run_query(
     // ---- DiversifyTuples -------------------------------------------
     let start = crate::clock::now();
     let sources: Vec<usize> = {
-        let mut table_ids: std::collections::HashMap<String, usize> =
-            std::collections::HashMap::new();
+        let mut table_ids: std::collections::BTreeMap<&str, usize> =
+            std::collections::BTreeMap::new();
         candidates
             .iter()
             .map(|t| {
                 let next = table_ids.len();
-                *table_ids
-                    .entry(t.source_table().to_string())
-                    .or_insert(next)
+                *table_ids.entry(t.source_table()).or_insert(next)
             })
             .collect()
     };

@@ -75,7 +75,7 @@ impl DustResult {
     /// How many selected tuples are novel with respect to the query table
     /// (their deduplication key does not appear among the query tuples).
     pub fn novel_tuple_count(&self, query_tuples: &[Tuple]) -> usize {
-        let query_keys: std::collections::HashSet<String> =
+        let query_keys: std::collections::BTreeSet<String> =
             query_tuples.iter().map(|t| t.dedup_key()).collect();
         self.tuples
             .iter()

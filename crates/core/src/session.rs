@@ -51,7 +51,7 @@
 //! * a panicking batch worker surfaces as a typed
 //!   [`SessionError::QueryPanicked`] in its own slot — it cannot poison
 //!   shared state (snapshots are immutable; every internal lock recovers
-//!   poison) and the rest of the batch still serves.
+//!   poison, see [`crate::sync`]) and the rest of the batch still serves.
 //!
 //! ## Mutating the lake
 //!
@@ -89,6 +89,7 @@ use crate::config::{PipelineConfig, SearchTechnique, TupleEmbedderKind};
 use crate::persist::{SessionError, WalOp};
 use crate::pipeline::run_query;
 use crate::result::DustResult;
+use crate::sync::{Before, LockToken, OrderedMutex, OrderedRwLock, SessionMutate, SessionState};
 use dust_embed::{
     desc_nan_last, ColumnEncoder, Distance, DustModel, EmbeddingStore, TupleEncoder, Vector,
 };
@@ -98,8 +99,7 @@ use rayon::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, OnceLock};
 
 /// Construction options for a [`LakeSession`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,23 +283,37 @@ pub struct LakeSession {
     /// is therefore kept across mutations; a config-trained fine-tuned
     /// model *is* lake-derived and must be retrained (recompute fallback).
     pub(crate) model_injected: bool,
-    /// The currently-published snapshot. The lock is held only for the
-    /// instant of an `Arc` clone (readers) or an `Arc` swap (the one
-    /// publishing mutation) — never across embedding, search, or I/O work.
-    current: RwLock<Arc<SessionSnapshot>>,
     /// Serializes mutations against each other (readers never touch it).
-    mutate: Mutex<()>,
-    /// Previously-published snapshots, oldest first, bounded by
-    /// [`Self::history_depth`]. Pushed on every publish (near-free: each
-    /// retained snapshot shares all unchanged structure with its successor
-    /// by `Arc`), served by [`Self::view_at`]. Starts empty on restore —
-    /// history is in-memory only, never persisted.
-    history: Mutex<VecDeque<Arc<SessionSnapshot>>>,
-    /// Retention depth for `history` (0 = current generation only).
-    /// Atomic so a restored session — whose persisted manifest carries no
-    /// history depth — can be re-tuned without `&mut`.
-    history_depth: AtomicUsize,
+    writer: OrderedMutex<SessionMutate, ()>,
+    /// The published generation and the retained ones before it. The lock
+    /// is held only for an `Arc` clone (readers) or the publishing swap —
+    /// never across embedding, search, or I/O work.
+    state: OrderedRwLock<SessionState, Published>,
     pub(crate) build_secs: f64,
+}
+
+/// What [`LakeSession::view_at`] can pin: the current snapshot and the
+/// history ring behind it, under one lock so a publish swaps and retains in
+/// one step — a generation never leaves `current` before it is in `history`.
+#[derive(Debug)]
+struct Published {
+    current: Arc<SessionSnapshot>,
+    /// Previously-published snapshots, oldest first, at most `depth` (near-
+    /// free: each shares all unchanged structure with its successor by
+    /// `Arc`). Starts empty on restore — history is never persisted.
+    history: VecDeque<Arc<SessionSnapshot>>,
+    /// Retention depth for `history` (0 = current generation only).
+    depth: usize,
+}
+
+impl Published {
+    /// Evict past `depth`, oldest first. The caller drops the evicted
+    /// snapshots after releasing the lock.
+    #[must_use]
+    fn trim(&mut self) -> Vec<Arc<SessionSnapshot>> {
+        let excess = self.history.len().saturating_sub(self.depth);
+        self.history.drain(..excess).collect()
+    }
 }
 
 /// A pinned borrow of the session's lake at one generation, returned by
@@ -416,44 +430,36 @@ impl LakeSession {
             config,
             model_injected,
             searcher,
-            current: RwLock::new(Arc::new(snapshot)),
-            mutate: Mutex::new(()),
-            history: Mutex::new(VecDeque::new()),
-            history_depth: AtomicUsize::new(history),
+            writer: OrderedMutex::new(()),
+            state: OrderedRwLock::new(Published {
+                current: Arc::new(snapshot),
+                history: VecDeque::new(),
+                depth: history,
+            }),
             build_secs,
         }
     }
 
     /// The currently-published snapshot (an O(1) `Arc` clone; the lock is
-    /// released before this returns). Poison is recovered everywhere the
-    /// pointer lock is taken: the guarded value is always a fully-formed
-    /// `Arc`, so a panic elsewhere can never leave it half-written.
-    fn snapshot(&self) -> Arc<SessionSnapshot> {
-        // dust-lint: lock(session-current)
-        self.current
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
+    /// released before this returns).
+    fn snapshot<M: Before<SessionState>>(
+        &self,
+        token: &mut LockToken<'_, M>,
+    ) -> Arc<SessionSnapshot> {
+        self.state.read(token).0.current.clone()
     }
 
     /// Atomically publish the next generation, retaining the displaced
     /// snapshot in the bounded history ring (evicting the oldest past the
-    /// configured depth). The pointer lock is released before the history
-    /// lock is taken — readers are never behind both.
-    fn publish(&self, next: SessionSnapshot) {
-        let next = Arc::new(next);
-        let prev = {
-            // dust-lint: lock(session-current)
-            let mut current = self.current.write().unwrap_or_else(PoisonError::into_inner);
-            std::mem::replace(&mut *current, next)
+    /// configured depth) under the same guard.
+    fn publish(&self, token: &mut LockToken<'_, SessionMutate>, next: SessionSnapshot) {
+        let evicted = {
+            let (mut state, _) = self.state.write(token);
+            let prev = std::mem::replace(&mut state.current, Arc::new(next));
+            state.history.push_back(prev);
+            state.trim()
         };
-        let depth = self.history_depth.load(Ordering::Relaxed);
-        // dust-lint: lock(session-history)
-        let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-        history.push_back(prev);
-        while history.len() > depth {
-            history.pop_front();
-        }
+        drop(evicted);
     }
 
     /// Pin the current generation and return a read view over it. All
@@ -462,7 +468,7 @@ impl LakeSession {
     pub fn view(&self) -> SessionView<'_> {
         SessionView {
             session: self,
-            snap: self.snapshot(),
+            snap: self.snapshot(&mut LockToken::root()),
         }
     }
 
@@ -475,36 +481,27 @@ impl LakeSession {
     /// [`SessionError::GenerationEvicted`] (`kind() ==
     /// "generation_evicted"`), never a panic.
     pub fn view_at(&self, generation: u64) -> Result<SessionView<'_>, SessionError> {
-        let snap = self.snapshot();
-        let newest = snap.generation;
-        if generation == newest {
-            return Ok(SessionView {
+        let mut root = LockToken::root();
+        let (state, _) = self.state.read(&mut root);
+        let newest = state.current.generation;
+        let mut pinnable = std::iter::once(&state.current).chain(state.history.iter().rev());
+        match pinnable.find(|s| s.generation == generation) {
+            Some(snap) => Ok(SessionView {
                 session: self,
-                snap,
-            });
+                snap: snap.clone(),
+            }),
+            None => Err(SessionError::GenerationEvicted {
+                requested: generation,
+                oldest: state.history.front().map_or(newest, |s| s.generation),
+                newest,
+            }),
         }
-        let oldest = {
-            // dust-lint: lock(session-history)
-            let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(hit) = history.iter().rev().find(|s| s.generation == generation) {
-                return Ok(SessionView {
-                    session: self,
-                    snap: hit.clone(),
-                });
-            }
-            history.front().map(|s| s.generation).unwrap_or(newest)
-        };
-        Err(SessionError::GenerationEvicted {
-            requested: generation,
-            oldest,
-            newest,
-        })
     }
 
     /// The configured history retention depth (how many *previous*
     /// generations [`Self::view_at`] can pin).
     pub fn history_depth(&self) -> usize {
-        self.history_depth.load(Ordering::Relaxed)
+        self.state.read(&mut LockToken::root()).0.depth
     }
 
     /// Re-tune the history retention depth at runtime, trimming the ring
@@ -512,12 +509,13 @@ impl LakeSession {
     /// depth and an empty ring (history is never persisted); the serving
     /// layer calls this to apply its `--history` flag.
     pub fn set_history_depth(&self, depth: usize) {
-        self.history_depth.store(depth, Ordering::Relaxed);
-        // dust-lint: lock(session-history)
-        let mut history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-        while history.len() > depth {
-            history.pop_front();
-        }
+        let evicted = {
+            let mut root = LockToken::root();
+            let (mut state, _) = self.state.write(&mut root);
+            state.depth = depth;
+            state.trim()
+        };
+        drop(evicted);
     }
 
     /// The pinnable window right now: `(oldest, newest, retained)` where
@@ -525,11 +523,11 @@ impl LakeSession {
     /// and `retained` counts the ring entries (excluding the current
     /// generation, which is always servable).
     pub fn history_window(&self) -> (u64, u64, usize) {
-        let newest = self.generation();
-        // dust-lint: lock(session-history)
-        let history = self.history.lock().unwrap_or_else(PoisonError::into_inner);
-        let oldest = history.front().map(|s| s.generation).unwrap_or(newest);
-        (oldest, newest, history.len())
+        let mut root = LockToken::root();
+        let (state, _) = self.state.read(&mut root);
+        let newest = state.current.generation;
+        let oldest = state.history.front().map_or(newest, |s| s.generation);
+        (oldest, newest, state.history.len())
     }
 
     /// The resident lake at the current generation. The returned handle
@@ -538,7 +536,7 @@ impl LakeSession {
     /// while it is held.
     pub fn lake(&self) -> LakeRef {
         LakeRef {
-            snap: self.snapshot(),
+            snap: self.snapshot(&mut LockToken::root()),
         }
     }
 
@@ -553,7 +551,7 @@ impl LakeSession {
     /// Every read observes exactly one generation; pin one explicitly
     /// with [`Self::view`] to correlate results with lake versions.
     pub fn generation(&self) -> u64 {
-        self.snapshot().generation
+        self.snapshot(&mut LockToken::root()).generation
     }
 
     /// Persist the whole session — table blocks, inverted index, trained
@@ -595,18 +593,8 @@ impl LakeSession {
     /// allocates a next snapshot — the published root stays `Arc::ptr_eq`
     /// to what it was (pinned by `tests/session_sharing.rs`).
     pub fn add_table(&self, table: Table) -> Result<(), TableError> {
-        // dust-lint: lock(session-mutate)
-        let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
-        let snap = self.snapshot();
-        if snap.lake.table(table.name()).is_ok() {
-            return Err(TableError::DuplicateTable {
-                name: table.name().to_string(),
-            });
-        }
-        let ops = vec![WalOp::AddTable(table)];
-        let (next, _) = self.prepare(&snap, ops).map_err(|(_, e)| e)?;
-        self.publish(next);
-        Ok(())
+        self.mutate(WalOp::AddTable(Arc::new(table)), |_, _| Ok(()))
+            .map(drop)
     }
 
     /// Remove a table from the lake and publish the next generation built
@@ -620,16 +608,45 @@ impl LakeSession {
     /// `Arc::ptr_eq` to what it was. In-flight reads keep serving the
     /// previous generation throughout.
     pub fn remove_table(&self, name: &str) -> Result<Table, TableError> {
-        // dust-lint: lock(session-mutate)
-        let _mutating = self.mutate.lock().unwrap_or_else(PoisonError::into_inner);
-        let snap = self.snapshot();
-        snap.lake.table(name)?;
-        let ops = vec![WalOp::RemoveTable(name.into())];
-        let (next, mut removed) = self.prepare(&snap, ops).map_err(|(_, e)| e)?;
-        self.publish(next);
-        removed
-            .pop()
+        self.mutate(WalOp::RemoveTable(name.into()), |_, _| Ok(()))?
             .ok_or_else(|| TableError::TableNotFound { name: name.into() })
+    }
+
+    /// Apply one mutation and publish it only once `log` has made it
+    /// durable: under the mutation lock, an op the lake rejects (a
+    /// duplicate add, a missing remove) fails before anything is cloned;
+    /// otherwise the next snapshot is prepared off to the side, `log(&op,
+    /// generation + 1)` runs, and the snapshot is published only if it
+    /// returns `Ok`. A failed log leaves the session exactly as it was —
+    /// the published root stays `Arc::ptr_eq` — so no reader ever sees a
+    /// generation a crash could erase, and the next logged generation is
+    /// still the log's next sequence number. Returns the removed table of a
+    /// remove (`None` for an add). [`Self::add_table`] and
+    /// [`Self::remove_table`] are this with a log that does nothing.
+    pub fn mutate<E: From<TableError>>(
+        &self,
+        op: WalOp,
+        log: impl FnOnce(&WalOp, u64) -> Result<(), E>,
+    ) -> Result<Option<Table>, E> {
+        let mut root = LockToken::root();
+        let (_mutating, mut token) = self.writer.lock(&mut root);
+        let snap = self.snapshot(&mut token);
+        match &op {
+            WalOp::AddTable(table) if snap.lake.table(table.name()).is_ok() => {
+                return Err(E::from(TableError::DuplicateTable {
+                    name: table.name().to_string(),
+                }));
+            }
+            WalOp::AddTable(_) => {}
+            WalOp::RemoveTable(name) => {
+                snap.lake.table(name)?;
+            }
+        }
+        let ops = std::slice::from_ref(&op);
+        let (next, mut removed) = self.prepare(&mut token, &snap, ops).map_err(|(_, e)| e)?;
+        log(&op, next.generation)?;
+        self.publish(&mut token, next);
+        Ok(removed.pop())
     }
 
     /// This freshly loaded session with `ops` (the WAL records after its
@@ -637,21 +654,28 @@ impl LakeSession {
     /// the history ring stays empty. An error names the failed op's position.
     pub(crate) fn replay(mut self, ops: Vec<WalOp>) -> Result<LakeSession, (usize, TableError)> {
         if !ops.is_empty() {
-            let (next, _) = self.prepare(&self.snapshot(), ops)?;
-            self.current = RwLock::new(Arc::new(next));
+            let next = {
+                let mut root = LockToken::root();
+                let (_mutating, mut token) = self.writer.lock(&mut root);
+                let snap = self.snapshot(&mut token);
+                self.prepare(&mut token, &snap, &ops)?.0
+            };
+            self.state.get_mut().current = Arc::new(next);
         }
         Ok(self)
     }
 
     /// The snapshot `ops.len()` generations after `snap`, built off to the side, and the
-    /// tables the ops removed — the one mutation path. Each op applies its lake and index
-    /// delta in order; an add embeds one block, a remove drops one. A lake-derived model
-    /// (not [`Self::with_model`]'s) is instead retrained once on the final lake, exactly as
-    /// a fresh session trains, re-embedding every tuple and carrying column embeddings over.
+    /// tables the ops removed — the one mutation path, run under the mutation lock. Each op
+    /// applies its lake and index delta in order; an add embeds one block, a remove drops
+    /// one. A lake-derived model (not [`Self::with_model`]'s) is instead retrained once on
+    /// the final lake, exactly as a fresh session trains, re-embedding every tuple and
+    /// carrying column embeddings over.
     fn prepare(
         &self,
+        _mutating: &mut LockToken<'_, SessionMutate>,
         snap: &SessionSnapshot,
-        ops: Vec<WalOp>,
+        ops: &[WalOp],
     ) -> Result<(SessionSnapshot, Vec<Table>), (usize, TableError)> {
         let retrains = !self.model_injected
             && matches!(self.config.embedder, TupleEmbedderKind::FineTuned { .. });
@@ -660,21 +684,20 @@ impl LakeSession {
         let mut blocks = snap.blocks.clone();
         let mut removed = Vec::new();
         let generation = snap.generation + ops.len() as u64;
-        for (at, op) in ops.into_iter().enumerate() {
+        for (at, op) in ops.iter().enumerate() {
             match op {
                 WalOp::AddTable(table) => {
-                    let table = Arc::new(table);
                     lake.add_table_shared(table.clone()).map_err(|e| (at, e))?;
                     if let Some(index) = &mut index {
-                        index.add_table(&table);
+                        index.add_table(table);
                     }
                     if !retrains {
-                        let block = embed_table(&table, &snap.embedder, &self.searcher, None);
+                        let block = embed_table(table, &snap.embedder, &self.searcher, None);
                         blocks.insert(Arc::from(table.name()), block);
                     }
                 }
                 WalOp::RemoveTable(name) => {
-                    let table = lake.remove_table(&name).map_err(|e| (at, e))?;
+                    let table = lake.remove_table(name).map_err(|e| (at, e))?;
                     if let Some(index) = &mut index {
                         index.remove_table(&table);
                     }
@@ -858,13 +881,13 @@ impl<'a> SessionView<'a> {
         k: usize,
         fault: &(dyn Fn(usize) + Sync),
     ) -> Vec<Result<DustResult, SessionError>> {
-        let slots: Vec<Mutex<Option<Result<DustResult, SessionError>>>> =
-            queries.iter().map(|_| Mutex::new(None)).collect();
+        let slots: Vec<OnceLock<Result<DustResult, SessionError>>> =
+            queries.iter().map(|_| OnceLock::new()).collect();
         let jobs: Vec<usize> = (0..queries.len()).collect();
         jobs.into_par_iter().for_each(|i| {
             // Catch the panic *inside* the worker closure: the slot below
-            // is only locked after the fallible work is done, so a panic
-            // can neither poison a slot nor kill the batch. The snapshot
+            // is only written after the fallible work is done, so a panic
+            // cannot kill the batch. The snapshot
             // is immutable, so unwinding cannot leave broken invariants
             // behind — AssertUnwindSafe is sound here.
             let outcome = catch_unwind(AssertUnwindSafe(|| {
@@ -877,24 +900,22 @@ impl<'a> SessionView<'a> {
                     detail: panic_detail(payload.as_ref()),
                 }),
             };
-            // dust-lint: lock(batch-slot)
-            *slots[i].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
+            // each slot has exactly one writer: job i
+            let _ = slots[i].set(result);
         });
         slots
             .into_iter()
             .enumerate()
             .map(|(i, slot)| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .unwrap_or_else(|| {
-                        // A worker that died before writing its slot (a
-                        // defensive branch: catch_unwind above should make
-                        // this unreachable) degrades to a per-query error,
-                        // never a server-killing panic.
-                        Err(SessionError::QueryPanicked {
-                            detail: format!("batch worker for query {i} never reported a result"),
-                        })
+                slot.into_inner().unwrap_or_else(|| {
+                    // A worker that died before writing its slot (a
+                    // defensive branch: catch_unwind above should make
+                    // this unreachable) degrades to a per-query error,
+                    // never a server-killing panic.
+                    Err(SessionError::QueryPanicked {
+                        detail: format!("batch worker for query {i} never reported a result"),
                     })
+                })
             })
             .collect()
     }

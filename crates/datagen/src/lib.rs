@@ -13,7 +13,6 @@
 //! * [`finetune_data`] — balanced, leak-free tuple-pair datasets for
 //!   fine-tuning (Sec. 4).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod benchmarks;

@@ -18,7 +18,6 @@
 //! * [`metrics`] — Average Diversity (Eq. 1) and Min Diversity (Eq. 2);
 //! * [`prune`] — the pre-diversification pruning step (Sec. 5.1).
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baselines;

@@ -19,7 +19,6 @@
 //!   layers trained with the cosine-embedding loss);
 //! * [`pca`] — principal component analysis used for Fig. 2.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod distance;

@@ -142,16 +142,16 @@ mod tests {
     fn matching_entry_suppresses_once() {
         let b = Baseline {
             entries: vec![Entry {
-                rule: Rule::NanOrdering,
+                rule: Rule::DeltaFloatSubtraction,
                 file: "a.rs".into(),
-                snippet: "x.partial_cmp".into(),
+                snippet: "w -= idf".into(),
             }],
         };
         let diags = vec![
-            diag(Rule::NanOrdering, "a.rs", 3),
-            diag(Rule::NanOrdering, "a.rs", 9),
+            diag(Rule::DeltaFloatSubtraction, "a.rs", 3),
+            diag(Rule::DeltaFloatSubtraction, "a.rs", 9),
         ];
-        let (kept, suppressed) = b.apply(diags, |_, _| "let o = x.partial_cmp(&y);".into());
+        let (kept, suppressed) = b.apply(diags, |_, _| "self.w -= idf;".into());
         assert_eq!(suppressed, 1);
         // Second hit survives: one entry, one suppression.
         assert_eq!(kept.len(), 1);
@@ -162,7 +162,7 @@ mod tests {
     fn stale_entry_is_reported() {
         let b = Baseline {
             entries: vec![Entry {
-                rule: Rule::LockHygiene,
+                rule: Rule::DeltaFloatSubtraction,
                 file: "gone.rs".into(),
                 snippet: "whatever".into(),
             }],
@@ -176,15 +176,17 @@ mod tests {
 
     #[test]
     fn render_parses_back() {
-        let diags = vec![diag(Rule::NoWallClock, "crates/x/src/a.rs", 4)];
-        let text = render(&diags, |_, _| "    let t = Instant::now(); // \"q\"".into());
+        let diags = vec![diag(Rule::DeltaFloatSubtraction, "crates/x/src/a.rs", 4)];
+        let text = render(&diags, |_, _| {
+            "    let d = new_idf - old_idf; // \"q\"".into()
+        });
         std::fs::create_dir_all(std::env::temp_dir().join("dust-lint-bl/lint")).unwrap();
         let root = std::env::temp_dir().join("dust-lint-bl");
         std::fs::write(root.join(BASELINE_PATH), &text).unwrap();
         let b = load(&root).unwrap();
         assert_eq!(b.entries.len(), 1);
-        assert_eq!(b.entries[0].rule, Rule::NoWallClock);
-        assert!(b.entries[0].snippet.contains("Instant::now"));
+        assert_eq!(b.entries[0].rule, Rule::DeltaFloatSubtraction);
+        assert!(b.entries[0].snippet.contains("new_idf - old_idf"));
         assert!(b.entries[0].snippet.contains("\"q\""));
     }
 }

@@ -2,34 +2,17 @@
 
 use std::fmt;
 
-/// Every check the linter performs. The first seven are the project
-/// invariants (each traceable to a bug class fixed in PRs 1–8 — see the
-/// README's rule table); the last two are meta-checks keeping the escape
-/// hatches themselves honest.
+/// Every check the linter performs: the one project invariant no
+/// compiler or clippy check expresses, and two meta-checks keeping the
+/// escape hatches themselves honest.
 // The derived PartialOrd orders unit variants — no floats — so the
 // workspace partial_cmp ban does not apply here.
 #[allow(clippy::disallowed_methods)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// `partial_cmp`-based ranking outside `crates/embed/src/order.rs`.
-    NanOrdering,
-    /// `.lock().unwrap()`-style poison propagation instead of the
-    /// poison-recovering `unwrap_or_else(PoisonError::into_inner)` form.
-    LockHygiene,
-    /// `HashMap`/`HashSet` inside `crates/core/src/persist/` — snapshot
-    /// bytes must come from sorted exports only.
-    DeterministicEncode,
-    /// `Instant::now`/`SystemTime` outside `crates/bench` (and the one
-    /// sanctioned helper, `crates/core/src/clock.rs`).
-    NoWallClock,
     /// Float subtraction inside a delta/mutation function — integer df
     /// deltas are the only sanctioned subtraction there.
     DeltaFloatSubtraction,
-    /// `unsafe` without a `// SAFETY:` comment or a ledger entry.
-    UnsafeLedger,
-    /// Lock acquisition sites must be annotated and respect the declared
-    /// acquisition order (`lock_order` in `lint/dust_lint.toml`).
-    LockOrder,
     /// Malformed `dust-lint:` pragma (unknown rule, missing reason, …).
     Pragma,
     /// Stale `lint/baseline.toml` entry that no longer matches anything.
@@ -37,27 +20,13 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The seven invariant checks a pragma may name in `allow(..)`.
-    pub const CHECKS: [Rule; 7] = [
-        Rule::NanOrdering,
-        Rule::LockHygiene,
-        Rule::DeterministicEncode,
-        Rule::NoWallClock,
-        Rule::DeltaFloatSubtraction,
-        Rule::UnsafeLedger,
-        Rule::LockOrder,
-    ];
+    /// The invariant checks a pragma may name in `allow(..)`.
+    pub const CHECKS: [Rule; 1] = [Rule::DeltaFloatSubtraction];
 
     /// Stable kebab-case id used in output, pragmas, and the baseline.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::NanOrdering => "nan-ordering",
-            Rule::LockHygiene => "lock-hygiene",
-            Rule::DeterministicEncode => "deterministic-encode",
-            Rule::NoWallClock => "no-wall-clock",
             Rule::DeltaFloatSubtraction => "delta-float-subtraction",
-            Rule::UnsafeLedger => "unsafe-ledger",
-            Rule::LockOrder => "lock-order",
             Rule::Pragma => "pragma",
             Rule::Baseline => "baseline",
         }
@@ -66,17 +35,7 @@ impl Rule {
     /// Inverse of [`Rule::id`] over every rule (including the meta rules,
     /// so baseline files can round-trip any diagnostic).
     pub fn from_id(id: &str) -> Option<Rule> {
-        let all = [
-            Rule::NanOrdering,
-            Rule::LockHygiene,
-            Rule::DeterministicEncode,
-            Rule::NoWallClock,
-            Rule::DeltaFloatSubtraction,
-            Rule::UnsafeLedger,
-            Rule::LockOrder,
-            Rule::Pragma,
-            Rule::Baseline,
-        ];
+        let all = [Rule::DeltaFloatSubtraction, Rule::Pragma, Rule::Baseline];
         all.into_iter().find(|r| r.id() == id)
     }
 }
@@ -94,7 +53,7 @@ pub struct Diagnostic {
     pub rule: Rule,
     /// Workspace-relative path with forward slashes (`crates/...`).
     pub file: String,
-    /// 1-based; 0 for file-level diagnostics (stale ledger entries).
+    /// 1-based; 0 for file-level diagnostics (stale baseline entries).
     pub line: usize,
     pub message: String,
 }
@@ -144,14 +103,14 @@ mod tests {
     #[test]
     fn display_is_grep_friendly() {
         let d = Diagnostic::new(
-            Rule::NanOrdering,
+            Rule::DeltaFloatSubtraction,
             "crates/x/src/lib.rs",
             7,
-            "use embed::order",
+            "recompute the value",
         );
         assert_eq!(
             d.to_string(),
-            "nan-ordering crates/x/src/lib.rs:7 use embed::order"
+            "delta-float-subtraction crates/x/src/lib.rs:7 recompute the value"
         );
     }
 }

@@ -1,6 +1,5 @@
-//! The driver: walk the workspace, run every rule on every file, apply
-//! pragmas and the baseline, and fold in the cross-file checks (stale
-//! ledger entries, lock-order cycles).
+//! The engine: walk the workspace, run every rule on every file, and
+//! apply pragmas and the baseline.
 //!
 //! The walk is rooted at the workspace root and covers `crates/`, the
 //! root package's `src/`, `tests/`, `examples/`, and `benches/`. It
@@ -10,14 +9,9 @@
 //! `run` at the fixture root instead.
 
 use crate::baseline::{self, Baseline, BASELINE_PATH};
-use crate::config::{self, Config};
 use crate::diag::Diagnostic;
-use crate::ledger::{self, Ledger};
 use crate::pragma;
-use crate::rules::{
-    delta_float_sub, deterministic_encode, lock_hygiene, lock_order, nan_ordering, no_wall_clock,
-    unsafe_ledger,
-};
+use crate::rules::delta_float_sub;
 use crate::source::SourceFile;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -58,8 +52,7 @@ impl Report {
 
 /// Everything one walk of the tree produced, before baseline handling.
 struct Scan {
-    /// Rule violations that survived pragmas (includes cross-file,
-    /// line-0 diagnostics: stale ledger entries).
+    /// Rule violations that survived pragmas.
     check_diags: Vec<Diagnostic>,
     /// Malformed-pragma diagnostics — never suppressible.
     meta_diags: Vec<Diagnostic>,
@@ -68,9 +61,6 @@ struct Scan {
 }
 
 fn scan(root: &Path) -> Result<Scan, String> {
-    let cfg: Config = config::load(root)?;
-    let ledg: Ledger = ledger::load(root)?;
-
     let mut paths: Vec<PathBuf> = Vec::new();
     for top in WALK_ROOTS {
         let dir = root.join(top);
@@ -94,41 +84,11 @@ fn scan(root: &Path) -> Result<Scan, String> {
     let mut check_diags = Vec::new();
     let mut meta_diags = Vec::new();
     let mut suppressed_by_pragma = 0usize;
-    let mut ledger_used: Vec<usize> = Vec::new();
-    let mut edges: Vec<lock_order::Edge> = Vec::new();
 
-    // Pre-pass: pragmas for every file, plus the workspace-wide map of
-    // guard-returning helpers. A guard handed out by a helper in one
-    // file is held by callers in *other* files, so lock-order needs the
-    // full map before it can check any single file.
-    let mut pragmas_per_file = Vec::with_capacity(files.len());
-    let mut guard_fns: Vec<(String, String)> = Vec::new();
     for file in &files {
         let (pragmas, pragma_diags) = pragma::collect(file);
         meta_diags.extend(pragma_diags);
-        for pair in lock_order::guard_returning_fns(file, &pragmas) {
-            if !guard_fns.iter().any(|(name, _)| *name == pair.0) {
-                guard_fns.push(pair);
-            }
-        }
-        pragmas_per_file.push(pragmas);
-    }
-
-    for (file, pragmas) in files.iter().zip(&pragmas_per_file) {
-        let mut diags = Vec::new();
-        diags.extend(nan_ordering::check(file));
-        diags.extend(lock_hygiene::check(file));
-        diags.extend(deterministic_encode::check(file));
-        diags.extend(no_wall_clock::check(file));
-        diags.extend(delta_float_sub::check(file));
-        let (unsafe_diags, used) = unsafe_ledger::check(file, &ledg);
-        diags.extend(unsafe_diags);
-        ledger_used.extend(used);
-        let (lock_diags, file_edges) = lock_order::check(file, pragmas, &cfg, &guard_fns);
-        diags.extend(lock_diags);
-        edges.extend(file_edges);
-
-        for d in diags {
+        for d in delta_float_sub::check(file) {
             if pragmas.allows(d.line, d.rule) {
                 suppressed_by_pragma += 1;
             } else {
@@ -136,9 +96,6 @@ fn scan(root: &Path) -> Result<Scan, String> {
             }
         }
     }
-
-    check_diags.extend(unsafe_ledger::stale_entries(&ledg, &ledger_used));
-    check_diags.extend(lock_order::check_cycles(&edges));
 
     Ok(Scan {
         check_diags,
@@ -186,12 +143,9 @@ pub fn run(root: &Path) -> Result<Report, String> {
     let bl: Baseline = baseline::load(root)?;
     let files_checked = scan.files.len();
 
-    // Only line-anchored rule violations are baselinable; file-level
-    // diagnostics (stale entries) and meta diagnostics must be fixed.
-    let (baselinable, file_level): (Vec<_>, Vec<_>) =
-        scan.check_diags.into_iter().partition(|d| d.line > 0);
-    let (mut kept, suppressed_by_baseline) = bl.apply(baselinable, line_text(&scan.files));
-    kept.extend(file_level);
+    // Rule violations are baselinable; meta diagnostics (malformed
+    // pragmas) must be fixed.
+    let (mut kept, suppressed_by_baseline) = bl.apply(scan.check_diags, line_text(&scan.files));
     kept.extend(scan.meta_diags);
     kept.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.id()).cmp(&(b.file.as_str(), b.line, b.rule.id()))
@@ -209,11 +163,7 @@ pub fn run(root: &Path) -> Result<Report, String> {
 /// Returns the number of entries written.
 pub fn update_baseline(root: &Path) -> Result<usize, String> {
     let scan = scan(root)?;
-    let mut baselinable: Vec<Diagnostic> = scan
-        .check_diags
-        .into_iter()
-        .filter(|d| d.line > 0)
-        .collect();
+    let mut baselinable: Vec<Diagnostic> = scan.check_diags;
     baselinable.sort_by(|a, b| {
         (a.file.as_str(), a.line, a.rule.id()).cmp(&(b.file.as_str(), b.line, b.rule.id()))
     });
@@ -261,12 +211,12 @@ mod tests {
     #[test]
     fn violation_pragma_and_baseline_flow() {
         let root = mini_root(&[(
-            "crates/y/src/lib.rs",
-            "pub fn f(a: f64, b: f64) {\n    let _ = a.partial_cmp(&b);\n}\n",
+            "crates/search/src/index.rs",
+            "impl I {\n    pub fn remove_table(&mut self, w: f64) {\n        self.weight -= w;\n    }\n}\n",
         )]);
         let report = run(&root).unwrap();
         assert_eq!(report.diagnostics.len(), 1);
-        assert_eq!(report.diagnostics[0].rule, Rule::NanOrdering);
+        assert_eq!(report.diagnostics[0].rule, Rule::DeltaFloatSubtraction);
 
         // Grandfather it, then the tree is clean-with-suppression.
         let n = update_baseline(&root).unwrap();
@@ -277,8 +227,8 @@ mod tests {
 
         // Fix the violation: the baseline entry is now stale.
         fs::write(
-            root.join("crates/y/src/lib.rs"),
-            "pub fn f(a: f64, b: f64) {\n    let _ = a.total_cmp(&b);\n}\n",
+            root.join("crates/search/src/index.rs"),
+            "impl I {\n    pub fn remove_table(&mut self) {\n        self.weight = self.recompute_weight();\n    }\n}\n",
         )
         .unwrap();
         let report = run(&root).unwrap();
@@ -290,8 +240,8 @@ mod tests {
     fn fixtures_dirs_are_skipped() {
         let root = mini_root(&[
             (
-                "crates/z/tests/fixtures/bad.rs",
-                "fn f(a: f64, b: f64) { let _ = a.partial_cmp(&b); }\n",
+                "crates/z/tests/fixtures/crates/embed/src/tokenize.rs",
+                "fn remove_document(&mut self, w: f64) { self.weight -= w; }\n",
             ),
             ("crates/z/src/lib.rs", "pub fn ok() {}\n"),
         ]);
@@ -303,12 +253,15 @@ mod tests {
     #[test]
     fn per_rule_counts_hits() {
         let root = mini_root(&[(
-            "crates/w/src/lib.rs",
-            "fn f(a: f64, b: f64) {\n    let _ = a.partial_cmp(&b);\n    let _ = b.partial_cmp(&a);\n    let t = std::time::SystemTime::now();\n}\n",
+            "crates/search/src/d3l.rs",
+            "impl I {\n    fn remove(&mut self, w: f64) {\n        self.weight -= w;\n        // dust-lint: allow(delta-float-subtraction)\n        self.norm = self.norm - w;\n    }\n}\n",
         )]);
         let report = run(&root).unwrap();
         let per_rule = report.per_rule();
-        assert!(per_rule.contains(&("nan-ordering", 2)), "{per_rule:?}");
-        assert!(per_rule.contains(&("no-wall-clock", 1)), "{per_rule:?}");
+        assert!(
+            per_rule.contains(&("delta-float-subtraction", 2)),
+            "{per_rule:?}"
+        );
+        assert!(per_rule.contains(&("pragma", 1)), "{per_rule:?}");
     }
 }

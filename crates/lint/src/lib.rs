@@ -1,13 +1,12 @@
 //! `dust-lint` — a workspace-native invariant checker.
 //!
-//! Eight PRs of correctness work accumulated a set of hard-won,
-//! cross-cutting invariants: NaN total-order comparators on every ranking
-//! path, poison-recovering locks only, deterministic byte output from
-//! every `persist` encoder, the no-float-subtraction rule on delta paths,
-//! a SAFETY-commented + ledgered `unsafe` budget, and a declared lock
-//! acquisition order. Until this crate, every one of them was enforced by
-//! prose in CHANGES.md and by whichever test happened to exercise the
-//! violating line. `dust-lint` enforces them mechanically.
+//! The workspace's invariants are enforced by the compiler and clippy
+//! wherever one of them can express the rule: the lock order is a type
+//! (`dust_core::sync`), `unsafe_code` is forbidden workspace-wide, and
+//! clippy's `disallowed-methods` / `disallowed-types` carry the NaN-safe
+//! ranking, wall-clock and hasher-order bans. One rule has no such check,
+//! because it depends on which functions form the mutation path rather
+//! than on a type or a method: `dust-lint` enforces it.
 //!
 //! It is deliberately **not** a `syn`-based analyzer: the workspace builds
 //! offline against vendored stand-in dependencies, so the linter is a
@@ -19,15 +18,9 @@
 //!
 //! # Rules
 //!
-//! | id | invariant (origin) |
-//! |----|--------------------|
-//! | `nan-ordering` | no `partial_cmp` ranking outside `embed::order` (PR 3/4) |
-//! | `lock-hygiene` | poison-recovering locks only (PR 7) |
-//! | `deterministic-encode` | no `HashMap`/`HashSet` in `core::persist` (PR 6) |
-//! | `no-wall-clock` | no `Instant::now`/`SystemTime` outside `crates/bench` (PR 6) |
-//! | `delta-float-subtraction` | integer-only deltas on mutation paths (PR 5) |
-//! | `unsafe-ledger` | every `unsafe` carries `// SAFETY:` and a ledger entry |
-//! | `lock-order` | annotated lock sites must respect the declared order (PR 7) |
+//! | id | invariant |
+//! |----|-----------|
+//! | `delta-float-subtraction` | integer-only deltas on mutation paths |
 //!
 //! # Escape hatches
 //!
@@ -35,20 +28,16 @@
 //! reason**:
 //!
 //! ```text
-//! // dust-lint: allow(no-wall-clock) -- phase timing diagnostic only
+//! // dust-lint: allow(delta-float-subtraction) -- recomputed right after
 //! ```
 //!
 //! or grandfathered in `lint/baseline.toml` (see [`baseline`]). Stale
-//! baseline entries and stale ledger entries are themselves violations,
-//! so both files shrink monotonically.
-
-#![forbid(unsafe_code)]
+//! baseline entries are themselves violations, so the file shrinks
+//! monotonically.
 
 pub mod baseline;
-pub mod config;
 pub mod diag;
 pub mod engine;
-pub mod ledger;
 pub mod pragma;
 pub mod rules;
 pub mod source;

@@ -1,18 +1,13 @@
-//! `dust-lint:` pragmas — the in-place escape hatch and the lock-site
-//! annotation, both living in ordinary line comments.
+//! `dust-lint:` pragmas — the in-place escape hatch, living in ordinary
+//! line comments.
 //!
-//! Two forms are recognised:
+//! `// dust-lint: allow(<rule-id>) -- <reason>` suppresses that rule on
+//! this line (trailing comment) or on the next line (standalone comment).
+//! The reason is **mandatory**: an allow without a justification is
+//! itself a `pragma` violation, so the tree can never accumulate bare
+//! waivers.
 //!
-//! * `// dust-lint: allow(<rule-id>) -- <reason>` — suppress that rule on
-//!   this line (trailing comment) or on the next line (standalone
-//!   comment). The reason is **mandatory**: an allow without a
-//!   justification is itself a `pragma` violation, so the tree can never
-//!   accumulate bare waivers.
-//! * `// dust-lint: lock(<name>)` — names the lock acquired on this (or
-//!   the following) line for the `lock-order` rule.
-//!
-//! Anything that starts with `dust-lint:` but parses as neither is a
-//! `pragma` violation — a typo'd pragma that silently did nothing would
+//! Anything else that starts with `dust-lint:` is a `pragma` violation — a typo'd pragma that silently did nothing would
 //! be worse than no pragma at all.
 
 use crate::diag::{Diagnostic, Rule};
@@ -23,26 +18,12 @@ use crate::source::SourceFile;
 pub struct Pragmas {
     /// `(line, rule)` pairs a diagnostic may be suppressed by.
     allows: Vec<(usize, Rule, String)>,
-    /// `(line, lock-name)` annotations for the lock-order rule.
-    locks: Vec<(usize, String)>,
 }
 
 impl Pragmas {
     /// Is `rule` allowed (with a reason) on `line`?
     pub fn allows(&self, line: usize, rule: Rule) -> bool {
         self.allows.iter().any(|(l, r, _)| *l == line && *r == rule)
-    }
-
-    /// The lock name annotated for `line`, searching the line itself and
-    /// up to `above` lines immediately before it (a chain's annotation
-    /// usually sits on the statement's first line).
-    pub fn lock_name(&self, line: usize, above: usize) -> Option<&str> {
-        let lo = line.saturating_sub(above);
-        self.locks
-            .iter()
-            .filter(|(l, _)| *l >= lo && *l <= line)
-            .map(|(_, name)| name.as_str())
-            .next_back()
     }
 }
 
@@ -60,8 +41,8 @@ pub fn collect(file: &SourceFile) -> (Pragmas, Vec<Diagnostic>) {
             continue;
         };
         let body = body.trim();
-        // A standalone comment line annotates the line below; a trailing
-        // comment annotates its own line.
+        // A standalone comment line applies to the line below; a trailing
+        // comment applies to its own line.
         let standalone = file
             .masked
             .get(idx)
@@ -69,20 +50,14 @@ pub fn collect(file: &SourceFile) -> (Pragmas, Vec<Diagnostic>) {
             .unwrap_or(true);
         let target = if standalone { line + 1 } else { line };
         match parse_body(body) {
-            Ok(Parsed::Allow(rule, reason)) => pragmas.allows.push((target, rule, reason)),
-            Ok(Parsed::Lock(name)) => pragmas.locks.push((target, name)),
+            Ok((rule, reason)) => pragmas.allows.push((target, rule, reason)),
             Err(msg) => diags.push(Diagnostic::new(Rule::Pragma, &file.rel, line, msg)),
         }
     }
     (pragmas, diags)
 }
 
-enum Parsed {
-    Allow(Rule, String),
-    Lock(String),
-}
-
-fn parse_body(body: &str) -> Result<Parsed, String> {
+fn parse_body(body: &str) -> Result<(Rule, String), String> {
     if let Some(rest) = body.strip_prefix("allow(") {
         let (id, rest) = rest
             .split_once(')')
@@ -101,18 +76,10 @@ fn parse_body(body: &str) -> Result<Parsed, String> {
                 rule.id()
             ));
         }
-        return Ok(Parsed::Allow(rule, reason.to_string()));
-    }
-    if let Some(rest) = body.strip_prefix("lock(") {
-        let name = rest
-            .split_once(')')
-            .map(|(n, _)| n.trim())
-            .filter(|n| !n.is_empty())
-            .ok_or("malformed pragma: expected `lock(<name>)`")?;
-        return Ok(Parsed::Lock(name.to_string()));
+        return Ok((rule, reason.to_string()));
     }
     Err(format!(
-        "unrecognised dust-lint pragma `{body}` (expected `allow(<rule>) -- <reason>` or `lock(<name>)`)"
+        "unrecognised dust-lint pragma `{body}` (expected `allow(<rule>) -- <reason>`)"
     ))
 }
 
@@ -126,29 +93,28 @@ mod tests {
 
     #[test]
     fn trailing_allow_applies_to_its_own_line() {
-        let f = file("x.partial_cmp(&y); // dust-lint: allow(nan-ordering) -- test fixture\n");
+        let f = file("w -= idf; // dust-lint: allow(delta-float-subtraction) -- test fixture\n");
         let (p, d) = collect(&f);
         assert!(d.is_empty());
-        assert!(p.allows(1, Rule::NanOrdering));
-        assert!(!p.allows(2, Rule::NanOrdering));
+        assert!(p.allows(1, Rule::DeltaFloatSubtraction));
+        assert!(!p.allows(2, Rule::DeltaFloatSubtraction));
     }
 
     #[test]
     fn standalone_allow_applies_to_next_line() {
-        let f = file(
-            "// dust-lint: allow(no-wall-clock) -- diagnostic only\nlet t = Instant::now();\n",
-        );
+        let f =
+            file("// dust-lint: allow(delta-float-subtraction) -- recomputed below\nw -= idf;\n");
         let (p, d) = collect(&f);
         assert!(d.is_empty());
-        assert!(p.allows(2, Rule::NoWallClock));
-        assert!(!p.allows(1, Rule::NoWallClock));
+        assert!(p.allows(2, Rule::DeltaFloatSubtraction));
+        assert!(!p.allows(1, Rule::DeltaFloatSubtraction));
     }
 
     #[test]
     fn allow_without_reason_is_a_violation() {
-        let f = file("x(); // dust-lint: allow(nan-ordering)\n");
+        let f = file("x(); // dust-lint: allow(delta-float-subtraction)\n");
         let (p, d) = collect(&f);
-        assert!(!p.allows(1, Rule::NanOrdering));
+        assert!(!p.allows(1, Rule::DeltaFloatSubtraction));
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].rule, Rule::Pragma);
         assert!(d[0].message.contains("justification"));
@@ -168,17 +134,10 @@ mod tests {
     }
 
     #[test]
-    fn lock_annotation_resolves_nearby_lines() {
-        let f = file("// dust-lint: lock(session-mutate)\nlet _g = self.mutate.lock();\n");
-        let (p, d) = collect(&f);
-        assert!(d.is_empty());
-        assert_eq!(p.lock_name(2, 3), Some("session-mutate"));
-        assert_eq!(p.lock_name(3, 0), None);
-    }
-
-    #[test]
     fn garbage_pragma_is_flagged() {
-        let (_, d) = collect(&file("// dust-lint: allw(nan-ordering) -- oops\n"));
+        let (_, d) = collect(&file(
+            "// dust-lint: allw(delta-float-subtraction) -- oops\n",
+        ));
         assert_eq!(d.len(), 1);
         assert!(d[0].message.contains("unrecognised"));
     }

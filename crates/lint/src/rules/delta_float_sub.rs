@@ -81,7 +81,7 @@ pub fn check(file: &SourceFile) -> Vec<Diagnostic> {
                 &file.rel,
                 line,
                 "float subtraction on a delta path: recompute the value instead — only \
-                 exact integer deltas keep mutation bit-identical to a rebuild (PR 5 rule)",
+                 exact integer deltas keep mutation bit-identical to a rebuild",
             )
         })
         .collect()

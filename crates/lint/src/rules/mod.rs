@@ -1,13 +1,7 @@
-//! The seven invariant rules, plus the lexical scope scanner two of them
-//! share (function spans and brace depths, derived from masked text).
+//! The invariant rules, plus the lexical scope scanner they use
+//! (function spans and brace depths, derived from masked text).
 
 pub mod delta_float_sub;
-pub mod deterministic_encode;
-pub mod lock_hygiene;
-pub mod lock_order;
-pub mod nan_ordering;
-pub mod no_wall_clock;
-pub mod unsafe_ledger;
 
 use crate::source::SourceFile;
 
@@ -33,8 +27,8 @@ impl FnSpan {
 
 /// Scan a file for function spans and per-line brace depth (depth at the
 /// start of each line). Closures and inner blocks stay attributed to the
-/// enclosing `fn` — exactly the conservative attribution the lock-order
-/// rule wants. Bodyless trait-method declarations (`fn f();`) are
+/// enclosing `fn`, so a closure inside a delta function is checked as
+/// part of it. Bodyless trait-method declarations (`fn f();`) are
 /// cancelled by their `;` and produce no span.
 pub fn scan_scopes(file: &SourceFile) -> (Vec<FnSpan>, Vec<usize>) {
     let mut spans: Vec<FnSpan> = Vec::new();

@@ -1,10 +1,10 @@
-//! Fixture: nothing to report. Mentions that `.lock().unwrap()` and
-//! `Instant::now()` in comments and strings must not trip the rules.
+//! Fixture: nothing to report. A float subtraction quoted in comments
+//! and strings, or outside a delta path, must not trip the rule.
 
 pub fn describe() -> &'static str {
-    "call .lock().unwrap() and Instant::now() — quoted, not executed"
+    "self.weight -= w — quoted, not executed"
 }
 
-pub fn rank(scores: &mut [f64]) {
-    scores.sort_by(|a, b| a.total_cmp(b));
+pub fn remove_document(weight: f64, w: f64) -> f64 {
+    weight - w
 }

@@ -25,7 +25,6 @@
 //! postings rather than merged pair by pair, and
 //! [`OverlapSearch::score_pair`] pins it bit for bit.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bipartite;

@@ -23,7 +23,6 @@
 //! assert_eq!(table.cell(1, 1), Some(&Value::text("USA")));
 //! ```
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod column;

@@ -82,11 +82,6 @@ impl Table {
         &self.name
     }
 
-    /// Rename the table.
-    pub fn set_name(&mut self, name: impl Into<String>) {
-        self.name = name.into();
-    }
-
     /// All column headers, in order.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -184,44 +179,6 @@ impl Table {
             .map(|c| c.select_rows(rows))
             .collect::<Vec<_>>();
         Table::from_columns(new_name, columns)
-    }
-
-    /// Drop columns in which every value is null. The paper removes such
-    /// columns before running experiments (Sec. 6.1).
-    pub fn drop_all_null_columns(&self) -> Result<Table> {
-        let kept: Vec<Column> = self
-            .columns
-            .iter()
-            .filter(|c| !c.is_all_null())
-            .cloned()
-            .collect();
-        if kept.is_empty() {
-            return Err(TableError::EmptyTable {
-                table: self.name.clone(),
-            });
-        }
-        Table::from_columns(self.name.clone(), kept)
-    }
-
-    /// Append the rows of `other` for columns whose headers match this
-    /// table's headers; missing columns are padded with nulls (outer union
-    /// on already-aligned headers).
-    pub fn append_outer(&mut self, other: &Table) {
-        let rows = other.num_rows();
-        for (idx, header) in self.headers.clone().iter().enumerate() {
-            match other.column_by_name(header) {
-                Some(col) => {
-                    self.columns[idx]
-                        .values_mut()
-                        .extend(col.values().iter().cloned());
-                }
-                None => {
-                    self.columns[idx]
-                        .values_mut()
-                        .extend(std::iter::repeat_n(Value::Null, rows));
-                }
-            }
-        }
     }
 }
 
@@ -347,35 +304,5 @@ mod tests {
         assert_eq!(t.num_rows(), 3);
         assert_eq!(t.cell(0, 0), Some(&Value::Int(1)));
         assert!(t.cell(2, 1).unwrap().is_null());
-    }
-
-    #[test]
-    fn drop_all_null_columns_removes_empty_columns() {
-        let t = Table::builder("t")
-            .column("keep", ["a", "b"])
-            .column("drop", ["", ""])
-            .build()
-            .unwrap();
-        let cleaned = t.drop_all_null_columns().unwrap();
-        assert_eq!(cleaned.num_columns(), 1);
-        assert_eq!(cleaned.headers()[0], "keep");
-    }
-
-    #[test]
-    fn append_outer_pads_missing_columns() {
-        let mut base = Table::builder("base")
-            .column("Park Name", ["River Park"])
-            .column("Country", ["USA"])
-            .build()
-            .unwrap();
-        let other = Table::builder("other")
-            .column("Park Name", ["Chippewa Park"])
-            .column("Phone", ["773 731-0380"])
-            .build()
-            .unwrap();
-        base.append_outer(&other);
-        assert_eq!(base.num_rows(), 2);
-        assert_eq!(base.cell(1, 0), Some(&Value::text("Chippewa Park")));
-        assert!(base.cell(1, 1).unwrap().is_null());
     }
 }

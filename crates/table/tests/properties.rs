@@ -108,8 +108,8 @@ proptest! {
         }
     }
 
-    /// A read followed by `push`, `values_mut` or `Table::append_outer`
-    /// answers for the *new* values: no mutator leaves a stale set behind.
+    /// A read followed by `push` or `values_mut` answers for the *new*
+    /// values: no mutator leaves a stale set behind.
     #[test]
     fn every_mutator_drops_the_cached_set(
         a in overlap_values(),
@@ -127,18 +127,6 @@ proptest! {
         assert_set_of(&column, &now);
         column.values_mut().clear();
         assert_set_of(&column, &[]);
-
-        let mut base = Table::from_columns(
-            "base",
-            vec![Column::new("shared", a.clone()), Column::new("only_base", a.clone())],
-        ).unwrap();
-        let other = Table::from_columns("other", vec![Column::new("shared", b.clone())]).unwrap();
-        assert_set_of(&base.columns()[0], &a);
-        assert_set_of(&base.columns()[1], &a);
-        base.append_outer(&other);
-        let appended: Vec<Value> = a.iter().chain(&b).cloned().collect();
-        assert_set_of(&base.columns()[0], &appended);
-        assert_set_of(&base.columns()[1], &a); // padded with nulls only
     }
 
     /// `==` on columns and tables never sees the cache, whichever side has
@@ -223,27 +211,6 @@ proptest! {
         prop_assert_eq!(permuted.non_null_count(), tuple.non_null_count());
         for h in &headers {
             prop_assert_eq!(tuple.value_for(h), permuted.value_for(h));
-        }
-    }
-
-    /// Outer-appending any table onto a base keeps the base's schema and adds
-    /// exactly the other table's row count.
-    #[test]
-    fn append_outer_adds_rows_and_keeps_schema(
-        base_rows in prop::collection::vec(prop::collection::vec(cell(), 2), 1..6),
-        other_rows in prop::collection::vec(prop::collection::vec(cell(), 2), 1..6),
-    ) {
-        let base_headers: Vec<String> = vec!["shared".into(), "only_base".into()];
-        let other_headers: Vec<String> = vec!["shared".into(), "only_other".into()];
-        let mut base = Table::from_rows("base", &base_headers, &base_rows).unwrap();
-        let other = Table::from_rows("other", &other_headers, &other_rows).unwrap();
-        let before = base.num_rows();
-        base.append_outer(&other);
-        prop_assert_eq!(base.num_rows(), before + other.num_rows());
-        prop_assert_eq!(base.headers(), &["shared".to_string(), "only_base".to_string()]);
-        // appended rows have nulls in the column the other table lacks
-        for r in before..base.num_rows() {
-            prop_assert!(base.cell(r, 1).unwrap().is_null());
         }
     }
 }

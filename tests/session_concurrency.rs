@@ -17,11 +17,13 @@
 mod common;
 
 use common::assert_same_result;
-use dust_core::{DustResult, LakeSession, PipelineConfig, SearchTechnique, SessionOptions};
+use dust_core::{
+    DustResult, LakeSession, PipelineConfig, SearchTechnique, SessionError, SessionOptions,
+};
 use dust_datagen::BenchmarkConfig;
 use dust_table::{DataLake, Table};
 use std::collections::BTreeMap;
-use std::sync::{Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 const TECHNIQUES: [SearchTechnique; 3] = [
     SearchTechnique::Overlap,
@@ -78,66 +80,53 @@ fn concurrent_reads_are_linearizable_at_their_observed_generation() {
         };
         let session = LakeSession::new(lake, config.clone());
 
-        // generation → the lake exactly as that generation served it;
-        // recorded by the (single) mutator, which is the only writer
-        let lakes: Mutex<BTreeMap<u64, DataLake>> = Mutex::new(BTreeMap::new());
-        lakes
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(0, session.lake().clone());
-        let observations: Mutex<Vec<Observation>> = Mutex::new(Vec::new());
-
-        std::thread::scope(|scope| {
-            // the mutator: toggle extra tables in and out, recording the
-            // lake content at each published generation
-            scope.spawn(|| {
+        let (lakes, observations) = std::thread::scope(|scope| {
+            // the mutator: toggle extra tables in and out, returning
+            // generation → the lake exactly as that generation served it
+            let mutator = scope.spawn(|| {
+                let mut lakes = BTreeMap::from([(0, session.lake().clone())]);
                 for table in extra_tables() {
                     session.add_table(table.clone()).unwrap();
                     let view = session.view();
-                    lakes
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(view.generation(), view.lake().clone());
+                    lakes.insert(view.generation(), view.lake().clone());
                     session.remove_table(table.name()).unwrap();
                     let view = session.view();
-                    lakes
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .insert(view.generation(), view.lake().clone());
+                    lakes.insert(view.generation(), view.lake().clone());
                 }
+                lakes
             });
             // concurrent readers: each round pins a view and records the
             // generation it observed next to everything it served
-            for reader in 0..2usize {
-                let session = &session;
-                let observations = &observations;
-                let probe = &probe;
-                scope.spawn(move || {
-                    for round in 0..4usize {
-                        let view = session.view();
-                        let query = view.query(probe, 4).unwrap();
-                        let similar = view
-                            .similar_tuples(probe, 6)
-                            .into_iter()
-                            .map(|r| (r.table, r.row, r.score.to_bits()))
-                            .collect();
-                        observations
-                            .lock()
-                            .unwrap_or_else(PoisonError::into_inner)
-                            .push(Observation {
-                                generation: view.generation(),
-                                reader,
-                                round,
-                                query,
-                                similar,
-                            });
-                    }
-                });
-            }
+            let readers: Vec<_> = (0..2usize)
+                .map(|reader| {
+                    let session = &session;
+                    let probe = &probe;
+                    scope.spawn(move || {
+                        (0..4usize)
+                            .map(|round| {
+                                let view = session.view();
+                                Observation {
+                                    generation: view.generation(),
+                                    reader,
+                                    round,
+                                    query: view.query(probe, 4).unwrap(),
+                                    similar: view
+                                        .similar_tuples(probe, 6)
+                                        .into_iter()
+                                        .map(|r| (r.table, r.row, r.score.to_bits()))
+                                        .collect(),
+                                }
+                            })
+                            .collect::<Vec<_>>()
+                    })
+                })
+                .collect();
+            let observations: Vec<Observation> = readers
+                .into_iter()
+                .flat_map(|reader| reader.join().unwrap())
+                .collect();
+            (mutator.join().unwrap(), observations)
         });
-
-        let lakes = lakes.into_inner().unwrap();
-        let observations = observations.into_inner().unwrap();
         // both extras toggled in and out = 4 generations past the seed
         assert_eq!(session.generation(), 4, "{technique:?}: mutator fell short");
         assert!(!observations.is_empty());
@@ -256,6 +245,66 @@ fn pinned_generation_reads_are_bit_identical_to_fresh_rebuilds() {
             "{technique:?}: {err}"
         );
     }
+}
+
+/// A generation a reader just saw current stays pinnable: `view_at(g)`
+/// succeeds unless `g` has really left the retained window, however a
+/// mutator races it. A publish swaps the current snapshot and retains the
+/// one it displaces under one lock, so no reader can catch `g` in neither
+/// place; and an eviction error reports one consistent window, `oldest ≤
+/// newest`, that `g` lies outside of.
+#[test]
+fn a_just_displaced_generation_stays_pinnable() {
+    let history = 4;
+    let session = LakeSession::with_options(
+        tiny_lake(),
+        PipelineConfig::fast(),
+        SessionOptions { history },
+    );
+    let table = extra_tables().remove(0);
+    let done = AtomicBool::new(false);
+    let (calls, misses) = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..2)
+            .map(|_| {
+                scope.spawn(|| {
+                    let (mut calls, mut misses) = (0u64, Vec::new());
+                    while !done.load(Ordering::Relaxed) {
+                        let g = session.generation();
+                        calls += 1;
+                        match session.view_at(g) {
+                            Ok(view) => assert_eq!(view.generation(), g),
+                            Err(SessionError::GenerationEvicted {
+                                requested,
+                                oldest,
+                                newest,
+                            }) if oldest <= newest && requested < oldest => {}
+                            Err(e) => misses.push(e.to_string()),
+                        }
+                    }
+                    (calls, misses)
+                })
+            })
+            .collect();
+        for _ in 0..300 {
+            session.add_table(table.clone()).unwrap();
+            session.remove_table(table.name()).unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+        readers
+            .into_iter()
+            .map(|reader| reader.join().unwrap())
+            .fold((0, Vec::new()), |(calls, mut all), (c, misses)| {
+                all.extend(misses);
+                (calls + c, all)
+            })
+    });
+    assert_eq!(session.history_window().2, history);
+    assert!(
+        misses.is_empty(),
+        "{} of {calls} view_at(generation()) calls missed a retained generation, e.g. {:?}",
+        misses.len(),
+        &misses[..misses.len().min(3)]
+    );
 }
 
 /// Concurrent mutators never lose updates: mutations serialize against

@@ -23,6 +23,7 @@
 mod common;
 
 use common::assert_same_result;
+use dust_core::persist::WalOp;
 use dust_core::{
     LakeSession, PersistError, PipelineConfig, SearchTechnique, SessionError, SnapshotStore,
 };
@@ -32,6 +33,7 @@ use dust_table::{DataLake, Table};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 const TECHNIQUES: [SearchTechnique; 3] = [
     SearchTechnique::Overlap,
@@ -87,18 +89,26 @@ fn table_pool(lake: &DataLake) -> Vec<Table> {
     pool
 }
 
-/// Apply one toggle op through the session AND the durable store, exactly
-/// as the `serve` binary does: mutate first, log only on success.
-fn apply_logged(session: &LakeSession, store: &mut SnapshotStore, table: &Table) {
-    if session.lake().table(table.name()).is_ok() {
-        session.remove_table(table.name()).unwrap();
-        store
-            .log_remove_table(table.name(), session.generation())
-            .unwrap();
-    } else {
-        session.add_table(table.clone()).unwrap();
-        store.log_add_table(table, session.generation()).unwrap();
+/// Append `op` to the store's WAL as the record of `generation`.
+fn log(store: &mut SnapshotStore, op: &WalOp, generation: u64) -> Result<(), SessionError> {
+    match op {
+        WalOp::AddTable(table) => store.log_add_table(table, generation),
+        WalOp::RemoveTable(name) => store.log_remove_table(name, generation),
     }
+    .map_err(SessionError::from)
+}
+
+/// Apply one toggle op through the session AND the durable store, exactly
+/// as the `serve` binary does: prepare, log, and publish only once logged.
+fn apply_logged(session: &LakeSession, store: &mut SnapshotStore, table: &Table) {
+    let op = if session.lake().table(table.name()).is_ok() {
+        WalOp::RemoveTable(table.name().into())
+    } else {
+        WalOp::AddTable(Arc::new(table.clone()))
+    };
+    session
+        .mutate(op, |op, generation| log(store, op, generation))
+        .unwrap();
 }
 
 /// A fine-tuned configuration small enough to train in a test.
@@ -332,6 +342,51 @@ proptest! {
             }
         }
     }
+}
+
+/// A mutation whose log step fails is never published: the generation and
+/// the published root stay as they were, so the log's next LSN is still
+/// generation + 1. A rejected mutation never reaches its log step. The next
+/// real mutation logs at generation + 1, and recovery from the directory
+/// answers as the live session does.
+#[test]
+fn a_failed_log_publishes_nothing_and_the_next_mutation_logs_next() {
+    let tmp = TempDir::new("failed-log");
+    let session = LakeSession::new(tiny_lake(), PipelineConfig::fast());
+    let extra = table_pool(&session.lake()).pop().unwrap();
+    let mut store = SnapshotStore::create(&tmp.0, &session).unwrap();
+    let before = session.view();
+
+    let add = || WalOp::AddTable(Arc::new(extra.clone()));
+    let failed = session.mutate(add(), |_, generation| {
+        assert_eq!(generation, 1, "the log step names the next generation");
+        let source = std::io::Error::other("injected append failure");
+        Err(SessionError::from(PersistError::Io {
+            path: tmp.0.join("wal.log"),
+            source,
+        }))
+    });
+    assert_eq!(failed.unwrap_err().kind(), "io");
+    let rejected: Result<_, SessionError> = session
+        .mutate(WalOp::RemoveTable("no_such_table".into()), |_, _| {
+            panic!("a rejected mutation reached its log step")
+        });
+    assert_eq!(rejected.unwrap_err().kind(), "table");
+    assert_eq!(session.generation(), 0);
+    assert_eq!(session.view().snapshot_id(), before.snapshot_id());
+    assert!(session.lake().table(extra.name()).is_err());
+    assert_eq!(store.wal_records(), 0);
+
+    let added = session.mutate(add(), |op, generation| log(&mut store, op, generation));
+    assert!(added.unwrap().is_none());
+    assert_eq!(session.generation(), 1);
+    assert_eq!(store.wal_records(), 1);
+    drop(store);
+
+    let (_store, recovered, report) = SnapshotStore::open(&tmp.0).unwrap();
+    assert_eq!(report.replayed, 1);
+    assert_eq!(recovered.generation(), 1);
+    assert_sessions_match(&recovered, &session, "recovered after a failed log");
 }
 
 /// Replayed WAL records publish no generation of their own: a restored
