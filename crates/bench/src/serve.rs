@@ -683,16 +683,14 @@ fn mutate(state: &ServerState, op: WalOp) -> Result<Reply, Failure> {
     };
     let mut root = LockToken::root();
     let (mut durable, _) = state.durable.lock(&mut root);
-    state.session.mutate(op, |op, generation| {
-        let Some(store) = durable.as_mut() else {
-            return Ok(());
-        };
-        match op {
-            WalOp::AddTable(table) => store.log_add_table(table, generation),
-            WalOp::RemoveTable(name) => store.log_remove_table(name, generation),
-        }
-        .map_err(|e| fail(e.kind(), format!("not logged, so not applied: {e}")))
-    })?;
+    state
+        .session
+        .mutate(op, |op, generation| match durable.as_mut() {
+            Some(store) => store
+                .log_op(op, generation)
+                .map_err(|e| fail(e.kind(), format!("not applied: {e}"))),
+            None => Ok(()),
+        })?;
     let body = format!(
         "{{\"{verb}\":\"{}\",\"tables\":{},\"generation\":{}}}",
         json::escape(&name),

@@ -87,9 +87,9 @@ pub struct RecoveryReport {
 ///
 /// Obtained from [`SnapshotStore::create`] (persist a session for the
 /// first time, or overwrite) or [`SnapshotStore::open`] (recover). While
-/// serving, call [`log_add_table`](SnapshotStore::log_add_table) /
-/// [`log_remove_table`](SnapshotStore::log_remove_table) *after* each
-/// successfully applied mutation — failed mutations are never logged — and
+/// serving, pass [`log_op`](SnapshotStore::log_op) as the log step of
+/// [`LakeSession::mutate`], which publishes a mutation only once it is
+/// logged and never logs a rejected one, and call
 /// [`maybe_checkpoint`](SnapshotStore::maybe_checkpoint) to bound replay
 /// time.
 pub struct SnapshotStore {
@@ -204,16 +204,26 @@ impl SnapshotStore {
         ))
     }
 
-    /// Log an already-applied `add_table` mutation. `generation` is the
-    /// session's generation *after* the mutation; it must equal the LSN
-    /// this record gets, which catches any store/session desync at the
-    /// call site instead of at the next recovery.
+    /// Log `op` as the mutation that makes `generation`: the log step of
+    /// [`LakeSession::mutate`]. `generation` must equal the LSN this record
+    /// gets, which catches any store/session desync at the call site
+    /// instead of at the next recovery. A failed append leaves the log as
+    /// it was (see [`SnapshotStore::checkpoint`] for the one case it
+    /// cannot).
+    pub fn log_op(&mut self, op: &WalOp, generation: u64) -> Result<(), PersistError> {
+        match op {
+            WalOp::AddTable(table) => self.log_add_table(table, generation),
+            WalOp::RemoveTable(name) => self.log_remove_table(name, generation),
+        }
+    }
+
+    /// Log an `add_table` mutation (see [`log_op`](SnapshotStore::log_op)).
+    /// `generation` is the session's generation *after* the mutation.
     pub fn log_add_table(&mut self, table: &Table, generation: u64) -> Result<(), PersistError> {
         self.log(&wal::Record::add_table(table), generation)
     }
 
-    /// Log an already-applied `remove_table` mutation (see
-    /// [`log_add_table`](SnapshotStore::log_add_table)).
+    /// Log a `remove_table` mutation (see [`log_op`](SnapshotStore::log_op)).
     pub fn log_remove_table(&mut self, name: &str, generation: u64) -> Result<(), PersistError> {
         self.log(&wal::Record::remove_table(name), generation)
     }
@@ -243,9 +253,14 @@ impl SnapshotStore {
     /// atomically swung to it; files the new manifest does not name are
     /// deleted only afterwards.
     ///
-    /// The caller must ensure no mutation is applied-but-not-yet-logged
+    /// A checkpoint also clears a log that refuses appends because a
+    /// failed append could not be rolled back: the session it photographs
+    /// never published that record, and the new epoch's empty WAL replaces
+    /// the file that may hold it.
+    ///
+    /// The caller must ensure no mutation is logged-but-not-yet-published
     /// while this runs (the `serve` binary holds its durability lock
-    /// across apply + log + checkpoint), otherwise that mutation would be
+    /// across log + publish + checkpoint), otherwise that mutation would be
     /// neither in the new snapshot nor in the new WAL.
     pub fn checkpoint(&mut self, session: &LakeSession) -> Result<(), PersistError> {
         let epoch = self.epoch + 1;
@@ -347,6 +362,7 @@ mod tests {
     use dust_datagen::BenchmarkConfig;
     use dust_table::{Column, Value};
     use std::io::Write;
+    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dust-persist-{}-{tag}", std::process::id()));
@@ -460,6 +476,46 @@ mod tests {
         let (store, restored, report) = SnapshotStore::open(&dir).unwrap();
         assert_eq!(store.epoch(), 2);
         assert_eq!(report.replayed, 0);
+        assert_serves_identically(&session, &restored);
+    }
+
+    /// A failed append leaves the WAL as it was: a write torn in the record
+    /// header or in its payload, or a whole record whose fsync failed, is
+    /// truncated away, the session stays at its generation, and the next
+    /// mutation is logged at that same LSN and recovers.
+    #[test]
+    fn a_failed_append_is_rolled_back_and_the_next_mutation_recovers() {
+        let dir = temp_dir("failed-append");
+        let session = tiny_session();
+        let mut store = SnapshotStore::create(&dir, &session).unwrap();
+        let wal_file = snapshot::wal_path(&dir, 1);
+        let add = |name: &str| WalOp::AddTable(Arc::new(extra_table(name)));
+        let faults = [wal::Fault::Torn(5), wal::Fault::Torn(30), wal::Fault::Sync];
+        for (generation, fault) in (0..).zip(faults) {
+            let len = std::fs::metadata(&wal_file).unwrap().len();
+            store.wal.fault = Some(fault);
+            let failed = session.mutate(add("failed"), |op, g| {
+                store.log_op(op, g).map_err(SessionError::from)
+            });
+            assert_eq!(failed.unwrap_err().kind(), "io", "{fault:?}");
+            assert_eq!(session.generation(), generation, "{fault:?}");
+            let after = std::fs::metadata(&wal_file).unwrap().len();
+            assert_eq!(after, len, "{fault:?} left bytes in the WAL");
+
+            let name = format!("logged_{generation}");
+            session
+                .mutate(add(&name), |op, g| {
+                    store.log_op(op, g).map_err(SessionError::from)
+                })
+                .unwrap();
+        }
+        assert_eq!(store.wal_records(), faults.len());
+        drop(store);
+
+        let (_store, restored, report) = SnapshotStore::open(&dir).unwrap();
+        assert_eq!(report.replayed, faults.len());
+        assert!(!report.dropped_torn_tail);
+        assert!(restored.lake().table("failed").is_err());
         assert_serves_identically(&session, &restored);
     }
 

@@ -96,11 +96,35 @@ pub(crate) struct WalContents {
 
 /// Appender for the live WAL file. Every [`append`](WalWriter::append) is
 /// written and fsynced before it returns, so an acknowledged mutation
-/// survives power loss.
+/// survives power loss. A failed append is rolled back to the file's
+/// length before it, so the next record never lands behind a partial or
+/// unacknowledged one.
 pub(crate) struct WalWriter {
     file: File,
     path: PathBuf,
     next_lsn: u64,
+    /// Bytes of the file that hold acknowledged records (header included):
+    /// where the next record starts, and what a failed append rolls back to.
+    len: u64,
+    /// Set when a failed append could not be rolled back: the file may end
+    /// in a partial or unacknowledged record, so no append follows it. A
+    /// checkpoint starts a new file; a reopen truncates it to its valid
+    /// prefix.
+    wedged: bool,
+    /// The next append's injected failure.
+    #[cfg(test)]
+    pub(crate) fault: Option<Fault>,
+}
+
+/// An append failure [`WalWriter::append`] fakes in unit tests, after
+/// really writing the bytes that failure would leave in the file.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Fault {
+    /// The write stops after this many of the record's bytes.
+    Torn(usize),
+    /// The whole record is written, then the fsync fails.
+    Sync,
 }
 
 impl WalWriter {
@@ -127,6 +151,10 @@ impl WalWriter {
             file,
             path: path.to_path_buf(),
             next_lsn: base_generation + 1,
+            len: HEADER_LEN as u64,
+            wedged: false,
+            #[cfg(test)]
+            fault: None,
         })
     }
 
@@ -148,6 +176,10 @@ impl WalWriter {
             file,
             path: path.to_path_buf(),
             next_lsn,
+            len: valid_len,
+            wedged: false,
+            #[cfg(test)]
+            fault: None,
         })
     }
 
@@ -159,7 +191,19 @@ impl WalWriter {
     /// Append one mutation record and fsync it. Returns the record's LSN
     /// and its on-disk size in bytes (header + payload + seals), which the
     /// store accumulates for its bytes-since-checkpoint trigger.
+    ///
+    /// On failure the file is truncated back to its length before the
+    /// append and fsynced, so the record is not in the log and the next
+    /// append reuses its LSN. If that rollback fails too, the writer is
+    /// wedged: the record may or may not be durable, and every later
+    /// append is refused, until a checkpoint replaces the file (and with
+    /// it the record) or a reopen truncates it to its valid prefix.
     pub(crate) fn append(&mut self, record: &Record) -> Result<(u64, usize), PersistError> {
+        if self.wedged {
+            let detail = "an earlier failed append could not be rolled back; \
+                          checkpoint before logging again";
+            return Err(PersistError::io(&self.path, io::Error::other(detail)));
+        }
         let Record { kind, payload } = record;
         let payload_len = record_payload_len(payload.len(), &self.path)?;
         let lsn = self.next_lsn;
@@ -172,12 +216,49 @@ impl WalWriter {
         rec.extend_from_slice(payload);
         rec.extend_from_slice(&crc32(payload).to_le_bytes());
 
-        self.file
-            .write_all(&rec)
-            .and_then(|()| self.file.sync_data())
-            .map_err(|e| PersistError::io(&self.path, e))?;
+        if let Err(cause) = self.write_and_sync(&rec) {
+            return Err(self.roll_back(cause));
+        }
         self.next_lsn += 1;
+        self.len += rec.len() as u64;
         Ok((lsn, rec.len()))
+    }
+
+    fn write_and_sync(&mut self, rec: &[u8]) -> io::Result<()> {
+        #[cfg(test)]
+        if let Some(fault) = self.fault.take() {
+            let (written, failed) = match fault {
+                Fault::Torn(n) => (&rec[..n.min(rec.len())], "injected torn write"),
+                Fault::Sync => (rec, "injected fsync failure"),
+            };
+            self.file.write_all(written)?;
+            return Err(io::Error::other(failed));
+        }
+        self.file.write_all(rec)?;
+        self.file.sync_data()
+    }
+
+    /// Truncate the file back to `len` after a failed append, and the
+    /// error to report for it: `cause`, or, if the rollback fails too,
+    /// `cause` with that failure, the writer then wedged.
+    fn roll_back(&mut self, cause: io::Error) -> PersistError {
+        let len = self.len;
+        let rolled_back = self
+            .file
+            .set_len(len)
+            .and_then(|()| self.file.seek(SeekFrom::Start(len)).map(|_| ()))
+            .and_then(|()| self.file.sync_data());
+        match rolled_back {
+            Ok(()) => PersistError::io(&self.path, cause),
+            Err(e) => {
+                self.wedged = true;
+                let detail = format!(
+                    "{cause}; rolling the log back to {len} bytes also failed ({e}), so the \
+                     record may be durable and the log takes no append before a checkpoint"
+                );
+                PersistError::io(&self.path, io::Error::new(cause.kind(), detail))
+            }
+        }
     }
 }
 
@@ -305,6 +386,32 @@ pub(crate) fn read_wal(path: &Path) -> Result<(WalContents, u64), PersistError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An append whose rollback fails too wedges the writer: with its file
+    /// handle made read-only, the write and the truncate both fail, and
+    /// once the handle is writable again the writer still refuses, so no
+    /// record lands behind bytes the failed one may have left.
+    #[test]
+    fn a_failed_rollback_refuses_every_later_append() {
+        let dir = std::env::temp_dir().join(format!("dust-wal-{}-wedged", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("wal-1.log");
+        let mut wal = WalWriter::create(&path, 0).unwrap();
+        let record = Record::remove_table("t");
+        assert_eq!(wal.append(&record).unwrap().0, 1);
+
+        let writable = std::mem::replace(&mut wal.file, File::open(&path).unwrap());
+        let err = wal.append(&record).unwrap_err();
+        assert!(err.to_string().contains("also failed"), "{err}");
+        wal.file = writable;
+        let err = wal.append(&record).unwrap_err();
+        assert!(err.to_string().contains("checkpoint before"), "{err}");
+        assert_eq!(wal.next_lsn(), 2);
+
+        let (contents, _) = read_wal(&path).unwrap();
+        assert_eq!(contents.records.len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 
     /// `append` sizes the record through this check before it builds or
     /// writes a byte, so an oversized payload leaves the log untouched.

@@ -622,7 +622,13 @@ impl LakeSession {
     /// generation a crash could erase, and the next logged generation is
     /// still the log's next sequence number. Returns the removed table of a
     /// remove (`None` for an add). [`Self::add_table`] and
-    /// [`Self::remove_table`] are this with a log that does nothing.
+    /// [`Self::remove_table`] are this with a log that does nothing;
+    /// [`SnapshotStore::log_op`](crate::persist::SnapshotStore::log_op) is
+    /// the WAL's log step.
+    ///
+    /// `log` runs under the mutation lock, outside the lock order's types:
+    /// it must not call back into this session. A mutation from it
+    /// deadlocks.
     pub fn mutate<E: From<TableError>>(
         &self,
         op: WalOp,

@@ -25,7 +25,10 @@
 //! Root tokens ([`LockToken::root`]) are minted only at public entry
 //! points — `LakeSession`'s `&self` methods and serve's request handlers.
 //! Private helpers take the caller's `&mut LockToken<_>`, so their locks
-//! are checked against what the caller holds.
+//! are checked against what the caller holds. A closure the caller hands
+//! in is outside the types: [`LakeSession::mutate`](crate::LakeSession::mutate)
+//! runs its log step under `SessionMutate`, so that step must not call
+//! back into the session (its doc says so).
 //!
 //! In order, the two session locks nest:
 //!

@@ -33,8 +33,12 @@ const SCOPE_FILES: &[&str] = &[
     "crates/search/src/d3l.rs",
 ];
 
-/// Mutation-path functions within those modules.
+/// Mutation-path functions within those modules. Every session mutation
+/// runs `LakeSession::mutate`, which builds the next snapshot in `prepare`
+/// (recovery's replay too).
 const DELTA_FNS: &[&str] = &[
+    "mutate",
+    "prepare",
     "add_table",
     "remove_table",
     "add_document",
@@ -151,6 +155,17 @@ mod tests {
         assert_eq!(check(&f).len(), 1);
         let f = in_scope("        let x = a - 0.5;\n");
         assert_eq!(check(&f).len(), 1);
+    }
+
+    #[test]
+    fn the_session_mutation_path_is_scoped() {
+        for name in ["mutate", "prepare"] {
+            let f = SourceFile::parse(
+                "crates/core/src/session.rs",
+                &format!("fn {name}(&self) {{\n    let w = old_weight - 0.5;\n}}\n"),
+            );
+            assert_eq!(check(&f).len(), 1, "{name}");
+        }
     }
 
     #[test]

@@ -89,15 +89,6 @@ fn table_pool(lake: &DataLake) -> Vec<Table> {
     pool
 }
 
-/// Append `op` to the store's WAL as the record of `generation`.
-fn log(store: &mut SnapshotStore, op: &WalOp, generation: u64) -> Result<(), SessionError> {
-    match op {
-        WalOp::AddTable(table) => store.log_add_table(table, generation),
-        WalOp::RemoveTable(name) => store.log_remove_table(name, generation),
-    }
-    .map_err(SessionError::from)
-}
-
 /// Apply one toggle op through the session AND the durable store, exactly
 /// as the `serve` binary does: prepare, log, and publish only once logged.
 fn apply_logged(session: &LakeSession, store: &mut SnapshotStore, table: &Table) {
@@ -107,7 +98,9 @@ fn apply_logged(session: &LakeSession, store: &mut SnapshotStore, table: &Table)
         WalOp::AddTable(Arc::new(table.clone()))
     };
     session
-        .mutate(op, |op, generation| log(store, op, generation))
+        .mutate(op, |op, generation| {
+            store.log_op(op, generation).map_err(SessionError::from)
+        })
         .unwrap();
 }
 
@@ -377,7 +370,9 @@ fn a_failed_log_publishes_nothing_and_the_next_mutation_logs_next() {
     assert!(session.lake().table(extra.name()).is_err());
     assert_eq!(store.wal_records(), 0);
 
-    let added = session.mutate(add(), |op, generation| log(&mut store, op, generation));
+    let added = session.mutate(add(), |op, generation| {
+        store.log_op(op, generation).map_err(SessionError::from)
+    });
     assert!(added.unwrap().is_none());
     assert_eq!(session.generation(), 1);
     assert_eq!(store.wal_records(), 1);
